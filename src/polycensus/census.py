@@ -27,7 +27,7 @@ from math import gcd, isqrt
 from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .asymptotics import spf
-from .decompose import decompose_split, is_decomposable
+from .decompose import decomposable_linear_terms, decompose_split, is_decomposable
 from .poly_core import Poly, mul, poly_pow
 
 DEFAULT_SET_BUDGET = 200_000_000   # dedup keys per query
@@ -46,14 +46,18 @@ def _int_root(x: int, k: int) -> int:
     """Largest t >= 0 with t**k <= x (x >= 0)."""
     if x < 0:
         raise ValueError("negative radicand")
+    if x == 0:
+        return 0
     if k == 2:
         return isqrt(x)
-    t = int(round(x ** (1.0 / k)))
-    while t > 0 and t**k > x:
-        t -= 1
-    while (t + 1) ** k <= x:
-        t += 1
-    return t
+    # Integer Newton from the power of two above the root: the iterates
+    # decrease strictly until they reach the floor of the root.
+    t = 1 << -(-x.bit_length() // k)
+    while True:
+        u = ((k - 1) * t + x // t ** (k - 1)) // k
+        if u >= t:
+            return t
+        t = u
 
 
 def explicit_constants(m: int, n: int) -> Tuple[float, float]:
@@ -280,9 +284,8 @@ def _run_chunk(args):
                         defense = None
             if flag:
                 tail = tuple(reversed(prefix))
-                for a in range(lo, hi + 1):
-                    if not is_decomposable((0, a) + tail):
-                        flagged += 1
+                decomposable = decomposable_linear_terms((0, 0) + tail)
+                flagged += width - sum(lo <= a <= hi for a in decomposable)
             pairs += width
             if pairs > budget:
                 raise BudgetError(
@@ -428,6 +431,15 @@ def count_forward(q: CountQuery, workers: int = 1, budget: Optional[int] = None)
 
     if not splits:
         return CountResult(0, q, "forward", time.perf_counter() - t0, workers)
+    # The outer polynomials g of height <= H over h = x^n alone give every
+    # split (m, n) this many witness pairs, so a query whose largest outer
+    # degree exceeds the budget here would be refused later in any case.
+    m_max = q.split[0] if q.variant == "split" else d // spf(d)
+    if (2 * H + 1) ** (m_max - 1) * (1 if monic else 2 * H) > budget:
+        raise BudgetError(
+            f"split ({m_max},{d // m_max}) at H={H} has more witness pairs than the "
+            f"budget of {budget}; raise {BUDGET_ENV} or --budget"
+        )
 
     if q.variant == "split":
         pairs, _, _, _ = _run_split(d, H, monic, q.split, workers, False, None, False, budget)

@@ -17,9 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
-from typing import List, Optional, Tuple
+from typing import List, Optional, Set, Tuple
 
+from .asymptotics import spf
 from .poly_core import (
     Poly,
     compose,
@@ -134,12 +136,12 @@ def _check_split(f, m, n):
         raise ValueError(f"degree {degree(f)} does not match split ({m},{n})")
 
 
-def _split_unit_lead(f: Poly, m: int, n: int) -> Optional[Tuple[Poly, Poly]]:
-    """Integer-only split test for |lead(f)| = 1.
+def _integer_candidate(f: Poly, m: int, n: int) -> Optional[Poly]:
+    """The candidate inner of a unit-lead f for the split (m, n), or None.
 
-    Same candidate-then-expand procedure, but the candidate inner polynomial
-    of a decomposable unit-lead f is necessarily integral, so any division
-    remainder in the solve rejects the split immediately.
+    The candidate of a decomposable unit-lead f is necessarily integral
+    (its factors h - beta over the roots beta of g have algebraic-integer
+    coefficients), so any division remainder in the solve rejects the split.
     """
     d = m * n
     a = f[-1]
@@ -152,7 +154,19 @@ def _split_unit_lead(f: Poly, m: int, n: int) -> Optional[Tuple[Poly, Poly]]:
         if r:
             return None
         bs[n - k] = b
-    h = tuple(bs)
+    return tuple(bs)
+
+
+def _split_unit_lead(f: Poly, m: int, n: int) -> Optional[Tuple[Poly, Poly]]:
+    """Integer-only split test for |lead(f)| = 1.
+
+    Same candidate-then-expand procedure as the rational path, with an
+    integral candidate and an early exit at the first non-constant
+    expansion coefficient.
+    """
+    h = _integer_candidate(f, m, n)
+    if h is None:
+        return None
     cur: Poly = f
     gs = []
     while degree(cur) >= n:
@@ -221,42 +235,63 @@ def decompose_split(f: Poly, m: int, n: int) -> Optional[Decomposition]:
     return Decomposition(g, h, (m, n))
 
 
-def _is_prime(k: int) -> bool:
-    if k < 2:
-        return False
-    if k < 4:
-        return True
-    if k % 2 == 0:
-        return False
-    p = 3
-    while p * p <= k:
-        if k % p == 0:
-            return False
-        p += 2
-    return True
-
-
-def _inner_degrees(d: int) -> List[int]:
+@lru_cache(maxsize=None)
+def _inner_degrees(d: int) -> Tuple[int, ...]:
     """Candidate inner degrees for d, primes first, each ascending."""
     divs = [n for n in range(2, d // 2 + 1) if d % n == 0]
-    return sorted(divs, key=lambda n: (not _is_prime(n), n))
+    return tuple(sorted(divs, key=lambda n: (spf(n) != n, n)))
 
 
 def is_decomposable(f: Poly) -> bool:
     """True iff f = g(h(x)) for some g, h of degree >= 2.
 
-    Prime degree short-circuits to False; otherwise every ordered split is
-    tried until one yields a witness.
+    Every ordered split is tried until one yields a witness; a prime
+    degree has none.
     """
     d = degree(f)
     if d < 2:
         raise ValueError("decomposability needs degree >= 2")
-    if _is_prime(d):
-        return False
     for n in _inner_degrees(d):
         if decompose_split(f, d // n, n) is not None:
             return True
     return False
+
+
+def decomposable_linear_terms(g0: Poly) -> Set[int]:
+    """Every integer a for which g0 + a*x is decomposable (g0 has no x term).
+
+    One integer candidate solve per inner degree n decides the whole line.
+    The monic conjugate c**(m-1) * g(x/c), c = lead(g0), m = deg g0, has
+    integer coefficients and decomposes exactly when g does; its x term is
+    a*c**(m-2).  The candidate inner reads only the coefficients of
+    x**(m-1) .. x**(m-n+1), none of which is x**1, and a*x lands wholly in
+    the h-adic coefficient c_0, so each n admits at most one a: the one
+    that cancels the linear part of c_0.
+    """
+    m = degree(g0)
+    if m < 2 or g0[1]:
+        raise ValueError("need degree >= 2 and a zero linear coefficient")
+    c = g0[-1]
+    monic = tuple(g0[i] * c ** (m - 1 - i) for i in range(m)) + (1,)
+    scale = c ** (m - 2)
+    out: Set[int] = set()
+    for n in _inner_degrees(m):
+        h = _integer_candidate(monic, m // n, n)
+        if h is None:
+            continue
+        cur, c0 = _divmod_monic(monic, h)
+        if degree(c0) > 1:
+            continue
+        a, r = divmod(-c0[1] if degree(c0) == 1 else 0, scale)
+        if r:
+            continue
+        while degree(cur) >= n:
+            cur, rem = _divmod_monic(cur, h)
+            if degree(rem) > 0:
+                break
+        else:
+            out.add(a)
+    return out
 
 
 def full_decomposition(f: Poly) -> List[Poly]:
@@ -269,9 +304,8 @@ def full_decomposition(f: Poly) -> List[Poly]:
     d = degree(f)
     if d < 2:
         raise ValueError("decomposition needs degree >= 2")
-    if not _is_prime(d):
-        for n in _inner_degrees(d):
-            w = decompose_split(f, d // n, n)
-            if w is not None:
-                return full_decomposition(w.g) + full_decomposition(w.h)
+    for n in _inner_degrees(d):
+        w = decompose_split(f, d // n, n)
+        if w is not None:
+            return full_decomposition(w.g) + full_decomposition(w.h)
     return [f]

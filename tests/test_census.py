@@ -15,7 +15,9 @@ from polycensus.census import (
     ordered_splits,
     pack_truncated,
     _h_candidates,
+    _int_root,
 )
+from polycensus.asymptotics import spf
 from polycensus.decompose import decompose_split, is_decomposable
 from polycensus.poly_core import compose, height
 
@@ -48,6 +50,20 @@ def test_enum_box():
     assert box.lead_cap(1) == 480
     assert box.lead_cap(21) == 1
     assert box.inner_lead_max() == 3  # floor(10^(1/2)) = 3
+
+
+def test_int_root_exact_for_huge_radicands():
+    rng = random.Random(21)
+    for _ in range(400):
+        x = rng.randrange(10 ** rng.randint(1, 300))
+        k = rng.randint(2, 40)
+        t = _int_root(x, k)
+        assert t**k <= x < (t + 1) ** k
+
+
+def test_enum_box_high_degree():
+    # (K1*H)^2 = 2^1200 * 3^300 * 4 is far beyond float range
+    assert EnumBox.build(300, 2, 2).b_max == 6
 
 
 def test_count_query_validation():
@@ -103,6 +119,17 @@ def test_oracle_equivalence_d8_total_and_ipair():
     for variant in ("total", "indecomp_pair"):
         q = CountQuery(8, 2, True, variant)
         assert count_forward(q).count == count_bruteforce(q, budget=10**6).count
+
+
+@pytest.mark.parametrize(
+    "d,H,monic", [(8, 6, True), (8, 3, False), (12, 3, True), (16, 2, True), (12, 2, False)]
+)
+def test_indecomp_pair_matches_per_pair_reference(d, H, monic):
+    # one is_decomposable call per enumerated pair of the dominant split
+    ell = spf(d)
+    pairs = iter_decompositions(d, H, monic, (d // ell, ell))
+    slow = (2 * H + 1) * sum(not is_decomposable(g) for g, _ in pairs)
+    assert count_forward(CountQuery(d, H, monic, "indecomp_pair")).count == slow
 
 
 def test_count_nondecreasing_in_height():

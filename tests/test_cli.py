@@ -139,6 +139,8 @@ def test_exit_codes():
     assert code == 2
     code, _, _ = capture(["count", "--degree", "4"])
     assert code == 2  # no height/grid
+    code, _, err = capture(["count", "--degree", "600", "--height-max", "2"])
+    assert code == 2 and err.startswith("error:") and "budget" in err
 
 
 def test_mahler_command():

@@ -2,11 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polycensus.census import EnumBox
 from polycensus.decompose import (
     Decomposition,
     candidate_h,
+    decomposable_linear_terms,
     decompose_split,
     full_decomposition,
     hadic_coefficients,
@@ -206,3 +208,46 @@ def test_conclusiveness_against_direct_search():
     for low in itertools.product(*([range(-H, H + 1)] * 4)):
         f = low + (1,)
         assert is_decomposable(f) == (f in composable), f
+
+
+LEADS = (1, -1, 2, 3, -4, 5)
+SMALL = st.integers(-5, 5)
+
+
+@st.composite
+def linear_free_outers(draw):
+    """(g0, hit): g0 has no x term; hit is a known decomposable a, or None.
+
+    Half the draws are compositions g(h) with their x term moved into hit,
+    so the window around hit always holds a decomposable member.
+    """
+    m = draw(st.sampled_from((4, 6, 8, 9, 12, 5, 7)))
+    c = draw(st.sampled_from(LEADS))
+    inner = [n for n in range(2, m // 2 + 1) if m % n == 0]
+    if inner and draw(st.booleans()):
+        n = draw(st.sampled_from(inner))
+        g = tuple(draw(SMALL) for _ in range(m // n)) + (c,)
+        h = (0,) + tuple(draw(SMALL) for _ in range(n - 1)) + (draw(st.sampled_from((1, -1, 2))),)
+        f = compose(g, h)
+        return (f[0], 0) + f[2:], f[1]
+    return (draw(SMALL), 0) + tuple(draw(SMALL) for _ in range(m - 2)) + (c,), None
+
+
+@settings(max_examples=60, deadline=None)
+@given(linear_free_outers())
+def test_decomposable_linear_terms_matches_per_a_tests(case):
+    g0, hit = case
+    got = decomposable_linear_terms(g0)
+    if degree(g0) in (5, 7):
+        assert got == set()
+    if hit is not None:
+        assert hit in got
+    centre = hit or 0
+    window = range(centre - 10, centre + 11)
+    slow = {a for a in window if is_decomposable((g0[0], a) + g0[2:])}
+    assert {a for a in got if a in window} == slow
+
+
+def test_decomposable_linear_terms_rejects_linear_term():
+    with pytest.raises(ValueError):
+        decomposable_linear_terms((0, 1, 0, 0, 1))
