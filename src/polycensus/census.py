@@ -24,7 +24,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from math import gcd, isqrt
-from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Iterator, List, Optional, Set, Tuple
 
 from .asymptotics import spf
 from .decompose import decomposable_linear_terms, decompose_split, is_decomposable
@@ -240,7 +240,8 @@ def _run_chunk(args):
       hits     -- pairs whose key lies in the membership set (stream mode)
       defense  -- capped key set for the uniqueness re-check, or None
     """
-    (d, H, monic, m, n, h_chunk, collect, member, flag, budget, verify_cap) = args
+    (d, H, monic, box, h_chunk, collect, member, flag, budget, verify_cap) = args
+    m, n = box.m, box.n
 
     base = 2 * H + 1
     basepow = [base**e for e in range(d)]
@@ -330,9 +331,7 @@ def _run_chunk(args):
             prefix.pop()
         else:
             hpm = hp[m]
-            b = max(abs(c) for c in h)
-            cap = (1 << (2 * d)) * (n + 1) ** m * H * H
-            amax = isqrt(cap // b ** (2 * m))
+            amax = box.lead_cap(max(abs(c) for c in h))
             lo_a, hi_a = _window_interval(
                 [0] * (d + 1), hpm, (m - 1) * n + 1, d, H, -amax, amax
             )
@@ -365,6 +364,8 @@ def _chunks(seq: List, parts: int) -> List[List]:
 def _run_split(d, H, monic, split, workers, collect, member, flag, budget):
     """Enumerate one split, sharded over workers; merge by set union.
 
+    The pool never has more processes than os.cpu_count() reports.
+
     Raises on a witness-uniqueness violation whenever a complete key set is
     available to check against the raw pair count.
     """
@@ -373,10 +374,10 @@ def _run_split(d, H, monic, split, workers, collect, member, flag, budget):
     h_list = _h_candidates(m, n, H, monic, box)
     if not h_list:
         return 0, 0, set() if collect else None, 0
-    chunk_list = _chunks(h_list, workers)
+    chunk_list = _chunks(h_list, min(workers, os.cpu_count() or 1))
     verify_cap = DEDUP_VERIFY_CAP if len(chunk_list) == 1 else 0
     tasks = [
-        (d, H, monic, m, n, chunk, collect, member, flag, budget, verify_cap)
+        (d, H, monic, box, chunk, collect, member, flag, budget, verify_cap)
         for chunk in chunk_list
     ]
     if len(tasks) == 1:
@@ -537,8 +538,7 @@ def iter_decompositions(
         if monic:
             lead_range = [1]
         else:
-            b = max(abs(c) for c in h)
-            amax = isqrt(box._k1_sq_hh // b ** (2 * m))
+            amax = box.lead_cap(max(abs(c) for c in h))
             lo_a, hi_a = _window_interval(
                 P, hpm, (m - 1) * n + 1, d, H, -amax, amax
             )
@@ -611,20 +611,3 @@ def count_bruteforce(q: CountQuery, budget: Optional[int] = None) -> CountResult
                     count += 1
     return CountResult(count, q, "oracle", time.perf_counter() - t0, 1)
 
-
-def census_sweep(
-    d: int,
-    monic: bool,
-    variant: str,
-    H_grid: Sequence[int],
-    workers: int = 1,
-    split: Optional[Tuple[int, int]] = None,
-    budget: Optional[int] = None,
-) -> Iterator[CountResult]:
-    """Run count_forward over an ascending height grid, yielding rows."""
-    grid = list(H_grid)
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("height grid must be strictly ascending")
-    for H in grid:
-        q = CountQuery(d, H, monic, variant, split)
-        yield count_forward(q, workers=workers, budget=budget)

@@ -334,6 +334,8 @@ def run(argv: Sequence[str]) -> int:
         return int(exc.code or 0)
     args.raw_argv = list(argv)
     try:
+        if getattr(args, "jobs", 1) < 1:
+            raise ValueError("--jobs must be at least 1")
         if args.command == "count":
             return _cmd_count(args)
         if args.command == "decompose":

@@ -1,24 +1,35 @@
 """Decide and construct functional decompositions f = g(h(x)) over the integers.
 
-The test for a fixed split (m, n) = (deg g, deg h) runs in two exact stages:
+Every split (m, n) = (deg g, deg h) of every f goes through one integer
+kernel.  With c = lead(f) and d = m*n, the monic conjugate
 
-1. Solve for the unique monic rational candidate inner polynomial h with
-   h(0) = 0 whose top coefficients match f (a triangular linear solve).
-2. Expand f in powers of that candidate; f factors through h exactly when
-   every expansion coefficient is a constant.
+    F(x) = c**(d-1) * f(x/c),   F_i = f_i * c**(d-1-i),
 
-A decomposition over the complex numbers forces the rational candidate, and
-an integer witness exists whenever a complex one does, so a failed rational
-test is conclusive.  Witnesses are returned in a canonical gauge: h(0) = 0,
-positive leading inner coefficient, monic g and h whenever f is monic.
+has integer coefficients and decomposes exactly when f does (skipped when
+|c| = 1, which the kernel handles directly).  On F the test runs in two
+exact stages:
+
+1. Solve for the unique monic candidate inner K with K(0) = 0 whose top
+   coefficients match F (a triangular solve).  The candidate of a
+   decomposable unit-lead polynomial is integral, so a division remainder
+   rejects the split.
+2. Expand F in powers of K by synthetic division; F = G(K) exactly when
+   every expansion coefficient is a constant, and the first non-constant
+   one ends the test.
+
+A decomposition over the complex numbers forces the candidate, and an
+integer witness exists whenever a complex one does, so a failed test is
+conclusive.  Witnesses are mapped back to a canonical gauge: h(0) = 0,
+h is the minimal positive integer multiple of the monic rational candidate
+K(c*x)/c**n of f (so lead(h) > 0, and monic f gets monic g and h), and
+every returned witness is recomposed and checked against f.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from typing import List, Optional, Set, Tuple
 
 from .asymptotics import spf
@@ -31,11 +42,9 @@ from .poly_core import (
     poly_pow,
 )
 
-RatPoly = Tuple[Fraction, ...]
-
 
 class DecompositionError(RuntimeError):
-    """A rational witness was found but integer normalization failed.
+    """A witness was found but integer normalization failed.
 
     This signals a bug or a violated uniqueness assumption, never an
     indecomposable input.
@@ -62,10 +71,6 @@ class Decomposition:
             raise ValueError("inner witness must have positive leading coefficient")
 
 
-def to_rational(f) -> RatPoly:
-    return tuple(Fraction(c) for c in f)
-
-
 def _divmod_monic(f, h):
     """Exact (quotient, remainder) for division by a monic polynomial.
 
@@ -87,53 +92,18 @@ def _divmod_monic(f, h):
     return normalize(quo), normalize(rem[:n])
 
 
-def candidate_h(f: Poly, m: int, n: int) -> RatPoly:
-    """The unique monic rational inner candidate for the split (m, n).
-
-    Returns the monic degree-n polynomial h with h(0) = 0 such that
-    lead(f) * h**m matches f in the coefficients of x**(d-1) .. x**(d-n+1),
-    where d = m*n.  Solved coefficient by coefficient: with the higher inner
-    coefficients fixed, the coefficient of x**(d-k) depends linearly on
-    b_(n-k) with slope lead(f)*m.
-    """
-    _check_split(f, m, n)
-    d = m * n
-    a = Fraction(lead(f))
-    bs: List[Fraction] = [Fraction(0)] * (n + 1)
-    bs[n] = Fraction(1)
-    for k in range(1, n):
-        hm = poly_pow(tuple(bs), m)
-        delta = f[d - k] - a * hm[d - k]
-        bs[n - k] = delta / (a * m)
-    return tuple(bs)
-
-
-def hadic_coefficients(f: Poly, h) -> List[RatPoly]:
-    """Expansion coefficients c_0..c_m of f in powers of a monic h.
-
-    These are the unique polynomials with f = sum c_i * h**i and
-    deg c_i < deg h, obtained by repeated division.
-    """
-    if degree(h) < 1:
-        raise ValueError("inner polynomial must have degree >= 1")
-    if h[-1] != 1:
-        raise ValueError("h-adic expansion requires monic h")
-    n = degree(h)
-    hq = to_rational(h)
-    cur: RatPoly = to_rational(f)
-    out: List[RatPoly] = []
-    while degree(cur) >= n:
-        cur, r = _divmod_monic(cur, hq)
-        out.append(to_rational(r))
-    out.append(cur)
-    return out
-
-
 def _check_split(f, m, n):
     if m < 2 or n < 2:
         raise ValueError("split parts must both be >= 2")
     if degree(f) != m * n:
         raise ValueError(f"degree {degree(f)} does not match split ({m},{n})")
+
+
+def _monic_conjugate(f: Poly) -> Poly:
+    """c**(d-1) * f(x/c) for c = lead(f), d = deg f: monic and integral."""
+    d = degree(f)
+    c = f[-1]
+    return tuple(f[i] * c ** (d - 1 - i) for i in range(d)) + (1,)
 
 
 def _integer_candidate(f: Poly, m: int, n: int) -> Optional[Poly]:
@@ -158,11 +128,9 @@ def _integer_candidate(f: Poly, m: int, n: int) -> Optional[Poly]:
 
 
 def _split_unit_lead(f: Poly, m: int, n: int) -> Optional[Tuple[Poly, Poly]]:
-    """Integer-only split test for |lead(f)| = 1.
+    """(g, h) with f = g(h), h the monic candidate, for |lead(f)| = 1; or None.
 
-    Same candidate-then-expand procedure as the rational path, with an
-    integral candidate and an early exit at the first non-constant
-    expansion coefficient.
+    Exits at the first non-constant h-adic expansion coefficient.
     """
     h = _integer_candidate(f, m, n)
     if h is None:
@@ -183,6 +151,31 @@ def _split_unit_lead(f: Poly, m: int, n: int) -> Optional[Tuple[Poly, Poly]]:
     return g, h
 
 
+def _unconjugate(G: Poly, K: Poly, c: int, m: int, n: int) -> Tuple[Poly, Poly]:
+    """Map a witness F = G(K) of the monic conjugate back to f's canonical gauge.
+
+    The monic rational candidate of f is K(c*x)/c**n, with coefficients
+    K_j / c**(n-j); h is its multiple by L, the lcm of their reduced
+    denominators, and then f = g(h) forces g_i = G_i * c**(n*i) /
+    (c**(d-1) * L**i), integral whenever f is decomposable.
+    """
+    d = m * n
+    L = 1
+    for j in range(1, n):
+        q = c ** (n - j)
+        L = lcm(L, abs(q) // gcd(K[j], q))
+    h = tuple(L * K[j] // c ** (n - j) for j in range(n)) + (L,)
+    g = []
+    for i, Gi in enumerate(G):
+        v, r = divmod(Gi * c ** (n * i), c ** (d - 1) * L**i)
+        if r:
+            raise DecompositionError(
+                f"integer normalization of the outer witness failed for split ({m},{n})"
+            )
+        g.append(v)
+    return tuple(g), h
+
+
 def decompose_split(f: Poly, m: int, n: int) -> Optional[Decomposition]:
     """Witness f = g(h(x)) with deg g = m, deg h = n, or None.
 
@@ -192,42 +185,12 @@ def decompose_split(f: Poly, m: int, n: int) -> Optional[Decomposition]:
     exists over the complex numbers, hence none over the integers.
     """
     _check_split(f, m, n)
-    if abs(f[-1]) == 1:
-        got = _split_unit_lead(f, m, n)
-        if got is None:
-            return None
-        g, h = got
-        if compose(g, h) != f:
-            raise DecompositionError(
-                f"witness recomposition mismatch for f={f}, split=({m},{n})"
-            )
-        return Decomposition(g, h, (m, n))
-
-    hq = candidate_h(f, m, n)
-    cs = hadic_coefficients(f, hq)
-    if any(degree(c) > 0 for c in cs):
+    c = f[-1]
+    unit = abs(c) == 1
+    got = _split_unit_lead(f if unit else _monic_conjugate(f), m, n)
+    if got is None:
         return None
-    gq = normalize(tuple(c[0] if c else Fraction(0) for c in cs))
-    if degree(gq) != m:
-        return None
-    # Rescale the monic rational inner to its minimal integer multiple
-    # L*h; the outer becomes g(x/L), integral whenever f is decomposable.
-    scale = lcm(*(c.denominator for c in hq)) if hq else 1
-    h_int = []
-    for c in hq:
-        v = c * scale
-        if v.denominator != 1:
-            raise DecompositionError("inner rescale left a non-integer coefficient")
-        h_int.append(int(v))
-    g_int = []
-    for i, c in enumerate(gq):
-        v = c / Fraction(scale) ** i
-        if v.denominator != 1:
-            raise DecompositionError(
-                f"rational witness found but integer normalization failed for f={f}"
-            )
-        g_int.append(int(v))
-    g, h = normalize(g_int), normalize(h_int)
+    g, h = got if unit else _unconjugate(*got, c, m, n)
     if compose(g, h) != f:
         raise DecompositionError(
             f"witness recomposition mismatch for f={f}, split=({m},{n})"
@@ -271,9 +234,8 @@ def decomposable_linear_terms(g0: Poly) -> Set[int]:
     m = degree(g0)
     if m < 2 or g0[1]:
         raise ValueError("need degree >= 2 and a zero linear coefficient")
-    c = g0[-1]
-    monic = tuple(g0[i] * c ** (m - 1 - i) for i in range(m)) + (1,)
-    scale = c ** (m - 2)
+    monic = _monic_conjugate(g0)
+    scale = g0[-1] ** (m - 2)
     out: Set[int] = set()
     for n in _inner_degrees(m):
         h = _integer_candidate(monic, m // n, n)

@@ -1,20 +1,17 @@
 """Exact univariate polynomial arithmetic on dense coefficient vectors.
 
-A polynomial is a tuple of exact coefficients in ascending degree order:
+A polynomial is a tuple of integer coefficients in ascending degree order:
 index i holds the coefficient of x**i.  The zero polynomial is the empty
-tuple; for every nonzero polynomial the last entry is nonzero.  Integer
-coefficients use Python ints (arbitrary precision, so intermediate results
-can never wrap), rational ones use fractions.Fraction.  All operations here
-work on either kind.
+tuple; for every nonzero polynomial the last entry is nonzero.  Coefficients
+are Python ints (arbitrary precision, so intermediate results can never
+wrap); the arithmetic only adds and multiplies them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence, Tuple, Union
+from typing import Sequence, Tuple
 
-Coeff = Union[int, Fraction]
+Coeff = int
 Poly = Tuple[Coeff, ...]
 
 ZERO: Poly = ()
@@ -39,10 +36,6 @@ def lead(f: Poly) -> Coeff:
     return f[-1]
 
 
-def is_monic(f: Poly) -> bool:
-    return bool(f) and f[-1] == 1
-
-
 def add(f: Poly, g: Poly) -> Poly:
     if len(f) < len(g):
         f, g = g, f
@@ -50,20 +43,6 @@ def add(f: Poly, g: Poly) -> Poly:
     for i, c in enumerate(g):
         out[i] += c
     return normalize(out)
-
-
-def neg(f: Poly) -> Poly:
-    return tuple(-c for c in f)
-
-
-def sub(f: Poly, g: Poly) -> Poly:
-    return add(f, neg(g))
-
-
-def scale(f: Poly, c: Coeff) -> Poly:
-    if not c:
-        return ZERO
-    return tuple(c * a for a in f)
 
 
 def mul(f: Poly, g: Poly) -> Poly:
@@ -110,72 +89,6 @@ def height(f: Poly) -> int:
     if not f:
         raise ValueError("height of the zero polynomial is undefined")
     return max(abs(c) for c in f)
-
-
-def evaluate(f: Poly, t: Coeff) -> Coeff:
-    """Horner evaluation; exact for int or Fraction arguments."""
-    acc: Coeff = 0
-    for c in reversed(f):
-        acc = acc * t + c
-    return acc
-
-
-@dataclass(frozen=True)
-class LinearShift:
-    """The integrally invertible map x -> u*x + v with u in {+1, -1}."""
-
-    u: int
-    v: int
-
-    def __post_init__(self):
-        if self.u not in (1, -1):
-            raise ValueError("shift scale must be +1 or -1")
-
-    def inverse(self) -> "LinearShift":
-        # x -> u*x + v inverts to x -> u*x - u*v since u*u = 1
-        return LinearShift(self.u, -self.u * self.v)
-
-
-def apply_shift(f: Poly, s: LinearShift) -> Poly:
-    """Return f(u*x + v) by Horner composition with the linear map."""
-    if not f:
-        return ZERO
-    out: Poly = (f[-1],)
-    linear: Poly = (s.v, s.u)
-    for c in reversed(f[:-1]):
-        out = add(mul(out, linear), (c,) if c else ZERO)
-    return out
-
-
-def shift_pair(g: Poly, h: Poly) -> Tuple[Poly, Poly]:
-    """Normalize a composition pair so the inner part fixes the origin.
-
-    Returns (g1, h1) with h1(0) = 0 and g1(h1(x)) = g(h(x)).  The leading
-    sign of the inner polynomial is folded here as well: if lead(h1) < 0
-    the pair is replaced by (g1(-x), -h1), so a monic-up-to-sign inner comes
-    out monic and in general the inner leading coefficient is positive.
-    """
-    if degree(g) < 1 or degree(h) < 1:
-        raise ValueError("shift_pair requires degrees >= 1")
-    v = h[0]
-    h1 = normalize((0,) + h[1:]) if v else h
-    g1 = apply_shift(g, LinearShift(1, v)) if v else g
-    if lead(h1) < 0:
-        h1 = neg(h1)
-        g1 = apply_shift(g1, LinearShift(-1, 0))
-    return g1, h1
-
-
-def content(f: Poly) -> int:
-    """GCD of integer coefficients (0 for the zero polynomial)."""
-    from math import gcd
-
-    c = 0
-    for a in f:
-        c = gcd(c, a)
-        if c == 1:
-            break
-    return c
 
 
 def parse_poly(text: str) -> Poly:

@@ -6,7 +6,6 @@ from polycensus.census import (
     BudgetError,
     CountQuery,
     EnumBox,
-    census_sweep,
     count_bruteforce,
     count_forward,
     explicit_constants,
@@ -197,21 +196,40 @@ def test_pack_truncated_rejects_out_of_box():
         pack_truncated((0, 9, 0, 0, 1), 4, 5)
 
 
-def test_census_sweep_rows():
-    rows = list(census_sweep(4, True, "total", [2, 3, 4]))
-    assert [r.query.H for r in rows] == [2, 3, 4]
-    assert rows[0].count == D4_H2_MONIC
-    assert list(census_sweep(4, True, "total", [])) == []
-    with pytest.raises(ValueError):
-        list(census_sweep(4, True, "total", [4, 2]))
-
-
 def test_worker_independence():
     for workers in (1, 2, 5):
         q = CountQuery(4, 30, True, "total")
         assert count_forward(q, workers=workers).count == count_forward(q).count
     q = CountQuery(6, 3, True, "total")
     assert count_forward(q, workers=3).count == count_bruteforce(q).count
+
+
+def test_pool_size_capped_at_cpu_count(monkeypatch):
+    # a recording stand-in runs the chunks in-process, so no pool is started
+    from polycensus import census
+
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(census, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(census.os, "cpu_count", lambda: 3)
+    q = CountQuery(6, 3, True, "total")
+    r = count_forward(q, workers=1000)
+    assert sizes and max(sizes) == 3
+    assert r.workers == 1000
+    assert r.count == count_forward(q, workers=1).count
 
 
 def test_budget_refusals():

@@ -141,6 +141,12 @@ def test_exit_codes():
     assert code == 2  # no height/grid
     code, _, err = capture(["count", "--degree", "600", "--height-max", "2"])
     assert code == 2 and err.startswith("error:") and "budget" in err
+    code, _, err = capture(["count", "--degree", "4", "--grid", "4,2"])
+    assert code == 2 and err.startswith("error:") and "ascending" in err
+    for jobs in ("0", "-3"):
+        code, _, err = capture(["count", "--degree", "4", "--height-max", "2", "--jobs", jobs])
+        assert code == 2 and err.startswith("error:") and "--jobs" in err
+        assert len(err.strip().splitlines()) == 1
 
 
 def test_mahler_command():

@@ -1,20 +1,62 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from polycensus.census import EnumBox
 from polycensus.decompose import (
-    Decomposition,
-    candidate_h,
+    _divmod_monic,
     decomposable_linear_terms,
     decompose_split,
     full_decomposition,
-    hadic_coefficients,
     is_decomposable,
 )
-from polycensus.poly_core import compose, degree, height, lead
+from polycensus.poly_core import compose, degree, height, lead, normalize, poly_pow
+
+
+# Rational reference for the integer kernel: the Kozen-Landau candidate and
+# h-adic expansion carried out over the rationals, with no conjugation, then
+# rescaled to the minimal integer multiple of the monic candidate.
+
+
+def candidate_h(f, m, n):
+    """The monic rational h, h(0) = 0, with lead(f)*h**m matching f below x**d."""
+    d = m * n
+    a = Fraction(f[-1])
+    bs = [Fraction(0)] * n + [Fraction(1)]
+    for k in range(1, n):
+        hm = poly_pow(tuple(bs), m)
+        bs[n - k] = (f[d - k] - a * hm[d - k]) / (a * m)
+    return tuple(bs)
+
+
+def hadic_coefficients(f, h):
+    """The c_i with f = sum c_i * h**i and deg c_i < deg h, for a monic h."""
+    cur = tuple(Fraction(c) for c in f)
+    out = []
+    while degree(cur) >= degree(h):
+        cur, r = _divmod_monic(cur, h)
+        out.append(r)
+    out.append(cur)
+    return out
+
+
+def rational_split(f, m, n):
+    """(g, h) in the canonical gauge of decompose_split, or None."""
+    hq = candidate_h(f, m, n)
+    cs = hadic_coefficients(f, hq)
+    if any(degree(c) > 0 for c in cs):
+        return None
+    gq = normalize(tuple(c[0] if c else Fraction(0) for c in cs))
+    if degree(gq) != m:
+        return None
+    L = lcm(*(c.denominator for c in hq))
+    h = tuple(c * L for c in hq)
+    g = tuple(c / Fraction(L) ** i for i, c in enumerate(gq))
+    assert all(c.denominator == 1 for c in g + h)
+    return tuple(map(int, g)), tuple(map(int, h))
 
 
 def rand_pair(rng, m, n, monic, bound=6):
@@ -71,7 +113,7 @@ def test_hadic_reconstructs():
         cs = hadic_coefficients(f, h)
         acc = ()
         power = (1,)
-        from polycensus.poly_core import add, mul, scale
+        from polycensus.poly_core import add, mul
 
         for c in cs:
             acc = add(acc, mul(tuple(Fraction(x) for x in power), c))
@@ -160,28 +202,6 @@ def test_full_decomposition_composes_back():
         assert all(degree(p) >= 2 for p in factors)
 
 
-def test_unit_lead_path_matches_rational_path():
-    # the integer fast path must agree with the generic rational procedure
-    rng = random.Random(15)
-    from polycensus import decompose as dec
-
-    for _ in range(500):
-        m, n = rng.choice(((2, 2), (2, 3), (3, 2)))
-        f = tuple(rng.randint(-20, 20) for _ in range(m * n)) + (rng.choice((1, -1)),)
-        fast = dec._split_unit_lead(f, m, n)
-        hq = candidate_h(f, m, n)
-        cs = hadic_coefficients(f, hq)
-        slow_ok = (
-            all(degree(c) <= 0 for c in cs)
-            and all(c[0].denominator == 1 for c in cs if c)
-            and all(b.denominator == 1 for b in hq)
-        )
-        assert (fast is not None) == slow_ok
-        if fast is not None:
-            g, h = fast
-            assert tuple(Fraction(c) for c in h) == hq
-
-
 def test_conclusiveness_against_direct_search():
     """is_decomposable agrees with a raw search over witness pairs.
 
@@ -212,6 +232,37 @@ def test_conclusiveness_against_direct_search():
 
 LEADS = (1, -1, 2, 3, -4, 5)
 SMALL = st.integers(-5, 5)
+SPLITS = (
+    (2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (3, 3), (2, 5), (5, 2), (2, 6), (6, 2), (3, 4), (4, 3)
+)
+SPLIT_LEADS = (1, -1, 2, -2, 3, -3, 5, -7, 12)
+
+
+@st.composite
+def split_inputs(draw):
+    """(f, m, n, composed): random f, or g(h) with arbitrary h(0), d <= 12."""
+    m, n = draw(st.sampled_from(SPLITS))
+    if draw(st.booleans()):
+        g = tuple(draw(SMALL) for _ in range(m)) + (draw(st.sampled_from(SPLIT_LEADS)),)
+        h = tuple(draw(SMALL) for _ in range(n)) + (draw(st.sampled_from((1, -1, 2, -3))),)
+        return compose(g, h), m, n, True
+    low = tuple(draw(st.integers(-20, 20)) for _ in range(m * n))
+    return low + (draw(st.sampled_from(SPLIT_LEADS)),), m, n, False
+
+
+@settings(max_examples=400, deadline=None)
+@given(split_inputs())
+def test_unit_lead_path_matches_rational_path(case):
+    # every lead runs the integer path (non-unit ones through the monic
+    # conjugate); it must agree with the rational reference witness for witness
+    f, m, n, composed = case
+    w = decompose_split(f, m, n)
+    ref = rational_split(f, m, n)
+    assert (w is None) == (ref is None)
+    if composed:
+        assert w is not None
+    if w is not None:
+        assert (w.g, w.h) == ref
 
 
 @st.composite
