@@ -13,14 +13,19 @@ Generated polynomials are identified by their coefficient vectors.  The
 constant term never interacts with decomposability (it is the free constant
 term of the outer polynomial), so vectors are keyed without it and every
 count carries an exact factor 2H+1.  Within one split the normalized witness
-is unique per polynomial, which the enumeration re-verifies on small runs;
-unions across splits are deduplicated through key sets.
+is unique per polynomial, which every enumeration re-verifies without
+storing a key per pair: keys strictly increase within a block (one inner h
+with one outer lead) and distinct blocks have distinct top coefficients.
+A total stores the keys of its non-dominant splits only; the dominant split
+(d/l, l), l the smallest prime factor of d, tests each leaf against them
+with one range search in their sorted list.
 """
 
 from __future__ import annotations
 
 import os
 import time
+from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from math import gcd, isqrt
@@ -30,9 +35,8 @@ from .asymptotics import spf
 from .decompose import decomposable_linear_terms, decompose_split, is_decomposable
 from .poly_core import Poly, mul, poly_pow
 
-DEFAULT_SET_BUDGET = 200_000_000   # dedup keys per query
+DEFAULT_SET_BUDGET = 200_000_000   # witness pairs and stored keys per query
 DEFAULT_ORACLE_BUDGET = 3_000_000  # brute-force box size
-DEDUP_VERIFY_CAP = 2_000_000       # witness-uniqueness re-check limit
 BUDGET_ENV = "POLYCENSUS_BUDGET"
 
 VARIANTS = ("total", "split", "indecomp_pair")
@@ -92,17 +96,14 @@ class EnumBox:
     n: int
     H: int
     b_max: int
-    k1: float
-    k2: float
-    _k1_sq_hh: int = field(repr=False, default=0)  # (K1*H)^2 as an exact integer
+    _k1_sq_hh: int = field(repr=False)  # (K1*H)^2 as an exact integer
 
     @classmethod
     def build(cls, m: int, n: int, H: int) -> "EnumBox":
-        d = m * n
-        k1, k2 = explicit_constants(m, n)
-        x = (1 << (2 * d)) * (n + 1) ** m * H * H  # exact (K1*H)^2
-        b_max = _int_root(x, 2 * m)
-        return cls(m, n, H, b_max, k1, k2, x)
+        if m < 2 or n < 2:
+            raise ValueError("split parts must both be >= 2")
+        x = (1 << (2 * m * n)) * (n + 1) ** m * H * H  # exact (K1*H)^2
+        return cls(m, n, H, _int_root(x, 2 * m), x)
 
     def lead_cap(self, b: int) -> int:
         """Max |lead(g)| compatible with inner height b (exact integer)."""
@@ -230,26 +231,52 @@ def _window_interval(P, hk, j_lo, j_hi, H, lo, hi):
     return lo, hi
 
 
+def _uniqueness_error(m: int, n: int, H: int, detail: str) -> RuntimeError:
+    return RuntimeError(
+        f"normalized witness uniqueness violated in split ({m},{n}), H={H}: {detail}"
+    )
+
+
+def _pairs_budget_error(budget: int, m: int, n: int, H: int) -> BudgetError:
+    return BudgetError(
+        f"enumeration exceeded budget of {budget} witness pairs "
+        f"(split ({m},{n}), H={H}); raise {BUDGET_ENV} or --budget"
+    )
+
+
 def _run_chunk(args):
     """Enumerate outer polynomials for one inner-candidate chunk.
 
-    Returns (pairs, flagged, keys, hits, defense):
+    Returns (pairs, flagged, keys, hits, tops):
       pairs    -- witness pairs completed (equals distinct polynomials)
       flagged  -- pairs whose outer part is indecomposable
       keys     -- packed truncated coefficient vectors (collect mode only)
-      hits     -- pairs whose key lies in the membership set (stream mode)
-      defense  -- capped key set for the uniqueness re-check, or None
+      hits     -- pairs whose key is in member, a sorted key list, if given
+      tops     -- the top-n coefficient vector of every non-empty block
+
+    Uniqueness re-check, with no key stored.  A block is one inner h with one
+    outer lead a_m.  Inside a block a_(m-1)..a_1 run in lexicographic order;
+    raising a_k leaves x^(kn+1)..x^d unchanged and raises x^(kn) by
+    lead(h)^k > 0 (a_(k-1)..a_1 only reach lower powers), so the packed keys
+    (the coefficients of f as digits, x^d most significant) strictly
+    increase.  A leaf emits the
+    progression key0 + a*hkf for a in [lo, hi]; its first key must exceed the
+    block's previous key, one comparison per leaf.  Every f of a block shares
+    the block's top n coefficients, so distinct tops, checked by _run_split
+    over all chunks, make the blocks disjoint.  Passing both proves that the
+    pairs give pairwise distinct polynomials.
     """
-    (d, H, monic, box, h_chunk, collect, member, flag, budget, verify_cap) = args
+    (d, H, monic, box, h_chunk, collect, member, flag, budget) = args
     m, n = box.m, box.n
 
     base = 2 * H + 1
     basepow = [base**e for e in range(d)]
     keys: Optional[Set[int]] = set() if collect else None
-    defense: Optional[Set[int]] = set() if (not collect and verify_cap) else None
+    tops: List[Tuple[int, ...]] = []
     pairs = 0
     flagged = 0
     hits = 0
+    last = -1  # the largest key emitted so far in the current block
     prefix: List[int] = []
 
     for h in h_chunk:
@@ -260,11 +287,15 @@ def _run_chunk(args):
         P = [0] * (d + 1)
 
         def leaf(lo, hi):
-            nonlocal pairs, flagged, hits, defense
+            nonlocal pairs, flagged, hits, last
             width = hi - lo + 1
             key0 = 0
             for j in range(1, d + 1):
                 key0 += (P[j] + H) * basepow[j - 1]
+            first = key0 + lo * hkf
+            if first <= last or (width > 1 and hkf <= 0):
+                raise _uniqueness_error(m, n, H, "keys not increasing within a block")
+            last = key0 + hi * hkf
             if collect:
                 keys.update([key0 + a * hkf for a in range(lo, hi + 1)])
                 if len(keys) > budget:
@@ -272,27 +303,20 @@ def _run_chunk(args):
                         f"dedup set exceeded budget of {budget} entries "
                         f"(split ({m},{n}), H={H}); raise {BUDGET_ENV} or --budget"
                     )
-            else:
-                if member is not None:
-                    k = key0 + lo * hkf
-                    for _ in range(width):
-                        if k in member:
-                            hits += 1
-                        k += hkf
-                if defense is not None:
-                    defense.update([key0 + a * hkf for a in range(lo, hi + 1)])
-                    if len(defense) > verify_cap:
-                        defense = None
+            elif member is not None:
+                # u in [first, last] is the key at a = lo + t/hkf, t = u - first,
+                # when hkf divides t (last > first implies hkf > 0, as checked).
+                for i in range(bisect_left(member, first), bisect_right(member, last)):
+                    t = member[i] - first
+                    if t == 0 or t % hkf == 0:
+                        hits += 1
             if flag:
                 tail = tuple(reversed(prefix))
                 decomposable = decomposable_linear_terms((0, 0) + tail)
                 flagged += width - sum(lo <= a <= hi for a in decomposable)
             pairs += width
             if pairs > budget:
-                raise BudgetError(
-                    f"enumeration exceeded budget of {budget} dedup entries "
-                    f"(split ({m},{n}), H={H}); raise {BUDGET_ENV} or --budget"
-                )
+                raise _pairs_budget_error(budget, m, n, H)
 
         def rec(k):
             hk = hp[k]
@@ -319,34 +343,25 @@ def _run_chunk(args):
             for j in range(1, kn + 1):
                 P[j] -= hi * hk[j]
 
+        hpm = hp[m]
         if monic:
-            hpm = hp[m]
-            for j in range(1, d + 1):
-                P[j] = hpm[j]
-            prefix.append(1)
-            if m == 1:
-                leaf(*_window_interval(P, hp[1], 1, n, H, -(1 << 62), 1 << 62))
-            else:
-                rec(m - 1)
-            prefix.pop()
+            leads = [1]
         else:
-            hpm = hp[m]
             amax = box.lead_cap(max(abs(c) for c in h))
-            lo_a, hi_a = _window_interval(
-                [0] * (d + 1), hpm, (m - 1) * n + 1, d, H, -amax, amax
-            )
-            for am in range(lo_a, hi_a + 1):
-                if am == 0:
-                    continue
-                for j in range(1, d + 1):
-                    P[j] = am * hpm[j]
-                prefix.append(am)
-                rec(m - 1)
-                prefix.pop()
+            lo_a, hi_a = _window_interval(P, hpm, (m - 1) * n + 1, d, H, -amax, amax)
+            leads = [a for a in range(lo_a, hi_a + 1) if a]
+        for am in leads:
             for j in range(1, d + 1):
-                P[j] = 0
+                P[j] = am * hpm[j]
+            prefix.append(am)
+            last = -1
+            before = pairs
+            rec(m - 1)
+            prefix.pop()
+            if pairs > before:
+                tops.append(tuple(P[d - n + 1 :]))
 
-    return pairs, flagged, keys, hits, defense
+    return pairs, flagged, keys, hits, tops
 
 
 def _chunks(seq: List, parts: int) -> List[List]:
@@ -362,12 +377,17 @@ def _chunks(seq: List, parts: int) -> List[List]:
 
 
 def _run_split(d, H, monic, split, workers, collect, member, flag, budget):
-    """Enumerate one split, sharded over workers; merge by set union.
+    """Enumerate one split, sharded over workers; merge the chunk results.
 
-    The pool never has more processes than os.cpu_count() reports.
+    The pool never has more processes than os.cpu_count() reports.  member,
+    when not None, is a sorted list of keys; hits counts the pairs whose key
+    is in it, from one range search per leaf (a leaf's keys form an
+    arithmetic progression).
 
-    Raises on a witness-uniqueness violation whenever a complete key set is
-    available to check against the raw pair count.
+    Completes the uniqueness re-check of _run_chunk for every split, variant
+    and worker count: the non-empty blocks of all chunks must have pairwise
+    distinct top coefficient vectors, or RuntimeError is raised.  A
+    collecting split also compares its merged key set with its pair count.
     """
     m, n = split
     box = EnumBox.build(m, n, H)
@@ -375,11 +395,7 @@ def _run_split(d, H, monic, split, workers, collect, member, flag, budget):
     if not h_list:
         return 0, 0, set() if collect else None, 0
     chunk_list = _chunks(h_list, min(workers, os.cpu_count() or 1))
-    verify_cap = DEDUP_VERIFY_CAP if len(chunk_list) == 1 else 0
-    tasks = [
-        (d, H, monic, box, chunk, collect, member, flag, budget, verify_cap)
-        for chunk in chunk_list
-    ]
+    tasks = [(d, H, monic, box, chunk, collect, member, flag, budget) for chunk in chunk_list]
     if len(tasks) == 1:
         results = [_run_chunk(tasks[0])]
     else:
@@ -390,14 +406,17 @@ def _run_split(d, H, monic, split, workers, collect, member, flag, budget):
     flagged = sum(r[1] for r in results)
     hits = sum(r[3] for r in results)
     if pairs > budget:
-        raise BudgetError(
-            f"enumeration exceeded budget of {budget} dedup entries "
-            f"(split ({m},{n}), H={H}); raise {BUDGET_ENV} or --budget"
+        raise _pairs_budget_error(budget, m, n, H)
+    blocks = sum(len(r[4]) for r in results)
+    tops = set().union(*(r[4] for r in results))
+    if len(tops) != blocks:
+        raise _uniqueness_error(
+            m, n, H, f"{blocks} non-empty blocks but {len(tops)} distinct top coefficients"
         )
     keys = None
     if collect:
-        keys = set()
-        for r in results:
+        keys = results[0][2]
+        for r in results[1:]:
             keys |= r[2]
             if len(keys) > budget:
                 raise BudgetError(
@@ -405,15 +424,8 @@ def _run_split(d, H, monic, split, workers, collect, member, flag, budget):
                     f"(split ({m},{n}), H={H}); raise {BUDGET_ENV} or --budget"
                 )
         if len(keys) != pairs:
-            raise RuntimeError(
-                f"normalized witness uniqueness violated in split ({m},{n}), "
-                f"H={H}: {pairs} pairs but {len(keys)} distinct polynomials"
-            )
-    elif len(results) == 1 and results[0][4] is not None:
-        if len(results[0][4]) != pairs:
-            raise RuntimeError(
-                f"normalized witness uniqueness violated in split ({m},{n}), "
-                f"H={H}: {pairs} pairs but {len(results[0][4])} distinct polynomials"
+            raise _uniqueness_error(
+                m, n, H, f"{pairs} pairs but {len(keys)} distinct polynomials"
             )
     return pairs, flagged, keys, hits
 
@@ -422,7 +434,9 @@ def count_forward(q: CountQuery, workers: int = 1, budget: Optional[int] = None)
     """Constructive count: enumerate witnesses, deduplicate, scale by 2H+1.
 
     The count is exact and independent of the worker count.  Composite-free
-    degrees return 0 immediately.
+    degrees return 0 immediately.  A total collects the keys of the
+    non-dominant splits into one union and runs the dominant split (d/l, l)
+    against it as a sorted list; the dominant split stores no keys.
     """
     t0 = time.perf_counter()
     budget = _resolve_budget(budget)
@@ -462,17 +476,18 @@ def count_forward(q: CountQuery, workers: int = 1, budget: Optional[int] = None)
             for s in splits:
                 if s == dominant:
                     continue
-                _, _, keys, _ = _run_split(d, H, monic, s, workers, True, None, False, budget)
-                union |= keys
+                union |= _run_split(d, H, monic, s, workers, True, None, False, budget)[2]
                 if len(union) > budget:
                     raise BudgetError(
                         f"dedup set exceeded budget of {budget} entries "
                         f"(total, d={d}, H={H}); raise {BUDGET_ENV} or --budget"
                     )
+            member = sorted(union)
+            del union
             pairs, _, _, hits = _run_split(
-                d, H, monic, dominant, workers, False, union, False, budget
+                d, H, monic, dominant, workers, False, member, False, budget
             )
-            count = (pairs + len(union) - hits) * base
+            count = (pairs + len(member) - hits) * base
 
     return CountResult(count, q, "forward", time.perf_counter() - t0, workers)
 

@@ -1,7 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from polycensus import census
 from polycensus.census import (
     BudgetError,
     CountQuery,
@@ -63,6 +65,10 @@ def test_int_root_exact_for_huge_radicands():
 def test_enum_box_high_degree():
     # (K1*H)^2 = 2^1200 * 3^300 * 4 is far beyond float range
     assert EnumBox.build(300, 2, 2).b_max == 6
+    # at d = 1024 even 2^d alone is past the largest float
+    x = 2**2048 * 3**512 * 4
+    assert 6**1024 <= x < 7**1024
+    assert EnumBox.build(512, 2, 2).b_max == 6
 
 
 def test_count_query_validation():
@@ -204,10 +210,9 @@ def test_worker_independence():
     assert count_forward(q, workers=3).count == count_bruteforce(q).count
 
 
-def test_pool_size_capped_at_cpu_count(monkeypatch):
-    # a recording stand-in runs the chunks in-process, so no pool is started
-    from polycensus import census
-
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Run the chunks in-process through a stand-in pool; yield its sizes."""
     sizes = []
 
     class FakePool:
@@ -224,12 +229,71 @@ def test_pool_size_capped_at_cpu_count(monkeypatch):
             return map(fn, tasks)
 
     monkeypatch.setattr(census, "ProcessPoolExecutor", FakePool)
+    return sizes
+
+
+def test_pool_size_capped_at_cpu_count(monkeypatch, pool_sizes):
     monkeypatch.setattr(census.os, "cpu_count", lambda: 3)
     q = CountQuery(6, 3, True, "total")
     r = count_forward(q, workers=1000)
-    assert sizes and max(sizes) == 3
+    assert pool_sizes and max(pool_sizes) == 3
     assert r.workers == 1000
     assert r.count == count_forward(q, workers=1).count
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "variant,split", [("split", (3, 2)), ("indecomp_pair", None), ("total", None)]
+)
+def test_uniqueness_recheck_catches_repeated_candidate(
+    monkeypatch, pool_sizes, variant, split, workers
+):
+    # the first inner candidate of (3, 2), the dominant split of d = 6, comes
+    # twice; with two chunks the copy lands in the other chunk
+    real = census._h_candidates
+
+    def repeated(m, n, H, monic, box):
+        hs = real(m, n, H, monic, box)
+        return hs + hs[:1] if (m, n) == (3, 2) else hs
+
+    monkeypatch.setattr(census, "_h_candidates", repeated)
+    monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
+    with pytest.raises(RuntimeError, match="uniqueness"):
+        count_forward(CountQuery(6, 3, True, variant, split), workers=workers)
+    assert (2 in pool_sizes) == (workers == 2)
+
+
+def test_uniqueness_recheck_catches_keys_out_of_order(monkeypatch):
+    # negated inners (lead -1) make the keys fall inside a block; the blocks
+    # still have distinct tops, so only the per-leaf comparison sees it
+    real = census._h_candidates
+    monkeypatch.setattr(
+        census, "_h_candidates", lambda *a: [tuple(-c for c in h) for h in real(*a)]
+    )
+    with pytest.raises(RuntimeError, match="not increasing"):
+        count_forward(CountQuery(6, 3, True, "split", (3, 2)))
+
+
+# largest H drawn per (d, monic); each draw takes well under a second
+TOTAL_HEIGHTS = {
+    (4, True): 12, (4, False): 8, (6, True): 8, (6, False): 6, (8, True): 6,
+    (8, False): 4, (9, True): 6, (9, False): 4, (12, True): 3, (12, False): 2,
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(TOTAL_HEIGHTS)), st.sampled_from([1, 2]), st.data())
+def test_total_matches_union_of_split_key_sets(dm, workers, data):
+    # the total's one-range-search-per-leaf membership against the plain
+    # union of every split's key set, and against the oracle where it fits
+    d, monic = dm
+    H = data.draw(st.integers(2, TOTAL_HEIGHTS[dm]), label="H")
+    q = CountQuery(d, H, monic, "total")
+    union = set().union(*(forward_key_set(d, H, monic, s) for s in ordered_splits(d)))
+    count = count_forward(q, workers=workers).count
+    assert count == (2 * H + 1) * len(union)
+    if census._box_size(d, H, monic) <= 20_000:
+        assert count == count_bruteforce(q).count
 
 
 def test_budget_refusals():

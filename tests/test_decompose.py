@@ -5,7 +5,7 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polycensus.census import EnumBox
+from polycensus.census import EnumBox, explicit_constants
 from polycensus.decompose import (
     _divmod_monic,
     decomposable_linear_terms,
@@ -213,7 +213,7 @@ def test_conclusiveness_against_direct_search():
     """
     H = 6
     box = EnumBox.build(2, 2, H)
-    gbound = int(box.k2 * H)
+    gbound = int(explicit_constants(2, 2)[1] * H)
     composable = set()
     for b1 in range(-box.b_max, box.b_max + 1):
         h = (0, b1, 1)
