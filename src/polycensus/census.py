@@ -8,6 +8,9 @@ Two independent routes produce every count:
   normalized inner polynomials h (h(0) = 0, positive leading coefficient,
   monic in the monic regime) inside a provably sufficient height box, then
   backtracking over outer coefficients with exact final-coefficient pruning.
+  The inners are cut by the top coefficients of f, and those of a split with
+  outer degree 2 also by its low coefficients x^1, x^2 and x^n, which leave
+  b_1 a short window; every cut is a proved necessary condition.
 
 Generated polynomials are identified by their coefficient vectors.  The
 constant term never interacts with decomposability (it is the free constant
@@ -25,10 +28,11 @@ from __future__ import annotations
 
 import os
 import time
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from math import gcd, isqrt
+from operator import mul as times
 from typing import Iterator, List, Optional, Set, Tuple
 
 from .asymptotics import spf
@@ -170,12 +174,36 @@ def _resolve_budget(budget: Optional[int]) -> int:
 def _h_candidates(m: int, n: int, H: int, monic: bool, box: EnumBox) -> List[Poly]:
     """Normalized inner candidates in lexicographic order.
 
-    Backtracks over the inner coefficients b_(n-1)..b_1; each level is
-    restricted by |b| <= b_max and by the final top coefficients of f: the
-    coefficient of x^((m-1)n+j) depends on b_j linearly with slope
-    m*lead^(m-1) and must not exceed H in absolute value for any feasible
-    outer polynomial.  Non-monic candidates are additionally primitive
-    (content 1); imprimitive inners never generate new polynomials.
+    Backtracks over the inner coefficients b_(n-1)..b_1 of
+    h = b_1 x + ... + b_n x^n, b_n = L >= 1; each level is restricted by
+    |b| <= b_max and by the final top coefficients of f: with b_j..b_1 still
+    0, the coefficient of x^((m-1)n+j) of f = g(h) is a_m [h^m]_((m-1)n+j)
+    (h^(m-1) has degree (m-1)n), which depends on b_j linearly with slope
+    m*L^(m-1) and must not exceed H in absolute value for any feasible outer
+    polynomial (|a_m| >= 1).  For m = 2 that coefficient is the O(n) sum
+    2L b_j + sum_(i=j+1..n-1) b_i b_(n+j-i); for m > 2 it is read off h^m.
+    Non-monic candidates are additionally primitive (content 1); imprimitive
+    inners never generate new polynomials.
+
+    For m = 2 the last level b_1 is also cut by the low coefficients of f.
+    Let f = a_2 h^2 + a_1 h + a_0 with a_2 != 0 and every |[f]_j| <= H, and
+    let b_1 != 0.  Since h(0) = 0 and h^2 starts at x^2:
+      * [f]_1 = a_1 b_1, so |a_1| <= A := floor(H/|b_1|) (a_1 is an integer).
+      * n >= 3: [f]_2 = a_2 b_1^2 + a_1 b_2, so, as |a_2| >= 1,
+        b_1^2 <= |a_2| b_1^2 <= H + |a_1||b_2| <= H + A |b_2|.
+        n = 2: [f]_2 = a_2 b_1^2 + a_1 L, the same inequality since b_2 = L.
+        Its left side increases and A does not as |b_1| grows, so it holds
+        exactly when |b_1| <= B, B from _low_square_bound.
+      * n >= 3: [f]_n = a_2 S + a_1 L with
+        S = [h^2]_n = 2 b_(n-1) b_1 + sum_(i=2..n-2) b_i b_(n-i), so
+        |S| <= |a_2 S| <= H + L A.  As A <= H, this implies the linear
+        |S| <= H(1+L), which bounds b_1 to an interval when b_(n-1) != 0.
+    Each is a necessary condition for the candidate to have any outer
+    polynomial, for monic and non-monic f alike.  So the b_1 window is the
+    top-coefficient window cut to |b_1| <= B and to the linear interval, and
+    only its few values are tested exactly against |S| <= H + L A; a dropped
+    candidate yields no pair, and every count is unchanged.  b_1 = 0 is
+    never dropped.
     """
     out: List[Poly] = []
     b_max = box.b_max
@@ -185,22 +213,61 @@ def _h_candidates(m: int, n: int, H: int, monic: bool, box: EnumBox) -> List[Pol
         bs = [0] * (n + 1)
         bs[n] = L
 
+        def top(j: int) -> int:
+            # [h^m]_((m-1)n+j) while b_j..b_1 are 0
+            if m == 2:
+                return sum(map(times, bs[j + 1 : n], bs[n - 1 : j : -1]))
+            return poly_pow(tuple(bs), m)[(m - 1) * n + j]
+
+        def low_b1_values(lo: int, hi: int) -> List[int]:
+            # the b_1 in [lo, hi] that pass the low-coefficient tests (m = 2)
+            B = _low_square_bound(H, abs(bs[2]))
+            # S = c*b_1 + R; for n = 2, S = b_1^2 is tested by B alone: c = R = 0
+            R = sum(map(times, bs[2 : n - 1], bs[n - 2 : 1 : -1]))
+            c = 2 * bs[n - 1] if n > 2 else 0
+            lo1, hi1 = _window_interval((R,), (c,), 0, 0, H + H * L, max(lo, -B), min(hi, B))
+            keep = [
+                t for t in range(lo1, hi1 + 1) if t and abs(c * t + R) <= H + L * (H // abs(t))
+            ]
+            if lo <= 0 <= hi:
+                insort(keep, 0)
+            return keep
+
         def rec(j: int) -> None:
-            hm = poly_pow(tuple(bs), m)
-            s = hm[(m - 1) * n + j]
+            s = top(j)
             lo = max(-b_max, -((H + s) // slope))
             hi = min(b_max, (H - s) // slope)
-            for t in range(lo, hi + 1):
-                bs[j] = t
-                if j == 1:
-                    if monic or gcd(*bs) == 1:
-                        out.append(tuple(bs))
-                else:
+            if j > 1:
+                for t in range(lo, hi + 1):
+                    bs[j] = t
                     rec(j - 1)
-            bs[j] = 0
+                bs[j] = 0
+                return
+            for t in low_b1_values(lo, hi) if m == 2 else range(lo, hi + 1):
+                bs[1] = t
+                if monic or gcd(*bs) == 1:
+                    out.append(tuple(bs))
+            bs[1] = 0
 
         rec(n - 1)
     return out
+
+
+def _low_square_bound(H: int, c: int) -> int:
+    """Largest t >= 1 with t*t <= H + (H // t) * c (c >= 0).
+
+    The left side increases and H // t does not as t grows, so the t that
+    pass are exactly 1..result; t = 1 always passes, and H // t <= H caps the
+    result at isqrt(H + H*c).
+    """
+    lo, hi = 1, isqrt(H + H * c)
+    while lo < hi:
+        t = (lo + hi + 1) // 2
+        if t * t <= H + (H // t) * c:
+            lo = t
+        else:
+            hi = t - 1
+    return lo
 
 
 def _window_interval(P, hk, j_lo, j_hi, H, lo, hi):
@@ -241,6 +308,13 @@ def _pairs_budget_error(budget: int, m: int, n: int, H: int) -> BudgetError:
     return BudgetError(
         f"enumeration exceeded budget of {budget} witness pairs "
         f"(split ({m},{n}), H={H}); raise {BUDGET_ENV} or --budget"
+    )
+
+
+def _keys_budget_error(budget: int, where: str) -> BudgetError:
+    return BudgetError(
+        f"enumeration exceeded budget of {budget} stored keys ({where}); "
+        f"raise {BUDGET_ENV} or --budget"
     )
 
 
@@ -299,10 +373,7 @@ def _run_chunk(args):
             if collect:
                 keys.update([key0 + a * hkf for a in range(lo, hi + 1)])
                 if len(keys) > budget:
-                    raise BudgetError(
-                        f"dedup set exceeded budget of {budget} entries "
-                        f"(split ({m},{n}), H={H}); raise {BUDGET_ENV} or --budget"
-                    )
+                    raise _keys_budget_error(budget, f"split ({m},{n}), H={H}")
             elif member is not None:
                 # u in [first, last] is the key at a = lo + t/hkf, t = u - first,
                 # when hkf divides t (last > first implies hkf > 0, as checked).
@@ -419,10 +490,7 @@ def _run_split(d, H, monic, split, workers, collect, member, flag, budget):
         for r in results[1:]:
             keys |= r[2]
             if len(keys) > budget:
-                raise BudgetError(
-                    f"dedup set exceeded budget of {budget} entries "
-                    f"(split ({m},{n}), H={H}); raise {BUDGET_ENV} or --budget"
-                )
+                raise _keys_budget_error(budget, f"split ({m},{n}), H={H}")
         if len(keys) != pairs:
             raise _uniqueness_error(
                 m, n, H, f"{pairs} pairs but {len(keys)} distinct polynomials"
@@ -478,10 +546,7 @@ def count_forward(q: CountQuery, workers: int = 1, budget: Optional[int] = None)
                     continue
                 union |= _run_split(d, H, monic, s, workers, True, None, False, budget)[2]
                 if len(union) > budget:
-                    raise BudgetError(
-                        f"dedup set exceeded budget of {budget} entries "
-                        f"(total, d={d}, H={H}); raise {BUDGET_ENV} or --budget"
-                    )
+                    raise _keys_budget_error(budget, f"total, d={d}, H={H}")
             member = sorted(union)
             del union
             pairs, _, _, hits = _run_split(

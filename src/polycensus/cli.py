@@ -38,6 +38,7 @@ from .mahler import RootConvergenceError, mahler_measure, roots, sandwich_bounds
 from .poly_core import degree, format_poly, height, parse_poly
 
 CSV_HEADER = "d,monic,variant,m,n,H,count,method,workers,elapsed_seconds"
+FIT_COLUMNS = ("d", "monic", "variant", "m", "n", "H", "count")
 
 
 @dataclass
@@ -230,13 +231,22 @@ def _cmd_mahler(args) -> int:
 def _cmd_fit(args) -> int:
     import csv as csvmod
 
-    fh = sys.stdin if args.csv == "-" else open(args.csv)
+    try:
+        fh = sys.stdin if args.csv == "-" else open(args.csv)
+    except OSError as exc:
+        raise ValueError(f"cannot read {args.csv}: {exc.strerror}") from None
     try:
         reader = csvmod.DictReader(fh)
+        missing = [c for c in FIT_COLUMNS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"CSV input lacks the column(s) {','.join(missing)}")
         groups: dict = {}
         for row in reader:
-            key = (int(row["d"]), row["monic"] == "true", row["variant"], row["m"], row["n"])
-            groups.setdefault(key, []).append((int(row["H"]), int(row["count"])))
+            try:
+                key = (int(row["d"]), row["monic"] == "true", row["variant"], row["m"], row["n"])
+                groups.setdefault(key, []).append((int(row["H"]), int(row["count"])))
+            except (TypeError, ValueError):
+                raise ValueError(f"malformed CSV row on line {reader.line_num}") from None
     finally:
         if args.csv != "-":
             fh.close()

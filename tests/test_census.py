@@ -1,7 +1,8 @@
 import random
+from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from polycensus import census
 from polycensus.census import (
@@ -17,10 +18,11 @@ from polycensus.census import (
     pack_truncated,
     _h_candidates,
     _int_root,
+    _run_chunk,
 )
 from polycensus.asymptotics import spf
 from polycensus.decompose import decompose_split, is_decomposable
-from polycensus.poly_core import compose, height
+from polycensus.poly_core import compose, height, poly_pow
 
 # exhaustively derived once with count_bruteforce over all 625 monic
 # quartics of height <= 2 and pinned before the forward enumerator existed
@@ -303,6 +305,12 @@ def test_budget_refusals():
         count_forward(CountQuery(4, 100, True, "total"), budget=10)
 
 
+def test_keys_budget_refusal():
+    # one split's stored keys exceed the budget before its pairs do
+    with pytest.raises(BudgetError, match="stored keys"):
+        forward_key_set(4, 6, True, (2, 2), budget=5)
+
+
 def test_budget_env_override(monkeypatch):
     monkeypatch.setenv("POLYCENSUS_BUDGET", "10")
     with pytest.raises(BudgetError):
@@ -317,10 +325,72 @@ def test_h_candidates_normalized_and_ordered():
     assert hs == sorted(hs, key=lambda h: h[1:])
     box = EnumBox.build(2, 2, 4)
     hs = _h_candidates(2, 2, 4, False, box)
-    from math import gcd
-
     assert all(h[0] == 0 and h[-1] >= 1 for h in hs)
     assert all(gcd(*h) == 1 for h in hs)
+
+
+def unpruned_h_candidates(m, n, H, monic, box):
+    """The inner candidates cut by the top coefficients of f alone: the
+    generator before the m = 2 low-coefficient cut, kept as its reference."""
+    out = []
+    leads = [1] if monic else list(range(1, box.inner_lead_max() + 1))
+    for L in leads:
+        slope = m * L ** (m - 1)
+        bs = [0] * (n + 1)
+        bs[n] = L
+
+        def rec(j):
+            s = poly_pow(tuple(bs), m)[(m - 1) * n + j]
+            lo = max(-box.b_max, -((H + s) // slope))
+            hi = min(box.b_max, (H - s) // slope)
+            for t in range(lo, hi + 1):
+                bs[j] = t
+                if j > 1:
+                    rec(j - 1)
+                elif monic or gcd(*bs) == 1:
+                    out.append(tuple(bs))
+            bs[j] = 0
+
+        rec(n - 1)
+    return out
+
+
+def passes_low_tests(h, H):
+    """The three low-coefficient inequalities of an m = 2 inner, one by one."""
+    n, b1, L = len(h) - 1, h[1], h[-1]
+    if b1 == 0:
+        return True
+    A = H // abs(b1)
+    return b1 * b1 <= H + A * abs(h[2]) and abs(poly_pow(h, 2)[n]) <= H + L * A
+
+
+# largest H drawn per (n, monic) for the split (2, n); from H = 4 on, the
+# non-monic inners have leads up to 2
+LOW_CUT_HEIGHTS = {
+    (2, True): 30, (2, False): 30, (3, True): 12, (3, False): 31, (4, True): 8,
+    (4, False): 12, (6, True): 4, (6, False): 4, (8, True): 3, (8, False): 3,
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(sorted(LOW_CUT_HEIGHTS)).flatmap(
+        lambda nm: st.tuples(st.just(nm), st.integers(2, LOW_CUT_HEIGHTS[nm]))
+    )
+)
+@example(((4, False), 24))  # the L factors of the cut decide this box
+def test_low_coefficient_cut_drops_only_dead_inners(case):
+    (n, monic), H = case
+    d, box = 2 * n, EnumBox.build(2, n, H)
+    full = unpruned_h_candidates(2, n, H, monic, box)
+    cut = _h_candidates(2, n, H, monic, box)
+    # the reference filtered one candidate at a time: an in-order subsequence
+    assert cut == [h for h in full if passes_low_tests(h, H)]
+    kept = set(cut)
+    dropped = [h for h in full if h not in kept]
+    assert _run_chunk((d, H, monic, box, dropped, False, None, False, 10**9))[0] == 0
+    keys = _run_chunk((d, H, monic, box, full, True, None, False, 10**9))[2]
+    assert forward_key_set(d, H, monic, (2, n)) == keys
 
 
 def test_iter_decompositions_matches_counts():

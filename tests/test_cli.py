@@ -128,7 +128,7 @@ def test_count_output_file_and_manifest(tmp_path):
     assert "polycensus" in manifest["versions"]
 
 
-def test_exit_codes():
+def test_exit_codes(tmp_path):
     code, _, err = capture(["decompose", "not-a-poly"])
     assert code == 2 and "malformed" in err
     code, _, err = capture(["count", "--degree", "4", "--height-max", "50", "--method", "oracle"])
@@ -146,6 +146,19 @@ def test_exit_codes():
     for jobs in ("0", "-3"):
         code, _, err = capture(["count", "--degree", "4", "--height-max", "2", "--jobs", jobs])
         assert code == 2 and err.startswith("error:") and "--jobs" in err
+        assert len(err.strip().splitlines()) == 1
+    no_columns = tmp_path / "no_columns.csv"
+    no_columns.write_text("d,monic,H\n4,true,5\n")
+    short_row = tmp_path / "short_row.csv"
+    short_row.write_text(CSV_HEADER + "\n4,true\n")
+    for path, why in (
+        (tmp_path / "missing.csv", "No such file"),
+        (tmp_path, "Is a directory"),
+        (no_columns, "variant,m,n,count"),
+        (short_row, "line 2"),
+    ):
+        code, _, err = capture(["fit", str(path)])
+        assert code == 2 and err.startswith("error:") and why in err
         assert len(err.strip().splitlines()) == 1
 
 
