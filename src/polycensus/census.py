@@ -2,8 +2,14 @@
 
 Two independent routes produce every count:
 
-* count_bruteforce iterates the whole coefficient box and asks the
-  decomposition tester about each polynomial.
+* count_bruteforce decides every polynomial of the whole coefficient box,
+  one block at a time.  For a split (m, n) a block fixes the lead c and the
+  n-1 coefficients below it; they fix the one candidate inner K of the
+  monic conjugate, so one candidate solve rejects the whole block or leaves
+  (m, n)-decomposability as (m-1)(n-1) integer-linear equations in the
+  remaining coefficients (the non-constant parts of F's K-adic digits
+  0..m-2), evaluated over the block with numpy (_block_masks holds the
+  proof).  A total ORs the split masks, one bool per polynomial.
 * count_forward generates the polynomials constructively, enumerating
   normalized inner polynomials h (h(0) = 0, positive leading coefficient,
   monic in the monic regime) inside a provably sufficient height box, then
@@ -31,17 +37,28 @@ import time
 from bisect import bisect_left, bisect_right, insort
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import product
 from math import gcd, isqrt
 from operator import mul as times
-from typing import Iterator, List, Optional, Set, Tuple
+from typing import Iterator, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from .asymptotics import spf
-from .decompose import decomposable_linear_terms, decompose_split, is_decomposable
+from .decompose import (
+    _divmod_monic,
+    _inner_degrees,
+    _integer_candidate,
+    decomposable_linear_terms,
+    decompose_split,
+    is_decomposable,
+)
 from .poly_core import Poly, mul, poly_pow
 
 DEFAULT_SET_BUDGET = 200_000_000   # witness pairs and stored keys per query
 DEFAULT_ORACLE_BUDGET = 3_000_000  # brute-force box size
 BUDGET_ENV = "POLYCENSUS_BUDGET"
+_INT64_LIMIT = 1 << 62  # oracle rows bounded below this evaluate in int64
 
 VARIANTS = ("total", "split", "indecomp_pair")
 
@@ -643,23 +660,153 @@ def _box_size(d: int, H: int, monic: bool) -> int:
     return side**d if monic else 2 * H * side**d
 
 
-def _iter_box(d: int, H: int, monic: bool) -> Iterator[Poly]:
-    import itertools
+def _adic_digits(p: Poly, K: Poly, k: int) -> List[Poly]:
+    """The K-adic digits 0..k-1 of p (K monic), each padded to deg K entries."""
+    n = len(K) - 1
+    out = []
+    for _ in range(k):
+        p, r = _divmod_monic(p, K)
+        out.append(r + (0,) * (n - len(r)))
+    return out
 
-    rng = range(-H, H + 1)
-    lows = itertools.product(*([rng] * d))
-    if monic:
-        for low in lows:
-            yield low + (1,)
-    else:
-        leads = [a for a in rng if a]
-        for low in lows:
-            for a in leads:
-                yield low + (a,)
+
+def _block_masks(
+    ranges: Sequence[range], c: int, n: int
+) -> Iterator[Tuple[Tuple[int, ...], np.ndarray]]:
+    """Yield (top, mask) for every block of the box that holds a split hit.
+
+    The box is lead c times ranges[d-1] x .. x ranges[0], ranges[i] the
+    values of f_i.  A block fixes top = (f_(d-1), .., f_(d-n+1)); mask is a
+    bool array over its axes f_(d-n), .., f_0, True exactly where f is
+    (d/n, n)-decomposable.  Blocks without a hit are not yielded.
+
+    Why the mask is decompose_split(f, m, n) is not None, m = d/n.  That
+    call decides whether f = g(h) over the complex numbers with deg g = m,
+    deg h = n.  F(x) = c^(d-1) f(x/c), F_i = f_i c^(d-1-i), is monic and
+    integral, and x -> cx carries decompositions of f to those of F and back.
+    Every decomposition of F can be normalized to F = G(K) with K monic,
+    K(0) = 0 (an affine change of the inner), and then K is unique: F and K^m
+    agree on x^(d-1)..x^(d-n+1), which fixes K's coefficients one by one, the
+    triangular solve of _integer_candidate.  For a decomposable F that K is
+    integral (decompose._integer_candidate), so a None from the solve
+    rejects the whole block, all of whose F share those coefficients.
+    Otherwise expand F in the unique K-adic form F = sum_k r_k K^k with
+    deg r_k < n; the r_k are integral as K is monic, and F = G(K) for some G
+    iff every digit r_k is a constant.  Three facts leave digits 0..m-2:
+      * F is monic of degree mn = deg K^m, so its digit m is 1 and it has no
+        digit above m;
+      * F - K^m has degree at most (m-1)n, as K is built from F's top
+        coefficients, so F's digit m-1, which is that of F - K^m, has
+        degree at most 0: a constant;
+      * the digits are linear in F, and f_0 (x^0 = 1) reaches only the
+        constant of digit 0.
+    So f is decomposable iff the non-constant parts of digits 0..m-2 of F
+    vanish: (m-1)(n-1) integer-linear equations A_K (f_1..f_(d-n)) + b_K
+    = 0, where column j of A_K holds those parts of c^(d-1-j) x^j and b_K
+    those of F's fixed top x^d + sum_(i>d-n) F_i x^i.
+
+    One row at a time is evaluated by broadcasting over the block's axes
+    f_(d-n)..f_1 and ANDed into the mask, which has an entry for every f of
+    the block, f_0 included; an emptied mask ends the block.  The exact bound
+    max_k (sum_j |A_kj| max|f_j| + |b_k|) on every partial sum decides the
+    dtype: int64 below _INT64_LIMIT, where nothing can wrap, and Python ints
+    (dtype=object) otherwise, through the same expression.
+    """
+    d = len(ranges)
+    m, low = d // n, d - n + 1  # f_0..f_(d-n) vary inside a block
+    conj = [c ** (d - 1 - i) for i in range(d)]
+    shape = tuple(len(ranges[i]) for i in range(low - 1, -1, -1))
+    reach = [max(abs(r[0]), abs(r[-1])) for r in ranges]
+    for top in product(*(ranges[i] for i in range(d - 1, low - 1, -1))):
+        F = [0] * low + [conj[i] * t for i, t in zip(range(low, d), reversed(top))] + [1]
+        K = _integer_candidate(tuple(F), m, n)
+        if K is None:
+            continue
+        b = [v for r in _adic_digits(tuple(F), K, m - 1) for v in r[1:]]
+        cols = [
+            [conj[j] * v for r in _adic_digits((0,) * j + (1,), K, m - 1) for v in r[1:]]
+            for j in range(1, low)
+        ]
+        bound = max(
+            abs(bk) + sum(abs(col[k]) * reach[j] for j, col in enumerate(cols, 1))
+            for k, bk in enumerate(b)
+        )
+        dtype = np.int64 if bound < _INT64_LIMIT else object
+        mask = None
+        for k, bk in enumerate(b):
+            # row k over the block; the pivot x^(kn+t) makes it non-empty
+            v = None
+            for j, col in enumerate(cols, 1):
+                a, r = col[k], ranges[j]
+                if a:
+                    # a*f_j on axis -1-j (f_0 last), b_k folded into the first term
+                    off = bk if v is None else 0
+                    t = np.array(range(a * r[0] + off, a * (r[-1] + 1) + off, a), dtype=dtype)
+                    t = t.reshape((-1,) + (1,) * j)
+                    v = t if v is None else v + t
+            if mask is None:
+                mask = np.zeros(shape, dtype=bool)
+                mask |= v == 0
+            else:
+                mask &= v == 0
+            if not np.count_nonzero(mask):
+                break
+        else:
+            yield top, mask
+
+
+def _oracle_count(
+    ranges: Sequence[range], leads: Sequence[int], variant: str,
+    split: Optional[Tuple[int, int]] = None,
+) -> int:
+    """Decomposable polynomials in the box leads x ranges[d-1] x .. x ranges[0].
+
+    split: the hits of one split's blocks; total: the OR of every split's
+    masks in one bool per polynomial of a lead; indecomp_pair: the hits of
+    the dominant split (d/l, l) whose outer part is indecomposable.
+    """
+    d = len(ranges)
+    if variant == "split":
+        return sum(
+            int(np.count_nonzero(mask))
+            for c in leads
+            for _, mask in _block_masks(ranges, c, split[1])
+        )
+    if not _inner_degrees(d):
+        return 0
+    count = 0
+    if variant == "indecomp_pair":
+        ell = spf(d)
+        m, n = d // ell, ell
+        for c in leads:
+            for top, mask in _block_masks(ranges, c, n):
+                for idx in zip(*np.nonzero(mask)):
+                    f = tuple(ranges[i][idx[-1 - i]] for i in range(d - n + 1))
+                    f += tuple(reversed(top)) + (c,)
+                    w = decompose_split(f, m, n)
+                    if w is None:
+                        raise RuntimeError(f"block test and decompose_split disagree on f={f}")
+                    if not is_decomposable(w.g):
+                        count += 1
+        return count
+    shape = tuple(len(r) for r in reversed(ranges))  # axes f_(d-1)..f_0
+    for c in leads:
+        hit = np.zeros(shape, dtype=bool)
+        for n in _inner_degrees(d):
+            for top, mask in _block_masks(ranges, c, n):
+                at = tuple(t - ranges[i][0] for i, t in zip(range(d - 1, -1, -1), top))
+                hit[at] |= mask
+        count += int(np.count_nonzero(hit))
+    return count
 
 
 def count_bruteforce(q: CountQuery, budget: Optional[int] = None) -> CountResult:
-    """Oracle count: test every polynomial in the height box directly."""
+    """Oracle count: decide every polynomial of the height box, block by block.
+
+    No forward-enumeration bound or witness is used: every f of the box gets
+    its own mask entry from the exact block test of _block_masks, which is
+    equivalent to decompose_split(f, m, n) is not None.
+    """
     t0 = time.perf_counter()
     if budget is None:
         budget = DEFAULT_ORACLE_BUDGET
@@ -669,25 +816,7 @@ def count_bruteforce(q: CountQuery, budget: Optional[int] = None) -> CountResult
             f"brute-force box has {size} polynomials, over the budget of "
             f"{budget}; raise --budget to force"
         )
-    d, H = q.d, q.H
-    count = 0
-    if q.variant == "split":
-        m, n = q.split
-        for f in _iter_box(d, H, q.monic):
-            if decompose_split(f, m, n) is not None:
-                count += 1
-    elif q.variant == "indecomp_pair":
-        ell = spf(d)
-        if ordered_splits(d):
-            m, n = d // ell, ell
-            for f in _iter_box(d, H, q.monic):
-                w = decompose_split(f, m, n)
-                if w is not None and not is_decomposable(w.g):
-                    count += 1
-    else:
-        if ordered_splits(d):
-            for f in _iter_box(d, H, q.monic):
-                if is_decomposable(f):
-                    count += 1
+    H = q.H
+    leads = [1] if q.monic else [a for a in range(-H, H + 1) if a]
+    count = _oracle_count([range(-H, H + 1)] * q.d, leads, q.variant, q.split)
     return CountResult(count, q, "oracle", time.perf_counter() - t0, 1)
-

@@ -139,10 +139,22 @@ def _parse_grid(args) -> List[int]:
     return pts
 
 
+def _check_writable(path: str) -> None:
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise ValueError(f"cannot write {path}: no directory {parent}")
+    if os.path.isdir(path):
+        raise ValueError(f"cannot write {path}: it is a directory")
+
+
 def _cmd_count(args) -> int:
     started = _utcnow()
     variant, split = _parse_variant(args.variant)
     grid = _parse_grid(args)
+    manifest_path = args.manifest or (args.output + ".manifest.json" if args.output else None)
+    for path in (args.output, manifest_path):
+        if path:
+            _check_writable(path)
     out = open(args.output, "w") if args.output else sys.stdout
     try:
         if args.out == "csv":
@@ -165,7 +177,6 @@ def _cmd_count(args) -> int:
     finally:
         if args.output:
             out.close()
-    manifest_path = args.manifest or (args.output + ".manifest.json" if args.output else None)
     if manifest_path:
         RunManifest(
             command=args.raw_argv,

@@ -1,5 +1,7 @@
+import itertools
 import random
-from math import gcd
+from math import gcd, prod
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -18,6 +20,7 @@ from polycensus.census import (
     pack_truncated,
     _h_candidates,
     _int_root,
+    _oracle_count,
     _run_chunk,
 )
 from polycensus.asymptotics import spf
@@ -126,6 +129,113 @@ def test_oracle_equivalence_d8_total_and_ipair():
     for variant in ("total", "indecomp_pair"):
         q = CountQuery(8, 2, True, variant)
         assert count_forward(q).count == count_bruteforce(q, budget=10**6).count
+
+
+@pytest.mark.parametrize(
+    "d,H,monic,variant",
+    [(6, 6, True, "total"), (8, 3, True, "total"), (8, 3, True, "indecomp_pair"),
+     (6, 4, False, "total")],
+)
+def test_oracle_equivalence_beyond_the_default_budget(d, H, monic, variant):
+    # boxes of 4.3M-5.8M polynomials, out of reach of the per-polynomial oracle
+    q = CountQuery(d, H, monic, variant)
+    assert count_forward(q).count == count_bruteforce(q, budget=6 * 10**6).count
+
+
+def scalar_oracle(ranges, leads, variant, split=None):
+    """The oracle before the block walk: one decomposition test per polynomial
+    of the box leads x ranges[d-1] x .. x ranges[0], kept as its reference."""
+    d = len(ranges)
+    ell = spf(d)
+    count = 0
+    for low in itertools.product(*ranges):
+        for c in leads:
+            f = low + (c,)
+            if variant == "split":
+                count += decompose_split(f, *split) is not None
+            elif variant == "indecomp_pair":
+                if ordered_splits(d):
+                    w = decompose_split(f, d // ell, ell)
+                    count += w is not None and not is_decomposable(w.g)
+            else:
+                count += is_decomposable(f)
+    return count
+
+
+def box_leads(H, monic):
+    return [1] if monic else [a for a in range(-H, H + 1) if a]
+
+
+# full height boxes of at most 20k polynomials; sub_boxes reaches d = 8, 9
+FULL_BOXES = [(4, 2, True), (4, 3, True), (4, 2, False), (5, 2, True), (5, 2, False), (6, 2, True)]
+
+
+@pytest.mark.parametrize("d,H,monic", FULL_BOXES)
+def test_block_oracle_matches_scalar_on_full_boxes(d, H, monic):
+    ranges, leads = [range(-H, H + 1)] * d, box_leads(H, monic)
+    variants = [("total", None), ("indecomp_pair", None)]
+    variants += [("split", s) for s in ordered_splits(d)]
+    for variant, split in variants:
+        q = CountQuery(d, H, monic, variant, split)
+        assert count_bruteforce(q).count == scalar_oracle(ranges, leads, variant, split), q
+
+
+@st.composite
+def sub_boxes(draw, cap=20_000):
+    """A box of at most cap polynomials around a composed polynomial, so
+    that the multi-split degrees 8 and 9 fit as well as 4, 5 and 6."""
+    d = draw(st.sampled_from([4, 5, 6, 8, 9]), label="d")
+    monic = draw(st.booleans(), label="monic")
+    splits = ordered_splits(d)
+    variants = ["total", "indecomp_pair"] + (["split"] if splits else [])
+    variant = draw(st.sampled_from(variants), label="variant")
+    split = draw(st.sampled_from(splits), label="split") if variant == "split" else None
+    small = st.integers(-2, 2)
+    if splits:
+        m, n = split or draw(st.sampled_from(splits))
+        g = draw(st.lists(small, min_size=m, max_size=m))
+        g.append(1 if monic else draw(st.sampled_from([-2, -1, 1, 2])))
+        h = [0] + draw(st.lists(small, min_size=n - 1, max_size=n - 1))
+        h.append(1 if monic else draw(st.integers(1, 2)))
+        centre = compose(tuple(g), tuple(h))
+    else:
+        centre = tuple(draw(st.lists(small, min_size=d, max_size=d))) + (1,)
+    if monic:
+        leads = [1]
+    else:
+        c, w = centre[-1], draw(st.integers(1, 3))
+        leads = [a for a in range(c - draw(st.integers(0, w - 1)), c + w) if a][:w] or [c]
+    widths = [draw(st.integers(1, 4)) for _ in range(d)]
+    while len(leads) * prod(widths) > cap:
+        widths[widths.index(max(widths))] -= 1
+    ranges = []
+    for i, w in enumerate(widths):
+        lo = centre[i] - draw(st.integers(0, w - 1))
+        ranges.append(range(lo, lo + w))
+    return ranges, leads, variant, split
+
+
+@settings(max_examples=60, deadline=None)
+@given(sub_boxes(), st.booleans())
+def test_block_oracle_matches_scalar_on_sub_boxes(box, object_path):
+    # object_path: every row bound fails the int64 test, so every block
+    # evaluates in Python ints
+    ranges, leads, variant, split = box
+    limit = 0 if object_path else census._INT64_LIMIT
+    with mock.patch.object(census, "_INT64_LIMIT", limit):
+        got = _oracle_count(ranges, leads, variant, split)
+    assert got == scalar_oracle(ranges, leads, variant, split)
+
+
+def test_block_oracle_object_path_on_full_boxes(monkeypatch):
+    monkeypatch.setattr(census, "_INT64_LIMIT", 0)
+    for q in (
+        CountQuery(6, 2, True, "total"),
+        CountQuery(6, 2, True, "indecomp_pair"),
+        CountQuery(4, 3, False, "total"),
+    ):
+        ranges, leads = [range(-q.H, q.H + 1)] * q.d, box_leads(q.H, q.monic)
+        assert count_bruteforce(q).count == scalar_oracle(ranges, leads, q.variant), q
 
 
 @pytest.mark.parametrize(

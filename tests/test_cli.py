@@ -147,6 +147,11 @@ def test_exit_codes(tmp_path):
         code, _, err = capture(["count", "--degree", "4", "--height-max", "2", "--jobs", jobs])
         assert code == 2 and err.startswith("error:") and "--jobs" in err
         assert len(err.strip().splitlines()) == 1
+    for flag in ("--output", "--manifest"):
+        target = tmp_path / "missing_dir" / "x.csv"
+        code, out, err = capture(["count", "--degree", "4", "--height-max", "2", flag, str(target)])
+        assert code == 2 and out == "" and err.startswith("error:") and "no directory" in err
+        assert len(err.strip().splitlines()) == 1
     no_columns = tmp_path / "no_columns.csv"
     no_columns.write_text("d,monic,H\n4,true,5\n")
     short_row = tmp_path / "short_row.csv"
