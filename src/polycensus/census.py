@@ -85,22 +85,21 @@ def _int_root(x: int, k: int) -> int:
         t = u
 
 
-def explicit_constants(m: int, n: int) -> Tuple[float, float]:
-    """Explicit forms (K1, K2) of the inner/outer height bounds.
+def explicit_constants_sq(m: int, n: int) -> Tuple[int, int]:
+    """The exact squares (K1^2, K2^2) of the inner/outer height-bound constants.
 
     For every f = g(h(x)) with h(0) = 0, deg g = m, deg h = n, d = m*n:
-        |lead(g)| * H(h)**m <= K1 * H(f),      K1 = 2**d * (n+1)**(m/2)
-        H(g) <= K2 * H(f)   (if H(h) >= 1),    K2 = 2**m * (n+1)**(m/2) * sqrt(d+1)
+        |lead(g)| * H(h)**m <= K1 * H(f),      K1^2 = 4**d * (n+1)**m
+        H(g) <= K2 * H(f),                     K2^2 = 4**m * (n+1)**m * (d+1)
     Obtained by running the composition height argument with the two-sided
-    height-measure sandwich in place of the implicit product constant.
+    height-measure sandwich in place of the implicit product constant.  Both
+    sides of each bound are nonnegative, so comparing squares decides it
+    exactly in integers.
     """
     if m < 2 or n < 2:
         raise ValueError("split parts must both be >= 2")
     d = m * n
-    half = (n + 1) ** (m / 2.0)
-    k1 = float(2**d) * half
-    k2 = float(2**m) * half * (d + 1) ** 0.5
-    return k1, k2
+    return 4**d * (n + 1) ** m, 4**m * (n + 1) ** m * (d + 1)
 
 
 @dataclass(frozen=True)
@@ -121,9 +120,7 @@ class EnumBox:
 
     @classmethod
     def build(cls, m: int, n: int, H: int) -> "EnumBox":
-        if m < 2 or n < 2:
-            raise ValueError("split parts must both be >= 2")
-        x = (1 << (2 * m * n)) * (n + 1) ** m * H * H  # exact (K1*H)^2
+        x = explicit_constants_sq(m, n)[0] * H * H
         return cls(m, n, H, _int_root(x, 2 * m), x)
 
     def lead_cap(self, b: int) -> int:
@@ -335,6 +332,64 @@ def _keys_budget_error(budget: int, where: str) -> BudgetError:
     )
 
 
+def _walk_outer(h: Poly, H: int, monic: bool, box: EnumBox, leaf) -> None:
+    """Call leaf(P, prefix, lo, hi) for every leaf of one inner h, in order.
+
+    The outer leads a_m come from the lead window (1 if monic), then
+    a_(m-1)..a_2 run in lexicographic order, each clipped by _window_interval
+    to the coefficients of f it is the last to reach.  A leaf is a non-empty
+    interval [lo, hi] of a_1; its outer polynomials are a x + a_2 x^2 + .. +
+    a_m x^m, prefix is [a_m, .., a_2] and P[j] is the x^j coefficient of
+    (a_2 x^2 + .. + a_m x^m)(h).  leaf must not modify P or prefix.
+    """
+    m, n = box.m, box.n
+    d = m * n
+    hp = [None, h]
+    for i in range(2, m + 1):
+        hp.append(mul(hp[-1], h))
+    P = [0] * (d + 1)
+    prefix: List[int] = []
+
+    def rec(k):
+        hk = hp[k]
+        kn = k * n
+        lo, hi = _window_interval(P, hk, (k - 1) * n + 1, kn, H, -(1 << 62), 1 << 62)
+        if lo > hi:
+            return
+        if k == 1:
+            leaf(P, prefix, lo, hi)
+            return
+        if lo:
+            for j in range(1, kn + 1):
+                P[j] += lo * hk[j]
+        a = lo
+        while True:
+            prefix.append(a)
+            rec(k - 1)
+            prefix.pop()
+            if a == hi:
+                break
+            for j in range(1, kn + 1):
+                P[j] += hk[j]
+            a += 1
+        for j in range(1, kn + 1):
+            P[j] -= hi * hk[j]
+
+    hpm = hp[m]
+    if monic:
+        leads = [1]
+    else:
+        amax = box.lead_cap(max(abs(c) for c in h))
+        lo_a, hi_a = _window_interval(P, hpm, (m - 1) * n + 1, d, H, -amax, amax)
+        leads = [a for a in range(lo_a, hi_a + 1) if a]
+    for am in leads:
+        for j in range(1, d + 1):
+            P[j] = am * hpm[j]
+        prefix.append(am)
+        rec(m - 1)
+        prefix.pop()
+
+
 def _run_chunk(args):
     """Enumerate outer polynomials for one inner-candidate chunk.
 
@@ -368,86 +423,46 @@ def _run_chunk(args):
     flagged = 0
     hits = 0
     last = -1  # the largest key emitted so far in the current block
-    prefix: List[int] = []
+    block = None  # the outer lead of the current block
+
+    def leaf(P, prefix, lo, hi):
+        nonlocal pairs, flagged, hits, last, block
+        if prefix[0] != block:
+            # first leaf of a new block; a block's f share the top n coefficients
+            block = prefix[0]
+            last = -1
+            tops.append(tuple(P[d - n + 1 :]))
+        width = hi - lo + 1
+        key0 = 0
+        for j in range(1, d + 1):
+            key0 += (P[j] + H) * basepow[j - 1]
+        first = key0 + lo * hkf
+        if first <= last or (width > 1 and hkf <= 0):
+            raise _uniqueness_error(m, n, H, "keys not increasing within a block")
+        last = key0 + hi * hkf
+        if collect:
+            keys.update([key0 + a * hkf for a in range(lo, hi + 1)])
+            if len(keys) > budget:
+                raise _keys_budget_error(budget, f"split ({m},{n}), H={H}")
+        elif member is not None:
+            # u in [first, last] is the key at a = lo + t/hkf, t = u - first,
+            # when hkf divides t (last > first implies hkf > 0, as checked).
+            for i in range(bisect_left(member, first), bisect_right(member, last)):
+                t = member[i] - first
+                if t == 0 or t % hkf == 0:
+                    hits += 1
+        if flag:
+            tail = tuple(reversed(prefix))
+            decomposable = decomposable_linear_terms((0, 0) + tail)
+            flagged += width - sum(lo <= a <= hi for a in decomposable)
+        pairs += width
+        if pairs > budget:
+            raise _pairs_budget_error(budget, m, n, H)
 
     for h in h_chunk:
-        hp = [None, h]
-        for i in range(2, m + 1):
-            hp.append(mul(hp[-1], h))
         hkf = sum(h[j] * basepow[j - 1] for j in range(1, n + 1))
-        P = [0] * (d + 1)
-
-        def leaf(lo, hi):
-            nonlocal pairs, flagged, hits, last
-            width = hi - lo + 1
-            key0 = 0
-            for j in range(1, d + 1):
-                key0 += (P[j] + H) * basepow[j - 1]
-            first = key0 + lo * hkf
-            if first <= last or (width > 1 and hkf <= 0):
-                raise _uniqueness_error(m, n, H, "keys not increasing within a block")
-            last = key0 + hi * hkf
-            if collect:
-                keys.update([key0 + a * hkf for a in range(lo, hi + 1)])
-                if len(keys) > budget:
-                    raise _keys_budget_error(budget, f"split ({m},{n}), H={H}")
-            elif member is not None:
-                # u in [first, last] is the key at a = lo + t/hkf, t = u - first,
-                # when hkf divides t (last > first implies hkf > 0, as checked).
-                for i in range(bisect_left(member, first), bisect_right(member, last)):
-                    t = member[i] - first
-                    if t == 0 or t % hkf == 0:
-                        hits += 1
-            if flag:
-                tail = tuple(reversed(prefix))
-                decomposable = decomposable_linear_terms((0, 0) + tail)
-                flagged += width - sum(lo <= a <= hi for a in decomposable)
-            pairs += width
-            if pairs > budget:
-                raise _pairs_budget_error(budget, m, n, H)
-
-        def rec(k):
-            hk = hp[k]
-            kn = k * n
-            lo, hi = _window_interval(P, hk, (k - 1) * n + 1, kn, H, -(1 << 62), 1 << 62)
-            if lo > hi:
-                return
-            if k == 1:
-                leaf(lo, hi)
-                return
-            if lo:
-                for j in range(1, kn + 1):
-                    P[j] += lo * hk[j]
-            a = lo
-            while True:
-                prefix.append(a)
-                rec(k - 1)
-                prefix.pop()
-                if a == hi:
-                    break
-                for j in range(1, kn + 1):
-                    P[j] += hk[j]
-                a += 1
-            for j in range(1, kn + 1):
-                P[j] -= hi * hk[j]
-
-        hpm = hp[m]
-        if monic:
-            leads = [1]
-        else:
-            amax = box.lead_cap(max(abs(c) for c in h))
-            lo_a, hi_a = _window_interval(P, hpm, (m - 1) * n + 1, d, H, -amax, amax)
-            leads = [a for a in range(lo_a, hi_a + 1) if a]
-        for am in leads:
-            for j in range(1, d + 1):
-                P[j] = am * hpm[j]
-            prefix.append(am)
-            last = -1
-            before = pairs
-            rec(m - 1)
-            prefix.pop()
-            if pairs > before:
-                tops.append(tuple(P[d - n + 1 :]))
+        block = None
+        _walk_outer(h, H, monic, box, leaf)
 
     return pairs, flagged, keys, hits, tops
 
@@ -534,8 +549,12 @@ def count_forward(q: CountQuery, workers: int = 1, budget: Optional[int] = None)
     # The outer polynomials g of height <= H over h = x^n alone give every
     # split (m, n) this many witness pairs, so a query whose largest outer
     # degree exceeds the budget here would be refused later in any case.
+    # As 2H+1 > 2, m_max > budget.bit_length() refuses without the power.
     m_max = q.split[0] if q.variant == "split" else d // spf(d)
-    if (2 * H + 1) ** (m_max - 1) * (1 if monic else 2 * H) > budget:
+    if (
+        m_max > budget.bit_length()
+        or (2 * H + 1) ** (m_max - 1) * (1 if monic else 2 * H) > budget
+    ):
         raise BudgetError(
             f"split ({m_max},{d // m_max}) at H={H} has more witness pairs than the "
             f"budget of {budget}; raise {BUDGET_ENV} or --budget"
@@ -609,45 +628,14 @@ def iter_decompositions(
     m, n = split
     box = EnumBox.build(m, n, H)
     for h in _h_candidates(m, n, H, monic, box):
-        hp = [None, h]
-        for i in range(2, m + 1):
-            hp.append(mul(hp[-1], h))
-        hpm = hp[m]
-        P = [0] * (d + 1)
-        prefix: List[int] = []
-
-        def walk(k):
-            hk = hp[k]
-            kn = k * n
-            lo, hi = _window_interval(P, hk, (k - 1) * n + 1, kn, H, -(1 << 62), 1 << 62)
+        leaves: List[Tuple[Tuple[int, ...], int, int]] = []
+        _walk_outer(
+            h, H, monic, box,
+            lambda P, prefix, lo, hi: leaves.append((tuple(reversed(prefix)), lo, hi)),
+        )
+        for tail, lo, hi in leaves:
             for a in range(lo, hi + 1):
-                prefix.append(a)
-                if k == 1:
-                    yield (0,) + tuple(reversed(prefix))
-                else:
-                    for j in range(1, kn + 1):
-                        P[j] += a * hk[j]
-                    yield from walk(k - 1)
-                    for j in range(1, kn + 1):
-                        P[j] -= a * hk[j]
-                prefix.pop()
-
-        if monic:
-            lead_range = [1]
-        else:
-            amax = box.lead_cap(max(abs(c) for c in h))
-            lo_a, hi_a = _window_interval(
-                P, hpm, (m - 1) * n + 1, d, H, -amax, amax
-            )
-            lead_range = [a for a in range(lo_a, hi_a + 1) if a]
-        for am in lead_range:
-            for j in range(1, d + 1):
-                P[j] = am * hpm[j]
-            prefix.append(am)
-            yield from ((g, h) for g in walk(m - 1))
-            prefix.pop()
-        for j in range(1, d + 1):
-            P[j] = 0
+                yield (0, a) + tail, h
 
 
 # ---------------------------------------------------------------------------
@@ -810,11 +798,12 @@ def count_bruteforce(q: CountQuery, budget: Optional[int] = None) -> CountResult
     t0 = time.perf_counter()
     if budget is None:
         budget = DEFAULT_ORACLE_BUDGET
-    size = _box_size(q.d, q.H, q.monic)
-    if size > budget:
+    # The box has at least (2H+1)^d > 2^d polynomials, so a degree above
+    # budget.bit_length() is refused without building the power.
+    if q.d > budget.bit_length() or _box_size(q.d, q.H, q.monic) > budget:
         raise BudgetError(
-            f"brute-force box has {size} polynomials, over the budget of "
-            f"{budget}; raise --budget to force"
+            f"brute-force box of degree {q.d} at H={q.H} has more polynomials than "
+            f"the budget of {budget}; raise --budget to force"
         )
     H = q.H
     leads = [1] if q.monic else [a for a in range(-H, H + 1) if a]

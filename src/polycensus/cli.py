@@ -18,7 +18,6 @@ import json
 import os
 import platform
 import sys
-import time
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from typing import List, Optional, Sequence, Tuple
@@ -31,10 +30,9 @@ from .census import (
     CountResult,
     count_bruteforce,
     count_forward,
-    ordered_splits,
 )
 from .decompose import DecompositionError, decompose_split, full_decomposition
-from .mahler import RootConvergenceError, mahler_measure, roots, sandwich_bounds
+from .mahler import RootConvergenceError, roots, sandwich_bounds
 from .poly_core import degree, format_poly, height, parse_poly
 
 CSV_HEADER = "d,monic,variant,m,n,H,count,method,workers,elapsed_seconds"
@@ -286,11 +284,17 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .verify import run_criteria
+    from .verify import CRITERIA, run_criteria
 
     wanted = None
     if args.criteria:
         wanted = {int(c) for c in args.criteria.split(",")}
+        unknown = wanted - {number for number, _, _ in CRITERIA}
+        if unknown:
+            raise ValueError(
+                f"unknown criterion number(s) {','.join(map(str, sorted(unknown)))}; "
+                f"known: 1..{len(CRITERIA)}"
+            )
     outcomes = run_criteria(wanted, jobs=args.jobs)
     failed = [o for o in outcomes if not o.passed]
     return 1 if failed else 0

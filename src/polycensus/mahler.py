@@ -10,7 +10,6 @@ tolerances.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass, field
 from math import sqrt
 from typing import List, Optional, Tuple
@@ -180,11 +179,12 @@ def check_inequalities(
 
     Requires f = g*h exactly (product route: multiplicativity of the
     measure) or f = g(h(x)) with h(0) = 0 (composition route: the explicit
-    inner/outer height bounds with the constants from
-    census.explicit_constants).  Both routes also run the two-sided
-    height-measure sandwich on f.
+    inner/outer height bounds, decided exactly on integers with the squared
+    constants from census.explicit_constants_sq; lhs and rhs are floats for
+    display).  Both routes also run the two-sided height-measure sandwich
+    on f.
     """
-    from .census import explicit_constants
+    from .census import explicit_constants_sq
 
     if degree(f) < 1 or degree(g) < 1 or degree(h) < 1:
         raise ValueError("inequality checks need degrees >= 1")
@@ -214,16 +214,19 @@ def check_inequalities(
         m, n = degree(g), degree(h)
         if split is not None and tuple(split) != (m, n):
             raise ValueError(f"split {split} does not match degrees ({m},{n})")
-        k1, k2 = explicit_constants(m, n)
-        hf, hg, hh = height(f), height(g), height(h)
-        a = abs(lead(g))
-        lhs1 = float(a * hh**m)
+        k1_sq, k2_sq = explicit_constants_sq(m, n)
+        hf, hg = height(f), height(g)
+        lhs1 = abs(lead(g)) * height(h) ** m
         checks.append(
-            InequalityCheck("lemma: |a|*H(h)^m <= K1*H(f)", lhs1, k1 * hf, lhs1 <= k1 * hf)
-        )
-        if hh >= 1:
-            checks.append(
-                InequalityCheck("lemma: H(g) <= K2*H(f)", float(hg), k2 * hf, hg <= k2 * hf)
+            InequalityCheck(
+                "lemma: |a|*H(h)^m <= K1*H(f)", float(lhs1), sqrt(k1_sq) * hf,
+                lhs1 * lhs1 <= k1_sq * hf * hf,
             )
+        )
+        checks.append(
+            InequalityCheck(
+                "lemma: H(g) <= K2*H(f)", float(hg), sqrt(k2_sq) * hf, hg * hg <= k2_sq * hf * hf
+            )
+        )
 
     return InequalityReport(tuple(checks), is_product, is_composition)

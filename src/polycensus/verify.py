@@ -16,13 +16,12 @@ from contextlib import redirect_stdout
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Set, Tuple
 
-from .asymptotics import fit_growth, remainder_report, spf
+from .asymptotics import fit_growth, remainder_report
 from .census import (
     CountQuery,
-    EnumBox,
     count_bruteforce,
     count_forward,
-    explicit_constants,
+    explicit_constants_sq,
     forward_key_set,
     iter_decompositions,
     pack_truncated,
@@ -50,16 +49,6 @@ def _random_outer(rng, m, monic, bound):
             a = rng.randint(-bound, bound)
         g.append(a)
     return tuple(g)
-
-
-def _check_equiv(pairs, detail_parts):
-    for q, budget in pairs:
-        fwd = count_forward(q).count
-        orc = count_bruteforce(q, budget=budget).count
-        if fwd != orc:
-            return False, f"mismatch at {q}: forward={fwd} oracle={orc}"
-        detail_parts.append(f"H={q.H} {q.variant}{q.split or ''}={fwd}")
-    return True, ""
 
 
 def criterion_1(jobs: int = 1) -> Tuple[bool, str]:
@@ -192,14 +181,10 @@ def criterion_8(jobs: int = 1) -> Tuple[bool, str]:
 
 def _lemma_ok(g: Poly, h: Poly) -> bool:
     m, n = len(g) - 1, len(h) - 1
-    k1, k2 = explicit_constants(m, n)
-    f = compose(g, h)
-    hf = height(f)
-    if abs(lead(g)) * height(h) ** m > k1 * hf:
-        return False
-    if height(h) >= 1 and height(g) > k2 * hf:
-        return False
-    return True
+    k1_sq, k2_sq = explicit_constants_sq(m, n)
+    hf_sq = height(compose(g, h)) ** 2
+    lhs1 = (lead(g) * height(h) ** m) ** 2
+    return lhs1 <= k1_sq * hf_sq and height(g) ** 2 <= k2_sq * hf_sq
 
 
 def criterion_9(jobs: int = 1) -> Tuple[bool, str]:

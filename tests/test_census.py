@@ -13,7 +13,7 @@ from polycensus.census import (
     EnumBox,
     count_bruteforce,
     count_forward,
-    explicit_constants,
+    explicit_constants_sq,
     forward_key_set,
     iter_decompositions,
     ordered_splits,
@@ -33,21 +33,23 @@ D4_H2_MONIC = 65
 
 
 def test_explicit_constants_examples():
-    k1, k2 = explicit_constants(2, 2)
-    assert k1 == 48.0
-    assert abs(explicit_constants(3, 2)[0] - 2**6 * 3**1.5) < 1e-9
+    # K1 = 2^d (n+1)^(m/2): K1(2,2) = 48 and K1(3,2) = 2^6 * 3^1.5
+    assert explicit_constants_sq(2, 2) == (2304, 720)
+    assert explicit_constants_sq(3, 2)[0] == 110592
     for m, n in ((2, 2), (2, 3), (3, 2), (4, 2), (2, 6)):
-        k1, k2 = explicit_constants(m, n)
-        assert k1 >= 1 and k2 >= 1
+        k1_sq, k2_sq = explicit_constants_sq(m, n)
+        assert k1_sq >= 1 and k2_sq >= 1
+    with pytest.raises(ValueError):
+        explicit_constants_sq(1, 4)
 
 
 def test_k1_bound_exhaustive_small_box():
     # no decomposition of any monic quartic with H(f) <= 10 violates
-    # |a| * H(h)^2 <= K1 * H(f)
-    k1, _ = explicit_constants(2, 2)
+    # |a| * H(h)^2 <= K1 * H(f), decided on the squares
+    k1_sq, _ = explicit_constants_sq(2, 2)
     for g, h in iter_decompositions(4, 10, True, (2, 2)):
         f = compose(g, h)
-        assert abs(g[-1]) * height(h) ** 2 <= k1 * height(f)
+        assert (g[-1] * height(h) ** 2) ** 2 <= k1_sq * height(f) ** 2
 
 
 def test_enum_box():
@@ -511,6 +513,20 @@ def test_iter_decompositions_matches_counts():
     for g, h in pairs:
         assert h[0] == 0 and h[-1] == 1 and g[-1] == 1
         assert height(compose(g, h)) <= 5
+
+
+@pytest.mark.parametrize("monic", [True, False])
+@pytest.mark.parametrize("split", [(3, 2), (4, 2), (2, 3), (3, 3)])
+def test_iter_decompositions_outer_order_at_m_ge_3(split, monic):
+    # at m >= 3 the outer tail a_2..a_m has several entries, so a reversed or
+    # shifted tail gives polynomials off the enumerated key set
+    m, n = split
+    d, H = m * n, 2
+    pairs = list(iter_decompositions(d, H, monic, split))
+    keys = {pack_truncated(compose(g, h), d, H) for g, h in pairs}
+    assert keys == forward_key_set(d, H, monic, split)
+    assert len(pairs) == len(keys)
+    assert all(len(g) == m + 1 and g[0] == 0 and len(h) == n + 1 for g, h in pairs)
 
 
 def test_witness_uniqueness_non_monic_box():

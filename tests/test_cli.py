@@ -141,6 +141,18 @@ def test_exit_codes(tmp_path):
     assert code == 2  # no height/grid
     code, _, err = capture(["count", "--degree", "600", "--height-max", "2"])
     assert code == 2 and err.startswith("error:") and "budget" in err
+    # refused from the degree alone, before the box size or the outer power is built
+    for argv in (
+        ["count", "--degree", "6200", "--height-max", "2", "--method", "oracle"],
+        ["count", "--degree", "20000000", "--height-max", "2", "--method", "oracle"],
+        ["count", "--degree", "4000002", "--height-max", "2"],
+    ):
+        code, _, err = capture(argv)
+        assert code == 2 and err.startswith("error:") and "budget" in err
+        assert len(err.strip().splitlines()) == 1
+    code, out, err = capture(["verify", "--criteria", "99"])
+    assert code == 2 and out == "" and err.startswith("error:") and "unknown criterion" in err
+    assert len(err.strip().splitlines()) == 1
     code, _, err = capture(["count", "--degree", "4", "--grid", "4,2"])
     assert code == 2 and err.startswith("error:") and "ascending" in err
     for jobs in ("0", "-3"):

@@ -1,11 +1,11 @@
 import random
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polycensus.census import EnumBox, explicit_constants
+from polycensus.census import EnumBox, explicit_constants_sq
 from polycensus.decompose import (
     _divmod_monic,
     decomposable_linear_terms,
@@ -213,7 +213,7 @@ def test_conclusiveness_against_direct_search():
     """
     H = 6
     box = EnumBox.build(2, 2, H)
-    gbound = int(explicit_constants(2, 2)[1] * H)
+    gbound = isqrt(explicit_constants_sq(2, 2)[1] * H * H)
     composable = set()
     for b1 in range(-box.b_max, box.b_max + 1):
         h = (0, b1, 1)
