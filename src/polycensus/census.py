@@ -533,24 +533,25 @@ def _run_split(d, H, monic, split, workers, collect, member, flag, budget):
 def count_forward(q: CountQuery, workers: int = 1, budget: Optional[int] = None) -> CountResult:
     """Constructive count: enumerate witnesses, deduplicate, scale by 2H+1.
 
-    The count is exact and independent of the worker count.  Composite-free
-    degrees return 0 immediately.  A total collects the keys of the
-    non-dominant splits into one union and runs the dominant split (d/l, l)
-    against it as a sorted list; the dominant split stores no keys.
+    The count is exact and independent of the worker count.  Prime degrees
+    return 0 immediately, and the budget pre-check runs before the splits
+    are listed.  A total collects the keys of the non-dominant splits into
+    one union and runs the dominant split (d/l, l) against it as a sorted
+    list; the dominant split stores no keys.
     """
     t0 = time.perf_counter()
     budget = _resolve_budget(budget)
     d, H, monic = q.d, q.H, q.monic
-    splits = ordered_splits(d)
     base = 2 * H + 1
+    ell = spf(d)
 
-    if not splits:
+    if ell == d:
         return CountResult(0, q, "forward", time.perf_counter() - t0, workers)
     # The outer polynomials g of height <= H over h = x^n alone give every
     # split (m, n) this many witness pairs, so a query whose largest outer
     # degree exceeds the budget here would be refused later in any case.
     # As 2H+1 > 2, m_max > budget.bit_length() refuses without the power.
-    m_max = q.split[0] if q.variant == "split" else d // spf(d)
+    m_max = q.split[0] if q.variant == "split" else d // ell
     if (
         m_max > budget.bit_length()
         or (2 * H + 1) ** (m_max - 1) * (1 if monic else 2 * H) > budget
@@ -564,13 +565,12 @@ def count_forward(q: CountQuery, workers: int = 1, budget: Optional[int] = None)
         pairs, _, _, _ = _run_split(d, H, monic, q.split, workers, False, None, False, budget)
         count = pairs * base
     elif q.variant == "indecomp_pair":
-        ell = spf(d)
         pairs, flagged, _, _ = _run_split(
             d, H, monic, (d // ell, ell), workers, False, None, True, budget
         )
         count = flagged * base
     else:  # total
-        ell = spf(d)
+        splits = ordered_splits(d)
         dominant = (d // ell, ell)
         if len(splits) == 1:
             pairs, _, _, _ = _run_split(d, H, monic, splits[0], workers, False, None, False, budget)

@@ -1,25 +1,29 @@
 """Complex roots, Mahler measure, and height-measure inequality checks.
 
 The measure of f = a_d x^d + .. + a_0 with roots r_1..r_d is
-|a_d| * prod max(1, |r_i|).  Roots come from a simultaneous Aberth-Ehrlich
-iteration started on a circle of radius 1 + H(f)/|a_d|; zero roots are
-stripped exactly beforehand.  Everything downstream compares the floating
-measure against exact integer heights, so the checks carry relative
-tolerances.
+|a_d| * prod max(1, |r_i|).  Roots come from an Aberth-Ehrlich iteration
+in plain Python complex scalars (no numpy), with Bini's Newton-polygon
+starting points and Gauss-Seidel sweeps: each root's correction uses the
+roots already moved in the same sweep.  Zero roots are stripped exactly
+beforehand, and a multiple root is found exactly: when the roots' inclusion
+disks overlap, gcd(f, f') over Q splits f into factors with simple roots.
+Everything downstream compares the floating measure against exact integer
+heights, so the checks carry relative tolerances.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
-from math import sqrt
-from typing import List, Optional, Tuple
-
-import numpy as np
+from fractions import Fraction
+from math import exp, log, pi, sqrt
+from typing import List, Optional, Sequence, Tuple
 
 from .poly_core import Poly, compose, degree, height, lead, mul
 
 MAX_ITERATIONS = 200
 DEFAULT_TOL = 1e-12
+ROUNDING = 8 * 2.0**-53   # |p(z)| at a root, relative to sum |a_k||z|^k, once converged
 
 EQ2_REL_TOL = 1e-9        # height-measure sandwich slack
 PRODUCT_REL_TOL = 1e-8    # M(gh) versus M(g)M(h)
@@ -42,49 +46,170 @@ class MahlerResult:
     residuals: Tuple[float, ...] = field(default=())
 
 
-def _aberth(coeffs: List[float], tol_abs: float) -> np.ndarray:
-    """Roots of a polynomial with nonzero constant term, ascending coeffs."""
+def _start_points(coeffs: Sequence[float]) -> List[complex]:
+    """Bini's Newton-polygon starting points for a nonzero constant term.
+
+    Each edge k1 -> k2 of the upper convex hull of (k, log|c_k|) over the
+    nonzero coefficients puts k2 - k1 points on the circle of radius
+    (|c_k1|/|c_k2|)^(1/(k2-k1)); together they are exactly n points.  The
+    angular offset 2*pi*k1/n + 0.7 keeps the set from being symmetric
+    under conjugation, which would stall the iteration on real polynomials.
+    """
     n = len(coeffs) - 1
-    c = np.array(coeffs, dtype=np.float64)
-    dc = c[1:] * np.arange(1, n + 1)
-    radius = 1.0 + np.max(np.abs(c)) / abs(c[-1])
-    # Offset angles break conjugate symmetry, which otherwise stalls the
-    # iteration on real polynomials.
-    angles = 2.0 * np.pi * np.arange(n) / n + np.pi / (2.0 * n)
-    z = radius * np.exp(1j * angles)
-
-    def horner(poly, x):
-        acc = np.zeros_like(x)
-        for a in poly[::-1]:
-            acc = acc * x + a
-        return acc
-
-    scale = np.max(np.abs(c))
-    for _ in range(MAX_ITERATIONS):
-        p = horner(c, z)
-        bound = tol_abs * scale * np.maximum(1.0, np.abs(z)) ** n
-        if np.all(np.abs(p) <= bound):
-            return z
-        dp = horner(dc, z)
-        dead = dp == 0
-        if np.any(dead):
-            z = np.where(dead, z * (1.0 + 1e-9) + 1e-12, z)
+    hull: List[Tuple[int, float]] = []
+    for k, c in enumerate(coeffs):
+        if c == 0:
             continue
-        w = p / dp
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, 1.0)
-        recip = 1.0 / diff
-        np.fill_diagonal(recip, 0.0)
-        s = recip.sum(axis=1)
-        denom = 1.0 - w * s
-        denom = np.where(denom == 0, 1e-30, denom)
-        z = z - w / denom
-    p = horner(c, z)
+        y = log(abs(c))
+        while len(hull) >= 2:
+            (k0, y0), (k1, y1) = hull[-2], hull[-1]
+            if (k1 - k0) * (y - y0) - (y1 - y0) * (k - k0) < 0:
+                break
+            hull.pop()
+        hull.append((k, y))
+    z: List[complex] = []
+    for (k1, y1), (k2, y2) in zip(hull, hull[1:]):
+        m = k2 - k1
+        point = cmath.rect(exp((y1 - y2) / m), 2.0 * pi * k1 / n + 0.7)
+        step = cmath.rect(1.0, 2.0 * pi / m)
+        for _ in range(m):
+            z.append(point)
+            point *= step
+    return z
+
+
+def _sweep(desc: Sequence[float], z: List[complex]) -> Tuple[List[complex], List[float]]:
+    """One Gauss-Seidel Aberth-Ehrlich sweep over descending coefficients.
+
+    Root i's correction uses roots 0..i-1 as already moved in this sweep.
+    Returns the moved roots and |p(z_i)| at the roots on entry.
+    """
+    top, *tail = desc
+    moved, residuals = [], []
+    for i, zi in enumerate(z):
+        p, dp = top, 0.0
+        for a in tail:
+            dp = dp * zi + p
+            p = p * zi + a
+        residuals.append(abs(p))
+        try:
+            w = p / dp
+            s = 0.0
+            for zj in moved:
+                s += 1.0 / (zi - zj)
+            for zj in z[i + 1:]:
+                s += 1.0 / (zi - zj)
+            moved.append(zi - w / (1.0 - w * s))
+        except ZeroDivisionError:  # dp == 0, a coincident root or a zero denominator
+            moved.append(zi * (1.0 + 1e-9) + 1e-12)
+    return moved, residuals
+
+
+def _aberth(coeffs: Sequence[float], tol_abs: float) -> List[complex]:
+    """Roots of a polynomial with nonzero constant term, ascending coeffs.
+
+    Sweeps from the Newton-polygon start; every root moves in every sweep.
+    The contract is |p(z)| <= tol*scale*max(1,|z|)^n for all n roots at
+    once.  That bound grows like |z|^n, so far from the unit circle it
+    accepts roots still off in their fifth digit; the sweeps therefore go
+    on until every |p(z)| is down to the rounding error of its Horner
+    evaluation, or MAX_ITERATIONS sweeps in all, and return the last roots
+    that met the contract.  RootConvergenceError if none did.
+    """
+    desc = [float(a) for a in reversed(coeffs)]
+    n = len(desc) - 1
+    bound = tol_abs * max(map(abs, desc))
+    noise = [ROUNDING * abs(a) for a in desc]
+    z = _start_points(coeffs)
+    met = None
+    for _ in range(MAX_ITERATIONS):
+        entry = z
+        z, residuals = _sweep(desc, entry)
+        if all(res <= bound * max(1.0, abs(zi)) ** n for zi, res in zip(entry, residuals)):
+            met = entry
+            if all(res <= _horner_abs(noise, abs(zi)) for zi, res in zip(entry, residuals)):
+                return entry
+    if met is not None:
+        return met
     raise RootConvergenceError(
         f"root finding did not converge within {MAX_ITERATIONS} iterations",
-        tuple(z.tolist()),
-        tuple(np.abs(p).tolist()),
+        tuple(entry),
+        tuple(residuals),
     )
+
+
+def _horner_abs(desc: Sequence[float], x: float) -> float:
+    """sum a_k x^k for real descending coefficients a and real x."""
+    acc = 0.0
+    for a in desc:
+        acc = acc * x + a
+    return acc
+
+
+def _isolated(coeffs: Sequence[float], z: Sequence[complex]) -> bool:
+    """Whether the disks |x - z_i| <= 2n|W_i| are pairwise disjoint.
+
+    W_i = p(z_i) / (c_n prod_{j != i} (z_i - z_j)) is the Weierstrass
+    correction.  The disks of radius n|W_i| hold every root (Braess and
+    Hadeler), and a connected group of m of them holds exactly m roots
+    (Carstensen), so disjoint disks mean n simple roots.  The two copies of a double root give disks
+    that just touch; the factor 2 makes them overlap despite rounding.
+    """
+    n = len(coeffs) - 1
+    top, *tail = reversed(coeffs)
+    radii = []
+    for i, zi in enumerate(z):
+        p = q = top
+        for a in tail:
+            p = p * zi + a
+        for zj in z[:i]:
+            q *= zi - zj
+        for zj in z[i + 1:]:
+            q *= zi - zj
+        if q == 0:
+            return False
+        radii.append(2 * n * abs(p / q))
+    for i, (zi, ri) in enumerate(zip(z, radii)):
+        for j in range(i + 1, n):
+            if abs(zi - z[j]) <= ri + radii[j]:
+                return False
+    return True
+
+
+def _poly_divmod(a: List[Fraction], b: List[Fraction]) -> Tuple[List[Fraction], List[Fraction]]:
+    """Quotient and remainder of a by b over Q, ascending coefficients."""
+    a = a[:]
+    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    while len(a) >= len(b):
+        k = len(a) - len(b)
+        t = q[k] = a[-1] / b[-1]
+        for i, c in enumerate(b, k):
+            a[i] -= t * c
+        while a and a[-1] == 0:
+            a.pop()
+    return q, a
+
+
+def _solve(c: Sequence, tol: float) -> List[complex]:
+    """Roots with multiplicity of c (exact ascending coefficients, c_0 != 0).
+
+    A k-fold root leaves k float copies that no sweep separates, and their
+    inclusion disks overlap.  Only then is gcd(c, c') computed over Q; if it
+    is not constant, c/gcd(c, c') (every root once) and gcd(c, c') (the
+    multiple roots, one copy fewer) are solved apart, so every float solve
+    sees simple roots only.
+    """
+    floats = [float(x) for x in c]
+    z = _aberth(floats, tol)
+    if _isolated(floats, z):
+        return z
+    exact = [Fraction(x) for x in c]
+    a, b = exact, [k * x for k, x in enumerate(exact)][1:]
+    while b:
+        a, b = b, _poly_divmod(a, b)[1]
+    if len(a) == 1:
+        return z
+    return _solve(_poly_divmod(exact, a)[0], tol) + _solve(a, tol)
 
 
 def roots(f: Poly, tol: float = DEFAULT_TOL) -> MahlerResult:
@@ -92,6 +217,7 @@ def roots(f: Poly, tol: float = DEFAULT_TOL) -> MahlerResult:
 
     Each returned root r satisfies |f(r)| <= tol * H(f) * max(1, |r|)**deg f;
     failure to reach that raises RootConvergenceError with the best iterate.
+    A coefficient or root beyond the float range raises ValueError.
     """
     d = degree(f)
     if d < 1:
@@ -99,21 +225,21 @@ def roots(f: Poly, tol: float = DEFAULT_TOL) -> MahlerResult:
     nzero = 0
     while f[nzero] == 0:
         nzero += 1
-    reduced = f[nzero:]
     found: List[complex] = [0.0 + 0.0j] * nzero
-    if degree(reduced) >= 1:
-        z = _aberth([float(c) for c in reduced], tol)
-        found.extend(complex(v) for v in z.tolist())
-
-    hf = float(height(f))
-    coeffs = [float(c) for c in f]
-    residuals = []
-    for r in found:
-        acc = 0.0 + 0.0j
-        for a in reversed(coeffs):
-            acc = acc * r + a
-        residuals.append(abs(acc))
-    bound = max(tol * hf * max(1.0, abs(r)) ** d for r in found)
+    try:
+        coeffs = [float(c) for c in f]
+        if d > nzero:
+            found.extend(_solve(f[nzero:], tol))
+        residuals = []
+        for r in found:
+            acc = 0.0 + 0.0j
+            for a in reversed(coeffs):
+                acc = acc * r + a
+            residuals.append(abs(acc))
+        hf = float(height(f))
+        bound = max(tol * hf * max(1.0, abs(r)) ** d for r in found)
+    except OverflowError:
+        raise ValueError("f is beyond the float range of the root finder") from None
     bad = [i for i, res in enumerate(residuals) if res > bound]
     if bad:
         raise RootConvergenceError(

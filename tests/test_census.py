@@ -6,7 +6,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from polycensus import census
+from polycensus import census, cli
 from polycensus.census import (
     BudgetError,
     CountQuery,
@@ -428,6 +428,29 @@ def test_budget_env_override(monkeypatch):
     with pytest.raises(BudgetError):
         count_forward(CountQuery(4, 100, True, "total"))
     monkeypatch.delenv("POLYCENSUS_BUDGET")
+
+
+def test_prime_degree_and_refusal_skip_ordered_splits(monkeypatch):
+    # ordered_splits loops over d/2 values, so a prime degree and a query the
+    # budget pre-check refuses must both be decided without it
+    calls = []
+    real = census.ordered_splits
+
+    def recording(d):
+        calls.append(d)
+        return real(d)
+
+    monkeypatch.setattr(census, "ordered_splits", recording)
+    for variant in ("total", "indecomp_pair"):
+        assert count_forward(CountQuery(20000003, 2, True, variant)).count == 0
+    with pytest.raises(BudgetError):
+        count_forward(CountQuery(20000001, 2, True, "total"))
+    assert calls == []
+    code = cli.run(["count", "--degree", "20000001", "--height-max", "2"])
+    assert code == 2 and calls == []
+    q = CountQuery(6, 3, True, "total")
+    assert count_forward(q).count == count_bruteforce(q).count == 945
+    assert calls == [6]
 
 
 def test_h_candidates_normalized_and_ordered():

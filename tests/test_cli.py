@@ -153,6 +153,10 @@ def test_exit_codes(tmp_path):
     code, out, err = capture(["verify", "--criteria", "99"])
     assert code == 2 and out == "" and err.startswith("error:") and "unknown criterion" in err
     assert len(err.strip().splitlines()) == 1
+    # a coefficient beyond float range cannot enter the root finder
+    code, out, err = capture(["mahler", "1" + "0" * 320 + ",1"])
+    assert code == 2 and out == "" and err.startswith("error:") and "float" in err
+    assert len(err.strip().splitlines()) == 1
     code, _, err = capture(["count", "--degree", "4", "--grid", "4,2"])
     assert code == 2 and err.startswith("error:") and "ascending" in err
     for jobs in ("0", "-3"):
