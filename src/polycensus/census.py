@@ -18,44 +18,45 @@ Two independent routes produce every count:
   outer degree 2 also by its low coefficients x^1, x^2 and x^n, which leave
   b_1 a short window; every cut is a proved necessary condition.
 
-Generated polynomials are identified by their coefficient vectors.  The
-constant term never interacts with decomposability (it is the free constant
-term of the outer polynomial), so vectors are keyed without it and every
-count carries an exact factor 2H+1.  Within one split the normalized witness
-is unique per polynomial, which every enumeration re-verifies without
-storing a key per pair: keys strictly increase within a block (one inner h
-with one outer lead) and distinct blocks have distinct top coefficients.
-A total stores the keys of its non-dominant splits only; the dominant split
-(d/l, l), l the smallest prime factor of d, tests each leaf against them
-with one range search in their sorted list.
+The constant term never interacts with decomposability (it is the free
+constant term of the outer polynomial), so the enumeration fixes it at 0 and
+every count carries an exact factor 2H+1.  Within one split the normalized
+witness is unique per polynomial, which every enumeration re-verifies
+without storing a key per pair: the packed coefficient vectors strictly
+increase within a block (one inner h with one outer lead) and distinct
+blocks have distinct top coefficients.  A total counts each polynomial once,
+in the split (d/n, n) with the smallest n for which it decomposes: a pair of
+a split is attributed away when its polynomial also decomposes with a
+smaller inner degree, decided once per leaf by decompose.decomposable_on_line.
+No variant stores a key, and the budget counts witness pairs per split.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from bisect import bisect_left, bisect_right, insort
+from bisect import insort
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
 from math import gcd, isqrt
 from operator import mul as times
-from typing import Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .asymptotics import spf
 from .decompose import (
-    _divmod_monic,
+    _adic_digits,
     _inner_degrees,
     _integer_candidate,
-    decomposable_linear_terms,
+    decomposable_on_line,
     decompose_split,
     is_decomposable,
 )
 from .poly_core import Poly, mul, poly_pow
 
-DEFAULT_SET_BUDGET = 200_000_000   # witness pairs and stored keys per query
+DEFAULT_SET_BUDGET = 200_000_000   # witness pairs per split
 DEFAULT_ORACLE_BUDGET = 3_000_000  # brute-force box size
 BUDGET_ENV = "POLYCENSUS_BUDGET"
 _INT64_LIMIT = 1 << 62  # oracle rows bounded below this evaluate in int64
@@ -325,13 +326,6 @@ def _pairs_budget_error(budget: int, m: int, n: int, H: int) -> BudgetError:
     )
 
 
-def _keys_budget_error(budget: int, where: str) -> BudgetError:
-    return BudgetError(
-        f"enumeration exceeded budget of {budget} stored keys ({where}); "
-        f"raise {BUDGET_ENV} or --budget"
-    )
-
-
 def _walk_outer(h: Poly, H: int, monic: bool, box: EnumBox, leaf) -> None:
     """Call leaf(P, prefix, lo, hi) for every leaf of one inner h, in order.
 
@@ -393,12 +387,18 @@ def _walk_outer(h: Poly, H: int, monic: bool, box: EnumBox, leaf) -> None:
 def _run_chunk(args):
     """Enumerate outer polynomials for one inner-candidate chunk.
 
-    Returns (pairs, flagged, keys, hits, tops):
+    Returns (pairs, flagged, None, away, tops):
       pairs    -- witness pairs completed (equals distinct polynomials)
-      flagged  -- pairs whose outer part is indecomposable
-      keys     -- packed truncated coefficient vectors (collect mode only)
-      hits     -- pairs whose key is in member, a sorted key list, if given
+      flagged  -- pairs whose outer part is indecomposable, if flag
+      away     -- pairs whose polynomial also decomposes with an inner degree
+                  in lower
       tops     -- the top-n coefficient vector of every non-empty block
+    The None slot keeps the 5-tuple that perfbench/tracer.py unpacks.
+
+    A leaf's polynomials form the line P + a*h, a in [lo, hi], and so do its
+    outer parts g0 + a*x, so one decomposable_on_line call per leaf decides
+    the flag and one decides the attribution.  Their candidate inners are
+    memoized per chunk: the attribution's depend only on the block.
 
     Uniqueness re-check, with no key stored.  A block is one inner h with one
     outer lead a_m.  Inside a block a_(m-1)..a_1 run in lexicographic order;
@@ -412,21 +412,21 @@ def _run_chunk(args):
     over all chunks, make the blocks disjoint.  Passing both proves that the
     pairs give pairwise distinct polynomials.
     """
-    (d, H, monic, box, h_chunk, collect, member, flag, budget) = args
+    (d, H, monic, box, h_chunk, lower, flag, budget) = args
     m, n = box.m, box.n
 
     base = 2 * H + 1
     basepow = [base**e for e in range(d)]
-    keys: Optional[Set[int]] = set() if collect else None
+    candidates: dict = {}
     tops: List[Tuple[int, ...]] = []
     pairs = 0
     flagged = 0
-    hits = 0
+    away = 0
     last = -1  # the largest key emitted so far in the current block
     block = None  # the outer lead of the current block
 
     def leaf(P, prefix, lo, hi):
-        nonlocal pairs, flagged, hits, last, block
+        nonlocal pairs, flagged, away, last, block
         if prefix[0] != block:
             # first leaf of a new block; a block's f share the top n coefficients
             block = prefix[0]
@@ -440,21 +440,13 @@ def _run_chunk(args):
         if first <= last or (width > 1 and hkf <= 0):
             raise _uniqueness_error(m, n, H, "keys not increasing within a block")
         last = key0 + hi * hkf
-        if collect:
-            keys.update([key0 + a * hkf for a in range(lo, hi + 1)])
-            if len(keys) > budget:
-                raise _keys_budget_error(budget, f"split ({m},{n}), H={H}")
-        elif member is not None:
-            # u in [first, last] is the key at a = lo + t/hkf, t = u - first,
-            # when hkf divides t (last > first implies hkf > 0, as checked).
-            for i in range(bisect_left(member, first), bisect_right(member, last)):
-                t = member[i] - first
-                if t == 0 or t % hkf == 0:
-                    hits += 1
+        if lower:
+            away += _on_window(decomposable_on_line(P, h, lower, candidates), lo, hi)
         if flag:
-            tail = tuple(reversed(prefix))
-            decomposable = decomposable_linear_terms((0, 0) + tail)
-            flagged += width - sum(lo <= a <= hi for a in decomposable)
+            g0 = (0, 0) + tuple(reversed(prefix))
+            flagged += width - _on_window(
+                decomposable_on_line(g0, (0, 1), _inner_degrees(m), candidates), lo, hi
+            )
         pairs += width
         if pairs > budget:
             raise _pairs_budget_error(budget, m, n, H)
@@ -464,7 +456,14 @@ def _run_chunk(args):
         block = None
         _walk_outer(h, H, monic, box, leaf)
 
-    return pairs, flagged, keys, hits, tops
+    return pairs, flagged, None, away, tops
+
+
+def _on_window(points, lo: int, hi: int) -> int:
+    """How many a in [lo, hi] a decomposable_on_line result holds."""
+    if points is None:
+        return hi - lo + 1
+    return sum(lo <= a <= hi for a in points)
 
 
 def _chunks(seq: List, parts: int) -> List[List]:
@@ -479,26 +478,27 @@ def _chunks(seq: List, parts: int) -> List[List]:
     return out
 
 
-def _run_split(d, H, monic, split, workers, collect, member, flag, budget):
+def _run_split(d, H, monic, split, workers, lower, flag, budget):
     """Enumerate one split, sharded over workers; merge the chunk results.
 
-    The pool never has more processes than os.cpu_count() reports.  member,
-    when not None, is a sorted list of keys; hits counts the pairs whose key
-    is in it, from one range search per leaf (a leaf's keys form an
-    arithmetic progression).
+    Returns (pairs, flagged, None, away), summed over the chunks of
+    _run_chunk; lower lists the inner degrees whose decomposable
+    polynomials are attributed away, and flag asks for the indecomposable
+    outer parts.  The None slot keeps the 4-tuple that perfbench/tracer.py
+    unpacks.  The pool never has more processes than os.cpu_count()
+    reports.
 
     Completes the uniqueness re-check of _run_chunk for every split, variant
     and worker count: the non-empty blocks of all chunks must have pairwise
-    distinct top coefficient vectors, or RuntimeError is raised.  A
-    collecting split also compares its merged key set with its pair count.
+    distinct top coefficient vectors, or RuntimeError is raised.
     """
     m, n = split
     box = EnumBox.build(m, n, H)
     h_list = _h_candidates(m, n, H, monic, box)
     if not h_list:
-        return 0, 0, set() if collect else None, 0
+        return 0, 0, None, 0
     chunk_list = _chunks(h_list, min(workers, os.cpu_count() or 1))
-    tasks = [(d, H, monic, box, chunk, collect, member, flag, budget) for chunk in chunk_list]
+    tasks = [(d, H, monic, box, chunk, lower, flag, budget) for chunk in chunk_list]
     if len(tasks) == 1:
         results = [_run_chunk(tasks[0])]
     else:
@@ -507,7 +507,7 @@ def _run_split(d, H, monic, split, workers, collect, member, flag, budget):
 
     pairs = sum(r[0] for r in results)
     flagged = sum(r[1] for r in results)
-    hits = sum(r[3] for r in results)
+    away = sum(r[3] for r in results)
     if pairs > budget:
         raise _pairs_budget_error(budget, m, n, H)
     blocks = sum(len(r[4]) for r in results)
@@ -516,37 +516,32 @@ def _run_split(d, H, monic, split, workers, collect, member, flag, budget):
         raise _uniqueness_error(
             m, n, H, f"{blocks} non-empty blocks but {len(tops)} distinct top coefficients"
         )
-    keys = None
-    if collect:
-        keys = results[0][2]
-        for r in results[1:]:
-            keys |= r[2]
-            if len(keys) > budget:
-                raise _keys_budget_error(budget, f"split ({m},{n}), H={H}")
-        if len(keys) != pairs:
-            raise _uniqueness_error(
-                m, n, H, f"{pairs} pairs but {len(keys)} distinct polynomials"
-            )
-    return pairs, flagged, keys, hits
+    return pairs, flagged, None, away
 
 
-def count_forward(q: CountQuery, workers: int = 1, budget: Optional[int] = None) -> CountResult:
-    """Constructive count: enumerate witnesses, deduplicate, scale by 2H+1.
+def check_budget(q: CountQuery, method: str, budget: Optional[int] = None) -> None:
+    """Raise BudgetError if q is refused up front by method, forward or oracle.
 
-    The count is exact and independent of the worker count.  Prime degrees
-    return 0 immediately, and the budget pre-check runs before the splits
-    are listed.  A total collects the keys of the non-dominant splits into
-    one union and runs the dominant split (d/l, l) against it as a sorted
-    list; the dominant split stores no keys.
+    Both count functions call it first, and a caller can run it over a whole
+    grid of queries before it writes any output.  Neither test builds a
+    power whose exponent grows with d before a bit-length test passes.
     """
-    t0 = time.perf_counter()
+    if method == "oracle":
+        if budget is None:
+            budget = DEFAULT_ORACLE_BUDGET
+        # The box has at least (2H+1)^d > 2^d polynomials, so a degree above
+        # budget.bit_length() is refused without building the power.
+        if q.d > budget.bit_length() or _box_size(q.d, q.H, q.monic) > budget:
+            raise BudgetError(
+                f"brute-force box of degree {q.d} at H={q.H} has more polynomials than "
+                f"the budget of {budget}; raise --budget to force"
+            )
+        return
     budget = _resolve_budget(budget)
-    d, H, monic = q.d, q.H, q.monic
-    base = 2 * H + 1
+    d, H = q.d, q.H
     ell = spf(d)
-
     if ell == d:
-        return CountResult(0, q, "forward", time.perf_counter() - t0, workers)
+        return  # prime degree: the count is 0 with no enumeration
     # The outer polynomials g of height <= H over h = x^n alone give every
     # split (m, n) this many witness pairs, so a query whose largest outer
     # degree exceeds the budget here would be refused later in any case.
@@ -554,66 +549,44 @@ def count_forward(q: CountQuery, workers: int = 1, budget: Optional[int] = None)
     m_max = q.split[0] if q.variant == "split" else d // ell
     if (
         m_max > budget.bit_length()
-        or (2 * H + 1) ** (m_max - 1) * (1 if monic else 2 * H) > budget
+        or (2 * H + 1) ** (m_max - 1) * (1 if q.monic else 2 * H) > budget
     ):
         raise BudgetError(
             f"split ({m_max},{d // m_max}) at H={H} has more witness pairs than the "
             f"budget of {budget}; raise {BUDGET_ENV} or --budget"
         )
 
-    if q.variant == "split":
-        pairs, _, _, _ = _run_split(d, H, monic, q.split, workers, False, None, False, budget)
-        count = pairs * base
-    elif q.variant == "indecomp_pair":
-        pairs, flagged, _, _ = _run_split(
-            d, H, monic, (d // ell, ell), workers, False, None, True, budget
-        )
-        count = flagged * base
-    else:  # total
-        splits = ordered_splits(d)
-        dominant = (d // ell, ell)
-        if len(splits) == 1:
-            pairs, _, _, _ = _run_split(d, H, monic, splits[0], workers, False, None, False, budget)
-            count = pairs * base
-        else:
-            union: Set[int] = set()
-            for s in splits:
-                if s == dominant:
-                    continue
-                union |= _run_split(d, H, monic, s, workers, True, None, False, budget)[2]
-                if len(union) > budget:
-                    raise _keys_budget_error(budget, f"total, d={d}, H={H}")
-            member = sorted(union)
-            del union
-            pairs, _, _, hits = _run_split(
-                d, H, monic, dominant, workers, False, member, False, budget
-            )
-            count = (pairs + len(member) - hits) * base
 
-    return CountResult(count, q, "forward", time.perf_counter() - t0, workers)
+def count_forward(q: CountQuery, workers: int = 1, budget: Optional[int] = None) -> CountResult:
+    """Constructive count: enumerate witness pairs, scale by 2H+1.
 
-
-def forward_key_set(
-    d: int, H: int, monic: bool, split: Tuple[int, int], budget: Optional[int] = None
-) -> Set[int]:
-    """The packed truncated-vector key set for one split (testing aid)."""
+    The count is exact and independent of the worker count.  Prime degrees
+    return 0 immediately, and check_budget runs before the splits are
+    listed.  A total sums over the splits (d/n, n) the pairs that are not
+    attributed away to a smaller inner degree n' < n, n' | d: each
+    decomposable polynomial counts once, in the split of its smallest inner
+    degree.  The dominant split (d/l, l), l the smallest prime factor of d,
+    has no smaller inner degree, so its pairs count with no test.
+    """
+    t0 = time.perf_counter()
     budget = _resolve_budget(budget)
-    _, _, keys, _ = _run_split(d, H, monic, split, 1, True, None, False, budget)
-    return keys if keys is not None else set()
+    check_budget(q, "forward", budget)
+    d, H, monic = q.d, q.H, q.monic
+    ell = spf(d)
 
-
-def pack_truncated(f: Poly, d: int, H: int) -> int:
-    """Pack the coefficients of x^1..x^d of f into the dedup key encoding."""
-    if len(f) != d + 1:
-        raise ValueError("polynomial length does not match degree")
-    base = 2 * H + 1
-    key = 0
-    for j in range(d, 0, -1):
-        c = f[j]
-        if c > H or c < -H:
-            raise ValueError("coefficient outside the height box")
-        key = key * base + (c + H)
-    return key
+    if ell == d:
+        count = 0
+    elif q.variant == "split":
+        count = _run_split(d, H, monic, q.split, workers, (), False, budget)[0]
+    elif q.variant == "indecomp_pair":
+        count = _run_split(d, H, monic, (d // ell, ell), workers, (), True, budget)[1]
+    else:  # total
+        count = 0
+        for split in ordered_splits(d):
+            lower = tuple(k for k in _inner_degrees(d) if k < split[1])
+            pairs, _, _, away = _run_split(d, H, monic, split, workers, lower, False, budget)
+            count += pairs - away
+    return CountResult(count * (2 * H + 1), q, "forward", time.perf_counter() - t0, workers)
 
 
 def iter_decompositions(
@@ -646,16 +619,6 @@ def iter_decompositions(
 def _box_size(d: int, H: int, monic: bool) -> int:
     side = 2 * H + 1
     return side**d if monic else 2 * H * side**d
-
-
-def _adic_digits(p: Poly, K: Poly, k: int) -> List[Poly]:
-    """The K-adic digits 0..k-1 of p (K monic), each padded to deg K entries."""
-    n = len(K) - 1
-    out = []
-    for _ in range(k):
-        p, r = _divmod_monic(p, K)
-        out.append(r + (0,) * (n - len(r)))
-    return out
 
 
 def _block_masks(
@@ -796,15 +759,7 @@ def count_bruteforce(q: CountQuery, budget: Optional[int] = None) -> CountResult
     equivalent to decompose_split(f, m, n) is not None.
     """
     t0 = time.perf_counter()
-    if budget is None:
-        budget = DEFAULT_ORACLE_BUDGET
-    # The box has at least (2H+1)^d > 2^d polynomials, so a degree above
-    # budget.bit_length() is refused without building the power.
-    if q.d > budget.bit_length() or _box_size(q.d, q.H, q.monic) > budget:
-        raise BudgetError(
-            f"brute-force box of degree {q.d} at H={q.H} has more polynomials than "
-            f"the budget of {budget}; raise --budget to force"
-        )
+    check_budget(q, "oracle", budget)
     H = q.H
     leads = [1] if q.monic else [a for a in range(-H, H + 1) if a]
     count = _oracle_count([range(-H, H + 1)] * q.d, leads, q.variant, q.split)

@@ -28,6 +28,7 @@ from .census import (
     BudgetError,
     CountQuery,
     CountResult,
+    check_budget,
     count_bruteforce,
     count_forward,
 )
@@ -153,20 +154,25 @@ def _cmd_count(args) -> int:
     for path in (args.output, manifest_path):
         if path:
             _check_writable(path)
+    queries = [CountQuery(args.degree, H, args.monic, variant, split) for H in grid]
+    methods = ("forward", "oracle") if args.method == "both" else (args.method,)
+    for q in queries:  # refuse before the first byte of output
+        for method in methods:
+            check_budget(q, method, args.budget)
     out = open(args.output, "w") if args.output else sys.stdout
     try:
         if args.out == "csv":
             out.write(CSV_HEADER + "\n")
-        for H in grid:
-            q = CountQuery(args.degree, H, args.monic, variant, split)
-            results: List[CountResult] = []
-            if args.method in ("forward", "both"):
-                results.append(count_forward(q, workers=args.jobs, budget=args.budget))
-            if args.method in ("oracle", "both"):
-                results.append(count_bruteforce(q, budget=args.budget))
-            if args.method == "both" and results[0].count != results[1].count:
+        for q in queries:
+            results = [
+                count_forward(q, workers=args.jobs, budget=args.budget)
+                if method == "forward"
+                else count_bruteforce(q, budget=args.budget)
+                for method in methods
+            ]
+            if len(results) == 2 and results[0].count != results[1].count:
                 raise RuntimeError(
-                    f"method disagreement at d={q.d}, H={H}: "
+                    f"method disagreement at d={q.d}, H={q.H}: "
                     f"forward={results[0].count} oracle={results[1].count}"
                 )
             for r in results:

@@ -17,6 +17,9 @@ exact stages:
    every expansion coefficient is a constant, and the first non-constant
    one ends the test.
 
+decomposable_on_line runs both stages on a whole line f0 + a*v at once:
+the candidate does not depend on a, and the expansion is linear in a.
+
 A decomposition over the complex numbers forces the candidate, and an
 integer witness exists whenever a complex one does, so a failed test is
 conclusive.  Witnesses are mapped back to a canonical gauge: h(0) = 0,
@@ -30,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm
-from typing import List, Optional, Set, Tuple
+from typing import Iterator, List, Optional, Sequence, Set, Tuple
 
 from .asymptotics import spf
 from .poly_core import (
@@ -71,25 +74,20 @@ class Decomposition:
             raise ValueError("inner witness must have positive leading coefficient")
 
 
-def _divmod_monic(f, h):
-    """Exact (quotient, remainder) for division by a monic polynomial.
-
-    Synthetic division: needs no coefficient inversions, so it stays in the
-    coefficient ring (works for int and Fraction alike).
-    """
-    n = degree(h)
-    if degree(f) < n:
-        return (), tuple(f)
-    rem = list(f)
-    qlen = len(f) - n
-    quo = [0] * qlen
-    for i in range(qlen - 1, -1, -1):
-        c = rem[i + n]
-        quo[i] = c
-        if c:
-            for j in range(n + 1):
-                rem[i + j] -= c * h[j]
-    return normalize(quo), normalize(rem[:n])
+def _adic_digits(p: Poly, K: Poly, k: int) -> Iterator[Poly]:
+    """The K-adic digits 0..k-1 of p (K monic), each padded to deg K entries."""
+    n = len(K) - 1
+    p = list(p)
+    for _ in range(k):
+        # synthetic division in place: p[n:] becomes the quotient, p[:n] the
+        # remainder, as each p[i] is final when the loop reaches it
+        for i in range(len(p) - 1, n - 1, -1):
+            c = p[i]
+            if c:
+                for j in range(n):
+                    p[i - n + j] -= c * K[j]
+        yield tuple(p[:n]) + (0,) * (n - len(p))
+        p = p[n:]
 
 
 def _check_split(f, m, n):
@@ -101,8 +99,10 @@ def _check_split(f, m, n):
 
 def _monic_conjugate(f: Poly) -> Poly:
     """c**(d-1) * f(x/c) for c = lead(f), d = deg f: monic and integral."""
-    d = degree(f)
     c = f[-1]
+    if c == 1:
+        return tuple(f)
+    d = degree(f)
     return tuple(f[i] * c ** (d - 1 - i) for i in range(d)) + (1,)
 
 
@@ -135,16 +135,11 @@ def _split_unit_lead(f: Poly, m: int, n: int) -> Optional[Tuple[Poly, Poly]]:
     h = _integer_candidate(f, m, n)
     if h is None:
         return None
-    cur: Poly = f
     gs = []
-    while degree(cur) >= n:
-        cur, rem = _divmod_monic(cur, h)
-        if degree(rem) > 0:
+    for r in _adic_digits(f, h, m + 1):
+        if any(r[1:]):
             return None
-        gs.append(rem[0] if rem else 0)
-    if degree(cur) > 0:
-        return None
-    gs.append(cur[0] if cur else 0)
+        gs.append(r[0])
     g = normalize(gs)
     if degree(g) != m:
         return None
@@ -220,39 +215,64 @@ def is_decomposable(f: Poly) -> bool:
     return False
 
 
-def decomposable_linear_terms(g0: Poly) -> Set[int]:
-    """Every integer a for which g0 + a*x is decomposable (g0 has no x term).
+def _line_points(F: Poly, V: Poly, K: Poly, m: int) -> Optional[Set[int]]:
+    """The a with F + a*V = G(K) for some G: a set of at most one a, or None
+    for every a.  Needs F monic of degree m*deg K and K F's candidate inner.
 
-    One integer candidate solve per inner degree n decides the whole line.
-    The monic conjugate c**(m-1) * g(x/c), c = lead(g0), m = deg g0, has
-    integer coefficients and decomposes exactly when g does; its x term is
-    a*c**(m-2).  The candidate inner reads only the coefficients of
-    x**(m-1) .. x**(m-n+1), none of which is x**1, and a*x lands wholly in
-    the h-adic coefficient c_0, so each n admits at most one a: the one
-    that cancels the linear part of c_0.
+    F + a*V = G(K) iff the non-constant parts of its K-adic digits 0..m-2
+    vanish (census._block_masks holds the proof).  The digits are linear in
+    a, so each coefficient t >= 1 of digit k is one equation b + a*w = 0,
+    b and w the same coefficient of F's and of V's digit k.
     """
-    m = degree(g0)
-    if m < 2 or g0[1]:
-        raise ValueError("need degree >= 2 and a zero linear coefficient")
-    monic = _monic_conjugate(g0)
-    scale = g0[-1] ** (m - 2)
+    a = None  # the one a the equations so far allow; None while every a passes
+    for r, s in zip(_adic_digits(F, K, m - 1), _adic_digits(V, K, m - 1)):
+        for b, w in zip(r[1:], s[1:]):
+            if w:
+                q, rem = divmod(-b, w)
+                if rem or a not in (None, q):
+                    return set()
+                a = q
+            elif b:
+                return set()
+    return None if a is None else {a}
+
+
+def decomposable_on_line(
+    f0: Poly, v: Poly, inner_degrees: Sequence[int], candidates: Optional[dict] = None
+) -> Optional[Set[int]]:
+    """The integers a for which f0 + a*v decomposes with an inner of one of
+    inner_degrees; None when every integer a does.
+
+    f0 has degree d, and v has degree at most d - n for every listed n.
+    Then with c = lead(f0) the monic conjugate of f0 + a*v is F + a*V,
+    F that of f0 and V_i = v_i * c**(d-1-i): linear in a.  The candidate
+    inner of the split (d/n, n) reads only x**(d-n+1)..x**(d-1), which v
+    does not reach, so one candidate solve per n decides the whole line:
+    no a when the candidate is not integral, else the a of _line_points.
+    candidates memoizes the solves across calls, keyed by the coefficients
+    they read; pass one dict to calls that share them.
+    """
+    d = degree(f0)
+    if inner_degrees and degree(v) > d - max(inner_degrees):
+        raise ValueError("the direction reaches the coefficients that fix the candidate inner")
+    c = f0[-1]
+    F = _monic_conjugate(f0)
+    V = tuple(v[i] * c ** (d - 1 - i) for i in range(len(v)))
+    if candidates is None:
+        candidates = {}
     out: Set[int] = set()
-    for n in _inner_degrees(m):
-        h = _integer_candidate(monic, m // n, n)
-        if h is None:
+    for n in inner_degrees:
+        m = d // n
+        key = (m, n, F[d - n + 1 : d])
+        if key not in candidates:
+            candidates[key] = _integer_candidate(F, m, n)
+        K = candidates[key]
+        if K is None:
             continue
-        cur, c0 = _divmod_monic(monic, h)
-        if degree(c0) > 1:
-            continue
-        a, r = divmod(-c0[1] if degree(c0) == 1 else 0, scale)
-        if r:
-            continue
-        while degree(cur) >= n:
-            cur, rem = _divmod_monic(cur, h)
-            if degree(rem) > 0:
-                break
-        else:
-            out.add(a)
+        got = _line_points(F, V, K, m)
+        if got is None:
+            return None
+        out |= got
     return out
 
 

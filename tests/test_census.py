@@ -1,8 +1,10 @@
+import functools
 import itertools
 import random
 from math import gcd, prod
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -14,18 +16,51 @@ from polycensus.census import (
     count_bruteforce,
     count_forward,
     explicit_constants_sq,
-    forward_key_set,
     iter_decompositions,
     ordered_splits,
-    pack_truncated,
     _h_candidates,
     _int_root,
     _oracle_count,
     _run_chunk,
 )
 from polycensus.asymptotics import spf
-from polycensus.decompose import decompose_split, is_decomposable
-from polycensus.poly_core import compose, height, poly_pow
+from polycensus.decompose import decomposable_on_line, decompose_split, is_decomposable
+from polycensus.poly_core import add, compose, height, poly_pow
+
+
+def pack_truncated(f, d, H):
+    """Pack the coefficients of x^1..x^d of f into one integer: digits c + H
+    in base 2H+1, x^d most significant, the constant term dropped."""
+    if len(f) != d + 1:
+        raise ValueError("polynomial length does not match degree")
+    key = 0
+    for c in reversed(f[1:]):
+        if c > H or c < -H:
+            raise ValueError("coefficient outside the height box")
+        key = key * (2 * H + 1) + (c + H)
+    return key
+
+
+def forward_key_set(d, H, monic, split):
+    """The packed polynomials of one split's enumerated witness pairs, the
+    reference that the forward counts are checked against."""
+    keys, pairs, run = set(), 0, None
+    for g, h in iter_decompositions(d, H, monic, split):
+        # the pairs come in runs that differ only in g's x term: one compose
+        # per run, then g(h) = (g - g_1 x)(h) + g_1 h
+        if (g[2:], h) != run:
+            run, f0 = (g[2:], h), compose((0, 0) + g[2:], h)
+        keys.add(pack_truncated(add(f0, tuple(g[1] * c for c in h)), d, H))
+        pairs += 1
+    assert len(keys) == pairs, "two witness pairs give one polynomial"
+    return keys
+
+
+@functools.lru_cache(maxsize=None)
+def union_key_set(d, H, monic):
+    """The union of every split's forward_key_set, shared by repeated draws."""
+    return frozenset().union(*(forward_key_set(d, H, monic, s) for s in ordered_splits(d)))
+
 
 # exhaustively derived once with count_bruteforce over all 625 monic
 # quartics of height <= 2 and pinned before the forward enumerator existed
@@ -388,26 +423,64 @@ def test_uniqueness_recheck_catches_keys_out_of_order(monkeypatch):
         count_forward(CountQuery(6, 3, True, "split", (3, 2)))
 
 
-# largest H drawn per (d, monic); each draw takes well under a second
+# largest H drawn per (d, monic); each count takes well under a second, and
+# union_key_set builds each reference once (about 3 s for non-monic d = 16)
 TOTAL_HEIGHTS = {
     (4, True): 12, (4, False): 8, (6, True): 8, (6, False): 6, (8, True): 6,
-    (8, False): 4, (9, True): 6, (9, False): 4, (12, True): 3, (12, False): 2,
+    (8, False): 4, (9, True): 6, (9, False): 4, (10, True): 3, (10, False): 3,
+    (12, True): 3, (12, False): 2, (16, True): 2, (16, False): 2,
 }
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(sorted(TOTAL_HEIGHTS)), st.sampled_from([1, 2]), st.data())
 def test_total_matches_union_of_split_key_sets(dm, workers, data):
-    # the total's one-range-search-per-leaf membership against the plain
+    # the total's attribution to the smallest inner degree against the plain
     # union of every split's key set, and against the oracle where it fits
     d, monic = dm
     H = data.draw(st.integers(2, TOTAL_HEIGHTS[dm]), label="H")
     q = CountQuery(d, H, monic, "total")
-    union = set().union(*(forward_key_set(d, H, monic, s) for s in ordered_splits(d)))
     count = count_forward(q, workers=workers).count
-    assert count == (2 * H + 1) * len(union)
+    assert count == (2 * H + 1) * len(union_key_set(d, H, monic))
     if census._box_size(d, H, monic) <= 20_000:
         assert count == count_bruteforce(q).count
+
+
+def test_two_inner_degrees_counted_once():
+    # f = (x^2+x)^4 + c is g(h) in the splits (4,2) and (2,4); the total counts
+    # it in (4,2), and its (2,4) leaf, f = h^2 + a*h, is attributed away whole
+    d, H = 8, 6
+    h = (0, 0, 1, 2, 1)  # (x^2+x)^2
+    f = compose((0, 0, 1), h)
+    assert height(f) == H
+    key = pack_truncated(f, d, H)
+    assert key in forward_key_set(d, H, True, (4, 2))
+    assert key in forward_key_set(d, H, True, (2, 4))
+    box = EnumBox.build(2, 4, H)
+    leaves = []
+    census._walk_outer(
+        h, H, True, box, lambda P, prefix, lo, hi: leaves.append((tuple(P), prefix[:], lo, hi))
+    )
+    [(P, lo, hi)] = [(P, lo, hi) for P, prefix, lo, hi in leaves if prefix == [1]]
+    assert lo <= 0 <= hi and P == f
+    assert decomposable_on_line(P, h, (2,)) is None
+    pairs, _, _, away, _ = _run_chunk((d, H, True, box, [h], (2,), False, 10**9))
+    assert pairs == away == hi - lo + 1  # a_2 = 1 is the only leaf of this h
+    count = count_forward(CountQuery(d, H, True, "total")).count
+    assert count == (2 * H + 1) * len(union_key_set(d, H, True))
+
+
+def test_composite_smaller_inner_degree_attributes_away(monkeypatch):
+    # f = (x^4+x)^4 + a(x^4+x)^2 lies in the splits (4,4) and (2,8) but not
+    # in (8,2), as x^4+x is indecomposable; only the composite inner degree
+    # 4 attributes its (2,8) pairs away.  The inners are cut to this family.
+    d, H = 16, 6
+    h4 = (0, 1, 0, 0, 1)
+    only = {(4, 4): [h4], (2, 8): [compose((0, 0, 1), h4)]}
+    monkeypatch.setattr(census, "_h_candidates", lambda m, n, *rest: only.get((m, n), []))
+    keys4 = forward_key_set(d, H, True, (4, 4))
+    assert forward_key_set(d, H, True, (2, 8)) <= keys4
+    assert count_forward(CountQuery(d, H, True, "total")).count == (2 * H + 1) * len(keys4)
 
 
 def test_budget_refusals():
@@ -415,12 +488,6 @@ def test_budget_refusals():
         count_bruteforce(CountQuery(4, 50, True, "total"))
     with pytest.raises(BudgetError):
         count_forward(CountQuery(4, 100, True, "total"), budget=10)
-
-
-def test_keys_budget_refusal():
-    # one split's stored keys exceed the budget before its pairs do
-    with pytest.raises(BudgetError, match="stored keys"):
-        forward_key_set(4, 6, True, (2, 2), budget=5)
 
 
 def test_budget_env_override(monkeypatch):
@@ -523,9 +590,10 @@ def test_low_coefficient_cut_drops_only_dead_inners(case):
     assert cut == [h for h in full if passes_low_tests(h, H)]
     kept = set(cut)
     dropped = [h for h in full if h not in kept]
-    assert _run_chunk((d, H, monic, box, dropped, False, None, False, 10**9))[0] == 0
-    keys = _run_chunk((d, H, monic, box, full, True, None, False, 10**9))[2]
-    assert forward_key_set(d, H, monic, (2, n)) == keys
+    assert _run_chunk((d, H, monic, box, dropped, (), False, 10**9))[0] == 0
+    # every pair of the unpruned inners is one of the cut enumeration's polynomials
+    pairs = _run_chunk((d, H, monic, box, full, (), False, 10**9))[0]
+    assert len(forward_key_set(d, H, monic, (2, n))) == pairs
 
 
 def test_iter_decompositions_matches_counts():
@@ -542,14 +610,26 @@ def test_iter_decompositions_matches_counts():
 @pytest.mark.parametrize("split", [(3, 2), (4, 2), (2, 3), (3, 3)])
 def test_iter_decompositions_outer_order_at_m_ge_3(split, monic):
     # at m >= 3 the outer tail a_2..a_m has several entries, so a reversed or
-    # shifted tail gives polynomials off the enumerated key set
+    # shifted tail gives polynomials off the oracle's set of the split
     m, n = split
     d, H = m * n, 2
     pairs = list(iter_decompositions(d, H, monic, split))
-    keys = {pack_truncated(compose(g, h), d, H) for g, h in pairs}
-    assert keys == forward_key_set(d, H, monic, split)
-    assert len(pairs) == len(keys)
+    assert forward_key_set(d, H, monic, split) == oracle_key_set(d, H, monic, split)
     assert all(len(g) == m + 1 and g[0] == 0 and len(h) == n + 1 for g, h in pairs)
+
+
+def oracle_key_set(d, H, monic, split):
+    """The packed polynomials of the height box that the block oracle finds
+    (d/n, n)-decomposable, n = split[1]."""
+    n = split[1]
+    ranges = [range(-H, H + 1)] * d
+    keys = set()
+    for c in box_leads(H, monic):
+        for top, mask in census._block_masks(ranges, c, n):
+            for idx in zip(*np.nonzero(mask)):
+                f = tuple(ranges[i][idx[-1 - i]] for i in range(d - n + 1))
+                keys.add(pack_truncated(f + tuple(reversed(top)) + (c,), d, H))
+    return keys
 
 
 def test_witness_uniqueness_non_monic_box():

@@ -146,9 +146,12 @@ def test_exit_codes(tmp_path):
         ["count", "--degree", "6200", "--height-max", "2", "--method", "oracle"],
         ["count", "--degree", "20000000", "--height-max", "2", "--method", "oracle"],
         ["count", "--degree", "4000002", "--height-max", "2"],
+        ["count", "--degree", "20000001", "--height-max", "2"],
+        ["count", "--degree", "4", "--grid", "2,50", "--method", "both"],
     ):
-        code, _, err = capture(argv)
+        code, out, err = capture(argv)
         assert code == 2 and err.startswith("error:") and "budget" in err
+        assert out == ""  # no CSV header before the refusal
         assert len(err.strip().splitlines()) == 1
     code, out, err = capture(["verify", "--criteria", "99"])
     assert code == 2 and out == "" and err.startswith("error:") and "unknown criterion" in err

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from polycensus.census import EnumBox, explicit_constants_sq
 from polycensus.decompose import (
-    _divmod_monic,
-    decomposable_linear_terms,
+    _inner_degrees,
+    decomposable_on_line,
     decompose_split,
     full_decomposition,
     is_decomposable,
@@ -32,12 +32,27 @@ def candidate_h(f, m, n):
     return tuple(bs)
 
 
+def divmod_monic(f, h):
+    """Exact (quotient, remainder) for division by a monic h: synthetic
+    division, which needs no coefficient inversion."""
+    n = degree(h)
+    if degree(f) < n:
+        return (), tuple(f)
+    rem = list(f)
+    quo = [0] * (len(f) - n)
+    for i in range(len(quo) - 1, -1, -1):
+        c = quo[i] = rem[i + n]
+        for j in range(n + 1):
+            rem[i + j] -= c * h[j]
+    return normalize(quo), normalize(rem[:n])
+
+
 def hadic_coefficients(f, h):
     """The c_i with f = sum c_i * h**i and deg c_i < deg h, for a monic h."""
     cur = tuple(Fraction(c) for c in f)
     out = []
     while degree(cur) >= degree(h):
-        cur, r = _divmod_monic(cur, h)
+        cur, r = divmod_monic(cur, h)
         out.append(r)
     out.append(cur)
     return out
@@ -265,40 +280,72 @@ def test_unit_lead_path_matches_rational_path(case):
         assert (w.g, w.h) == ref
 
 
+def small_inner(draw, n):
+    return (0,) + tuple(draw(SMALL) for _ in range(n - 1)) + (draw(st.sampled_from((1, -1, 2))),)
+
+
+# (d, n): splits (d/n, n) that have smaller inner degrees n' < n, n' | d
+LINE_SPLITS = ((8, 4), (12, 4), (12, 6), (16, 4), (16, 8), (18, 6), (18, 9))
+
+
 @st.composite
-def linear_free_outers(draw):
-    """(g0, hit): g0 has no x term; hit is a known decomposable a, or None.
+def lines(draw):
+    """(f0, v, degrees, hit, every): the line f0 + a*v, the inner degrees to
+    test, a known decomposable a (or None), and whether every a is.
 
-    Half the draws are compositions g(h) with their x term moved into hit,
-    so the window around hit always holds a decomposable member.
+    kind x: v = x and every inner degree of deg f0, as the indecomposable-
+    pair flag calls it.  kind h: v an inner of degree n and the n' < n, as
+    the attribution calls it.  Half of these draws are a composition g(h1),
+    deg h1 in degrees, moved by -hit*v.  kind every: v = k(h1) and
+    f0 = g(h1), so f0 + a*v = (g + a*k)(h1) for every a.
     """
-    m = draw(st.sampled_from((4, 6, 8, 9, 12, 5, 7)))
-    c = draw(st.sampled_from(LEADS))
-    inner = [n for n in range(2, m // 2 + 1) if m % n == 0]
-    if inner and draw(st.booleans()):
-        n = draw(st.sampled_from(inner))
-        g = tuple(draw(SMALL) for _ in range(m // n)) + (c,)
-        h = (0,) + tuple(draw(SMALL) for _ in range(n - 1)) + (draw(st.sampled_from((1, -1, 2))),)
-        f = compose(g, h)
-        return (f[0], 0) + f[2:], f[1]
-    return (draw(SMALL), 0) + tuple(draw(SMALL) for _ in range(m - 2)) + (c,), None
+    kind = draw(st.sampled_from(("x", "h", "every")), label="kind")
+    c = draw(st.sampled_from(LEADS), label="lead")
+    if kind == "x":
+        d = draw(st.sampled_from((4, 6, 8, 9, 12, 5, 7)))
+        v, degrees = (0, 1), _inner_degrees(d)
+    else:
+        d, n = draw(st.sampled_from(LINE_SPLITS))
+        v, degrees = small_inner(draw, n), tuple(k for k in _inner_degrees(d) if k < n)
+    if kind == "every":
+        n1 = draw(st.sampled_from([k for k in degrees if n % k == 0]))
+        h1 = small_inner(draw, n1)
+        g = tuple(draw(SMALL) for _ in range(d // n1)) + (c,)
+        return compose(g, h1), compose(small_inner(draw, n // n1), h1), degrees, None, True
+    if degrees and draw(st.booleans()):
+        n1 = draw(st.sampled_from(degrees))
+        g = tuple(draw(SMALL) for _ in range(d // n1)) + (c,)
+        f, hit = compose(g, small_inner(draw, n1)), draw(SMALL)
+        return on_line(f, v, -hit), v, degrees, hit, False
+    return tuple(draw(SMALL) for _ in range(d)) + (c,), v, degrees, None, False
 
 
-@settings(max_examples=60, deadline=None)
-@given(linear_free_outers())
-def test_decomposable_linear_terms_matches_per_a_tests(case):
-    g0, hit = case
-    got = decomposable_linear_terms(g0)
-    if degree(g0) in (5, 7):
-        assert got == set()
-    if hit is not None:
-        assert hit in got
+def on_line(f0, v, a):
+    return tuple(c + a * (v[i] if i < len(v) else 0) for i, c in enumerate(f0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(lines())
+def test_decomposable_on_line_matches_per_a_tests(case):
+    f0, v, degrees, hit, every = case
+    d = degree(f0)
+    candidates = {}
+    got = decomposable_on_line(f0, v, degrees, candidates)
+    assert decomposable_on_line(f0, v, degrees, candidates) == got  # memoized solves
+    assert got is None or not every
+    if got is not None:
+        assert len(got) <= len(degrees)  # at most one a per inner degree
+        assert hit is None or hit in got
     centre = hit or 0
-    window = range(centre - 10, centre + 11)
-    slow = {a for a in window if is_decomposable((g0[0], a) + g0[2:])}
-    assert {a for a in got if a in window} == slow
+    window = range(centre - 6, centre + 7)
+    slow = {
+        a for a in window
+        if any(decompose_split(on_line(f0, v, a), d // n, n) is not None for n in degrees)
+    }
+    assert slow == (set(window) if got is None else {a for a in got if a in window})
 
 
-def test_decomposable_linear_terms_rejects_linear_term():
+def test_decomposable_on_line_rejects_high_direction():
+    # x^3 reaches the x^3 coefficient that fixes the degree-2 candidate of a quartic
     with pytest.raises(ValueError):
-        decomposable_linear_terms((0, 1, 0, 0, 1))
+        decomposable_on_line((0, 1, 0, 0, 1), (0, 0, 0, 1), (2,))
