@@ -8,8 +8,9 @@ Two independent routes produce every count:
   monic conjugate, so one candidate solve rejects the whole block or leaves
   (m, n)-decomposability as (m-1)(n-1) integer-linear equations in the
   remaining coefficients (the non-constant parts of F's K-adic digits
-  0..m-2), evaluated over the block with numpy (_block_masks holds the
-  proof).  A total ORs the split masks, one bool per polynomial.
+  0..m-2, proved sufficient in the decompose module docstring), evaluated
+  over the block with numpy.  A total ORs the split masks, one bool per
+  polynomial.
 * count_forward generates the polynomials constructively, enumerating
   normalized inner polynomials h (h(0) = 0, positive leading coefficient,
   monic in the monic regime) inside a provably sufficient height box, then
@@ -58,7 +59,6 @@ from .poly_core import Poly, mul, poly_pow
 
 DEFAULT_SET_BUDGET = 200_000_000   # witness pairs per split
 DEFAULT_ORACLE_BUDGET = 3_000_000  # brute-force box size
-BUDGET_ENV = "POLYCENSUS_BUDGET"
 _INT64_LIMIT = 1 << 62  # oracle rows bounded below this evaluate in int64
 
 VARIANTS = ("total", "split", "indecomp_pair")
@@ -170,15 +170,6 @@ class CountResult:
 def ordered_splits(d: int) -> List[Tuple[int, int]]:
     """All ordered pairs (m, n) with m, n >= 2 and m*n = d."""
     return [(m, d // m) for m in range(2, d // 2 + 1) if d % m == 0]
-
-
-def _resolve_budget(budget: Optional[int]) -> int:
-    if budget is not None:
-        return budget
-    env = os.environ.get(BUDGET_ENV)
-    if env:
-        return int(env)
-    return DEFAULT_SET_BUDGET
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +313,7 @@ def _uniqueness_error(m: int, n: int, H: int, detail: str) -> RuntimeError:
 def _pairs_budget_error(budget: int, m: int, n: int, H: int) -> BudgetError:
     return BudgetError(
         f"enumeration exceeded budget of {budget} witness pairs "
-        f"(split ({m},{n}), H={H}); raise {BUDGET_ENV} or --budget"
+        f"(split ({m},{n}), H={H}); raise --budget"
     )
 
 
@@ -537,7 +528,8 @@ def check_budget(q: CountQuery, method: str, budget: Optional[int] = None) -> No
                 f"the budget of {budget}; raise --budget to force"
             )
         return
-    budget = _resolve_budget(budget)
+    if budget is None:
+        budget = DEFAULT_SET_BUDGET
     d, H = q.d, q.H
     ell = spf(d)
     if ell == d:
@@ -553,7 +545,7 @@ def check_budget(q: CountQuery, method: str, budget: Optional[int] = None) -> No
     ):
         raise BudgetError(
             f"split ({m_max},{d // m_max}) at H={H} has more witness pairs than the "
-            f"budget of {budget}; raise {BUDGET_ENV} or --budget"
+            f"budget of {budget}; raise --budget"
         )
 
 
@@ -569,7 +561,8 @@ def count_forward(q: CountQuery, workers: int = 1, budget: Optional[int] = None)
     has no smaller inner degree, so its pairs count with no test.
     """
     t0 = time.perf_counter()
-    budget = _resolve_budget(budget)
+    if budget is None:
+        budget = DEFAULT_SET_BUDGET
     check_budget(q, "forward", budget)
     d, H, monic = q.d, q.H, q.monic
     ell = spf(d)
@@ -631,30 +624,15 @@ def _block_masks(
     bool array over its axes f_(d-n), .., f_0, True exactly where f is
     (d/n, n)-decomposable.  Blocks without a hit are not yielded.
 
-    Why the mask is decompose_split(f, m, n) is not None, m = d/n.  That
-    call decides whether f = g(h) over the complex numbers with deg g = m,
-    deg h = n.  F(x) = c^(d-1) f(x/c), F_i = f_i c^(d-1-i), is monic and
-    integral, and x -> cx carries decompositions of f to those of F and back.
-    Every decomposition of F can be normalized to F = G(K) with K monic,
-    K(0) = 0 (an affine change of the inner), and then K is unique: F and K^m
-    agree on x^(d-1)..x^(d-n+1), which fixes K's coefficients one by one, the
-    triangular solve of _integer_candidate.  For a decomposable F that K is
-    integral (decompose._integer_candidate), so a None from the solve
-    rejects the whole block, all of whose F share those coefficients.
-    Otherwise expand F in the unique K-adic form F = sum_k r_k K^k with
-    deg r_k < n; the r_k are integral as K is monic, and F = G(K) for some G
-    iff every digit r_k is a constant.  Three facts leave digits 0..m-2:
-      * F is monic of degree mn = deg K^m, so its digit m is 1 and it has no
-        digit above m;
-      * F - K^m has degree at most (m-1)n, as K is built from F's top
-        coefficients, so F's digit m-1, which is that of F - K^m, has
-        degree at most 0: a constant;
-      * the digits are linear in F, and f_0 (x^0 = 1) reaches only the
-        constant of digit 0.
-    So f is decomposable iff the non-constant parts of digits 0..m-2 of F
-    vanish: (m-1)(n-1) integer-linear equations A_K (f_1..f_(d-n)) + b_K
-    = 0, where column j of A_K holds those parts of c^(d-1-j) x^j and b_K
-    those of F's fixed top x^d + sum_(i>d-n) F_i x^i.
+    Why the mask is decompose_split(f, m, n) is not None, m = d/n: f
+    decomposes exactly when its monic conjugate F, F_i = f_i c^(d-1-i),
+    does, and F does iff the solve of _integer_candidate on F's top
+    coefficients (shared by the whole block) gives an integral K and the
+    non-constant parts of F's K-adic digits 0..m-2 vanish; the decompose
+    module docstring holds the proof.  Those parts are (m-1)(n-1)
+    integer-linear equations A_K (f_1..f_(d-n)) + b_K = 0, where column j
+    of A_K holds those parts of c^(d-1-j) x^j and b_K those of F's fixed
+    top x^d + sum_(i>d-n) F_i x^i.
 
     One row at a time is evaluated by broadcasting over the block's axes
     f_(d-n)..f_1 and ANDed into the mask, which has an entry for every f of

@@ -127,8 +127,11 @@ def _parse_grid(args) -> List[int]:
         k = int(args.grid.split(":", 1)[1])
         if k < 1:
             raise ValueError("geometric grid needs at least one point")
-        pts = sorted({max(2, round(args.height_max / 2**i)) for i in range(k)})
-        return pts
+        H = args.height_max
+        if H < 2:
+            raise ValueError("degree and height must both be >= 2")
+        # every point past i = H.bit_length() is 2, which that i already gives
+        return sorted({max(2, round(H / 2**i)) for i in range(min(k, H.bit_length() + 1))})
     try:
         pts = [int(p) for p in args.grid.split(",")]
     except ValueError:

@@ -5,20 +5,41 @@ kernel.  With c = lead(f) and d = m*n, the monic conjugate
 
     F(x) = c**(d-1) * f(x/c),   F_i = f_i * c**(d-1-i),
 
-has integer coefficients and decomposes exactly when f does (skipped when
-|c| = 1, which the kernel handles directly).  On F the test runs in two
-exact stages:
+has integer coefficients and decomposes exactly when f does, as x -> c*x
+carries decompositions of f to those of F and back (F = f when c = 1).  On
+F the test runs in two exact stages:
 
 1. Solve for the unique monic candidate inner K with K(0) = 0 whose top
    coefficients match F (a triangular solve).  The candidate of a
-   decomposable unit-lead polynomial is integral, so a division remainder
+   decomposable monic polynomial is integral, so a division remainder
    rejects the split.
 2. Expand F in powers of K by synthetic division; F = G(K) exactly when
    every expansion coefficient is a constant, and the first non-constant
    one ends the test.
 
-decomposable_on_line runs both stages on a whole line f0 + a*v at once:
-the candidate does not depend on a, and the expansion is linear in a.
+Why K and the digits 0..m-2 decide (m, n)-decomposability.  Every
+decomposition of F can be normalized to F = G(K) with K monic, K(0) = 0
+(an affine change of the inner), and then K is unique: F and K^m agree on
+x^(d-1)..x^(d-n+1), which fixes K's coefficients one by one, the triangular
+solve of _integer_candidate.  For a decomposable F that K is integral (its
+factors K - beta over the roots beta of G have algebraic-integer
+coefficients), so a None from the solve rejects every F that shares those
+top coefficients.  Otherwise expand F in the unique K-adic form
+F = sum_k r_k K^k with deg r_k < n; the r_k are integral as K is monic,
+and F = G(K) for some G iff every digit r_k is a constant.  Three facts
+leave digits 0..m-2:
+  * F is monic of degree mn = deg K^m, so its digit m is 1 and it has no
+    digit above m;
+  * F - K^m has degree at most (m-1)n, as K is built from F's top
+    coefficients, so F's digit m-1, which is that of F - K^m, has degree
+    at most 0: a constant;
+  * the digits are linear in F, and F_0 (x^0 = 1) reaches only the
+    constant of digit 0.
+So F decomposes iff the non-constant parts of its digits 0..m-2 vanish:
+(m-1)(n-1) equations, linear in the coefficients F_1..F_(d-n) that K does
+not read.  decomposable_on_line solves them along a whole line f0 + a*v
+(the candidate does not depend on a, and the digits are linear in a), and
+census._block_masks evaluates them over a block of the oracle's box.
 
 A decomposition over the complex numbers forces the candidate, and an
 integer witness exists whenever a complex one does, so a failed test is
@@ -41,7 +62,6 @@ from .poly_core import (
     compose,
     degree,
     lead,
-    normalize,
     poly_pow,
 )
 
@@ -106,44 +126,23 @@ def _monic_conjugate(f: Poly) -> Poly:
     return tuple(f[i] * c ** (d - 1 - i) for i in range(d)) + (1,)
 
 
-def _integer_candidate(f: Poly, m: int, n: int) -> Optional[Poly]:
-    """The candidate inner of a unit-lead f for the split (m, n), or None.
+def _integer_candidate(F: Poly, m: int, n: int) -> Optional[Poly]:
+    """The candidate inner K of a monic F for the split (m, n), or None.
 
-    The candidate of a decomposable unit-lead f is necessarily integral
-    (its factors h - beta over the roots beta of g have algebraic-integer
-    coefficients), so any division remainder in the solve rejects the split.
+    K is monic with K(0) = 0, and F and K**m agree on x**(d-1)..x**(d-n+1).
+    The candidate of a decomposable monic F is integral (see the module
+    docstring), so any division remainder in the solve rejects the split.
     """
     d = m * n
-    a = f[-1]
     bs = [0] * (n + 1)
     bs[n] = 1
     for k in range(1, n):
         hm = poly_pow(tuple(bs), m)
-        delta = f[d - k] - a * hm[d - k]
-        b, r = divmod(delta, a * m)
+        b, r = divmod(F[d - k] - hm[d - k], m)
         if r:
             return None
         bs[n - k] = b
     return tuple(bs)
-
-
-def _split_unit_lead(f: Poly, m: int, n: int) -> Optional[Tuple[Poly, Poly]]:
-    """(g, h) with f = g(h), h the monic candidate, for |lead(f)| = 1; or None.
-
-    Exits at the first non-constant h-adic expansion coefficient.
-    """
-    h = _integer_candidate(f, m, n)
-    if h is None:
-        return None
-    gs = []
-    for r in _adic_digits(f, h, m + 1):
-        if any(r[1:]):
-            return None
-        gs.append(r[0])
-    g = normalize(gs)
-    if degree(g) != m:
-        return None
-    return g, h
 
 
 def _unconjugate(G: Poly, K: Poly, c: int, m: int, n: int) -> Tuple[Poly, Poly]:
@@ -180,12 +179,16 @@ def decompose_split(f: Poly, m: int, n: int) -> Optional[Decomposition]:
     exists over the complex numbers, hence none over the integers.
     """
     _check_split(f, m, n)
-    c = f[-1]
-    unit = abs(c) == 1
-    got = _split_unit_lead(f if unit else _monic_conjugate(f), m, n)
-    if got is None:
+    F = _monic_conjugate(f)
+    K = _integer_candidate(F, m, n)
+    if K is None:
         return None
-    g, h = got if unit else _unconjugate(*got, c, m, n)
+    G = []
+    for r in _adic_digits(F, K, m + 1):
+        if any(r[1:]):
+            return None
+        G.append(r[0])
+    g, h = _unconjugate(tuple(G), K, f[-1], m, n)
     if compose(g, h) != f:
         raise DecompositionError(
             f"witness recomposition mismatch for f={f}, split=({m},{n})"
@@ -209,10 +212,7 @@ def is_decomposable(f: Poly) -> bool:
     d = degree(f)
     if d < 2:
         raise ValueError("decomposability needs degree >= 2")
-    for n in _inner_degrees(d):
-        if decompose_split(f, d // n, n) is not None:
-            return True
-    return False
+    return any(decompose_split(f, d // n, n) is not None for n in _inner_degrees(d))
 
 
 def _line_points(F: Poly, V: Poly, K: Poly, m: int) -> Optional[Set[int]]:
@@ -220,7 +220,7 @@ def _line_points(F: Poly, V: Poly, K: Poly, m: int) -> Optional[Set[int]]:
     for every a.  Needs F monic of degree m*deg K and K F's candidate inner.
 
     F + a*V = G(K) iff the non-constant parts of its K-adic digits 0..m-2
-    vanish (census._block_masks holds the proof).  The digits are linear in
+    vanish (the module docstring holds the proof).  The digits are linear in
     a, so each coefficient t >= 1 of digit k is one equation b + a*w = 0,
     b and w the same coefficient of F's and of V's digit k.
     """

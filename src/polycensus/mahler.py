@@ -105,20 +105,20 @@ def _sweep(desc: Sequence[float], z: List[complex]) -> Tuple[List[complex], List
     return moved, residuals
 
 
-def _aberth(coeffs: Sequence[float], tol_abs: float) -> List[complex]:
+def _aberth(coeffs: Sequence[float]) -> List[complex]:
     """Roots of a polynomial with nonzero constant term, ascending coeffs.
 
     Sweeps from the Newton-polygon start; every root moves in every sweep.
-    The contract is |p(z)| <= tol*scale*max(1,|z|)^n for all n roots at
-    once.  That bound grows like |z|^n, so far from the unit circle it
-    accepts roots still off in their fifth digit; the sweeps therefore go
-    on until every |p(z)| is down to the rounding error of its Horner
-    evaluation, or MAX_ITERATIONS sweeps in all, and return the last roots
-    that met the contract.  RootConvergenceError if none did.
+    The contract is |p(z)| <= DEFAULT_TOL*scale*max(1,|z|)^n for all n
+    roots at once.  That bound grows like |z|^n, so far from the unit
+    circle it accepts roots still off in their fifth digit; the sweeps
+    therefore go on until every |p(z)| is down to the rounding error of its
+    Horner evaluation, or MAX_ITERATIONS sweeps in all, and return the last
+    roots that met the contract.  RootConvergenceError if none did.
     """
     desc = [float(a) for a in reversed(coeffs)]
     n = len(desc) - 1
-    bound = tol_abs * max(map(abs, desc))
+    bound = DEFAULT_TOL * max(map(abs, desc))
     noise = [ROUNDING * abs(a) for a in desc]
     z = _start_points(coeffs)
     met = None
@@ -190,7 +190,7 @@ def _poly_divmod(a: List[Fraction], b: List[Fraction]) -> Tuple[List[Fraction], 
     return q, a
 
 
-def _solve(c: Sequence, tol: float) -> List[complex]:
+def _solve(c: Sequence) -> List[complex]:
     """Roots with multiplicity of c (exact ascending coefficients, c_0 != 0).
 
     A k-fold root leaves k float copies that no sweep separates, and their
@@ -200,7 +200,7 @@ def _solve(c: Sequence, tol: float) -> List[complex]:
     sees simple roots only.
     """
     floats = [float(x) for x in c]
-    z = _aberth(floats, tol)
+    z = _aberth(floats)
     if _isolated(floats, z):
         return z
     exact = [Fraction(x) for x in c]
@@ -209,14 +209,15 @@ def _solve(c: Sequence, tol: float) -> List[complex]:
         a, b = b, _poly_divmod(a, b)[1]
     if len(a) == 1:
         return z
-    return _solve(_poly_divmod(exact, a)[0], tol) + _solve(a, tol)
+    return _solve(_poly_divmod(exact, a)[0]) + _solve(a)
 
 
-def roots(f: Poly, tol: float = DEFAULT_TOL) -> MahlerResult:
+def roots(f: Poly) -> MahlerResult:
     """All deg(f) complex roots (with multiplicity) plus the measure.
 
-    Each returned root r satisfies |f(r)| <= tol * H(f) * max(1, |r|)**deg f;
-    failure to reach that raises RootConvergenceError with the best iterate.
+    Each returned root r satisfies
+    |f(r)| <= DEFAULT_TOL * H(f) * max(1, |r|)**deg f; failure to reach
+    that raises RootConvergenceError with the best iterate.
     A coefficient or root beyond the float range raises ValueError.
     """
     d = degree(f)
@@ -229,7 +230,7 @@ def roots(f: Poly, tol: float = DEFAULT_TOL) -> MahlerResult:
     try:
         coeffs = [float(c) for c in f]
         if d > nzero:
-            found.extend(_solve(f[nzero:], tol))
+            found.extend(_solve(f[nzero:]))
         residuals = []
         for r in found:
             acc = 0.0 + 0.0j
@@ -237,7 +238,7 @@ def roots(f: Poly, tol: float = DEFAULT_TOL) -> MahlerResult:
                 acc = acc * r + a
             residuals.append(abs(acc))
         hf = float(height(f))
-        bound = max(tol * hf * max(1.0, abs(r)) ** d for r in found)
+        bound = max(DEFAULT_TOL * hf * max(1.0, abs(r)) ** d for r in found)
     except OverflowError:
         raise ValueError("f is beyond the float range of the root finder") from None
     bad = [i for i, res in enumerate(residuals) if res > bound]
@@ -253,11 +254,11 @@ def roots(f: Poly, tol: float = DEFAULT_TOL) -> MahlerResult:
     return MahlerResult(tuple(found), measure, bound, tuple(residuals))
 
 
-def mahler_measure(f: Poly, tol: float = DEFAULT_TOL) -> float:
+def mahler_measure(f: Poly) -> float:
     """|lead(f)| times the product of max(1, |root|) over all roots."""
     if degree(f) < 1:
         raise ValueError("measure needs degree >= 1")
-    return roots(f, tol).measure
+    return roots(f).measure
 
 
 def sandwich_bounds(f: Poly) -> Tuple[float, float]:

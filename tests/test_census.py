@@ -490,13 +490,6 @@ def test_budget_refusals():
         count_forward(CountQuery(4, 100, True, "total"), budget=10)
 
 
-def test_budget_env_override(monkeypatch):
-    monkeypatch.setenv("POLYCENSUS_BUDGET", "10")
-    with pytest.raises(BudgetError):
-        count_forward(CountQuery(4, 100, True, "total"))
-    monkeypatch.delenv("POLYCENSUS_BUDGET")
-
-
 def test_prime_degree_and_refusal_skip_ordered_splits(monkeypatch):
     # ordered_splits loops over d/2 values, so a prime degree and a query the
     # budget pre-check refuses must both be decided without it

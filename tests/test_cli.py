@@ -99,6 +99,12 @@ def test_count_geometric_grid():
     assert hs == [4, 8, 16]
 
 
+def test_geometric_grid_stops_at_two():
+    # every point past i = (16).bit_length() is 2, so a huge k adds no row
+    argv = ["count", "--degree", "4", "--monic", "--height-max", "16", "--grid"]
+    assert capture(argv + ["geometric:1000000000"]) == capture(argv + ["geometric:5"])
+
+
 def test_count_byte_identical_bodies():
     argv = ["count", "--degree", "4", "--monic", "--grid", "5,25,50"]
     _, body1, _ = capture(argv)
@@ -162,6 +168,12 @@ def test_exit_codes(tmp_path):
     assert len(err.strip().splitlines()) == 1
     code, _, err = capture(["count", "--degree", "4", "--grid", "4,2"])
     assert code == 2 and err.startswith("error:") and "ascending" in err
+    for height_max in ("1", "-5"):  # a geometric grid must not raise these to H = 2
+        code, out, err = capture(
+            ["count", "--degree", "4", "--height-max", height_max, "--grid", "geometric:3"]
+        )
+        assert code == 2 and out == "" and err.startswith("error:") and "height" in err
+        assert len(err.strip().splitlines()) == 1
     for jobs in ("0", "-3"):
         code, _, err = capture(["count", "--degree", "4", "--height-max", "2", "--jobs", jobs])
         assert code == 2 and err.startswith("error:") and "--jobs" in err

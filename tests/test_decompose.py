@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import isqrt, lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from polycensus.census import EnumBox, explicit_constants_sq
 from polycensus.decompose import (
@@ -265,11 +265,24 @@ def split_inputs(draw):
     return low + (draw(st.sampled_from(SPLIT_LEADS)),), m, n, False
 
 
+def pinned_leads(test):
+    """Run leads -1 and 1 at splits (2,3), (3,2), (2,4), composed and
+    random, on every run, whatever else hypothesis draws."""
+    for m, n in ((2, 3), (3, 2), (2, 4)):
+        for c in (-1, 1):
+            g, h = (-2, 4, -1)[:m] + (c,), (1, -3, 2, 5)[:n] + (1,)
+            low = tuple((5 * i + 2) % 41 - 20 for i in range(m * n))
+            test = example((compose(g, h), m, n, True))(test)
+            test = example((low + (c,), m, n, False))(test)
+    return test
+
+
+@pinned_leads
 @settings(max_examples=400, deadline=None)
 @given(split_inputs())
-def test_unit_lead_path_matches_rational_path(case):
-    # every lead runs the integer path (non-unit ones through the monic
-    # conjugate); it must agree with the rational reference witness for witness
+def test_every_lead_matches_rational_path(case):
+    # every lead runs the one integer path through the monic conjugate; it
+    # must agree with the rational reference witness for witness
     f, m, n, composed = case
     w = decompose_split(f, m, n)
     ref = rational_split(f, m, n)
