@@ -25,11 +25,11 @@ every count carries an exact factor 2H+1.  Within one split the normalized
 witness is unique per polynomial, which every enumeration re-verifies
 without storing a key per pair: the packed coefficient vectors strictly
 increase within a block (one inner h with one outer lead) and distinct
-blocks have distinct top coefficients.  A total counts each polynomial once,
-in the split (d/n, n) with the smallest n for which it decomposes: a pair of
-a split is attributed away when its polynomial also decomposes with a
-smaller inner degree, decided once per leaf by decompose.decomposable_on_line.
-No variant stores a key, and the budget counts witness pairs per split.
+blocks have distinct top coefficients.  Each variant sums the pairs of a plan
+of splits, less those whose polynomial also decomposes with one of the
+split's excluded inner degrees, decided once per leaf by
+decompose.decomposable_on_line (count_forward gives the plans).  No variant
+stores a key, and the budget counts witness pairs per split.
 """
 
 from __future__ import annotations
@@ -378,18 +378,16 @@ def _walk_outer(h: Poly, H: int, monic: bool, box: EnumBox, leaf) -> None:
 def _run_chunk(args):
     """Enumerate outer polynomials for one inner-candidate chunk.
 
-    Returns (pairs, flagged, None, away, tops):
+    Returns (pairs, 0, None, away, tops):
       pairs    -- witness pairs completed (equals distinct polynomials)
-      flagged  -- pairs whose outer part is indecomposable, if flag
       away     -- pairs whose polynomial also decomposes with an inner degree
-                  in lower
+                  in excluded
       tops     -- the top-n coefficient vector of every non-empty block
-    The None slot keeps the 5-tuple that perfbench/tracer.py unpacks.
+    The 0 and None slots keep the 5-tuple that perfbench/tracer.py unpacks.
 
-    A leaf's polynomials form the line P + a*h, a in [lo, hi], and so do its
-    outer parts g0 + a*x, so one decomposable_on_line call per leaf decides
-    the flag and one decides the attribution.  Their candidate inners are
-    memoized per chunk: the attribution's depend only on the block.
+    A leaf's polynomials form the line P + a*h, a in [lo, hi], so one
+    decomposable_on_line call per leaf decides the exclusion for all of
+    them.  Its candidate inners are memoized per chunk.
 
     Uniqueness re-check, with no key stored.  A block is one inner h with one
     outer lead a_m.  Inside a block a_(m-1)..a_1 run in lexicographic order;
@@ -403,7 +401,7 @@ def _run_chunk(args):
     over all chunks, make the blocks disjoint.  Passing both proves that the
     pairs give pairwise distinct polynomials.
     """
-    (d, H, monic, box, h_chunk, lower, flag, budget) = args
+    (d, H, monic, box, h_chunk, excluded, budget) = args
     m, n = box.m, box.n
 
     base = 2 * H + 1
@@ -411,13 +409,12 @@ def _run_chunk(args):
     candidates: dict = {}
     tops: List[Tuple[int, ...]] = []
     pairs = 0
-    flagged = 0
     away = 0
     last = -1  # the largest key emitted so far in the current block
     block = None  # the outer lead of the current block
 
     def leaf(P, prefix, lo, hi):
-        nonlocal pairs, flagged, away, last, block
+        nonlocal pairs, away, last, block
         if prefix[0] != block:
             # first leaf of a new block; a block's f share the top n coefficients
             block = prefix[0]
@@ -431,13 +428,8 @@ def _run_chunk(args):
         if first <= last or (width > 1 and hkf <= 0):
             raise _uniqueness_error(m, n, H, "keys not increasing within a block")
         last = key0 + hi * hkf
-        if lower:
-            away += _on_window(decomposable_on_line(P, h, lower, candidates), lo, hi)
-        if flag:
-            g0 = (0, 0) + tuple(reversed(prefix))
-            flagged += width - _on_window(
-                decomposable_on_line(g0, (0, 1), _inner_degrees(m), candidates), lo, hi
-            )
+        if excluded:
+            away += _on_window(decomposable_on_line(P, h, excluded, candidates), lo, hi)
         pairs += width
         if pairs > budget:
             raise _pairs_budget_error(budget, m, n, H)
@@ -447,7 +439,7 @@ def _run_chunk(args):
         block = None
         _walk_outer(h, H, monic, box, leaf)
 
-    return pairs, flagged, None, away, tops
+    return pairs, 0, None, away, tops
 
 
 def _on_window(points, lo: int, hi: int) -> int:
@@ -469,15 +461,14 @@ def _chunks(seq: List, parts: int) -> List[List]:
     return out
 
 
-def _run_split(d, H, monic, split, workers, lower, flag, budget):
+def _run_split(d, H, monic, split, workers, excluded, budget):
     """Enumerate one split, sharded over workers; merge the chunk results.
 
-    Returns (pairs, flagged, None, away), summed over the chunks of
-    _run_chunk; lower lists the inner degrees whose decomposable
-    polynomials are attributed away, and flag asks for the indecomposable
-    outer parts.  The None slot keeps the 4-tuple that perfbench/tracer.py
-    unpacks.  The pool never has more processes than os.cpu_count()
-    reports.
+    Returns (pairs, 0, None, away), summed over the chunks of _run_chunk;
+    away counts the pairs whose polynomial also decomposes with an inner
+    degree in excluded.  The 0 and None slots keep the 4-tuple that
+    perfbench/tracer.py unpacks.  The pool never has more processes than
+    os.cpu_count() reports.
 
     Completes the uniqueness re-check of _run_chunk for every split, variant
     and worker count: the non-empty blocks of all chunks must have pairwise
@@ -489,7 +480,7 @@ def _run_split(d, H, monic, split, workers, lower, flag, budget):
     if not h_list:
         return 0, 0, None, 0
     chunk_list = _chunks(h_list, min(workers, os.cpu_count() or 1))
-    tasks = [(d, H, monic, box, chunk, lower, flag, budget) for chunk in chunk_list]
+    tasks = [(d, H, monic, box, chunk, excluded, budget) for chunk in chunk_list]
     if len(tasks) == 1:
         results = [_run_chunk(tasks[0])]
     else:
@@ -497,7 +488,6 @@ def _run_split(d, H, monic, split, workers, lower, flag, budget):
             results = list(pool.map(_run_chunk, tasks))
 
     pairs = sum(r[0] for r in results)
-    flagged = sum(r[1] for r in results)
     away = sum(r[3] for r in results)
     if pairs > budget:
         raise _pairs_budget_error(budget, m, n, H)
@@ -507,7 +497,7 @@ def _run_split(d, H, monic, split, workers, lower, flag, budget):
         raise _uniqueness_error(
             m, n, H, f"{blocks} non-empty blocks but {len(tops)} distinct top coefficients"
         )
-    return pairs, flagged, None, away
+    return pairs, 0, None, away
 
 
 def check_budget(q: CountQuery, method: str, budget: Optional[int] = None) -> None:
@@ -554,11 +544,20 @@ def count_forward(q: CountQuery, workers: int = 1, budget: Optional[int] = None)
 
     The count is exact and independent of the worker count.  Prime degrees
     return 0 immediately, and check_budget runs before the splits are
-    listed.  A total sums over the splits (d/n, n) the pairs that are not
-    attributed away to a smaller inner degree n' < n, n' | d: each
-    decomposable polynomial counts once, in the split of its smallest inner
-    degree.  The dominant split (d/l, l), l the smallest prime factor of d,
-    has no smaller inner degree, so its pairs count with no test.
+    listed.  Each variant is a plan of (split, excluded inner degrees n' | d)
+    and counts 2H+1 times the pairs of its splits whose polynomial does not
+    also decompose with an excluded degree.  split excludes nothing.  total
+    runs every (d/n, n) and excludes n' < n, so f counts once, at its
+    smallest inner degree.  indecomp_pair runs the dominant split (d/l, l),
+    l = spf(d), and excludes the n' > l with l | n', which leaves exactly the
+    pairs with g indecomposable: if g = g1(g2), then f = g1(g2(h)) has an
+    inner of degree l*deg g2; conversely, if f = G(K) with deg K = n', then
+    Engstrom's theorem ("Polynomial substitutions", 1941) gives h and K, in
+    characteristic 0, a common right component of degree gcd(l, n') = l: h
+    up to a linear map.  So K = u(h), and cancelling h gives g = G(u) with
+    deg G, deg u >= 2; the kernel's verdict is conclusive over the complex
+    numbers.  Without l | n' this fails: x^6 = x^3(x^2) = x^2(x^3), and x^3
+    is indecomposable.
     """
     t0 = time.perf_counter()
     if budget is None:
@@ -566,19 +565,20 @@ def count_forward(q: CountQuery, workers: int = 1, budget: Optional[int] = None)
     check_budget(q, "forward", budget)
     d, H, monic = q.d, q.H, q.monic
     ell = spf(d)
+    degrees = _inner_degrees(d)
 
     if ell == d:
-        count = 0
+        plan = []
     elif q.variant == "split":
-        count = _run_split(d, H, monic, q.split, workers, (), False, budget)[0]
+        plan = [(q.split, ())]
     elif q.variant == "indecomp_pair":
-        count = _run_split(d, H, monic, (d // ell, ell), workers, (), True, budget)[1]
+        plan = [((d // ell, ell), tuple(k for k in degrees if k % ell == 0 and k > ell))]
     else:  # total
-        count = 0
-        for split in ordered_splits(d):
-            lower = tuple(k for k in _inner_degrees(d) if k < split[1])
-            pairs, _, _, away = _run_split(d, H, monic, split, workers, lower, False, budget)
-            count += pairs - away
+        plan = [(s, tuple(k for k in degrees if k < s[1])) for s in ordered_splits(d)]
+    count = 0
+    for split, excluded in plan:
+        pairs, _, _, away = _run_split(d, H, monic, split, workers, excluded, budget)
+        count += pairs - away
     return CountResult(count * (2 * H + 1), q, "forward", time.perf_counter() - t0, workers)
 
 

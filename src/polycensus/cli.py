@@ -89,11 +89,7 @@ def _result_row(r: CountResult, timings: bool) -> dict:
 
 def _emit(row: dict, fmt: str, out) -> None:
     if fmt == "csv":
-        out.write(
-            f"{row['d']},{row['monic']},{row['variant']},{row['m']},{row['n']},"
-            f"{row['H']},{row['count']},{row['method']},{row['workers']},"
-            f"{row['elapsed_seconds']}\n"
-        )
+        out.write(",".join(str(row[k]) for k in CSV_HEADER.split(",")) + "\n")
     else:
         out.write(json.dumps(row) + "\n")
 

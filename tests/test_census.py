@@ -276,7 +276,16 @@ def test_block_oracle_object_path_on_full_boxes(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "d,H,monic", [(8, 6, True), (8, 3, False), (12, 3, True), (16, 2, True), (12, 2, False)]
+    "d,H,monic",
+    [
+        (8, 6, True),
+        (8, 3, False),
+        (12, 3, True),
+        (16, 2, True),
+        (12, 2, False),
+        (6, 6, True),
+        (10, 3, True),
+    ],
 )
 def test_indecomp_pair_matches_per_pair_reference(d, H, monic):
     # one is_decomposable call per enumerated pair of the dominant split
@@ -464,7 +473,7 @@ def test_two_inner_degrees_counted_once():
     [(P, lo, hi)] = [(P, lo, hi) for P, prefix, lo, hi in leaves if prefix == [1]]
     assert lo <= 0 <= hi and P == f
     assert decomposable_on_line(P, h, (2,)) is None
-    pairs, _, _, away, _ = _run_chunk((d, H, True, box, [h], (2,), False, 10**9))
+    pairs, _, _, away, _ = _run_chunk((d, H, True, box, [h], (2,), 10**9))
     assert pairs == away == hi - lo + 1  # a_2 = 1 is the only leaf of this h
     count = count_forward(CountQuery(d, H, True, "total")).count
     assert count == (2 * H + 1) * len(union_key_set(d, H, True))
@@ -583,9 +592,9 @@ def test_low_coefficient_cut_drops_only_dead_inners(case):
     assert cut == [h for h in full if passes_low_tests(h, H)]
     kept = set(cut)
     dropped = [h for h in full if h not in kept]
-    assert _run_chunk((d, H, monic, box, dropped, (), False, 10**9))[0] == 0
+    assert _run_chunk((d, H, monic, box, dropped, (), 10**9))[0] == 0
     # every pair of the unpruned inners is one of the cut enumeration's polynomials
-    pairs = _run_chunk((d, H, monic, box, full, (), False, 10**9))[0]
+    pairs = _run_chunk((d, H, monic, box, full, (), 10**9))[0]
     assert len(forward_key_set(d, H, monic, (2, n))) == pairs
 
 

@@ -5,6 +5,7 @@ from math import isqrt, lcm
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from polycensus.asymptotics import spf
 from polycensus.census import EnumBox, explicit_constants_sq
 from polycensus.decompose import (
     _inner_degrees,
@@ -306,9 +307,9 @@ def lines(draw):
     """(f0, v, degrees, hit, every): the line f0 + a*v, the inner degrees to
     test, a known decomposable a (or None), and whether every a is.
 
-    kind x: v = x and every inner degree of deg f0, as the indecomposable-
-    pair flag calls it.  kind h: v an inner of degree n and the n' < n, as
-    the attribution calls it.  Half of these draws are a composition g(h1),
+    kind x: v = x and every inner degree of deg f0, a direction that moves
+    only the linear coefficient.  kind h: v an inner of degree n and the
+    n' < n, as the attribution of a total calls it.  Half of these draws are a composition g(h1),
     deg h1 in degrees, moved by -hit*v.  kind every: v = k(h1) and
     f0 = g(h1), so f0 + a*v = (g + a*k)(h1) for every a.
     """
@@ -356,6 +357,36 @@ def test_decomposable_on_line_matches_per_a_tests(case):
         if any(decompose_split(on_line(f0, v, a), d // n, n) is not None for n in degrees)
     }
     assert slow == (set(window) if got is None else {a for a in got if a in window})
+
+
+@st.composite
+def dominant_pairs(draw):
+    """(g, h) with deg h = l, the smallest prime factor of d = deg g * l;
+    when deg g is composite, g = g1(g2) in half the draws."""
+    d = draw(st.sampled_from((6, 8, 10, 12, 16, 18)))
+    ell = spf(d)
+    m = d // ell
+    c = draw(st.sampled_from((1, -1, 2, -3)))
+    if _inner_degrees(m) and draw(st.booleans()):
+        k = draw(st.sampled_from(_inner_degrees(m)))
+        g = compose(tuple(draw(SMALL) for _ in range(m // k)) + (c,), small_inner(draw, k))
+    else:
+        g = tuple(draw(SMALL) for _ in range(m)) + (c,)
+    return g, small_inner(draw, ell)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dominant_pairs())
+@example(((0, 0, 0, 1), (0, 0, 1)))  # x^6 = x^3(x^2) = x^2(x^3)
+@example(((0, 0, 0, 0, 0, 1), (0, 0, 1)))  # x^10 = x^5(x^2) = x^2(x^5)
+def test_outer_part_decomposable_iff_excluded_inner(pair):
+    # Engstrom: with deg h = l, g is decomposable iff g(h) has an inner of a
+    # degree n' with l | n' and l < n' < deg g(h), the indecomp_pair plan
+    g, h = pair
+    f = compose(g, h)
+    d, ell = degree(f), degree(h)
+    excluded = [k for k in _inner_degrees(d) if k % ell == 0 and k > ell]
+    assert is_decomposable(g) == any(decompose_split(f, d // k, k) is not None for k in excluded)
 
 
 def test_decomposable_on_line_rejects_high_direction():
