@@ -14,7 +14,9 @@ Two independent routes produce every count:
 * count_forward generates the polynomials constructively, enumerating
   normalized inner polynomials h (h(0) = 0, positive leading coefficient,
   monic in the monic regime) inside a provably sufficient height box, then
-  backtracking over outer coefficients with exact final-coefficient pruning.
+  backtracking over the outer coefficients a_m..a_3 with exact
+  final-coefficient pruning.  Each prefix leaves a lattice polygon of
+  (a_2, a_1), whose points lattice.polygon_count counts in closed form.
   The inners are cut by the top coefficients of f, and those of a split with
   outer degree 2 also by its low coefficients x^1, x^2 and x^n, which leave
   b_1 a short window; every cut is a proved necessary condition.
@@ -24,12 +26,13 @@ constant term of the outer polynomial), so the enumeration fixes it at 0 and
 every count carries an exact factor 2H+1.  Within one split the normalized
 witness is unique per polynomial, which every enumeration re-verifies
 without storing a key per pair: the packed coefficient vectors strictly
-increase within a block (one inner h with one outer lead) and distinct
-blocks have distinct top coefficients.  Each variant sums the pairs of a plan
-of splits, less those whose polynomial also decomposes with one of the
-split's excluded inner degrees, decided once per leaf by
-decompose.decomposable_on_line (count_forward gives the plans).  No variant
-stores a key, and the budget counts witness pairs per split.
+increase within a block (one inner h with one outer lead), one comparison
+per polygon, and distinct blocks have distinct top coefficients.  Each
+variant sums the pairs of a plan of splits, less those whose polynomial
+also decomposes with one of the split's excluded inner degrees, decided
+once per polygon row by decompose.decomposable_on_line (count_forward gives
+the plans).  No variant stores a key, and the budget counts witness pairs
+per split.
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ from .decompose import (
     decompose_split,
     is_decomposable,
 )
+from .lattice import polygon, polygon_count, polygon_rows, window_interval
 from .poly_core import Poly, mul, poly_pow
 
 DEFAULT_SET_BUDGET = 200_000_000   # witness pairs per split
@@ -231,7 +235,7 @@ def _h_candidates(m: int, n: int, H: int, monic: bool, box: EnumBox) -> List[Pol
             # S = c*b_1 + R; for n = 2, S = b_1^2 is tested by B alone: c = R = 0
             R = sum(map(times, bs[2 : n - 1], bs[n - 2 : 1 : -1]))
             c = 2 * bs[n - 1] if n > 2 else 0
-            lo1, hi1 = _window_interval((R,), (c,), 0, 0, H + H * L, max(lo, -B), min(hi, B))
+            lo1, hi1 = window_interval((R,), (c,), 0, 0, H + H * L, max(lo, -B), min(hi, B))
             keep = [
                 t for t in range(lo1, hi1 + 1) if t and abs(c * t + R) <= H + L * (H // abs(t))
             ]
@@ -276,34 +280,6 @@ def _low_square_bound(H: int, c: int) -> int:
     return lo
 
 
-def _window_interval(P, hk, j_lo, j_hi, H, lo, hi):
-    """Clip [lo, hi] so |P[j] + a*hk[j]| <= H for all j in [j_lo, j_hi]."""
-    for j in range(j_lo, j_hi + 1):
-        c = hk[j] if j < len(hk) else 0
-        p = P[j]
-        if c == 0:
-            if p > H or p < -H:
-                return 1, 0
-        elif c > 0:
-            lo1 = -((H + p) // c)
-            hi1 = (H - p) // c
-            if lo1 > lo:
-                lo = lo1
-            if hi1 < hi:
-                hi = hi1
-        else:
-            cc = -c
-            lo1 = -((H - p) // cc)
-            hi1 = (H + p) // cc
-            if lo1 > lo:
-                lo = lo1
-            if hi1 < hi:
-                hi = hi1
-        if lo > hi:
-            return 1, 0
-    return lo, hi
-
-
 def _uniqueness_error(m: int, n: int, H: int, detail: str) -> RuntimeError:
     return RuntimeError(
         f"normalized witness uniqueness violated in split ({m},{n}), H={H}: {detail}"
@@ -317,32 +293,40 @@ def _pairs_budget_error(budget: int, m: int, n: int, H: int) -> BudgetError:
     )
 
 
-def _walk_outer(h: Poly, H: int, monic: bool, box: EnumBox, leaf) -> None:
-    """Call leaf(P, prefix, lo, hi) for every leaf of one inner h, in order.
+def _powers(h: Poly, m: int) -> List[Poly]:
+    """[None, h, h^2, .., h^m], the powers _walk_outer reads."""
+    hp = [None, h]
+    for _ in range(2, m + 1):
+        hp.append(mul(hp[-1], h))
+    return hp
 
-    The outer leads a_m come from the lead window (1 if monic), then
-    a_(m-1)..a_2 run in lexicographic order, each clipped by _window_interval
-    to the coefficients of f it is the last to reach.  A leaf is a non-empty
-    interval [lo, hi] of a_1; its outer polynomials are a x + a_2 x^2 + .. +
-    a_m x^m, prefix is [a_m, .., a_2] and P[j] is the x^j coefficient of
-    (a_2 x^2 + .. + a_m x^m)(h).  leaf must not modify P or prefix.
+
+def _walk_outer(hp: List[Poly], H: int, monic: bool, box: EnumBox, visit) -> None:
+    """Call visit(P, prefix, lo, hi) for every polygon of one inner h, in order.
+
+    hp is _powers(h, m).  The outer leads a_m come from the lead window (1
+    if monic), then a_(m-1)..a_3 run in lexicographic order, each clipped by
+    window_interval to the coefficients of f it is the last to reach.  A
+    polygon fixes prefix = [a_m, .., a_3], and P[j] is the x^j coefficient
+    of (a_3 x^3 + .. + a_m x^m)(h); [lo, hi] is the a_2 window clipped by
+    x^(n+1)..x^(2n), the last coefficients a_2 reaches.  Its polynomials
+    are P + a_2 h^2 + a_1 h for the (a_2, a_1) of lattice.polygon.  For
+    m = 2 the lead is a_2: prefix is empty, P is 0 and lo = hi = a_2, one
+    row per lead.  visit must not modify P or prefix.
     """
     m, n = box.m, box.n
     d = m * n
-    hp = [None, h]
-    for i in range(2, m + 1):
-        hp.append(mul(hp[-1], h))
     P = [0] * (d + 1)
     prefix: List[int] = []
 
     def rec(k):
         hk = hp[k]
         kn = k * n
-        lo, hi = _window_interval(P, hk, (k - 1) * n + 1, kn, H, -(1 << 62), 1 << 62)
+        lo, hi = window_interval(P, hk, (k - 1) * n + 1, kn, H, -(1 << 62), 1 << 62)
         if lo > hi:
             return
-        if k == 1:
-            leaf(P, prefix, lo, hi)
+        if k == 2:
+            visit(P, prefix, lo, hi)
             return
         if lo:
             for j in range(1, kn + 1):
@@ -364,10 +348,13 @@ def _walk_outer(h: Poly, H: int, monic: bool, box: EnumBox, leaf) -> None:
     if monic:
         leads = [1]
     else:
-        amax = box.lead_cap(max(abs(c) for c in h))
-        lo_a, hi_a = _window_interval(P, hpm, (m - 1) * n + 1, d, H, -amax, amax)
+        amax = box.lead_cap(max(abs(c) for c in hp[1]))
+        lo_a, hi_a = window_interval(P, hpm, (m - 1) * n + 1, d, H, -amax, amax)
         leads = [a for a in range(lo_a, hi_a + 1) if a]
     for am in leads:
+        if m == 2:
+            visit(P, prefix, am, am)
+            continue
         for j in range(1, d + 1):
             P[j] = am * hpm[j]
         prefix.append(am)
@@ -385,18 +372,26 @@ def _run_chunk(args):
       tops     -- the top-n coefficient vector of every non-empty block
     The 0 and None slots keep the 5-tuple that perfbench/tracer.py unpacks.
 
-    A leaf's polynomials form the line P + a*h, a in [lo, hi], so one
-    decomposable_on_line call per leaf decides the exclusion for all of
-    them.  Its candidate inners are memoized per chunk.
+    The unit of work is a polygon of _walk_outer, and polygon_count counts
+    its pairs in closed form.  When excluded is not empty, each row of the
+    polygon is the line f0 + a_1 h, f0 = P + a_2 h^2, and one
+    decomposable_on_line call per row decides the exclusion for all of its
+    a_1.  Its candidate inners are memoized per chunk.
 
     Uniqueness re-check, with no key stored.  A block is one inner h with one
-    outer lead a_m.  Inside a block a_(m-1)..a_1 run in lexicographic order;
-    raising a_k leaves x^(kn+1)..x^d unchanged and raises x^(kn) by
-    lead(h)^k > 0 (a_(k-1)..a_1 only reach lower powers), so the packed keys
-    (the coefficients of f as digits, x^d most significant) strictly
-    increase.  A leaf emits the
-    progression key0 + a*hkf for a in [lo, hi]; its first key must exceed the
-    block's previous key, one comparison per leaf.  Every f of a block shares
+    outer lead a_m.  The packed key of f has the digits f_j + H, x^d most
+    significant, and every digit of a counted f lies in [0, 2H], so keys
+    compare as the coefficient vectors do from x^d down.  Inside a block
+    a_(m-1)..a_1 run in lexicographic order; raising a_k leaves
+    x^(kn+1)..x^d unchanged and raises x^(kn) by L^k > 0, L = lead(h)
+    (a_(k-1)..a_1 only reach lower powers), so the keys strictly increase.
+    Within a polygon this reads: one a_2 step raises the x^(2n) digit by
+    L^2 > 0 and leaves the digits above it unchanged, and one a_1 step
+    raises x^n by L and never reaches x^(n+1) or above.  So a polygon's keys
+    lie between those of its first and last points, and one
+    comparison per polygon completes the check: its first key must exceed
+    the block's previous key, its last key becomes the new one, and a
+    polygon of more than one point needs L > 0.  Every f of a block shares
     the block's top n coefficients, so distinct tops, checked by _run_split
     over all chunks, make the blocks disjoint.  Passing both proves that the
     pairs give pairwise distinct polynomials.
@@ -405,7 +400,8 @@ def _run_chunk(args):
     m, n = box.m, box.n
 
     base = 2 * H + 1
-    basepow = [base**e for e in range(d)]
+    bp = [0] + [base**e for e in range(d)]  # bp[j]: the weight of x^j in a key
+    key_h = H * sum(bp)  # the key of the zero polynomial
     candidates: dict = {}
     tops: List[Tuple[int, ...]] = []
     pairs = 0
@@ -413,31 +409,37 @@ def _run_chunk(args):
     last = -1  # the largest key emitted so far in the current block
     block = None  # the outer lead of the current block
 
-    def leaf(P, prefix, lo, hi):
+    def visit(P, prefix, lo, hi):
         nonlocal pairs, away, last, block
-        if prefix[0] != block:
-            # first leaf of a new block; a block's f share the top n coefficients
-            block = prefix[0]
+        rows, first, final = polygon(P, h, s, lo, hi, H)
+        if first is None:
+            return
+        count = polygon_count(rows, first, final, H)
+        lead = prefix[0] if prefix else first[0]
+        if lead != block:
+            # first polygon of a new block; a block's f share the top n coefficients
+            block = lead
             last = -1
-            tops.append(tuple(P[d - n + 1 :]))
-        width = hi - lo + 1
-        key0 = 0
-        for j in range(1, d + 1):
-            key0 += (P[j] + H) * basepow[j - 1]
-        first = key0 + lo * hkf
-        if first <= last or (width > 1 and hkf <= 0):
+            tops.append(tuple(p + first[0] * t for p, t in zip(P[d - n + 1 :], s[d - n + 1 :])))
+        key0 = key_h + sum(map(times, P, bp))
+        if key0 + first[0] * skf + first[1] * hkf <= last or (count > 1 and h[n] <= 0):
             raise _uniqueness_error(m, n, H, "keys not increasing within a block")
-        last = key0 + hi * hkf
+        last = key0 + final[0] * skf + final[1] * hkf
         if excluded:
-            away += _on_window(decomposable_on_line(P, h, excluded, candidates), lo, hi)
-        pairs += width
+            for a2, lo1, hi1 in polygon_rows(rows, first, final, H):
+                f0 = [p + a2 * t for p, t in zip(P, s)]
+                away += _on_window(decomposable_on_line(f0, h, excluded, candidates), lo1, hi1)
+        pairs += count
         if pairs > budget:
             raise _pairs_budget_error(budget, m, n, H)
 
     for h in h_chunk:
-        hkf = sum(h[j] * basepow[j - 1] for j in range(1, n + 1))
+        hp = _powers(h, m)
+        s = hp[2] + (0,) * (d - 2 * n)
+        hkf = sum(map(times, h, bp))
+        skf = sum(map(times, s, bp))
         block = None
-        _walk_outer(h, H, monic, box, leaf)
+        _walk_outer(hp, H, monic, box, visit)
 
     return pairs, 0, None, away, tops
 
@@ -537,6 +539,24 @@ def check_budget(q: CountQuery, method: str, budget: Optional[int] = None) -> No
             f"split ({m_max},{d // m_max}) at H={H} has more witness pairs than the "
             f"budget of {budget}; raise --budget"
         )
+    # _h_candidates gives each inner coefficient b_(n-1)..b_1 of a lead L at
+    # most w = 2H//m + 1 values: the top coefficient of f that b_j fixes is
+    # c + m L^(m-1) b_j in [-H, H], a window of at most 2H//(m L^(m-1)) + 1
+    # integers, as floor(x) + floor(y) <= floor(x + y).  So it tests at most
+    # leads * w^(n-1) tuples (b_(n-1), .., b_1), leads <= floor(H^(1/m)), and
+    # w^(n-1) >= 2^(n-1) refuses a long inner without the power.
+    if q.variant == "split":
+        splits = [q.split]
+    else:
+        splits = [(d // n, n) for n in _inner_degrees(d) if q.variant == "total" or n == ell]
+    for m, n in splits:
+        w = 2 * H // m + 1
+        leads = 1 if q.monic else _int_root(H, m)
+        if (w > 1 and n > budget.bit_length()) or leads * w ** (n - 1) > budget:
+            raise BudgetError(
+                f"inner search of split ({m},{n}) at H={H} tests more candidates than the "
+                f"budget of {budget}; raise --budget"
+            )
 
 
 def count_forward(q: CountQuery, workers: int = 1, budget: Optional[int] = None) -> CountResult:
@@ -587,21 +607,27 @@ def iter_decompositions(
 ) -> Iterator[Tuple[Poly, Poly]]:
     """Yield every enumerated witness pair (g, h) for one split.
 
-    The outer polynomial is produced with constant term 0; the full family
-    per pair ranges over all constants in [-H, H].  Intended for inequality
-    sweeps and tests, not for counting.
+    The pairs come polygon by polygon in the order of _walk_outer, each
+    polygon row by row (a_2 rising, then a_1 rising).  The outer polynomial
+    is produced with constant term 0; the full family per pair ranges over
+    all constants in [-H, H].  Intended for inequality sweeps and tests,
+    not for counting.
     """
     m, n = split
     box = EnumBox.build(m, n, H)
     for h in _h_candidates(m, n, H, monic, box):
-        leaves: List[Tuple[Tuple[int, ...], int, int]] = []
+        hp = _powers(h, m)
+        polygons: list = []
         _walk_outer(
-            h, H, monic, box,
-            lambda P, prefix, lo, hi: leaves.append((tuple(reversed(prefix)), lo, hi)),
+            hp, H, monic, box,
+            lambda P, prefix, lo, hi: polygons.append(
+                (tuple(reversed(prefix)),) + polygon(P, h, hp[2], lo, hi, H)
+            ),
         )
-        for tail, lo, hi in leaves:
-            for a in range(lo, hi + 1):
-                yield (0, a) + tail, h
+        for tail, rows, first, last in polygons:
+            for a2, lo1, hi1 in polygon_rows(rows, first, last, H):
+                for a in range(lo1, hi1 + 1):
+                    yield (0, a, a2) + tail, h
 
 
 # ---------------------------------------------------------------------------
@@ -707,6 +733,7 @@ def _oracle_count(
     if variant == "indecomp_pair":
         ell = spf(d)
         m, n = d // ell, ell
+        outer: dict = {}  # is_decomposable(g), keyed by g without the constant it ignores
         for c in leads:
             for top, mask in _block_masks(ranges, c, n):
                 for idx in zip(*np.nonzero(mask)):
@@ -715,8 +742,10 @@ def _oracle_count(
                     w = decompose_split(f, m, n)
                     if w is None:
                         raise RuntimeError(f"block test and decompose_split disagree on f={f}")
-                    if not is_decomposable(w.g):
-                        count += 1
+                    key = w.g[1:]
+                    if key not in outer:
+                        outer[key] = is_decomposable(w.g)
+                    count += not outer[key]
         return count
     shape = tuple(len(r) for r in reversed(ranges))  # axes f_(d-1)..f_0
     for c in leads:

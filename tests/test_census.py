@@ -25,7 +25,8 @@ from polycensus.census import (
 )
 from polycensus.asymptotics import spf
 from polycensus.decompose import decomposable_on_line, decompose_split, is_decomposable
-from polycensus.poly_core import add, compose, height, poly_pow
+from polycensus.lattice import polygon, polygon_rows
+from polycensus.poly_core import add, compose, height, mul, poly_pow
 
 
 def pack_truncated(f, d, H):
@@ -432,6 +433,31 @@ def test_uniqueness_recheck_catches_keys_out_of_order(monkeypatch):
         count_forward(CountQuery(6, 3, True, "split", (3, 2)))
 
 
+@pytest.mark.parametrize("split,last_row", [((3, 2), False), ((2, 3), False), ((3, 2), True)])
+def test_uniqueness_recheck_catches_a_repeated_polygon(monkeypatch, split, last_row):
+    # every polygon is visited again right after itself, whole or (last_row,
+    # windows of several a_2 only) just its last a_2, so the copy lies in the
+    # same block with the same top coefficients; only the per-polygon key
+    # comparison sees it (at m = 2 each polygon is a whole block).  A last
+    # row starts above the polygon's first key, so the comparison must be
+    # with the last key.
+    real = census._walk_outer
+
+    def again(hp, H, monic, box, visit):
+        def both(P, prefix, lo, hi):
+            visit(P, prefix, lo, hi)
+            if not last_row:
+                visit(P, prefix, lo, hi)
+            elif lo < hi:
+                visit(P, prefix, hi, hi)
+
+        real(hp, H, monic, box, both)
+
+    monkeypatch.setattr(census, "_walk_outer", again)
+    with pytest.raises(RuntimeError, match="not increasing"):
+        count_forward(CountQuery(6, 3, True, "split", split))
+
+
 # largest H drawn per (d, monic); each count takes well under a second, and
 # union_key_set builds each reference once (about 3 s for non-monic d = 16)
 TOTAL_HEIGHTS = {
@@ -457,7 +483,7 @@ def test_total_matches_union_of_split_key_sets(dm, workers, data):
 
 def test_two_inner_degrees_counted_once():
     # f = (x^2+x)^4 + c is g(h) in the splits (4,2) and (2,4); the total counts
-    # it in (4,2), and its (2,4) leaf, f = h^2 + a*h, is attributed away whole
+    # it in (4,2), and its (2,4) row, f = h^2 + a*h, is attributed away whole
     d, H = 8, 6
     h = (0, 0, 1, 2, 1)  # (x^2+x)^2
     f = compose((0, 0, 1), h)
@@ -466,15 +492,19 @@ def test_two_inner_degrees_counted_once():
     assert key in forward_key_set(d, H, True, (4, 2))
     assert key in forward_key_set(d, H, True, (2, 4))
     box = EnumBox.build(2, 4, H)
-    leaves = []
+    polygons = []
     census._walk_outer(
-        h, H, True, box, lambda P, prefix, lo, hi: leaves.append((tuple(P), prefix[:], lo, hi))
+        census._powers(h, 2), H, True, box,
+        lambda P, prefix, lo, hi: polygons.append((tuple(P), prefix[:], lo, hi)),
     )
-    [(P, lo, hi)] = [(P, lo, hi) for P, prefix, lo, hi in leaves if prefix == [1]]
-    assert lo <= 0 <= hi and P == f
-    assert decomposable_on_line(P, h, (2,)) is None
+    # m = 2: the monic lead a_2 = 1 is the only polygon, a single row over P = 0
+    [(P, prefix, lo2, hi2)] = polygons
+    assert prefix == [] and lo2 == hi2 == 1 and not any(P)
+    [(a2, lo, hi)] = polygon_rows(*polygon(P, h, mul(h, h), lo2, hi2, H), H)
+    assert a2 == 1 and lo <= 0 <= hi and mul(h, h) == f
+    assert decomposable_on_line(f, h, (2,)) is None
     pairs, _, _, away, _ = _run_chunk((d, H, True, box, [h], (2,), 10**9))
-    assert pairs == away == hi - lo + 1  # a_2 = 1 is the only leaf of this h
+    assert pairs == away == hi - lo + 1  # a_2 = 1 is the only row of this h
     count = count_forward(CountQuery(d, H, True, "total")).count
     assert count == (2 * H + 1) * len(union_key_set(d, H, True))
 

@@ -154,6 +154,11 @@ def test_exit_codes(tmp_path):
         ["count", "--degree", "4000002", "--height-max", "2"],
         ["count", "--degree", "20000001", "--height-max", "2"],
         ["count", "--degree", "4", "--grid", "2,50", "--method", "both"],
+        # few outer polynomials, but an inner search of 3^1999, 3^199 or 3^19
+        # candidates; the last is decided on the power, not the bit length
+        ["count", "--degree", "4000", "--height-max", "2", "--variant", "split:2,2000"],
+        ["count", "--degree", "400", "--height-max", "2", "--variant", "split:2,200"],
+        ["count", "--degree", "40", "--height-max", "2", "--variant", "split:2,20"],
     ):
         code, out, err = capture(argv)
         assert code == 2 and err.startswith("error:") and "budget" in err
