@@ -30,9 +30,9 @@ increase within a block (one inner h with one outer lead), one comparison
 per polygon, and distinct blocks have distinct top coefficients.  Each
 variant sums the pairs of a plan of splits, less those whose polynomial
 also decomposes with one of the split's excluded inner degrees, decided
-once per polygon row by decompose.decomposable_on_line (count_forward gives
-the plans).  No variant stores a key, and the budget counts witness pairs
-per split.
+once per polygon by decompose.decomposable_on_span and counted by
+lattice.union_count (count_forward gives the plans).  No variant stores a
+key, and the budget counts witness pairs per split.
 """
 
 from __future__ import annotations
@@ -54,11 +54,11 @@ from .decompose import (
     _adic_digits,
     _inner_degrees,
     _integer_candidate,
-    decomposable_on_line,
+    decomposable_on_span,
     decompose_split,
     is_decomposable,
 )
-from .lattice import polygon, polygon_count, polygon_rows, window_interval
+from .lattice import polygon, polygon_count, polygon_rows, union_count, window_interval
 from .poly_core import Poly, mul, poly_pow
 
 DEFAULT_SET_BUDGET = 200_000_000   # witness pairs per split
@@ -373,10 +373,16 @@ def _run_chunk(args):
     The 0 and None slots keep the 5-tuple that perfbench/tracer.py unpacks.
 
     The unit of work is a polygon of _walk_outer, and polygon_count counts
-    its pairs in closed form.  When excluded is not empty, each row of the
-    polygon is the line f0 + a_1 h, f0 = P + a_2 h^2, and one
-    decomposable_on_line call per row decides the exclusion for all of its
-    a_1.  Its candidate inners are memoized per chunk.
+    its pairs in closed form.  When excluded is not empty, one
+    decomposable_on_span call per polygon decides the exclusion for all of
+    its points, and union_count counts the excluded ones.  For m >= 3 the
+    polygon is the plane P + a_2 h^2 + a_1 h, and h^2 and h stay below the
+    coefficients x^(d-n'+1)..x^(d-1) that fix the candidate inner of every
+    excluded n': a total excludes n' < n, so d - n' > (m-1)n >= 2n, and an
+    indecomp_pair excludes only when m >= 4 (l < n' <= d/2 with l | n' needs
+    d/l >= 4), and then d - n' >= d/2 >= 2n.  For m = 2 the polygon is one
+    row, the line a_2 h^2 + a_1 h, and h alone moves (d - n' > n).  The
+    candidate inners are memoized per chunk.
 
     Uniqueness re-check, with no key stored.  A block is one inner h with one
     outer lead a_m.  The packed key of f has the digits f_j + H, x^d most
@@ -426,9 +432,12 @@ def _run_chunk(args):
             raise _uniqueness_error(m, n, H, "keys not increasing within a block")
         last = key0 + final[0] * skf + final[1] * hkf
         if excluded:
-            for a2, lo1, hi1 in polygon_rows(rows, first, final, H):
-                f0 = [p + a2 * t for p, t in zip(P, s)]
-                away += _on_window(decomposable_on_line(f0, h, excluded, candidates), lo1, hi1)
+            if m == 2:  # one row, whose lead a_2 reaches the candidates
+                got = decomposable_on_span([first[0] * t for t in s], (h,), excluded, candidates)
+                away += count if got is None else sum(first[1] <= a <= final[1] for a, in got[0])
+            else:
+                got = decomposable_on_span(P, (hp[2], h), excluded, candidates)
+                away += count if got is None else union_count(rows, first, final, H, *got)
         pairs += count
         if pairs > budget:
             raise _pairs_budget_error(budget, m, n, H)
@@ -442,13 +451,6 @@ def _run_chunk(args):
         _walk_outer(hp, H, monic, box, visit)
 
     return pairs, 0, None, away, tops
-
-
-def _on_window(points, lo: int, hi: int) -> int:
-    """How many a in [lo, hi] a decomposable_on_line result holds."""
-    if points is None:
-        return hi - lo + 1
-    return sum(lo <= a <= hi for a in points)
 
 
 def _chunks(seq: List, parts: int) -> List[List]:
@@ -469,7 +471,8 @@ def _run_split(d, H, monic, split, workers, excluded, budget):
     Returns (pairs, 0, None, away), summed over the chunks of _run_chunk;
     away counts the pairs whose polynomial also decomposes with an inner
     degree in excluded.  The 0 and None slots keep the 4-tuple that
-    perfbench/tracer.py unpacks.  The pool never has more processes than
+    perfbench/tracer.py unpacks.  The calling process runs the first chunk
+    while a pool runs the others, so no more processes are busy than
     os.cpu_count() reports.
 
     Completes the uniqueness re-check of _run_chunk for every split, variant
@@ -486,8 +489,9 @@ def _run_split(d, H, monic, split, workers, excluded, budget):
     if len(tasks) == 1:
         results = [_run_chunk(tasks[0])]
     else:
-        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
-            results = list(pool.map(_run_chunk, tasks))
+        with ProcessPoolExecutor(max_workers=len(tasks) - 1) as pool:
+            rest = pool.map(_run_chunk, tasks[1:])
+            results = [_run_chunk(tasks[0]), *rest]
 
     pairs = sum(r[0] for r in results)
     away = sum(r[3] for r in results)

@@ -37,9 +37,10 @@ leave digits 0..m-2:
     constant of digit 0.
 So F decomposes iff the non-constant parts of its digits 0..m-2 vanish:
 (m-1)(n-1) equations, linear in the coefficients F_1..F_(d-n) that K does
-not read.  decomposable_on_line solves them along a whole line f0 + a*v
-(the candidate does not depend on a, and the digits are linear in a), and
-census._block_masks evaluates them over a block of the oracle's box.
+not read.  decomposable_on_span solves them over a whole polygon of the
+forward count, the points f0 + a_2*v_2 + a_1*v_1 (the candidate does not
+depend on a, and the digits are linear in a), and census._block_masks
+evaluates them over a block of the oracle's box.
 
 A decomposition over the complex numbers forces the candidate, and an
 integer witness exists whenever a complex one does, so a failed test is
@@ -54,9 +55,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm
+from operator import mul as times
 from typing import Iterator, List, Optional, Sequence, Set, Tuple
 
 from .asymptotics import spf
+from .lattice import crossing
 from .poly_core import (
     Poly,
     compose,
@@ -215,52 +218,80 @@ def is_decomposable(f: Poly) -> bool:
     return any(decompose_split(f, d // n, n) is not None for n in _inner_degrees(d))
 
 
-def _line_points(F: Poly, V: Poly, K: Poly, m: int) -> Optional[Set[int]]:
-    """The a with F + a*V = G(K) for some G: a set of at most one a, or None
-    for every a.  Needs F monic of degree m*deg K and K F's candidate inner.
+def _solve(eqs):
+    """The integer solutions a in Z^k (k = len(w) = 1 or 2) of the equations
+    b + w.a = 0 for (b, w) in eqs: None for all of Z^k, else a set of at most
+    one point, or for k = 2 the line (w_2, w_1, c), w_2 a_2 + w_1 a_1 = c.
 
-    F + a*V = G(K) iff the non-constant parts of its K-adic digits 0..m-2
-    vanish (the module docstring holds the proof).  The digits are linear in
-    a, so each coefficient t >= 1 of digit k is one equation b + a*w = 0,
-    b and w the same coefficient of F's and of V's digit k.
+    Each equation is made primitive (gcd(w) = 1, first non-zero w positive),
+    so equal lines are equal triples and distinct ones are parallel (no
+    common point) or cross in one rational point.
     """
-    a = None  # the one a the equations so far allow; None while every a passes
-    for r, s in zip(_adic_digits(F, K, m - 1), _adic_digits(V, K, m - 1)):
-        for b, w in zip(r[1:], s[1:]):
-            if w:
-                q, rem = divmod(-b, w)
-                if rem or a not in (None, q):
-                    return set()
-                a = q
-            elif b:
+    got = None
+    for b, w in eqs:
+        g = gcd(*w)
+        if not g:
+            if b:
                 return set()
-    return None if a is None else {a}
+            continue
+        if b % g:
+            return set()
+        if w[0] < 0 or not w[0] and w[-1] < 0:
+            g = -g
+        w, c = tuple(x // g for x in w), -b // g
+        if got is None:
+            got = {(c,)} if len(w) == 1 else w + (c,)
+        elif isinstance(got, set):
+            if any(c != sum(map(times, w, a)) for a in got):
+                return set()
+        elif got[:2] == w:
+            if got[2] != c:
+                return set()
+        else:
+            a = crossing(got, w + (c,))
+            if a is None:
+                return set()
+            got = {a}
+    return got
 
 
-def decomposable_on_line(
-    f0: Poly, v: Poly, inner_degrees: Sequence[int], candidates: Optional[dict] = None
-) -> Optional[Set[int]]:
-    """The integers a for which f0 + a*v decomposes with an inner of one of
-    inner_degrees; None when every integer a does.
+def decomposable_on_span(
+    f0: Poly, directions: Sequence[Poly], inner_degrees: Sequence[int],
+    candidates: Optional[dict] = None,
+) -> Optional[Tuple[Set[tuple], Set[Tuple[int, int, int]]]]:
+    """The integer a for which f0 + sum_i a_i directions[i] decomposes with an
+    inner of one of inner_degrees, over one or two directions.
 
-    f0 has degree d, and v has degree at most d - n for every listed n.
-    Then with c = lead(f0) the monic conjugate of f0 + a*v is F + a*V,
-    F that of f0 and V_i = v_i * c**(d-1-i): linear in a.  The candidate
-    inner of the split (d/n, n) reads only x**(d-n+1)..x**(d-1), which v
-    does not reach, so one candidate solve per n decides the whole line:
-    no a when the candidate is not integral, else the a of _line_points.
-    candidates memoizes the solves across calls, keyed by the coefficients
-    they read; pass one dict to calls that share them.
+    Returns None when every a does, else (points, lines): the a are the
+    points and, for two directions (v_2, v_1) and a = (a_2, a_1), the lines
+    (w_2, w_1, c) of the a with w_2 a_2 + w_1 a_1 = c, primitive as in
+    _solve, so that distinct lines are distinct triples.
+
+    f0 has degree d, and no direction reaches x**(d-n+1) for a listed n.
+    Then with c = lead(f0) the monic conjugate of f0 + sum_i a_i v_i is
+    F + sum_i a_i V_i, F that of f0 and V_i the v_i times c**(d-1-j) at x**j:
+    linear in a.  The candidate inner of the split (d/n, n) reads only
+    x**(d-n+1)..x**(d-1), so one candidate solve per n decides every a: none
+    when the candidate is not integral, else the a at which the non-constant
+    parts of the K-adic digits 0..m-2 vanish (the module docstring holds the
+    proof).  Those parts are linear in a, so each digit coefficient t >= 1
+    is one equation b + w.a = 0, and the solutions of one n are nothing, a
+    point, a line or everything.  candidates memoizes the solves across
+    calls, keyed by the coefficients they read; pass one dict to calls that
+    share them.
     """
     d = degree(f0)
-    if inner_degrees and degree(v) > d - max(inner_degrees):
-        raise ValueError("the direction reaches the coefficients that fix the candidate inner")
+    if inner_degrees and max(map(degree, directions)) > d - max(inner_degrees):
+        raise ValueError("a direction reaches the coefficients that fix the candidate inner")
     c = f0[-1]
     F = _monic_conjugate(f0)
-    V = tuple(v[i] * c ** (d - 1 - i) for i in range(len(v)))
+    Vs = directions if c == 1 else [
+        tuple(v[i] * c ** (d - 1 - i) for i in range(len(v))) for v in directions
+    ]
     if candidates is None:
         candidates = {}
-    out: Set[int] = set()
+    points: Set[tuple] = set()
+    lines: Set[Tuple[int, int, int]] = set()
     for n in inner_degrees:
         m = d // n
         key = (m, n, F[d - n + 1 : d])
@@ -269,11 +300,15 @@ def decomposable_on_line(
         K = candidates[key]
         if K is None:
             continue
-        got = _line_points(F, V, K, m)
+        digits = zip(*(_adic_digits(p, K, m - 1) for p in (F, *Vs)))
+        got = _solve((b, w) for ds in digits for b, *w in zip(*(r[1:] for r in ds)))
         if got is None:
             return None
-        out |= got
-    return out
+        if isinstance(got, set):
+            points |= got
+        else:
+            lines.add(got)
+    return points, lines
 
 
 def full_decomposition(f: Poly) -> List[Poly]:

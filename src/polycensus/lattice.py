@@ -5,7 +5,8 @@ left with a polygon: the (a_2, a_1) with
     |P_j + a_2 s_j + a_1 h_j| <= H,  j = 1..n,  s = h^2,
 and a_2 in a window clipped by the coefficients above x^n.  polygon puts it
 in the form that polygon_count sums in closed form and polygon_rows walks
-row by row.  Everything here is exact integer arithmetic.
+row by row, and union_count counts its points on given points and lines.
+Everything here is exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -142,6 +143,76 @@ def polygon_count(rows, first, last, H: int) -> int:
         + envelope_floor_sum([(H + p, t, g) for p, t, g in rows], lo, hi)
         + hi - lo + 1
     )
+
+
+def union_count(rows, first, last, H: int, points, lines) -> int:
+    """The number of lattice points of a polygon on a point or a line of a
+    decompose.decomposable_on_span result.
+
+    points are (a_2, a_1), and a line (w_2, w_1, c), gcd(w_2, w_1) = 1, holds
+    the (a_2, a_1) with w_2 a_2 + w_1 a_1 = c; distinct lines are distinct
+    triples (the first non-zero w positive), so two of them are parallel and
+    disjoint or cross in one rational point.  The lines are counted one by
+    one in closed form (line_count); then every point of the polygon that
+    is given or where two lines cross is counted once, less the number of
+    lines that hold it.
+    """
+    if first is None:
+        return 0
+    lines = list(lines)
+    total = sum(line_count(rows, first, last, H, *line) for line in lines)
+    meets = set(points)
+    for i, u in enumerate(lines):
+        for w in lines[i + 1 :]:
+            meets.add(crossing(u, w))
+    meets.discard(None)
+    for a2, a1 in meets:
+        if first[0] <= a2 <= last[0]:
+            lo1, hi1 = row_window(rows, a2, H)
+            if lo1 <= a1 <= hi1:
+                total += 1 - sum(w2 * a2 + w1 * a1 == c for w2, w1, c in lines)
+    return total
+
+
+def crossing(u, w):
+    """The integral point where the lines u and w, triples (w_2, w_1, c) as in
+    union_count, cross, or None: parallel, or crossing off the lattice
+    (Cramer's rule)."""
+    D = u[0] * w[1] - u[1] * w[0]
+    if not D:
+        return None
+    a2, r2 = divmod(u[2] * w[1] - u[1] * w[2], D)
+    a1, r1 = divmod(u[0] * w[2] - w[0] * u[2], D)
+    return None if r2 or r1 else (a2, a1)
+
+
+def line_count(rows, first, last, H: int, w2: int, w1: int, c: int) -> int:
+    """The number of lattice points of a polygon on w_2 a_2 + w_1 a_1 = c,
+    gcd(w_2, w_1) = 1.
+
+    With w_1 = 0 the line is the row a_2 = c w_2.  Otherwise its point at
+    a_2 is integral exactly when w_2 a_2 = c (mod |w_1|), one residue class
+    of a_2 as w_2 is invertible mod |w_1|, and there a_1 = (c - w_2 a_2)/w_1
+    holds |p + t a_2 + g a_1| <= H for every row (p, t, g) iff, times w_1,
+        |(w_1 p + g c) + (w_1 t - g w_2) a_2| <= H |w_1|:
+    an interval of a_2, clipped to the polygon's a_2 range.
+    """
+    lo, hi = first[0], last[0]
+    if not w1:
+        a2 = c * w2
+        if not lo <= a2 <= hi:
+            return 0
+        lo1, hi1 = row_window(rows, a2, H)
+        return max(0, hi1 - lo1 + 1)
+    k = abs(w1)
+    lo, hi = window_interval(
+        [w1 * p + g * c for p, t, g in rows], [w1 * t - g * w2 for p, t, g in rows],
+        0, len(rows) - 1, H * k, lo, hi,
+    )
+    if lo > hi:
+        return 0
+    r = c * pow(w2, -1, k) % k
+    return (hi - r) // k - (lo - 1 - r) // k
 
 
 def envelope_floor_sum(lines, lo: int, hi: int) -> int:

@@ -24,7 +24,7 @@ from polycensus.census import (
     _run_chunk,
 )
 from polycensus.asymptotics import spf
-from polycensus.decompose import decomposable_on_line, decompose_split, is_decomposable
+from polycensus.decompose import decomposable_on_span, decompose_split, is_decomposable
 from polycensus.lattice import polygon, polygon_rows
 from polycensus.poly_core import add, compose, height, mul, poly_pow
 
@@ -136,6 +136,22 @@ def test_pinned_regression_monic_quartics():
     # the only split of 4 carries the whole count
     qs = CountQuery(4, 2, True, "split", (2, 2))
     assert count_forward(qs).count == D4_H2_MONIC
+
+
+@pytest.mark.parametrize(
+    "d,H,monic,variant,count",
+    [
+        (12, 6, True, "indecomp_pair", 4_820_556),  # excluded {4, 6}
+        (16, 3, True, "indecomp_pair", 5_761_658),  # excluded {4, 8}
+        (12, 3, False, "indecomp_pair", 702_464),
+        (8, 80, True, "indecomp_pair", 866_085_654),  # excluded {4}
+        (12, 6, True, "total", 4_966_871),  # (3, 4) excludes {2, 3}, (2, 6) {2, 3, 4}
+    ],
+)
+def test_pinned_regression_excluded_degrees(d, H, monic, variant, count):
+    # counts where the exclusion of each polygon solves one or two excluded
+    # degrees, at heights beyond the per-pair reference
+    assert count_forward(CountQuery(d, H, monic, variant)).count == count
 
 
 def test_prime_degree_zero():
@@ -385,7 +401,7 @@ def pool_sizes(monkeypatch):
             return False
 
         def map(self, fn, tasks):
-            return map(fn, tasks)
+            return [fn(t) for t in tasks]
 
     monkeypatch.setattr(census, "ProcessPoolExecutor", FakePool)
     return sizes
@@ -395,7 +411,8 @@ def test_pool_size_capped_at_cpu_count(monkeypatch, pool_sizes):
     monkeypatch.setattr(census.os, "cpu_count", lambda: 3)
     q = CountQuery(6, 3, True, "total")
     r = count_forward(q, workers=1000)
-    assert pool_sizes and max(pool_sizes) == 3
+    # three chunks: two in the pool, one in the calling process
+    assert pool_sizes and max(pool_sizes) == 2
     assert r.workers == 1000
     assert r.count == count_forward(q, workers=1).count
 
@@ -419,7 +436,8 @@ def test_uniqueness_recheck_catches_repeated_candidate(
     monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
     with pytest.raises(RuntimeError, match="uniqueness"):
         count_forward(CountQuery(6, 3, True, variant, split), workers=workers)
-    assert (2 in pool_sizes) == (workers == 2)
+    # two chunks: the second in a pool of one, the first in the calling process
+    assert (1 in pool_sizes) == (workers == 2)
 
 
 def test_uniqueness_recheck_catches_keys_out_of_order(monkeypatch):
@@ -502,7 +520,7 @@ def test_two_inner_degrees_counted_once():
     assert prefix == [] and lo2 == hi2 == 1 and not any(P)
     [(a2, lo, hi)] = polygon_rows(*polygon(P, h, mul(h, h), lo2, hi2, H), H)
     assert a2 == 1 and lo <= 0 <= hi and mul(h, h) == f
-    assert decomposable_on_line(f, h, (2,)) is None
+    assert decomposable_on_span(f, (h,), (2,)) is None
     pairs, _, _, away, _ = _run_chunk((d, H, True, box, [h], (2,), 10**9))
     assert pairs == away == hi - lo + 1  # a_2 = 1 is the only row of this h
     count = count_forward(CountQuery(d, H, True, "total")).count

@@ -1,6 +1,7 @@
+import itertools
 import random
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -9,7 +10,7 @@ from polycensus.asymptotics import spf
 from polycensus.census import EnumBox, explicit_constants_sq
 from polycensus.decompose import (
     _inner_degrees,
-    decomposable_on_line,
+    decomposable_on_span,
     decompose_split,
     full_decomposition,
     is_decomposable,
@@ -298,65 +299,116 @@ def small_inner(draw, n):
     return (0,) + tuple(draw(SMALL) for _ in range(n - 1)) + (draw(st.sampled_from((1, -1, 2))),)
 
 
-# (d, n): splits (d/n, n) that have smaller inner degrees n' < n, n' | d
-LINE_SPLITS = ((8, 4), (12, 4), (12, 6), (16, 4), (16, 8), (18, 6), (18, 9))
+# (d, n, degrees): the polygons the forward count asks about, split (d/n, n)
+# with the excluded inner degrees; m = d/n >= 3 moves along (h^2, h), and
+# m = 2 along h alone
+SPAN_PLANS = (
+    (8, 2, (4,)),  # indecomp_pair, d = 8
+    (12, 2, (4, 6)),  # indecomp_pair, d = 12
+    (12, 4, (2, 3)),  # the (3, 4) split of a total
+    (12, 6, (2, 3, 4)),  # the (2, 6) split of a total
+    (16, 8, (2, 4)),  # the (2, 8) split of a total
+)
 
 
 @st.composite
-def lines(draw):
-    """(f0, v, degrees, hit, every): the line f0 + a*v, the inner degrees to
-    test, a known decomposable a (or None), and whether every a is.
+def spans(draw):
+    """(f0, directions, degrees, hit): the span f0 + a.directions of a
+    polygon, the inner degrees to test, and the centre of the window.
 
-    kind x: v = x and every inner degree of deg f0, a direction that moves
-    only the linear coefficient.  kind h: v an inner of degree n and the
-    n' < n, as the attribution of a total calls it.  Half of these draws are a composition g(h1),
-    deg h1 in degrees, moved by -hit*v.  kind every: v = k(h1) and
-    f0 = g(h1), so f0 + a*v = (g + a*k)(h1) for every a.
+    kind random: any f0.  kind hit: a composition g(h1), deg h1 in degrees,
+    moved by -hit.directions.  kind every: h = k(h1) and f0 = g(h1), so every
+    point of the span is a composition with h1 (plans with deg h1 | n).  kind
+    outer: f0 = g(h) with g_2 = g_1 = 0, as in a polygon of the forward
+    count, whose points (g + a_2 x^2 + a_1 x)(h) often decompose along a line.
     """
-    kind = draw(st.sampled_from(("x", "h", "every")), label="kind")
+    d, n, degrees = draw(st.sampled_from(SPAN_PLANS), label="plan")
     c = draw(st.sampled_from(LEADS), label="lead")
-    if kind == "x":
-        d = draw(st.sampled_from((4, 6, 8, 9, 12, 5, 7)))
-        v, degrees = (0, 1), _inner_degrees(d)
+    kind = draw(st.sampled_from(("random", "hit", "every", "outer")), label="kind")
+    every = [k for k in degrees if n % k == 0]
+    if kind == "every" and every:
+        h1 = small_inner(draw, draw(st.sampled_from(every)))
+        h = compose(small_inner(draw, n // degree(h1)), h1)
     else:
-        d, n = draw(st.sampled_from(LINE_SPLITS))
-        v, degrees = small_inner(draw, n), tuple(k for k in _inner_degrees(d) if k < n)
-    if kind == "every":
-        n1 = draw(st.sampled_from([k for k in degrees if n % k == 0]))
-        h1 = small_inner(draw, n1)
-        g = tuple(draw(SMALL) for _ in range(d // n1)) + (c,)
-        return compose(g, h1), compose(small_inner(draw, n // n1), h1), degrees, None, True
-    if degrees and draw(st.booleans()):
-        n1 = draw(st.sampled_from(degrees))
-        g = tuple(draw(SMALL) for _ in range(d // n1)) + (c,)
-        f, hit = compose(g, small_inner(draw, n1)), draw(SMALL)
-        return on_line(f, v, -hit), v, degrees, hit, False
-    return tuple(draw(SMALL) for _ in range(d)) + (c,), v, degrees, None, False
+        h = small_inner(draw, n)
+    directions = (h,) if 2 * n == d else (poly_pow(h, 2), h)
+    hit = tuple(draw(SMALL) for _ in directions)
+    if kind == "every" and every:
+        f0 = compose(tuple(draw(SMALL) for _ in range(d // degree(h1))) + (c,), h1)
+    elif kind == "outer":
+        m = d // n
+        f0 = compose((0,) * min(3, m) + tuple(draw(SMALL) for _ in range(m - 3)) + (c,), h)
+    elif kind == "hit":
+        h1 = small_inner(draw, draw(st.sampled_from(degrees)))
+        f0 = compose(tuple(draw(SMALL) for _ in range(d // degree(h1))) + (c,), h1)
+        for a, v in zip(hit, directions):
+            f0 = on_line(f0, v, -a)
+    else:
+        f0 = tuple(draw(SMALL) for _ in range(d)) + (c,)
+    return f0, directions, degrees, hit
 
 
 def on_line(f0, v, a):
     return tuple(c + a * (v[i] if i < len(v) else 0) for i, c in enumerate(f0))
 
 
-@settings(max_examples=200, deadline=None)
-@given(lines())
-def test_decomposable_on_line_matches_per_a_tests(case):
-    f0, v, degrees, hit, every = case
+def in_span_result(got, a):
+    if got is None:
+        return True
+    points, lines = got
+    return a in points or any(w2 * a[0] + w1 * a[1] == c for w2, w1, c in lines)
+
+
+def assert_span_matches_splits(f0, directions, degrees, got, centre):
+    # every a of a window around centre against decompose_split, split by split
     d = degree(f0)
+    for a in itertools.product(*(range(x - 2, x + 3) for x in centre)):
+        f = f0
+        for x, v in zip(a, directions):
+            f = on_line(f, v, x)
+        slow = any(decompose_split(f, d // n, n) is not None for n in degrees)
+        assert slow == in_span_result(got, a), a
+
+
+@settings(max_examples=200, deadline=None)
+@given(spans())
+def test_decomposable_on_span_matches_decompose_split(case):
+    f0, directions, degrees, hit = case
     candidates = {}
-    got = decomposable_on_line(f0, v, degrees, candidates)
-    assert decomposable_on_line(f0, v, degrees, candidates) == got  # memoized solves
-    assert got is None or not every
+    got = decomposable_on_span(f0, directions, degrees, candidates)
+    assert decomposable_on_span(f0, directions, degrees, candidates) == got  # memoized solves
     if got is not None:
-        assert len(got) <= len(degrees)  # at most one a per inner degree
-        assert hit is None or hit in got
-    centre = hit or 0
-    window = range(centre - 6, centre + 7)
-    slow = {
-        a for a in window
-        if any(decompose_split(on_line(f0, v, a), d // n, n) is not None for n in degrees)
-    }
-    assert slow == (set(window) if got is None else {a for a in got if a in window})
+        points, lines = got
+        assert len(points) + len(lines) <= len(degrees)  # one affine set per inner degree
+        assert all(len(a) == len(directions) for a in points)
+        assert not lines or len(directions) == 2
+        assert all(gcd(w2, w1) == 1 for w2, w1, _ in lines)
+    assert_span_matches_splits(f0, directions, degrees, got, hit)
+
+
+X8 = (0,) * 8 + (1,)
+H2 = (0, 1, 1)  # x^2 + x, with square x^4 + 2x^3 + x^2
+
+
+@pytest.mark.parametrize(
+    "f0,directions,degrees,expected",
+    [
+        # none: the degree-4 candidate of x^8 + x^7 is not integral
+        ((0,) * 7 + (1, 1), (poly_pow(H2, 2), H2), (4,), (set(), set())),
+        # one point: x^8 + a_2 (x^4 + 2x^3 + x^2) + a_1 (x^2 + x) - 2x^3 - 3x^2 - 2x
+        # is a polynomial in K = x^4 iff a_1 = 2, a_2 + a_1 = 3 and 2 a_2 = 2
+        ((0, -2, -3, -2) + X8[4:], (poly_pow(H2, 2), H2), (4,), ({(1, 2)}, set())),
+        # one line: x^8 + a_2 x^4 + a_1 x^2 is a polynomial in x^4 iff a_1 = 0
+        (X8, ((0,) * 4 + (1,), (0, 0, 1)), (4,), (set(), {(0, 1, 0)})),
+        # every point: x^12 + a_2 x^8 + a_1 x^4 is a polynomial in x^2
+        ((0,) * 12 + (1,), ((0,) * 8 + (1,), (0,) * 4 + (1,)), (2, 3), None),
+    ],
+    ids=["none", "point", "line", "plane"],
+)
+def test_decomposable_on_span_outcomes(f0, directions, degrees, expected):
+    got = decomposable_on_span(f0, directions, degrees)
+    assert got == expected
+    assert_span_matches_splits(f0, directions, degrees, got, (1, 2))
 
 
 @st.composite
@@ -389,7 +441,9 @@ def test_outer_part_decomposable_iff_excluded_inner(pair):
     assert is_decomposable(g) == any(decompose_split(f, d // k, k) is not None for k in excluded)
 
 
-def test_decomposable_on_line_rejects_high_direction():
+def test_decomposable_on_span_rejects_high_direction():
     # x^3 reaches the x^3 coefficient that fixes the degree-2 candidate of a quartic
     with pytest.raises(ValueError):
-        decomposable_on_line((0, 1, 0, 0, 1), (0, 0, 0, 1), (2,))
+        decomposable_on_span((0, 1, 0, 0, 1), ((0, 0, 0, 1),), (2,))
+    with pytest.raises(ValueError):
+        decomposable_on_span((0, 1, 0, 0, 1), ((0, 0, 1), (0, 0, 0, 1)), (2,))

@@ -1,3 +1,6 @@
+from math import gcd
+
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from polycensus.lattice import (
@@ -6,6 +9,7 @@ from polycensus.lattice import (
     polygon,
     polygon_count,
     polygon_rows,
+    union_count,
     window_interval,
 )
 from polycensus.poly_core import mul
@@ -76,3 +80,72 @@ def test_polygon_count_matches_rows_and_leaves(args):
         assert first == leaves[0][:2] and last == (leaves[-1][0], leaves[-1][2])
     else:
         assert first is None and last is None
+
+
+def brute_union(args, points, lines):
+    """The polygon's points on a point or a line, one point at a time."""
+    P, h, s, lo, hi, H = args
+    rows, first, last = polygon(P, h, s, lo, hi, H)
+    return sum(
+        (a2, a1) in points or any(w2 * a2 + w1 * a1 == c for w2, w1, c in lines)
+        for a2, lo1, hi1 in polygon_rows(rows, first, last, H)
+        for a1 in range(lo1, hi1 + 1)
+    )
+
+
+def primitive_line(w2, w1, anchor):
+    """The line (w_2, w_1, c) through anchor, made primitive with its first
+    non-zero w positive, as decompose.decomposable_on_span returns lines."""
+    g = gcd(w2, w1)
+    if w2 < 0 or not w2 and w1 < 0:
+        g = -g
+    w2, w1 = w2 // g, w1 // g
+    return w2, w1, w2 * anchor[0] + w1 * anchor[1]
+
+
+@st.composite
+def unions(draw):
+    """A polygon with a few points and distinct primitive lines around it."""
+    args = draw(polygon_inputs())
+    P, h, s, lo, hi, H = args
+    anchors = st.tuples(st.integers(lo - 2, max(lo, hi) + 2), st.integers(-2 * H, 2 * H))
+    points = set(draw(st.lists(anchors, max_size=3), label="points"))
+    normals = st.tuples(st.integers(-7, 7), st.integers(-7, 7)).filter(any)
+    lines = {
+        primitive_line(*w, a) for w, a in draw(st.lists(st.tuples(normals, anchors), max_size=4))
+    }
+    return args, points, lines
+
+
+@settings(max_examples=300, deadline=None)
+@given(unions())
+def test_union_count_matches_brute_force(case):
+    args, points, lines = case
+    P, h, s, lo, hi, H = args
+    assert union_count(*polygon(P, h, s, lo, hi, H), H, points, lines) == brute_union(*case)
+
+
+# x^2 + x over the a_2 window [-5, 5] at H = 4: the hexagon |a_1| <= 4, |a_2 + a_1| <= 4
+HEXAGON = ((0, 0, 0), (0, 1, 1), (0, 0, 1, 2, 1), -5, 5, 4)
+
+
+@pytest.mark.parametrize(
+    "args,points,lines,count",
+    [
+        (HEXAGON, set(), {(0, 1, 2)}, 8),  # slope 0: a_1 = 2, a_2 in [-5, 2]
+        (HEXAGON, set(), {(1, 0, 3)}, 6),  # the whole row a_2 = 3 (w_1 = 0)
+        (HEXAGON, set(), {(1, 3, 1)}, 4),  # a_2 + 3 a_1 = 1: a_2 = 1 (mod 3)
+        (HEXAGON, set(), {(2, -3, 1)}, 2),  # 2 a_2 - 3 a_1 = 1, a negative w_1
+        (HEXAGON, set(), {(2, 7, 3)}, 2),  # a_2 = 3/2 = 5 (mod 7): (-2, 1) and (5, -1)
+        (HEXAGON, set(), {(0, 1, 2), (1, 0, -1)}, 8 + 8 - 1),  # crossing at (-1, 2)
+        (HEXAGON, set(), {(1, 1, 0), (1, -1, 0)}, 9 + 5 - 1),  # crossing at (0, 0)
+        (HEXAGON, {(3, 0), (5, 4)}, {(1, 0, 3)}, 6),  # a point on the line, one outside
+        (HEXAGON, {(0, 0)}, set(), 1),  # one point alone
+        (HEXAGON, set(), {(0, 1, 9)}, 0),  # a line that misses the polygon
+        (((0, 0, 0), (0, 1, 1), (0, 0, 1, 2, 1), 2, 1, 4), {(2, 0)}, {(0, 1, 0)}, 0),  # empty
+    ],
+)
+def test_union_count_cases(args, points, lines, count):
+    P, h, s, lo, hi, H = args
+    assert union_count(*polygon(P, h, s, lo, hi, H), H, points, lines) == count
+    assert brute_union(args, points, lines) == count
