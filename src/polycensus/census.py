@@ -19,7 +19,9 @@ Two independent routes produce every count:
   (a_2, a_1), whose points lattice.polygon_count counts in closed form.
   The inners are cut by the top coefficients of f, and those of a split with
   outer degree 2 also by its low coefficients x^1, x^2 and x^n, which leave
-  b_1 a short window; every cut is a proved necessary condition.
+  b_1 a short window, and, when f is monic, by the one row of (a_2, a_1)
+  that is left; every cut is a proved necessary condition.  The walk builds
+  h^2 as it goes, one O(n) update per coefficient.
 
 The constant term never interacts with decomposability (it is the free
 constant term of the outer polynomial), so the enumeration fixes it at 0 and
@@ -29,10 +31,15 @@ without storing a key per pair: the packed coefficient vectors strictly
 increase within a block (one inner h with one outer lead), one comparison
 per polygon, and distinct blocks have distinct top coefficients.  Each
 variant sums the pairs of a plan of splits, less those whose polynomial
-also decomposes with one of the split's excluded inner degrees, decided
-once per polygon by decompose.decomposable_on_span and counted by
-lattice.union_count (count_forward gives the plans).  No variant stores a
-key, and the budget counts witness pairs per split.
+also decomposes with one of the split's excluded inner degrees
+(count_forward gives the plans).  By Engstrom's theorem most of that is
+decided by the inner alone: the inner walk drops every h with a right
+component of an excluded degree dividing n, all of whose pairs are
+excluded, and the other inners need the exclusion test only for the
+excluded degrees k with gcd(k, n) not such a degree.  That test runs once
+per polygon, by decompose.decomposable_on_span, and lattice.union_count
+counts what it excludes.  No variant stores a key, and the budget counts
+the witness pairs that a split walks.
 """
 
 from __future__ import annotations
@@ -52,13 +59,22 @@ import numpy as np
 from .asymptotics import spf
 from .decompose import (
     _adic_digits,
+    _candidate,
     _inner_degrees,
     _integer_candidate,
+    _monic_conjugate,
     decomposable_on_span,
     decompose_split,
     is_decomposable,
 )
-from .lattice import polygon, polygon_count, polygon_rows, union_count, window_interval
+from .lattice import (
+    polygon,
+    polygon_count,
+    polygon_rows,
+    row_window,
+    union_count,
+    window_interval,
+)
 from .poly_core import Poly, mul, poly_pow
 
 DEFAULT_SET_BUDGET = 200_000_000   # witness pairs per split
@@ -181,19 +197,31 @@ def ordered_splits(d: int) -> List[Tuple[int, int]]:
 # ---------------------------------------------------------------------------
 
 
-def _h_candidates(m: int, n: int, H: int, monic: bool, box: EnumBox) -> List[Poly]:
+class _Inner(tuple):
+    """An inner candidate h that carries sq = h^2, built along the inner walk."""
+
+    sq: Poly
+
+
+def _h_candidates(
+    m: int, n: int, H: int, monic: bool, box: EnumBox, cut: Sequence[int] = ()
+) -> List[Poly]:
     """Normalized inner candidates in lexicographic order.
 
-    Backtracks over the inner coefficients b_(n-1)..b_1 of
-    h = b_1 x + ... + b_n x^n, b_n = L >= 1; each level is restricted by
-    |b| <= b_max and by the final top coefficients of f: with b_j..b_1 still
-    0, the coefficient of x^((m-1)n+j) of f = g(h) is a_m [h^m]_((m-1)n+j)
-    (h^(m-1) has degree (m-1)n), which depends on b_j linearly with slope
-    m*L^(m-1) and must not exceed H in absolute value for any feasible outer
-    polynomial (|a_m| >= 1).  For m = 2 that coefficient is the O(n) sum
-    2L b_j + sum_(i=j+1..n-1) b_i b_(n+j-i); for m > 2 it is read off h^m.
-    Non-monic candidates are additionally primitive (content 1); imprimitive
-    inners never generate new polynomials.
+    Walks the inner coefficients b_(n-1)..b_1 of h = b_1 x + ... + b_n x^n,
+    b_n = L >= 1, one level per coefficient, without recursion; each level
+    is restricted by |b| <= b_max and by the final top coefficients of f:
+    with b_j..b_1 still 0, the coefficient of x^((m-1)n+j) of f = g(h) is
+    a_m [h^m]_((m-1)n+j) (h^(m-1) has degree (m-1)n), which depends on b_j
+    linearly with slope m*L^(m-1) and must not exceed H in absolute value
+    for any feasible outer polynomial (|a_m| >= 1).  For m > 2 that
+    coefficient is read off h^m.  The walk keeps the square of the partial
+    h: setting b_j from u to t, with b_(j-1)..b_1 still 0, adds
+    2(t-u) x^j (b_(j+1) x^(j+1) + .. + b_n x^n) + (t^2-u^2) x^(2j), one O(n)
+    update.  For m = 2 the coefficient is that square's x^(n+j) entry, and
+    every candidate hands its square on (_Inner.sq).  Non-monic candidates
+    are additionally primitive (content 1); imprimitive inners never
+    generate new polynomials.
 
     For m = 2 the last level b_1 is also cut by the low coefficients of f.
     Let f = a_2 h^2 + a_1 h + a_0 with a_2 != 0 and every |[f]_j| <= H, and
@@ -203,7 +231,7 @@ def _h_candidates(m: int, n: int, H: int, monic: bool, box: EnumBox) -> List[Pol
         b_1^2 <= |a_2| b_1^2 <= H + |a_1||b_2| <= H + A |b_2|.
         n = 2: [f]_2 = a_2 b_1^2 + a_1 L, the same inequality since b_2 = L.
         Its left side increases and A does not as |b_1| grows, so it holds
-        exactly when |b_1| <= B, B from _low_square_bound.
+        exactly when |b_1| <= B, B from _low_square_bound (once per |b_2|).
       * n >= 3: [f]_n = a_2 S + a_1 L with
         S = [h^2]_n = 2 b_(n-1) b_1 + sum_(i=2..n-2) b_i b_(n-i), so
         |S| <= |a_2 S| <= H + L A.  As A <= H, this implies the linear
@@ -211,29 +239,71 @@ def _h_candidates(m: int, n: int, H: int, monic: bool, box: EnumBox) -> List[Pol
     Each is a necessary condition for the candidate to have any outer
     polynomial, for monic and non-monic f alike.  So the b_1 window is the
     top-coefficient window cut to |b_1| <= B and to the linear interval, and
-    only its few values are tested exactly against |S| <= H + L A; a dropped
-    candidate yields no pair, and every count is unchanged.  b_1 = 0 is
-    never dropped.
+    only its few values are tested exactly against |S| <= H + L A.  The
+    level b_2 (n >= 4) looks one level ahead: with b_1 = 0 the square's
+    x^(n+1) entry is sq[n+1] + 2 b_(n-1) b_2, and the b_1 window, which keeps
+    it plus slope*b_1 within H, meets [-B, B] only if it is at most
+    H + slope*B in absolute value; B grows with |b_2|, so the B of the
+    largest |b_2| of the level serves all of them.  A monic candidate has the
+    one outer lead a_2 = 1, so its pairs are the single row
+    |[h^2]_j + a_1 h_j| <= H, j = 1..n, of lattice.polygon, and a candidate
+    whose row holds no a_1 is dropped at the leaf.  A dropped candidate
+    yields no pair, and every count is unchanged.  b_1 = 0 is never dropped
+    by the window.
+
+    cut holds inner degrees e | n, e < n, and a candidate h = u(w) with
+    deg w = e in cut is dropped: count_forward excludes all of its pairs
+    anyway.  The candidate right component of degree e of h reads only
+    b_(n-1)..b_(n-e+1) (decompose._integer_candidate on h's monic
+    conjugate), so it is solved once per prefix, at level n-e+1, and
+    decomposable_on_span checks the digits at a leaf only below an integral
+    one.
     """
     out: List[Poly] = []
     b_max = box.b_max
     leads = [1] if monic else list(range(1, box.inner_lead_max() + 1))
+    decided: dict = {}  # level -> the degrees of cut whose candidate it completes
+    for e in cut:
+        decided.setdefault(n - e + 1, []).append(e)
+    candidates: dict = {}
+    bounds: dict = {}
+
+    def bound(c: int) -> int:
+        # _low_square_bound(H, c), memoized by c = |b_2|
+        B = bounds.get(c)
+        if B is None:
+            B = bounds[c] = _low_square_bound(H, c)
+        return B
+
     for L in leads:
         slope = m * L ** (m - 1)
         bs = [0] * (n + 1)
         bs[n] = L
+        sq = [0] * (2 * n + 1)  # the square of the partial h
+        sq[2 * n] = L * L
+        # live[j]: a candidate of a degree in cut that reads b_(n-1)..b_j is integral
+        live = [False] * (n + 1)
+        values: list = [None] * n  # values[j]: the b_j still to visit
 
-        def top(j: int) -> int:
-            # [h^m]_((m-1)n+j) while b_j..b_1 are 0
-            if m == 2:
-                return sum(map(times, bs[j + 1 : n], bs[n - 1 : j : -1]))
-            return poly_pow(tuple(bs), m)[(m - 1) * n + j]
-
-        def low_b1_values(lo: int, hi: int) -> List[int]:
-            # the b_1 in [lo, hi] that pass the low-coefficient tests (m = 2)
-            B = _low_square_bound(H, abs(bs[2]))
-            # S = c*b_1 + R; for n = 2, S = b_1^2 is tested by B alone: c = R = 0
-            R = sum(map(times, bs[2 : n - 1], bs[n - 2 : 1 : -1]))
+        def level(j: int):
+            # the b_j that keep [h^m]_((m-1)n+j) in the window, b_(j-1)..b_1 being 0
+            s = sq[n + j] if m == 2 else poly_pow(tuple(bs), m)[(m - 1) * n + j]
+            lo = max(-b_max, -((H + s) // slope))
+            hi = min(b_max, (H - s) // slope)
+            if m == 2 and j == 2 and n > 3 and lo <= hi:
+                # the b_1 window of each b_2 must meet [-B, B]: |sq[n+1] + 2 b_(n-1) b_2|
+                # <= H + slope*B, B for the largest |b_2| (B grows with |b_2|)
+                B = bound(max(-lo, hi))
+                lo, hi = window_interval(
+                    (sq[n + 1],), (2 * bs[n - 1],), 0, 0, H + slope * B, lo, hi
+                )
+            if m > 2 or j > 1:
+                return iter(range(lo, hi + 1))
+            # the b_1 that pass the low-coefficient tests
+            B = bound(abs(bs[2]))
+            # S = c*b_1 + R, R the square's x^n entry at b_1 = 0; for n = 2,
+            # S = b_1^2 is tested by B alone: c = R = 0
+            R = sq[n]
             c = 2 * bs[n - 1] if n > 2 else 0
             lo1, hi1 = window_interval((R,), (c,), 0, 0, H + H * L, max(lo, -B), min(hi, B))
             keep = [
@@ -241,25 +311,57 @@ def _h_candidates(m: int, n: int, H: int, monic: bool, box: EnumBox) -> List[Pol
             ]
             if lo <= 0 <= hi:
                 insort(keep, 0)
-            return keep
+            return iter(keep)
 
-        def rec(j: int) -> None:
-            s = top(j)
-            lo = max(-b_max, -((H + s) // slope))
-            hi = min(b_max, (H - s) // slope)
-            if j > 1:
-                for t in range(lo, hi + 1):
-                    bs[j] = t
-                    rec(j - 1)
-                bs[j] = 0
-                return
-            for t in low_b1_values(lo, hi) if m == 2 else range(lo, hi + 1):
-                bs[1] = t
-                if monic or gcd(*bs) == 1:
-                    out.append(tuple(bs))
-            bs[1] = 0
+        def put(j: int, t: int) -> None:
+            # b_j = t, and the square with it
+            u = t - bs[j]
+            if u:
+                for i in range(j + 1, n + 1):
+                    sq[i + j] += 2 * u * bs[i]
+                sq[2 * j] += u * (t + bs[j])
+                bs[j] = t
 
-        rec(n - 1)
+        def leaves() -> None:
+            # the candidates of the prefix b_(n-1)..b_2, b_1 running
+            for t in level(1):
+                put(1, t)
+                if monic and m == 2:
+                    # the row a_2 = 1 of lattice.polygon: |[h^2]_j + a_1 b_j| <= H, j = 1..n
+                    low = list(zip(sq[1 : n + 1], bs[1:]))
+                    rows = [(0, s, g) if g > 0 else (0, -s, -g) for s, g in low if g]
+                    lo1, hi1 = row_window(rows, 1, H)
+                    if lo1 > hi1 or any(s > H or s < -H for s, g in low if not g):
+                        continue
+                if not monic and gcd(*bs) != 1:
+                    continue
+                if live[2] and decomposable_on_span(tuple(bs), (), cut, candidates) is None:
+                    continue
+                h = _Inner(bs)
+                h.sq = tuple(sq)
+                out.append(h)
+            put(1, 0)
+
+        if n == 2:
+            leaves()
+            continue
+        j = n - 1
+        values[j] = level(j)
+        while j < n:
+            t = next(values[j], None)
+            put(j, 0 if t is None else t)
+            if t is None:
+                j += 1
+                continue
+            live[j] = live[j + 1] or j in decided and any(
+                _candidate(_monic_conjugate(tuple(bs)), n // e, e, candidates) is not None
+                for e in decided[j]
+            )
+            if j > 2:
+                j -= 1
+                values[j] = level(j)
+            else:
+                leaves()
     return out
 
 
@@ -294,9 +396,12 @@ def _pairs_budget_error(budget: int, m: int, n: int, H: int) -> BudgetError:
 
 
 def _powers(h: Poly, m: int) -> List[Poly]:
-    """[None, h, h^2, .., h^m], the powers _walk_outer reads."""
-    hp = [None, h]
-    for _ in range(2, m + 1):
+    """[None, h, h^2, .., h^m], the powers _walk_outer reads, as plain tuples
+    (which index faster); the square of an inner from _h_candidates comes
+    with it."""
+    hp = [None, tuple(h), h.sq] if isinstance(h, _Inner) else [None, h, mul(h, h)]
+    h = hp[1]
+    for _ in range(3, m + 1):
         hp.append(mul(hp[-1], h))
     return hp
 
@@ -444,6 +549,7 @@ def _run_chunk(args):
 
     for h in h_chunk:
         hp = _powers(h, m)
+        h = hp[1]
         s = hp[2] + (0,) * (d - 2 * n)
         hkf = sum(map(times, h, bp))
         skf = sum(map(times, s, bp))
@@ -469,8 +575,10 @@ def _run_split(d, H, monic, split, workers, excluded, budget):
     """Enumerate one split, sharded over workers; merge the chunk results.
 
     Returns (pairs, 0, None, away), summed over the chunks of _run_chunk;
-    away counts the pairs whose polynomial also decomposes with an inner
-    degree in excluded.  The 0 and None slots keep the 4-tuple that
+    pairs - away counts the pairs whose polynomial does not also decompose
+    with an inner degree in excluded.  The inners that decompose with a
+    degree e | n, e < n, of excluded are never walked, so neither pairs nor
+    the budget count theirs.  The 0 and None slots keep the 4-tuple that
     perfbench/tracer.py unpacks.  The calling process runs the first chunk
     while a pool runs the others, so no more processes are busy than
     os.cpu_count() reports.
@@ -481,11 +589,16 @@ def _run_split(d, H, monic, split, workers, excluded, budget):
     """
     m, n = split
     box = EnumBox.build(m, n, H)
-    h_list = _h_candidates(m, n, H, monic, box)
+    # count_forward proves both: every pair of an inner that decomposes with
+    # a degree of cut is excluded, and any other inner needs the kernel only
+    # for the degrees of kernel
+    cut = tuple(e for e in excluded if n % e == 0 and e < n)
+    kernel = tuple(k for k in excluded if gcd(k, n) not in cut)
+    h_list = _h_candidates(m, n, H, monic, box, cut)
     if not h_list:
         return 0, 0, None, 0
     chunk_list = _chunks(h_list, min(workers, os.cpu_count() or 1))
-    tasks = [(d, H, monic, box, chunk, excluded, budget) for chunk in chunk_list]
+    tasks = [(d, H, monic, box, chunk, kernel, budget) for chunk in chunk_list]
     if len(tasks) == 1:
         results = [_run_chunk(tasks[0])]
     else:
@@ -582,6 +695,18 @@ def count_forward(q: CountQuery, workers: int = 1, budget: Optional[int] = None)
     deg G, deg u >= 2; the kernel's verdict is conclusive over the complex
     numbers.  Without l | n' this fails: x^6 = x^3(x^2) = x^2(x^3), and x^3
     is indecomposable.
+
+    The same theorem makes most of a split's exclusion a property of the
+    inner alone.  Let the split (m, n) exclude E and let cut = {e in E :
+    e | n, e < n}.  If h = u(w) with deg w = e in cut, every f = g(h) =
+    (g(u))(w) decomposes with an inner of degree e, so every pair of h is
+    excluded: _h_candidates drops h, and neither its pairs nor its
+    exclusions are counted.  If h has no such right component and f = G(K)
+    with deg K = k in E, Engstrom gives h and K a common right component of
+    degree gcd(k, n), so gcd(k, n) is not in cut; the kernel runs only for
+    those k.  A total's cut is every divisor e of n with 1 < e < n (each is
+    below n and divides d), so its splits (2, 4) and (2, 6) need no kernel;
+    indecomp_pair has n = l prime and an empty cut, and split an empty E.
     """
     t0 = time.perf_counter()
     if budget is None:
@@ -621,6 +746,7 @@ def iter_decompositions(
     box = EnumBox.build(m, n, H)
     for h in _h_candidates(m, n, H, monic, box):
         hp = _powers(h, m)
+        h = hp[1]
         polygons: list = []
         _walk_outer(
             hp, H, monic, box,

@@ -148,6 +148,16 @@ def _integer_candidate(F: Poly, m: int, n: int) -> Optional[Poly]:
     return tuple(bs)
 
 
+def _candidate(F: Poly, m: int, n: int, candidates: dict) -> Optional[Poly]:
+    """_integer_candidate(F, m, n), memoized in candidates by the coefficients
+    x**(d-n+1)..x**(d-1) of F that it reads."""
+    d = m * n
+    key = (m, n, F[d - n + 1 : d])
+    if key not in candidates:
+        candidates[key] = _integer_candidate(F, m, n)
+    return candidates[key]
+
+
 def _unconjugate(G: Poly, K: Poly, c: int, m: int, n: int) -> Tuple[Poly, Poly]:
     """Map a witness F = G(K) of the monic conjugate back to f's canonical gauge.
 
@@ -260,12 +270,14 @@ def decomposable_on_span(
     candidates: Optional[dict] = None,
 ) -> Optional[Tuple[Set[tuple], Set[Tuple[int, int, int]]]]:
     """The integer a for which f0 + sum_i a_i directions[i] decomposes with an
-    inner of one of inner_degrees, over one or two directions.
+    inner of one of inner_degrees, over zero, one or two directions.
 
     Returns None when every a does, else (points, lines): the a are the
     points and, for two directions (v_2, v_1) and a = (a_2, a_1), the lines
     (w_2, w_1, c) of the a with w_2 a_2 + w_1 a_1 = c, primitive as in
-    _solve, so that distinct lines are distinct triples.
+    _solve, so that distinct lines are distinct triples.  With no direction
+    it decides f0 alone: None when f0 decomposes with one of inner_degrees,
+    else (set(), set()).
 
     f0 has degree d, and no direction reaches x**(d-n+1) for a listed n.
     Then with c = lead(f0) the monic conjugate of f0 + sum_i a_i v_i is
@@ -281,7 +293,7 @@ def decomposable_on_span(
     share them.
     """
     d = degree(f0)
-    if inner_degrees and max(map(degree, directions)) > d - max(inner_degrees):
+    if inner_degrees and max(map(degree, directions), default=0) > d - max(inner_degrees):
         raise ValueError("a direction reaches the coefficients that fix the candidate inner")
     c = f0[-1]
     F = _monic_conjugate(f0)
@@ -294,10 +306,7 @@ def decomposable_on_span(
     lines: Set[Tuple[int, int, int]] = set()
     for n in inner_degrees:
         m = d // n
-        key = (m, n, F[d - n + 1 : d])
-        if key not in candidates:
-            candidates[key] = _integer_candidate(F, m, n)
-        K = candidates[key]
+        K = _candidate(F, m, n, candidates)
         if K is None:
             continue
         digits = zip(*(_adic_digits(p, K, m - 1) for p in (F, *Vs)))

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+import sys
 from math import gcd, prod
 from unittest import mock
 
@@ -146,11 +147,19 @@ def test_pinned_regression_monic_quartics():
         (12, 3, False, "indecomp_pair", 702_464),
         (8, 80, True, "indecomp_pair", 866_085_654),  # excluded {4}
         (12, 6, True, "total", 4_966_871),  # (3, 4) excludes {2, 3}, (2, 6) {2, 3, 4}
+        # totals whose time is spent in the splits (2, n): the inner cut {2, 3}
+        # of (2, 6), {2, 4} of (2, 8), {3} of (2, 9) and {2} of (2, 4)
+        (12, 8, True, "total", 24_562_059),
+        (12, 3, False, "total", 729_414),
+        (16, 3, True, "total", 5_783_953),
+        (18, 2, True, "total", 1_976_725),
+        (8, 15, False, "total", 29_596_878),
     ],
 )
 def test_pinned_regression_excluded_degrees(d, H, monic, variant, count):
     # counts where the exclusion of each polygon solves one or two excluded
-    # degrees, at heights beyond the per-pair reference
+    # degrees, or the inner walk cuts the inners that decompose, at heights
+    # beyond the per-pair reference
     assert count_forward(CountQuery(d, H, monic, variant)).count == count
 
 
@@ -428,8 +437,8 @@ def test_uniqueness_recheck_catches_repeated_candidate(
     # twice; with two chunks the copy lands in the other chunk
     real = census._h_candidates
 
-    def repeated(m, n, H, monic, box):
-        hs = real(m, n, H, monic, box)
+    def repeated(m, n, *rest):
+        hs = real(m, n, *rest)
         return hs + hs[:1] if (m, n) == (3, 2) else hs
 
     monkeypatch.setattr(census, "_h_candidates", repeated)
@@ -530,11 +539,23 @@ def test_two_inner_degrees_counted_once():
 def test_composite_smaller_inner_degree_attributes_away(monkeypatch):
     # f = (x^4+x)^4 + a(x^4+x)^2 lies in the splits (4,4) and (2,8) but not
     # in (8,2), as x^4+x is indecomposable; only the composite inner degree
-    # 4 attributes its (2,8) pairs away.  The inners are cut to this family.
+    # 4 attributes its (2,8) pairs away: the (2,8) inner (x^4+x)^2 decomposes
+    # with it, so the inner walk of (2,8), cut {2, 4}, drops it.  The inners
+    # are cut to this family, and the stand-in drops what the walk drops
+    # (test_inner_cut_drops_exactly_the_decomposable_inners).
     d, H = 16, 6
     h4 = (0, 1, 0, 0, 1)
-    only = {(4, 4): [h4], (2, 8): [compose((0, 0, 1), h4)]}
-    monkeypatch.setattr(census, "_h_candidates", lambda m, n, *rest: only.get((m, n), []))
+    h8 = compose((0, 0, 1), h4)
+    assert decomposable_on_span(h4, (), (2,)) is not None
+    assert decomposable_on_span(h8, (), (2,)) is not None
+    assert decomposable_on_span(h8, (), (4,)) is None
+    only = {(4, 4): [h4], (2, 8): [h8]}
+    monkeypatch.setattr(
+        census, "_h_candidates",
+        lambda m, n, H, monic, box, cut=(): [
+            h for h in only.get((m, n), []) if decomposable_on_span(h, (), cut) is not None
+        ],
+    )
     keys4 = forward_key_set(d, H, True, (4, 4))
     assert forward_key_set(d, H, True, (2, 8)) <= keys4
     assert count_forward(CountQuery(d, H, True, "total")).count == (2 * H + 1) * len(keys4)
@@ -568,6 +589,47 @@ def test_prime_degree_and_refusal_skip_ordered_splits(monkeypatch):
     q = CountQuery(6, 3, True, "total")
     assert count_forward(q).count == count_bruteforce(q).count == 945
     assert calls == [6]
+
+
+@pytest.mark.parametrize(
+    "m,n,H,monic,cut",
+    [
+        (2, 4, 12, True, (2,)),
+        (2, 4, 8, False, (2,)),
+        (2, 6, 6, True, (2, 3)),
+        (2, 6, 3, False, (2, 3)),
+        (3, 4, 4, True, (2,)),
+        (2, 8, 3, True, (2, 4)),
+        (2, 9, 2, True, (3,)),
+    ],
+)
+def test_inner_cut_drops_exactly_the_decomposable_inners(m, n, H, monic, cut):
+    # the walk solves each degree-e candidate once per prefix and checks the
+    # digits only below an integral one; what it keeps must be the uncut
+    # candidates less those that decompose with a degree of cut, in order
+    box = EnumBox.build(m, n, H)
+    full = _h_candidates(m, n, H, monic, box)
+    kept = _h_candidates(m, n, H, monic, box, cut)
+    assert kept == [h for h in full if decomposable_on_span(h, (), cut) is not None]
+    assert len(kept) < len(full)
+    # the squares built along the walk
+    assert all(h.sq == mul(h, h) for h in full)
+
+
+def test_inner_walk_is_iterative():
+    # the split (5, 120) walks 119 inner coefficients; at H = 2 only x^120
+    # is left, under 5^4 outer polynomials.  The walk takes no stack frame
+    # per coefficient, so a few dozen frames above the caller's suffice.
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 60)
+    try:
+        count = count_forward(CountQuery(600, 2, True, "split", (5, 120))).count
+    finally:
+        sys.setrecursionlimit(limit)
+    assert count == 3125
 
 
 def test_h_candidates_normalized_and_ordered():
@@ -607,13 +669,20 @@ def unpruned_h_candidates(m, n, H, monic, box):
     return out
 
 
-def passes_low_tests(h, H):
-    """The three low-coefficient inequalities of an m = 2 inner, one by one."""
+def passes_low_tests(h, H, monic):
+    """The three low-coefficient inequalities of an m = 2 inner, one by one,
+    and for a monic inner the one row a_2 = 1, by trying every a_1."""
     n, b1, L = len(h) - 1, h[1], h[-1]
-    if b1 == 0:
-        return True
-    A = H // abs(b1)
-    return b1 * b1 <= H + A * abs(h[2]) and abs(poly_pow(h, 2)[n]) <= H + L * A
+    sq = poly_pow(h, 2)
+    if b1:
+        A = H // abs(b1)
+        if b1 * b1 > H + A * abs(h[2]) or abs(sq[n]) > H + L * A:
+            return False
+    # |a_1| <= H: at the lowest k with h_k != 0, [h^2]_k = 0 and [f]_k = a_1 h_k
+    rows = list(zip(sq[1 : n + 1], h[1:]))
+    return not monic or any(
+        all(abs(s + a * g) <= H for s, g in rows) for a in range(-H, H + 1)
+    )
 
 
 # largest H drawn per (n, monic) for the split (2, n); from H = 4 on, the
@@ -637,7 +706,7 @@ def test_low_coefficient_cut_drops_only_dead_inners(case):
     full = unpruned_h_candidates(2, n, H, monic, box)
     cut = _h_candidates(2, n, H, monic, box)
     # the reference filtered one candidate at a time: an in-order subsequence
-    assert cut == [h for h in full if passes_low_tests(h, H)]
+    assert cut == [h for h in full if passes_low_tests(h, H, monic)]
     kept = set(cut)
     dropped = [h for h in full if h not in kept]
     assert _run_chunk((d, H, monic, box, dropped, (), 10**9))[0] == 0

@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from polycensus.asymptotics import spf
 from polycensus.census import EnumBox, explicit_constants_sq
@@ -447,3 +447,56 @@ def test_decomposable_on_span_rejects_high_direction():
         decomposable_on_span((0, 1, 0, 0, 1), ((0, 0, 0, 1),), (2,))
     with pytest.raises(ValueError):
         decomposable_on_span((0, 1, 0, 0, 1), ((0, 0, 1), (0, 0, 0, 1)), (2,))
+
+
+# (n, e): inner degree n and a degree e | n, 1 < e < n, of its right component
+RIGHT_COMPONENTS = ((4, 2), (6, 2), (6, 3), (8, 2), (8, 4), (9, 3))
+
+
+def lead_of(draw, monic):
+    return 1 if monic else draw(st.sampled_from(LEADS))
+
+
+def inner(draw, n, monic):
+    """h with h(0) = 0 and degree n, monic or with a lead of LEADS."""
+    return (0,) + tuple(draw(SMALL) for _ in range(n - 1)) + (lead_of(draw, monic),)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from((2, 3)), st.sampled_from(RIGHT_COMPONENTS), st.booleans(), st.data())
+def test_inner_with_a_right_component_excludes_its_polygons(m, ne, monic, data):
+    # h = u(w), deg w = e: every point of the span that a polygon of g(h)
+    # moves along, (h^2, h) for m = 3 and h alone for m = 2, is a polynomial
+    # in w, so the forward walk may drop h when e is an excluded degree
+    n, e = ne
+    u, w = inner(data.draw, n // e, monic), inner(data.draw, e, monic)
+    h = compose(u, w)
+    g = tuple(data.draw(SMALL) for _ in range(m)) + (lead_of(data.draw, monic),)
+    f = compose(g, h)
+    directions = (h,) if m == 2 else (poly_pow(h, 2), h)
+    assert decomposable_on_span(f, directions, (e,)) is None
+    for a in itertools.product((-1, 2), repeat=len(directions)):
+        fa = f
+        for x, v in zip(a, directions):
+            fa = on_line(fa, v, x)
+        assert decompose_split(fa, m * n // e, e) is not None
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(((2, 4), (2, 6), (2, 8), (2, 9), (3, 4), (3, 6))), st.booleans(), st.data()
+)
+def test_indecomposable_inner_shares_no_component(split, monic, data):
+    # Engstrom: f = g(h) = G(K) gives h and K a common right component of
+    # degree gcd(deg h, deg K), so an indecomposable h of degree n admits no
+    # inner degree k with 1 < gcd(k, n) < n, whatever the outer g
+    m, n = split
+    d = m * n
+    h = inner(data.draw, n, monic)
+    assume(not is_decomposable(h))
+    k = data.draw(st.sampled_from([k for k in _inner_degrees(d) if 1 < gcd(k, n) < n]))
+    g = tuple(data.draw(SMALL) for _ in range(m)) + (lead_of(data.draw, monic),)
+    # the window: g_1 over 5 values, and for m = 3 g_2 over 3
+    for a1, a2 in itertools.product(range(-2, 3), range(-1, 2) if m == 3 else (0,)):
+        ga = (g[0], g[1] + a1) + ((g[2] + a2,) if m == 3 else ()) + g[m:]
+        assert decompose_split(compose(ga, h), d // k, k) is None
