@@ -49,6 +49,7 @@ import time
 from bisect import insort
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache, partial
 from itertools import product
 from math import gcd, isqrt
 from operator import mul as times
@@ -71,7 +72,6 @@ from .lattice import (
     polygon,
     polygon_count,
     polygon_rows,
-    row_window,
     union_count,
     window_interval,
 )
@@ -209,8 +209,10 @@ def _h_candidates(
     """Normalized inner candidates in lexicographic order.
 
     Walks the inner coefficients b_(n-1)..b_1 of h = b_1 x + ... + b_n x^n,
-    b_n = L >= 1, one level per coefficient, without recursion; each level
-    is restricted by |b| <= b_max and by the final top coefficients of f:
+    b_n = L >= 1, as one odometer without recursion: one level per
+    coefficient, and each value of the last level b_1 is a leaf, one
+    candidate to test.  Each level is restricted by |b| <= b_max and by the
+    final top coefficients of f:
     with b_j..b_1 still 0, the coefficient of x^((m-1)n+j) of f = g(h) is
     a_m [h^m]_((m-1)n+j) (h^(m-1) has degree (m-1)n), which depends on b_j
     linearly with slope m*L^(m-1) and must not exceed H in absolute value
@@ -266,14 +268,8 @@ def _h_candidates(
     for e in cut:
         decided.setdefault(n - e + 1, []).append(e)
     candidates: dict = {}
-    bounds: dict = {}
-
-    def bound(c: int) -> int:
-        # _low_square_bound(H, c), memoized by c = |b_2|
-        B = bounds.get(c)
-        if B is None:
-            B = bounds[c] = _low_square_bound(H, c)
-        return B
+    bound = lru_cache(maxsize=None)(partial(_low_square_bound, H))  # by |b_2|
+    zero = (0,) * (n + 1)
 
     for L in leads:
         slope = m * L ** (m - 1)
@@ -322,29 +318,6 @@ def _h_candidates(
                 sq[2 * j] += u * (t + bs[j])
                 bs[j] = t
 
-        def leaves() -> None:
-            # the candidates of the prefix b_(n-1)..b_2, b_1 running
-            for t in level(1):
-                put(1, t)
-                if monic and m == 2:
-                    # the row a_2 = 1 of lattice.polygon: |[h^2]_j + a_1 b_j| <= H, j = 1..n
-                    low = list(zip(sq[1 : n + 1], bs[1:]))
-                    rows = [(0, s, g) if g > 0 else (0, -s, -g) for s, g in low if g]
-                    lo1, hi1 = row_window(rows, 1, H)
-                    if lo1 > hi1 or any(s > H or s < -H for s, g in low if not g):
-                        continue
-                if not monic and gcd(*bs) != 1:
-                    continue
-                if live[2] and decomposable_on_span(tuple(bs), (), cut, candidates) is None:
-                    continue
-                h = _Inner(bs)
-                h.sq = tuple(sq)
-                out.append(h)
-            put(1, 0)
-
-        if n == 2:
-            leaves()
-            continue
         j = n - 1
         values[j] = level(j)
         while j < n:
@@ -357,11 +330,20 @@ def _h_candidates(
                 _candidate(_monic_conjugate(tuple(bs)), n // e, e, candidates) is not None
                 for e in decided[j]
             )
-            if j > 2:
+            if j > 1:
                 j -= 1
                 values[j] = level(j)
-            else:
-                leaves()
+                continue
+            # a leaf: the candidate b_(n-1)..b_1
+            if monic and m == 2 and polygon(zero, bs, sq, 1, 1, H)[1] is None:
+                continue  # the row a_2 = 1 holds no a_1
+            if not monic and gcd(*bs) != 1:
+                continue
+            if live[1] and decomposable_on_span(tuple(bs), (), cut, candidates) is None:
+                continue
+            h = _Inner(bs)
+            h.sq = tuple(sq)
+            out.append(h)
     return out
 
 
@@ -406,69 +388,64 @@ def _powers(h: Poly, m: int) -> List[Poly]:
     return hp
 
 
-def _walk_outer(hp: List[Poly], H: int, monic: bool, box: EnumBox, visit) -> None:
-    """Call visit(P, prefix, lo, hi) for every polygon of one inner h, in order.
+def _walk_outer(
+    hp: List[Poly], H: int, monic: bool, box: EnumBox
+) -> Iterator[Tuple[List[int], List[int], int, int]]:
+    """Yield (P, prefix, lo, hi) for every polygon of one inner h, in order.
 
-    hp is _powers(h, m).  The outer leads a_m come from the lead window (1
-    if monic), then a_(m-1)..a_3 run in lexicographic order, each clipped by
-    window_interval to the coefficients of f it is the last to reach.  A
-    polygon fixes prefix = [a_m, .., a_3], and P[j] is the x^j coefficient
+    hp is _powers(h, m).  One odometer runs a_m..a_3 in lexicographic
+    order: the outer leads a_m come from the lead window (1 if monic), and
+    each of a_(m-1)..a_3 is clipped by window_interval to the coefficients
+    of f it is the last to reach.  A polygon fixes prefix = [a_m, .., a_3],
+    and P[j] is the x^j coefficient
     of (a_3 x^3 + .. + a_m x^m)(h); [lo, hi] is the a_2 window clipped by
     x^(n+1)..x^(2n), the last coefficients a_2 reaches.  Its polynomials
     are P + a_2 h^2 + a_1 h for the (a_2, a_1) of lattice.polygon.  For
     m = 2 the lead is a_2: prefix is empty, P is 0 and lo = hi = a_2, one
-    row per lead.  visit must not modify P or prefix.
+    row per lead.  P and prefix are the walk's own lists: they hold until
+    the next polygon is drawn, and the caller must not modify them.
     """
     m, n = box.m, box.n
     d = m * n
     P = [0] * (d + 1)
-    prefix: List[int] = []
-
-    def rec(k):
-        hk = hp[k]
-        kn = k * n
-        lo, hi = window_interval(P, hk, (k - 1) * n + 1, kn, H, -(1 << 62), 1 << 62)
-        if lo > hi:
-            return
-        if k == 2:
-            visit(P, prefix, lo, hi)
-            return
-        if lo:
-            for j in range(1, kn + 1):
-                P[j] += lo * hk[j]
-        a = lo
-        while True:
-            prefix.append(a)
-            rec(k - 1)
-            prefix.pop()
-            if a == hi:
-                break
-            for j in range(1, kn + 1):
-                P[j] += hk[j]
-            a += 1
-        for j in range(1, kn + 1):
-            P[j] -= hi * hk[j]
-
-    hpm = hp[m]
+    prefix = [0] * (m - 2)  # prefix[m - k] = a_k
     if monic:
         leads = [1]
     else:
         amax = box.lead_cap(max(abs(c) for c in hp[1]))
-        lo_a, hi_a = window_interval(P, hpm, (m - 1) * n + 1, d, H, -amax, amax)
+        lo_a, hi_a = window_interval(P, hp[m], (m - 1) * n + 1, d, H, -amax, amax)
         leads = [a for a in range(lo_a, hi_a + 1) if a]
-    for am in leads:
-        if m == 2:
-            visit(P, prefix, am, am)
+    if m == 2:
+        for a in leads:
+            yield P, prefix, a, a
+        return
+    values: list = [None] * (m + 1)  # values[k]: the a_k still to visit
+    k = m
+    values[k] = iter(leads)
+    while k <= m:
+        t = next(values[k], None)
+        u = (0 if t is None else t) - prefix[m - k]
+        if u:
+            prefix[m - k] += u
+            hk = hp[k]
+            for j in range(1, k * n + 1):
+                P[j] += u * hk[j]
+        if t is None:
+            k += 1
             continue
-        for j in range(1, d + 1):
-            P[j] = am * hpm[j]
-        prefix.append(am)
-        rec(m - 1)
-        prefix.pop()
+        # the window of a_(k-1), the last to reach x^(top-n+1)..x^top
+        top = (k - 1) * n
+        lo, hi = window_interval(P, hp[k - 1], top - n + 1, top, H, -(1 << 62), 1 << 62)
+        if k > 3:
+            k -= 1
+            values[k] = iter(range(lo, hi + 1))
+        elif lo <= hi:
+            yield P, prefix, lo, hi
 
 
 def _run_chunk(args):
-    """Enumerate outer polynomials for one inner-candidate chunk.
+    """Enumerate outer polynomials for one inner-candidate chunk, in one loop
+    over the polygons that _walk_outer yields.
 
     Returns (pairs, 0, None, away, tops):
       pairs    -- witness pairs completed (equals distinct polynomials)
@@ -477,8 +454,8 @@ def _run_chunk(args):
       tops     -- the top-n coefficient vector of every non-empty block
     The 0 and None slots keep the 5-tuple that perfbench/tracer.py unpacks.
 
-    The unit of work is a polygon of _walk_outer, and polygon_count counts
-    its pairs in closed form.  When excluded is not empty, one
+    The unit of work is a polygon, and polygon_count counts its pairs
+    in closed form.  When excluded is not empty, one
     decomposable_on_span call per polygon decides the exclusion for all of
     its points, and union_count counts the excluded ones.  For m >= 3 the
     polygon is the plane P + a_2 h^2 + a_1 h, and h^2 and h stay below the
@@ -518,34 +495,6 @@ def _run_chunk(args):
     pairs = 0
     away = 0
     last = -1  # the largest key emitted so far in the current block
-    block = None  # the outer lead of the current block
-
-    def visit(P, prefix, lo, hi):
-        nonlocal pairs, away, last, block
-        rows, first, final = polygon(P, h, s, lo, hi, H)
-        if first is None:
-            return
-        count = polygon_count(rows, first, final, H)
-        lead = prefix[0] if prefix else first[0]
-        if lead != block:
-            # first polygon of a new block; a block's f share the top n coefficients
-            block = lead
-            last = -1
-            tops.append(tuple(p + first[0] * t for p, t in zip(P[d - n + 1 :], s[d - n + 1 :])))
-        key0 = key_h + sum(map(times, P, bp))
-        if key0 + first[0] * skf + first[1] * hkf <= last or (count > 1 and h[n] <= 0):
-            raise _uniqueness_error(m, n, H, "keys not increasing within a block")
-        last = key0 + final[0] * skf + final[1] * hkf
-        if excluded:
-            if m == 2:  # one row, whose lead a_2 reaches the candidates
-                got = decomposable_on_span([first[0] * t for t in s], (h,), excluded, candidates)
-                away += count if got is None else sum(first[1] <= a <= final[1] for a, in got[0])
-            else:
-                got = decomposable_on_span(P, (hp[2], h), excluded, candidates)
-                away += count if got is None else union_count(rows, first, final, H, *got)
-        pairs += count
-        if pairs > budget:
-            raise _pairs_budget_error(budget, m, n, H)
 
     for h in h_chunk:
         hp = _powers(h, m)
@@ -553,8 +502,37 @@ def _run_chunk(args):
         s = hp[2] + (0,) * (d - 2 * n)
         hkf = sum(map(times, h, bp))
         skf = sum(map(times, s, bp))
-        block = None
-        _walk_outer(hp, H, monic, box, visit)
+        block = None  # the outer lead of the current block
+        for P, prefix, lo, hi in _walk_outer(hp, H, monic, box):
+            rows, first, final = polygon(P, h, s, lo, hi, H)
+            if first is None:
+                continue
+            count = polygon_count(rows, first, final, H)
+            lead = prefix[0] if prefix else first[0]
+            if lead != block:
+                # first polygon of a new block; a block's f share the top n coefficients
+                block = lead
+                last = -1
+                tops.append(
+                    tuple(p + first[0] * t for p, t in zip(P[d - n + 1 :], s[d - n + 1 :]))
+                )
+            key0 = key_h + sum(map(times, P, bp))
+            if key0 + first[0] * skf + first[1] * hkf <= last or (count > 1 and h[n] <= 0):
+                raise _uniqueness_error(m, n, H, "keys not increasing within a block")
+            last = key0 + final[0] * skf + final[1] * hkf
+            if excluded:
+                if m == 2:  # one row, whose lead a_2 reaches the candidates
+                    row = [first[0] * t for t in s]
+                    got = decomposable_on_span(row, (h,), excluded, candidates)
+                    away += count if got is None else sum(
+                        first[1] <= a <= final[1] for a, in got[0]
+                    )
+                else:
+                    got = decomposable_on_span(P, (hp[2], h), excluded, candidates)
+                    away += count if got is None else union_count(rows, first, final, H, *got)
+            pairs += count
+            if pairs > budget:
+                raise _pairs_budget_error(budget, m, n, H)
 
     return pairs, 0, None, away, tops
 
@@ -595,8 +573,6 @@ def _run_split(d, H, monic, split, workers, excluded, budget):
     cut = tuple(e for e in excluded if n % e == 0 and e < n)
     kernel = tuple(k for k in excluded if gcd(k, n) not in cut)
     h_list = _h_candidates(m, n, H, monic, box, cut)
-    if not h_list:
-        return 0, 0, None, 0
     chunk_list = _chunks(h_list, min(workers, os.cpu_count() or 1))
     tasks = [(d, H, monic, box, chunk, kernel, budget) for chunk in chunk_list]
     if len(tasks) == 1:
@@ -736,8 +712,9 @@ def iter_decompositions(
 ) -> Iterator[Tuple[Poly, Poly]]:
     """Yield every enumerated witness pair (g, h) for one split.
 
-    The pairs come polygon by polygon in the order of _walk_outer, each
-    polygon row by row (a_2 rising, then a_1 rising).  The outer polynomial
+    The pairs come polygon by polygon as _walk_outer yields them, each
+    polygon row by row (a_2 rising, then a_1 rising); a polygon is built
+    only when its pairs are drawn.  The outer polynomial
     is produced with constant term 0; the full family per pair ranges over
     all constants in [-H, H].  Intended for inequality sweeps and tests,
     not for counting.
@@ -747,15 +724,9 @@ def iter_decompositions(
     for h in _h_candidates(m, n, H, monic, box):
         hp = _powers(h, m)
         h = hp[1]
-        polygons: list = []
-        _walk_outer(
-            hp, H, monic, box,
-            lambda P, prefix, lo, hi: polygons.append(
-                (tuple(reversed(prefix)),) + polygon(P, h, hp[2], lo, hi, H)
-            ),
-        )
-        for tail, rows, first, last in polygons:
-            for a2, lo1, hi1 in polygon_rows(rows, first, last, H):
+        for P, prefix, lo, hi in _walk_outer(hp, H, monic, box):
+            tail = tuple(reversed(prefix))
+            for a2, lo1, hi1 in polygon_rows(*polygon(P, h, hp[2], lo, hi, H), H):
                 for a in range(lo1, hi1 + 1):
                     yield (0, a, a2) + tail, h
 

@@ -20,6 +20,7 @@ import platform
 import sys
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
+from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from . import __version__
@@ -94,21 +95,22 @@ def _emit(row: dict, fmt: str, out) -> None:
         out.write(json.dumps(row) + "\n")
 
 
+def _parse_split(text: str, prefix: str) -> Tuple[int, int]:
+    """(m, n) from text = prefix + "m,n"."""
+    try:
+        m, n = map(int, text[len(prefix) :].split(","))
+    except ValueError:
+        raise ValueError(f"malformed split {text!r}; expected {prefix}m,n") from None
+    return m, n
+
+
 def _parse_variant(text: str) -> Tuple[str, Optional[Tuple[int, int]]]:
     if text == "total":
         return "total", None
     if text == "indecomp-pair":
         return "indecomp_pair", None
     if text.startswith("split:"):
-        body = text[len("split:") :]
-        parts = body.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"malformed split {text!r}; expected split:m,n")
-        try:
-            m, n = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ValueError(f"malformed split {text!r}; expected split:m,n") from None
-        return "split", (m, n)
+        return "split", _parse_split(text, "split:")
     raise ValueError(f"unknown variant {text!r}")
 
 
@@ -120,14 +122,20 @@ def _parse_grid(args) -> List[int]:
     if args.grid.startswith("geometric:"):
         if args.height_max is None:
             raise ValueError("--grid geometric:k needs --height-max")
-        k = int(args.grid.split(":", 1)[1])
+        try:
+            k = int(args.grid.split(":", 1)[1])
+        except ValueError:
+            raise ValueError(f"malformed grid {args.grid!r}") from None
         if k < 1:
             raise ValueError("geometric grid needs at least one point")
         H = args.height_max
         if H < 2:
             raise ValueError("degree and height must both be >= 2")
-        # every point past i = H.bit_length() is 2, which that i already gives
-        return sorted({max(2, round(H / 2**i)) for i in range(min(k, H.bit_length() + 1))})
+        # every point past i = H.bit_length() is 2, which that i already gives;
+        # H/2^i rounds half to even in exact arithmetic, as a float would below 2^53
+        return sorted(
+            {max(2, round(Fraction(H, 2**i))) for i in range(min(k, H.bit_length() + 1))}
+        )
     try:
         pts = [int(p) for p in args.grid.split(",")]
     except ValueError:
@@ -206,11 +214,7 @@ def _cmd_decompose(args) -> int:
     if degree(f) < 2:
         raise ValueError("decomposition needs degree >= 2")
     if args.split:
-        parts = args.split.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"malformed split {args.split!r}; expected m,n")
-        m, n = int(parts[0]), int(parts[1])
-        w = decompose_split(f, m, n)
+        w = decompose_split(f, *_parse_split(args.split, ""))
         if w is None:
             print("indecomposable")
         else:
@@ -366,6 +370,8 @@ def run(argv: Sequence[str]) -> int:
     try:
         if getattr(args, "jobs", 1) < 1:
             raise ValueError("--jobs must be at least 1")
+        if args.command == "count" and args.budget is not None and args.budget < 1:
+            raise ValueError("--budget must be at least 1")
         if args.command == "count":
             return _cmd_count(args)
         if args.command == "decompose":

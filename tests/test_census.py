@@ -462,7 +462,7 @@ def test_uniqueness_recheck_catches_keys_out_of_order(monkeypatch):
 
 @pytest.mark.parametrize("split,last_row", [((3, 2), False), ((2, 3), False), ((3, 2), True)])
 def test_uniqueness_recheck_catches_a_repeated_polygon(monkeypatch, split, last_row):
-    # every polygon is visited again right after itself, whole or (last_row,
+    # every polygon is yielded again right after itself, whole or (last_row,
     # windows of several a_2 only) just its last a_2, so the copy lies in the
     # same block with the same top coefficients; only the per-polygon key
     # comparison sees it (at m = 2 each polygon is a whole block).  A last
@@ -470,15 +470,13 @@ def test_uniqueness_recheck_catches_a_repeated_polygon(monkeypatch, split, last_
     # with the last key.
     real = census._walk_outer
 
-    def again(hp, H, monic, box, visit):
-        def both(P, prefix, lo, hi):
-            visit(P, prefix, lo, hi)
+    def again(hp, H, monic, box):
+        for P, prefix, lo, hi in real(hp, H, monic, box):
+            yield P, prefix, lo, hi
             if not last_row:
-                visit(P, prefix, lo, hi)
+                yield P, prefix, lo, hi
             elif lo < hi:
-                visit(P, prefix, hi, hi)
-
-        real(hp, H, monic, box, both)
+                yield P, prefix, hi, hi
 
     monkeypatch.setattr(census, "_walk_outer", again)
     with pytest.raises(RuntimeError, match="not increasing"):
@@ -519,11 +517,10 @@ def test_two_inner_degrees_counted_once():
     assert key in forward_key_set(d, H, True, (4, 2))
     assert key in forward_key_set(d, H, True, (2, 4))
     box = EnumBox.build(2, 4, H)
-    polygons = []
-    census._walk_outer(
-        census._powers(h, 2), H, True, box,
-        lambda P, prefix, lo, hi: polygons.append((tuple(P), prefix[:], lo, hi)),
-    )
+    polygons = [
+        (tuple(P), prefix[:], lo, hi)
+        for P, prefix, lo, hi in census._walk_outer(census._powers(h, 2), H, True, box)
+    ]
     # m = 2: the monic lead a_2 = 1 is the only polygon, a single row over P = 0
     [(P, prefix, lo2, hi2)] = polygons
     assert prefix == [] and lo2 == hi2 == 1 and not any(P)
@@ -723,6 +720,22 @@ def test_iter_decompositions_matches_counts():
     for g, h in pairs:
         assert h[0] == 0 and h[-1] == 1 and g[-1] == 1
         assert height(compose(g, h)) <= 5
+
+
+def test_iter_decompositions_streams_its_pairs(monkeypatch):
+    # the first pair is drawn after the first polygon of the first inner is
+    # built, not after every polygon of that inner (7 at d=8, H=3, split (4,2))
+    built = []
+    real = census.polygon
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(census, "polygon", counted)
+    pairs = iter_decompositions(8, 3, True, (4, 2))
+    next(pairs)
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("monic", [True, False])

@@ -105,6 +105,18 @@ def test_geometric_grid_stops_at_two():
     assert capture(argv + ["geometric:1000000000"]) == capture(argv + ["geometric:5"])
 
 
+def test_geometric_grid_rounds_exactly():
+    # past 2^53 a float quotient loses the low bits; the grid halves H exactly,
+    # ties to even (2^52 + 1/2 rounds down); d = 5 is prime, so every count is 0
+    H = 2**53 + 1
+    argv = ["count", "--degree", "5", "--height-max", str(H), "--grid"]
+    for k, hs in (("1", [H]), ("2", [2**52, H])):
+        code, out, _ = capture(argv + ["geometric:" + k])
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert code == 0 and [int(r[5]) for r in rows] == hs
+        assert {r[6] for r in rows} == {"0"}
+
+
 def test_count_byte_identical_bodies():
     argv = ["count", "--degree", "4", "--monic", "--grid", "5,25,50"]
     _, body1, _ = capture(argv)
@@ -182,6 +194,20 @@ def test_exit_codes(tmp_path):
     for jobs in ("0", "-3"):
         code, _, err = capture(["count", "--degree", "4", "--height-max", "2", "--jobs", jobs])
         assert code == 2 and err.startswith("error:") and "--jobs" in err
+        assert len(err.strip().splitlines()) == 1
+    for argv, why in (
+        (["decompose", "5,2,3,2,1", "--split", "a,b"], "malformed split"),
+        (["decompose", "5,2,3,2,1", "--split", "2,2,2"], "malformed split"),
+        (["count", "--degree", "4", "--height-max", "5", "--variant", "split:a,b"],
+         "malformed split"),
+        (["count", "--degree", "4", "--height-max", "5", "--grid", "geometric:x"],
+         "malformed grid"),
+        (["count", "--degree", "4", "--height-max", "5", "--budget", "-5"], "--budget"),
+        (["count", "--degree", "4", "--height-max", "5", "--budget", "0"], "--budget"),
+    ):
+        code, out, err = capture(argv)
+        assert code == 2 and out == "" and err.startswith("error:") and why in err
+        assert "invalid literal" not in err and "raise --budget" not in err
         assert len(err.strip().splitlines()) == 1
     for flag in ("--output", "--manifest"):
         target = tmp_path / "missing_dir" / "x.csv"
