@@ -48,7 +48,7 @@ import os
 import time
 from bisect import insort
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import product
 from math import gcd, isqrt
@@ -128,31 +128,28 @@ class EnumBox:
     """Provably sufficient enumeration box for one split at one height.
 
     Every normalized decomposition of every degree-d polynomial of height
-    at most H has inner height at most b_max; per-coefficient bounds for the
-    outer polynomial are derived exactly during backtracking, with
-    lead_cap(b) as the analytic cap on |lead(g)| given inner height b.
+    at most H has inner height at most b_max, by the height lemma
+    |lead(g)| H(h)^m <= K1 H(f) and |lead(g)| >= 1; K1 bounds nothing else.
+    The outer polynomial needs no such bound: _walk_outer clips each of its
+    coefficients, the lead included, exactly to the coefficients of f it
+    reaches.
     """
 
     m: int
     n: int
     H: int
     b_max: int
-    _k1_sq_hh: int = field(repr=False)  # (K1*H)^2 as an exact integer
 
     @classmethod
     def build(cls, m: int, n: int, H: int) -> "EnumBox":
-        x = explicit_constants_sq(m, n)[0] * H * H
-        return cls(m, n, H, _int_root(x, 2 * m), x)
-
-    def lead_cap(self, b: int) -> int:
-        """Max |lead(g)| compatible with inner height b (exact integer)."""
-        if b < 1:
-            raise ValueError("inner height must be >= 1")
-        return isqrt(self._k1_sq_hh // b ** (2 * self.m))
+        return cls(m, n, H, _int_root(explicit_constants_sq(m, n)[0] * H * H, 2 * m))
 
     def inner_lead_max(self) -> int:
-        """Max inner leading coefficient: lead(g)*lead(h)^m caps the top of f."""
-        return min(self.b_max, _int_root(self.H, self.m))
+        """Max inner leading coefficient: lead(g)*lead(h)^m is the top of f.
+
+        K1 >= 1 makes b_max at least this, so it needs no min with b_max.
+        """
+        return _int_root(self.H, self.m)
 
 
 @dataclass(frozen=True)
@@ -284,8 +281,7 @@ def _h_candidates(
         def level(j: int):
             # the b_j that keep [h^m]_((m-1)n+j) in the window, b_(j-1)..b_1 being 0
             s = sq[n + j] if m == 2 else poly_pow(tuple(bs), m)[(m - 1) * n + j]
-            lo = max(-b_max, -((H + s) // slope))
-            hi = min(b_max, (H - s) // slope)
+            lo, hi = window_interval((s,), (slope,), 0, 0, H, -b_max, b_max)
             if m == 2 and j == 2 and n > 3 and lo <= hi:
                 # the b_1 window of each b_2 must meet [-B, B]: |sq[n+1] + 2 b_(n-1) b_2|
                 # <= H + slope*B, B for the largest |b_2| (B grows with |b_2|)
@@ -394,10 +390,13 @@ def _walk_outer(
     """Yield (P, prefix, lo, hi) for every polygon of one inner h, in order.
 
     hp is _powers(h, m).  One odometer runs a_m..a_3 in lexicographic
-    order: the outer leads a_m come from the lead window (1 if monic), and
-    each of a_(m-1)..a_3 is clipped by window_interval to the coefficients
-    of f it is the last to reach.  A polygon fixes prefix = [a_m, .., a_3],
-    and P[j] is the x^j coefficient
+    order.  Every window comes from the coefficients of f alone, in exact
+    integers: window_interval, from an unbounded start, clips the outer
+    lead a_m (1 if monic) to x^((m-1)n+1)..x^d and each a_(k-1) to
+    x^((k-2)n+1)..x^((k-1)n), the coefficients it is the last to reach.
+    Each range reaches x^(kn) of h^k, whose coefficient is L^k != 0
+    (L = lead(h)), so every window is a finite integer interval.  A
+    polygon fixes prefix = [a_m, .., a_3], and P[j] is the x^j coefficient
     of (a_3 x^3 + .. + a_m x^m)(h); [lo, hi] is the a_2 window clipped by
     x^(n+1)..x^(2n), the last coefficients a_2 reaches.  Its polynomials
     are P + a_2 h^2 + a_1 h for the (a_2, a_1) of lattice.polygon.  For
@@ -412,8 +411,7 @@ def _walk_outer(
     if monic:
         leads = [1]
     else:
-        amax = box.lead_cap(max(abs(c) for c in hp[1]))
-        lo_a, hi_a = window_interval(P, hp[m], (m - 1) * n + 1, d, H, -amax, amax)
+        lo_a, hi_a = window_interval(P, hp[m], (m - 1) * n + 1, d, H)
         leads = [a for a in range(lo_a, hi_a + 1) if a]
     if m == 2:
         for a in leads:
@@ -435,7 +433,7 @@ def _walk_outer(
             continue
         # the window of a_(k-1), the last to reach x^(top-n+1)..x^top
         top = (k - 1) * n
-        lo, hi = window_interval(P, hp[k - 1], top - n + 1, top, H, -(1 << 62), 1 << 62)
+        lo, hi = window_interval(P, hp[k - 1], top - n + 1, top, H)
         if k > 3:
             k -= 1
             values[k] = iter(range(lo, hi + 1))

@@ -6,7 +6,8 @@ or JSON lines with the schema
     d,monic,variant,m,n,H,count,method,workers,elapsed_seconds
 where m,n are empty for the total variant and counts are exact integers.
 Identical invocations produce byte-identical bodies; wall-clock timings stay
-out of the body unless --timings is passed (the run manifest carries them).
+out of the body unless --timings is passed (the run manifest carries them,
+one per body row).
 
 Exit codes: 0 success, 2 malformed input or refused budget, 1 internal error.
 """
@@ -51,6 +52,7 @@ class RunManifest:
     workers: int
     budget: Optional[int]
     configuration: dict
+    elapsed_seconds: List[float]  # one per body row, in body order
     versions: dict = field(default_factory=dict)
 
     def write(self, path: str) -> None:
@@ -166,6 +168,7 @@ def _cmd_count(args) -> int:
     for q in queries:  # refuse before the first byte of output
         for method in methods:
             check_budget(q, method, args.budget)
+    elapsed = []
     out = open(args.output, "w") if args.output else sys.stdout
     try:
         if args.out == "csv":
@@ -184,6 +187,7 @@ def _cmd_count(args) -> int:
                 )
             for r in results:
                 _emit(_result_row(r, args.timings), args.out, out)
+                elapsed.append(r.elapsed_seconds)
             out.flush()
     finally:
         if args.output:
@@ -204,6 +208,7 @@ def _cmd_count(args) -> int:
                 "format": args.out,
                 "timings": args.timings,
             },
+            elapsed_seconds=elapsed,
             versions={"polycensus": __version__, "python": platform.python_version()},
         ).write(manifest_path)
     return 0
@@ -297,7 +302,10 @@ def _cmd_verify(args) -> int:
 
     wanted = None
     if args.criteria:
-        wanted = {int(c) for c in args.criteria.split(",")}
+        try:
+            wanted = {int(c) for c in args.criteria.split(",")}
+        except ValueError:
+            raise ValueError(f"malformed criteria {args.criteria!r}; expected 1,4,13") from None
         unknown = wanted - {number for number, _, _ in CRITERIA}
         if unknown:
             raise ValueError(

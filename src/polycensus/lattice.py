@@ -16,29 +16,28 @@ from typing import Iterator, Tuple
 _INF = float("inf")  # compares exactly with every int
 
 
-def window_interval(P, hk, j_lo, j_hi, H, lo, hi):
-    """Clip [lo, hi] so |P[j] + a*hk[j]| <= H for all j in [j_lo, j_hi]."""
+def window_interval(P, hk, j_lo, j_hi, H, lo=-_INF, hi=_INF):
+    """Clip [lo, hi] so |P[j] + a*hk[j]| <= H for all j in [j_lo, j_hi].
+
+    An empty window comes back as lo > hi.  A row with hk[j] = 0 (or past
+    the end of hk) only tests |P[j]| <= H; every other row clips both ends
+    to integers, so an unbounded start gives an integer window as soon as
+    one such row is in range.
+    """
     for j in range(j_lo, j_hi + 1):
         c = hk[j] if j < len(hk) else 0
         p = P[j]
-        if c == 0:
-            if p > H or p < -H:
-                return 1, 0
-        elif c > 0:
-            lo1 = -((H + p) // c)
-            hi1 = (H - p) // c
-            if lo1 > lo:
-                lo = lo1
-            if hi1 < hi:
-                hi = hi1
-        else:
-            cc = -c
-            lo1 = -((H - p) // cc)
-            hi1 = (H + p) // cc
-            if lo1 > lo:
-                lo = lo1
-            if hi1 < hi:
-                hi = hi1
+        if c < 0:
+            c, p = -c, -p  # the same constraint
+        if c:
+            v = -((H + p) // c)
+            if v > lo:
+                lo = v
+            v = (H - p) // c
+            if v < hi:
+                hi = v
+        elif p > H or p < -H:
+            return 1, 0
         if lo > hi:
             return 1, 0
     return lo, hi

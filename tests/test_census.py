@@ -26,7 +26,7 @@ from polycensus.census import (
 )
 from polycensus.asymptotics import spf
 from polycensus.decompose import decomposable_on_span, decompose_split, is_decomposable
-from polycensus.lattice import polygon, polygon_rows
+from polycensus.lattice import polygon, polygon_count, polygon_rows
 from polycensus.poly_core import add, compose, height, mul, poly_pow
 
 
@@ -92,9 +92,19 @@ def test_k1_bound_exhaustive_small_box():
 def test_enum_box():
     box = EnumBox.build(2, 2, 10)
     assert box.b_max == 21  # floor(sqrt(480))
-    assert box.lead_cap(1) == 480
-    assert box.lead_cap(21) == 1
     assert box.inner_lead_max() == 3  # floor(10^(1/2)) = 3
+
+
+def test_outer_windows_are_exact_at_any_height():
+    # monic (3, 2) over h = x^2 at H = 2^63: a_3 = 1 and f = x^6 + a_2 x^4 + a_1 x^2,
+    # so the a_2 window is [-H, H] and the polygon holds (2H+1)^2 points
+    H = 2**63
+    hp = census._powers((0, 0, 1), 3)
+    polygons = [
+        (prefix[:], lo, hi, polygon_count(*polygon(P, hp[1], hp[2], lo, hi, H), H))
+        for P, prefix, lo, hi in census._walk_outer(hp, H, True, EnumBox.build(3, 2, H))
+    ]
+    assert polygons == [([1], -H, H, (2 * H + 1) ** 2)]
 
 
 def test_int_root_exact_for_huge_radicands():

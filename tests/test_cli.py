@@ -135,12 +135,16 @@ def test_count_timings_flag():
 def test_count_output_file_and_manifest(tmp_path):
     target = tmp_path / "rows.csv"
     code, out, _ = capture(
-        ["count", "--degree", "4", "--monic", "--height-max", "3", "--output", str(target)]
+        ["count", "--degree", "4", "--monic", "--height-max", "3", "--output", str(target),
+         "--method", "both"]
     )
     assert code == 0 and out == ""
     body = target.read_text().strip().splitlines()
     assert body[0] == CSV_HEADER and body[1].split(",")[6] == "133"
     manifest = json.loads((tmp_path / "rows.csv.manifest.json").read_text())
+    # the body's elapsed_seconds stay empty without --timings; the manifest has one per row
+    times = manifest["elapsed_seconds"]
+    assert len(times) == 2 and all(isinstance(t, float) and t >= 0 for t in times)
     assert manifest["workers"] == 1
     assert manifest["configuration"]["degree"] == 4
     assert "polycensus" in manifest["versions"]
@@ -204,6 +208,8 @@ def test_exit_codes(tmp_path):
          "malformed grid"),
         (["count", "--degree", "4", "--height-max", "5", "--budget", "-5"], "--budget"),
         (["count", "--degree", "4", "--height-max", "5", "--budget", "0"], "--budget"),
+        (["verify", "--criteria", "a"], "malformed criteria"),
+        (["verify", "--criteria", "1,,2"], "malformed criteria"),
     ):
         code, out, err = capture(argv)
         assert code == 2 and out == "" and err.startswith("error:") and why in err

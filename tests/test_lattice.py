@@ -54,7 +54,7 @@ def leaf_rows(P, h, s, lo, hi, H):
     rows = []
     for a2 in range(lo, hi + 1):
         Q = [p + a2 * t for p, t in zip(P, s)]
-        lo1, hi1 = window_interval(Q, h, 1, n, H, -(1 << 62), 1 << 62)
+        lo1, hi1 = window_interval(Q, h, 1, n, H)
         if lo1 <= hi1:
             rows.append((a2, lo1, hi1))
     return rows
