@@ -38,8 +38,9 @@ component of an excluded degree dividing n, all of whose pairs are
 excluded, and the other inners need the exclusion test only for the
 excluded degrees k with gcd(k, n) not such a degree.  That test runs once
 per polygon, by decompose.decomposable_on_span, and lattice.union_count
-counts what it excludes.  No variant stores a key, and the budget counts
-the witness pairs that a split walks.
+counts what it excludes.  No variant stores a key.  The budget bounds the
+witness pairs that a split walks and, up front (check_budget), the inner
+candidates that it tests.
 """
 
 from __future__ import annotations
@@ -123,9 +124,8 @@ def explicit_constants_sq(m: int, n: int) -> Tuple[int, int]:
     return 4**d * (n + 1) ** m, 4**m * (n + 1) ** m * (d + 1)
 
 
-@dataclass(frozen=True)
-class EnumBox:
-    """Provably sufficient enumeration box for one split at one height.
+def _inner_height_bound(m: int, n: int, H: int) -> int:
+    """Provably sufficient inner height b_max for one split at one height.
 
     Every normalized decomposition of every degree-d polynomial of height
     at most H has inner height at most b_max, by the height lemma
@@ -134,22 +134,7 @@ class EnumBox:
     coefficients, the lead included, exactly to the coefficients of f it
     reaches.
     """
-
-    m: int
-    n: int
-    H: int
-    b_max: int
-
-    @classmethod
-    def build(cls, m: int, n: int, H: int) -> "EnumBox":
-        return cls(m, n, H, _int_root(explicit_constants_sq(m, n)[0] * H * H, 2 * m))
-
-    def inner_lead_max(self) -> int:
-        """Max inner leading coefficient: lead(g)*lead(h)^m is the top of f.
-
-        K1 >= 1 makes b_max at least this, so it needs no min with b_max.
-        """
-        return _int_root(self.H, self.m)
+    return _int_root(explicit_constants_sq(m, n)[0] * H * H, 2 * m)
 
 
 @dataclass(frozen=True)
@@ -194,21 +179,17 @@ def ordered_splits(d: int) -> List[Tuple[int, int]]:
 # ---------------------------------------------------------------------------
 
 
-class _Inner(tuple):
-    """An inner candidate h that carries sq = h^2, built along the inner walk."""
-
-    sq: Poly
-
-
 def _h_candidates(
-    m: int, n: int, H: int, monic: bool, box: EnumBox, cut: Sequence[int] = ()
-) -> List[Poly]:
-    """Normalized inner candidates in lexicographic order.
+    m: int, n: int, H: int, monic: bool, cut: Sequence[int] = ()
+) -> List[Tuple[Poly, Poly]]:
+    """(h, h^2) for the normalized inner candidates h in lexicographic order.
 
     Walks the inner coefficients b_(n-1)..b_1 of h = b_1 x + ... + b_n x^n,
     b_n = L >= 1, as one odometer without recursion: one level per
     coefficient, and each value of the last level b_1 is a leaf, one
-    candidate to test.  Each level is restricted by |b| <= b_max and by the
+    candidate to test.  A non-monic lead L is at most H^(1/m), since
+    lead(g) L^m is the top of f; K1 >= 1 makes b_max (_inner_height_bound)
+    at least that.  Each level is restricted by |b| <= b_max and by the
     final top coefficients of f:
     with b_j..b_1 still 0, the coefficient of x^((m-1)n+j) of f = g(h) is
     a_m [h^m]_((m-1)n+j) (h^(m-1) has degree (m-1)n), which depends on b_j
@@ -218,7 +199,7 @@ def _h_candidates(
     h: setting b_j from u to t, with b_(j-1)..b_1 still 0, adds
     2(t-u) x^j (b_(j+1) x^(j+1) + .. + b_n x^n) + (t^2-u^2) x^(2j), one O(n)
     update.  For m = 2 the coefficient is that square's x^(n+j) entry, and
-    every candidate hands its square on (_Inner.sq).  Non-monic candidates
+    every candidate hands its square on.  Non-monic candidates
     are additionally primitive (content 1); imprimitive inners never
     generate new polynomials.
 
@@ -258,9 +239,9 @@ def _h_candidates(
     decomposable_on_span checks the digits at a leaf only below an integral
     one.
     """
-    out: List[Poly] = []
-    b_max = box.b_max
-    leads = [1] if monic else list(range(1, box.inner_lead_max() + 1))
+    out: List[Tuple[Poly, Poly]] = []
+    b_max = _inner_height_bound(m, n, H)
+    leads = [1] if monic else range(1, _int_root(H, m) + 1)
     decided: dict = {}  # level -> the degrees of cut whose candidate it completes
     for e in cut:
         decided.setdefault(n - e + 1, []).append(e)
@@ -337,9 +318,7 @@ def _h_candidates(
                 continue
             if live[1] and decomposable_on_span(tuple(bs), (), cut, candidates) is None:
                 continue
-            h = _Inner(bs)
-            h.sq = tuple(sq)
-            out.append(h)
+            out.append((tuple(bs), tuple(sq)))
     return out
 
 
@@ -373,27 +352,17 @@ def _pairs_budget_error(budget: int, m: int, n: int, H: int) -> BudgetError:
     )
 
 
-def _powers(h: Poly, m: int) -> List[Poly]:
-    """[None, h, h^2, .., h^m], the powers _walk_outer reads, as plain tuples
-    (which index faster); the square of an inner from _h_candidates comes
-    with it."""
-    hp = [None, tuple(h), h.sq] if isinstance(h, _Inner) else [None, h, mul(h, h)]
-    h = hp[1]
-    for _ in range(3, m + 1):
-        hp.append(mul(hp[-1], h))
-    return hp
-
-
 def _walk_outer(
-    hp: List[Poly], H: int, monic: bool, box: EnumBox
+    h: Poly, sq: Poly, m: int, H: int, monic: bool
 ) -> Iterator[Tuple[List[int], List[int], int, int]]:
     """Yield (P, prefix, lo, hi) for every polygon of one inner h, in order.
 
-    hp is _powers(h, m).  One odometer runs a_m..a_3 in lexicographic
-    order.  Every window comes from the coefficients of f alone, in exact
-    integers: window_interval, from an unbounded start, clips the outer
-    lead a_m (1 if monic) to x^((m-1)n+1)..x^d and each a_(k-1) to
-    x^((k-2)n+1)..x^((k-1)n), the coefficients it is the last to reach.
+    sq is h^2, and the walk multiplies out h^3..h^m, which only it reads.
+    One odometer runs a_m..a_3 in lexicographic order.  Every window comes
+    from the coefficients of f alone, in exact integers: window_interval,
+    from an unbounded start, clips the outer lead a_m (1 if monic) to
+    x^((m-1)n+1)..x^d and each a_(k-1) to x^((k-2)n+1)..x^((k-1)n), the
+    coefficients it is the last to reach.
     Each range reaches x^(kn) of h^k, whose coefficient is L^k != 0
     (L = lead(h)), so every window is a finite integer interval.  A
     polygon fixes prefix = [a_m, .., a_3], and P[j] is the x^j coefficient
@@ -404,8 +373,11 @@ def _walk_outer(
     row per lead.  P and prefix are the walk's own lists: they hold until
     the next polygon is drawn, and the caller must not modify them.
     """
-    m, n = box.m, box.n
+    n = len(h) - 1
     d = m * n
+    hp = [None, h, sq]  # hp[k] = h^k
+    for _ in range(3, m + 1):
+        hp.append(mul(hp[-1], h))
     P = [0] * (d + 1)
     prefix = [0] * (m - 2)  # prefix[m - k] = a_k
     if monic:
@@ -442,8 +414,8 @@ def _walk_outer(
 
 
 def _run_chunk(args):
-    """Enumerate outer polynomials for one inner-candidate chunk, in one loop
-    over the polygons that _walk_outer yields.
+    """Enumerate outer polynomials for one chunk of (h, h^2) inner candidates,
+    in one loop over the polygons that _walk_outer yields.
 
     Returns (pairs, 0, None, away, tops):
       pairs    -- witness pairs completed (equals distinct polynomials)
@@ -482,8 +454,7 @@ def _run_chunk(args):
     over all chunks, make the blocks disjoint.  Passing both proves that the
     pairs give pairwise distinct polynomials.
     """
-    (d, H, monic, box, h_chunk, excluded, budget) = args
-    m, n = box.m, box.n
+    (d, H, monic, (m, n), inners, excluded, budget) = args
 
     base = 2 * H + 1
     bp = [0] + [base**e for e in range(d)]  # bp[j]: the weight of x^j in a key
@@ -494,14 +465,12 @@ def _run_chunk(args):
     away = 0
     last = -1  # the largest key emitted so far in the current block
 
-    for h in h_chunk:
-        hp = _powers(h, m)
-        h = hp[1]
-        s = hp[2] + (0,) * (d - 2 * n)
+    for h, sq in inners:
+        s = sq + (0,) * (d - 2 * n)
         hkf = sum(map(times, h, bp))
         skf = sum(map(times, s, bp))
         block = None  # the outer lead of the current block
-        for P, prefix, lo, hi in _walk_outer(hp, H, monic, box):
+        for P, prefix, lo, hi in _walk_outer(h, sq, m, H, monic):
             rows, first, final = polygon(P, h, s, lo, hi, H)
             if first is None:
                 continue
@@ -526,7 +495,7 @@ def _run_chunk(args):
                         first[1] <= a <= final[1] for a, in got[0]
                     )
                 else:
-                    got = decomposable_on_span(P, (hp[2], h), excluded, candidates)
+                    got = decomposable_on_span(P, (sq, h), excluded, candidates)
                     away += count if got is None else union_count(rows, first, final, H, *got)
             pairs += count
             if pairs > budget:
@@ -535,20 +504,13 @@ def _run_chunk(args):
     return pairs, 0, None, away, tops
 
 
-def _chunks(seq: List, parts: int) -> List[List]:
-    parts = max(1, min(parts, len(seq)))
-    size, extra = divmod(len(seq), parts)
-    out = []
-    idx = 0
-    for i in range(parts):
-        step = size + (1 if i < extra else 0)
-        out.append(seq[idx : idx + step])
-        idx += step
-    return out
-
-
 def _run_split(d, H, monic, split, workers, excluded, budget):
     """Enumerate one split, sharded over workers; merge the chunk results.
+
+    The chunks are strided: of k chunks, chunk i holds the inner candidates
+    i, i + k, i + 2k, .. of the lexicographic list, so each one draws from
+    the whole range and not from one end of it.  Every count is a sum over
+    the inners, so the sharding never changes it.
 
     Returns (pairs, 0, None, away), summed over the chunks of _run_chunk;
     pairs - away counts the pairs whose polynomial does not also decompose
@@ -564,15 +526,14 @@ def _run_split(d, H, monic, split, workers, excluded, budget):
     distinct top coefficient vectors, or RuntimeError is raised.
     """
     m, n = split
-    box = EnumBox.build(m, n, H)
     # count_forward proves both: every pair of an inner that decomposes with
     # a degree of cut is excluded, and any other inner needs the kernel only
     # for the degrees of kernel
     cut = tuple(e for e in excluded if n % e == 0 and e < n)
     kernel = tuple(k for k in excluded if gcd(k, n) not in cut)
-    h_list = _h_candidates(m, n, H, monic, box, cut)
-    chunk_list = _chunks(h_list, min(workers, os.cpu_count() or 1))
-    tasks = [(d, H, monic, box, chunk, kernel, budget) for chunk in chunk_list]
+    h_list = _h_candidates(m, n, H, monic, cut)
+    k = max(1, min(workers, os.cpu_count() or 1, len(h_list)))
+    tasks = [(d, H, monic, split, h_list[i::k], kernel, budget) for i in range(k)]
     if len(tasks) == 1:
         results = [_run_chunk(tasks[0])]
     else:
@@ -688,11 +649,10 @@ def count_forward(q: CountQuery, workers: int = 1, budget: Optional[int] = None)
     check_budget(q, "forward", budget)
     d, H, monic = q.d, q.H, q.monic
     ell = spf(d)
-    degrees = _inner_degrees(d)
-
     if ell == d:
-        plan = []
-    elif q.variant == "split":
+        return CountResult(0, q, "forward", time.perf_counter() - t0, workers)
+    degrees = _inner_degrees(d)
+    if q.variant == "split":
         plan = [(q.split, ())]
     elif q.variant == "indecomp_pair":
         plan = [((d // ell, ell), tuple(k for k in degrees if k % ell == 0 and k > ell))]
@@ -718,13 +678,10 @@ def iter_decompositions(
     not for counting.
     """
     m, n = split
-    box = EnumBox.build(m, n, H)
-    for h in _h_candidates(m, n, H, monic, box):
-        hp = _powers(h, m)
-        h = hp[1]
-        for P, prefix, lo, hi in _walk_outer(hp, H, monic, box):
+    for h, sq in _h_candidates(m, n, H, monic):
+        for P, prefix, lo, hi in _walk_outer(h, sq, m, H, monic):
             tail = tuple(reversed(prefix))
-            for a2, lo1, hi1 in polygon_rows(*polygon(P, h, hp[2], lo, hi, H), H):
+            for a2, lo1, hi1 in polygon_rows(*polygon(P, h, sq, lo, hi, H), H):
                 for a in range(lo1, hi1 + 1):
                     yield (0, a, a2) + tail, h
 

@@ -13,13 +13,13 @@ from polycensus import census, cli
 from polycensus.census import (
     BudgetError,
     CountQuery,
-    EnumBox,
     count_bruteforce,
     count_forward,
     explicit_constants_sq,
     iter_decompositions,
     ordered_splits,
     _h_candidates,
+    _inner_height_bound,
     _int_root,
     _oracle_count,
     _run_chunk,
@@ -90,19 +90,20 @@ def test_k1_bound_exhaustive_small_box():
 
 
 def test_enum_box():
-    box = EnumBox.build(2, 2, 10)
-    assert box.b_max == 21  # floor(sqrt(480))
-    assert box.inner_lead_max() == 3  # floor(10^(1/2)) = 3
+    assert _inner_height_bound(2, 2, 10) == 21  # floor(sqrt(480))
+    # non-monic inner leads run to floor(10^(1/2)) = 3: 9x^4 + 6x^3 + x^2 = (3x^2 + x)^2
+    assert max(h[-1] for h, _ in _h_candidates(2, 2, 10, False)) == 3
 
 
 def test_outer_windows_are_exact_at_any_height():
     # monic (3, 2) over h = x^2 at H = 2^63: a_3 = 1 and f = x^6 + a_2 x^4 + a_1 x^2,
     # so the a_2 window is [-H, H] and the polygon holds (2H+1)^2 points
     H = 2**63
-    hp = census._powers((0, 0, 1), 3)
+    h = (0, 0, 1)
+    sq = mul(h, h)
     polygons = [
-        (prefix[:], lo, hi, polygon_count(*polygon(P, hp[1], hp[2], lo, hi, H), H))
-        for P, prefix, lo, hi in census._walk_outer(hp, H, True, EnumBox.build(3, 2, H))
+        (prefix[:], lo, hi, polygon_count(*polygon(P, h, sq, lo, hi, H), H))
+        for P, prefix, lo, hi in census._walk_outer(h, sq, 3, H, True)
     ]
     assert polygons == [([1], -H, H, (2 * H + 1) ** 2)]
 
@@ -118,11 +119,11 @@ def test_int_root_exact_for_huge_radicands():
 
 def test_enum_box_high_degree():
     # (K1*H)^2 = 2^1200 * 3^300 * 4 is far beyond float range
-    assert EnumBox.build(300, 2, 2).b_max == 6
+    assert _inner_height_bound(300, 2, 2) == 6
     # at d = 1024 even 2^d alone is past the largest float
     x = 2**2048 * 3**512 * 4
     assert 6**1024 <= x < 7**1024
-    assert EnumBox.build(512, 2, 2).b_max == 6
+    assert _inner_height_bound(512, 2, 2) == 6
 
 
 def test_count_query_validation():
@@ -396,12 +397,23 @@ def test_pack_truncated_rejects_out_of_box():
         pack_truncated((0, 9, 0, 0, 1), 4, 5)
 
 
-def test_worker_independence():
+def test_worker_independence(monkeypatch, pool_sizes):
+    # the strided chunks of up to four workers, run in-process, merge to the
+    # one-worker count of every variant and split
+    monkeypatch.setattr(census.os, "cpu_count", lambda: 4)
     for workers in (1, 2, 5):
         q = CountQuery(4, 30, True, "total")
         assert count_forward(q, workers=workers).count == count_forward(q).count
     q = CountQuery(6, 3, True, "total")
     assert count_forward(q, workers=3).count == count_bruteforce(q).count
+    for d, H, monic in ((8, 4, True), (6, 3, False)):
+        queries = [CountQuery(d, H, monic, v) for v in ("total", "indecomp_pair")]
+        queries += [CountQuery(d, H, monic, "split", s) for s in ordered_splits(d)]
+        for q in queries:
+            assert count_forward(q, workers=4).count == count_forward(q, workers=1).count
+    assert max(pool_sizes) == 3
+    # a split with fewer inners than workers gets one chunk per inner
+    assert min(len(_h_candidates(m, n, 3, False)) for m, n in ordered_splits(6)) < 4
 
 
 @pytest.fixture
@@ -444,19 +456,33 @@ def test_uniqueness_recheck_catches_repeated_candidate(
     monkeypatch, pool_sizes, variant, split, workers
 ):
     # the first inner candidate of (3, 2), the dominant split of d = 6, comes
-    # twice; with two chunks the copy lands in the other chunk
-    real = census._h_candidates
+    # twice; (3, 2) has three inners, so the copy is the fourth, and the
+    # strided chunks put it in chunk 1 of two, away from the first
+    real, real_chunk = census._h_candidates, census._run_chunk
+    chunks = []
 
     def repeated(m, n, *rest):
         hs = real(m, n, *rest)
-        return hs + hs[:1] if (m, n) == (3, 2) else hs
+        if (m, n) != (3, 2):
+            return hs
+        assert len(hs) == 3
+        return hs + hs[:1]
+
+    def recording(args):
+        if args[3] == (3, 2):
+            chunks.append(args[4])
+        return real_chunk(args)
 
     monkeypatch.setattr(census, "_h_candidates", repeated)
+    monkeypatch.setattr(census, "_run_chunk", recording)
     monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
     with pytest.raises(RuntimeError, match="uniqueness"):
         count_forward(CountQuery(6, 3, True, variant, split), workers=workers)
-    # two chunks: the second in a pool of one, the first in the calling process
+    # two chunks: the second in a pool of one, the first in the calling
+    # process, each with one copy, so only the merged tops can see it
     assert (1 in pool_sizes) == (workers == 2)
+    first = real(3, 2, 3, True)[0]
+    assert sorted(c.count(first) for c in chunks) == ([1, 1] if workers == 2 else [2])
 
 
 def test_uniqueness_recheck_catches_keys_out_of_order(monkeypatch):
@@ -464,7 +490,7 @@ def test_uniqueness_recheck_catches_keys_out_of_order(monkeypatch):
     # still have distinct tops, so only the per-leaf comparison sees it
     real = census._h_candidates
     monkeypatch.setattr(
-        census, "_h_candidates", lambda *a: [tuple(-c for c in h) for h in real(*a)]
+        census, "_h_candidates", lambda *a: [(tuple(-c for c in h), sq) for h, sq in real(*a)]
     )
     with pytest.raises(RuntimeError, match="not increasing"):
         count_forward(CountQuery(6, 3, True, "split", (3, 2)))
@@ -480,8 +506,8 @@ def test_uniqueness_recheck_catches_a_repeated_polygon(monkeypatch, split, last_
     # with the last key.
     real = census._walk_outer
 
-    def again(hp, H, monic, box):
-        for P, prefix, lo, hi in real(hp, H, monic, box):
+    def again(*args):
+        for P, prefix, lo, hi in real(*args):
             yield P, prefix, lo, hi
             if not last_row:
                 yield P, prefix, lo, hi
@@ -526,10 +552,9 @@ def test_two_inner_degrees_counted_once():
     key = pack_truncated(f, d, H)
     assert key in forward_key_set(d, H, True, (4, 2))
     assert key in forward_key_set(d, H, True, (2, 4))
-    box = EnumBox.build(2, 4, H)
     polygons = [
         (tuple(P), prefix[:], lo, hi)
-        for P, prefix, lo, hi in census._walk_outer(census._powers(h, 2), H, True, box)
+        for P, prefix, lo, hi in census._walk_outer(h, mul(h, h), 2, H, True)
     ]
     # m = 2: the monic lead a_2 = 1 is the only polygon, a single row over P = 0
     [(P, prefix, lo2, hi2)] = polygons
@@ -537,7 +562,7 @@ def test_two_inner_degrees_counted_once():
     [(a2, lo, hi)] = polygon_rows(*polygon(P, h, mul(h, h), lo2, hi2, H), H)
     assert a2 == 1 and lo <= 0 <= hi and mul(h, h) == f
     assert decomposable_on_span(f, (h,), (2,)) is None
-    pairs, _, _, away, _ = _run_chunk((d, H, True, box, [h], (2,), 10**9))
+    pairs, _, _, away, _ = _run_chunk((d, H, True, (2, 4), [(h, mul(h, h))], (2,), 10**9))
     assert pairs == away == hi - lo + 1  # a_2 = 1 is the only row of this h
     count = count_forward(CountQuery(d, H, True, "total")).count
     assert count == (2 * H + 1) * len(union_key_set(d, H, True))
@@ -559,8 +584,10 @@ def test_composite_smaller_inner_degree_attributes_away(monkeypatch):
     only = {(4, 4): [h4], (2, 8): [h8]}
     monkeypatch.setattr(
         census, "_h_candidates",
-        lambda m, n, H, monic, box, cut=(): [
-            h for h in only.get((m, n), []) if decomposable_on_span(h, (), cut) is not None
+        lambda m, n, H, monic, cut=(): [
+            (h, mul(h, h))
+            for h in only.get((m, n), [])
+            if decomposable_on_span(h, (), cut) is not None
         ],
     )
     keys4 = forward_key_set(d, H, True, (4, 4))
@@ -576,26 +603,31 @@ def test_budget_refusals():
 
 
 def test_prime_degree_and_refusal_skip_ordered_splits(monkeypatch):
-    # ordered_splits loops over d/2 values, so a prime degree and a query the
-    # budget pre-check refuses must both be decided without it
-    calls = []
-    real = census.ordered_splits
+    # ordered_splits and _inner_degrees loop over d/2 values, so a prime
+    # degree and a query the budget pre-check refuses must both be decided
+    # without them
+    calls = {"ordered_splits": [], "_inner_degrees": []}
 
-    def recording(d):
-        calls.append(d)
-        return real(d)
+    def recording(fn, seen):
+        def wrapped(d):
+            seen.append(d)
+            return fn(d)
 
-    monkeypatch.setattr(census, "ordered_splits", recording)
+        return wrapped
+
+    for name, seen in calls.items():
+        monkeypatch.setattr(census, name, recording(getattr(census, name), seen))
+    none = {"ordered_splits": [], "_inner_degrees": []}
     for variant in ("total", "indecomp_pair"):
         assert count_forward(CountQuery(20000003, 2, True, variant)).count == 0
     with pytest.raises(BudgetError):
         count_forward(CountQuery(20000001, 2, True, "total"))
-    assert calls == []
+    assert calls == none
     code = cli.run(["count", "--degree", "20000001", "--height-max", "2"])
-    assert code == 2 and calls == []
+    assert code == 2 and calls == none
     q = CountQuery(6, 3, True, "total")
     assert count_forward(q).count == count_bruteforce(q).count == 945
-    assert calls == [6]
+    assert calls["ordered_splits"] == [6]
 
 
 @pytest.mark.parametrize(
@@ -614,13 +646,12 @@ def test_inner_cut_drops_exactly_the_decomposable_inners(m, n, H, monic, cut):
     # the walk solves each degree-e candidate once per prefix and checks the
     # digits only below an integral one; what it keeps must be the uncut
     # candidates less those that decompose with a degree of cut, in order
-    box = EnumBox.build(m, n, H)
-    full = _h_candidates(m, n, H, monic, box)
-    kept = _h_candidates(m, n, H, monic, box, cut)
-    assert kept == [h for h in full if decomposable_on_span(h, (), cut) is not None]
+    full = _h_candidates(m, n, H, monic)
+    kept = _h_candidates(m, n, H, monic, cut)
+    assert kept == [(h, sq) for h, sq in full if decomposable_on_span(h, (), cut) is not None]
     assert len(kept) < len(full)
     # the squares built along the walk
-    assert all(h.sq == mul(h, h) for h in full)
+    assert all(sq == mul(h, h) for h, sq in full)
 
 
 def test_inner_walk_is_iterative():
@@ -640,21 +671,20 @@ def test_inner_walk_is_iterative():
 
 
 def test_h_candidates_normalized_and_ordered():
-    box = EnumBox.build(2, 2, 8)
-    hs = _h_candidates(2, 2, 8, True, box)
+    hs = [h for h, _ in _h_candidates(2, 2, 8, True)]
     assert all(h[0] == 0 and h[-1] == 1 for h in hs)
     assert hs == sorted(hs, key=lambda h: h[1:])
-    box = EnumBox.build(2, 2, 4)
-    hs = _h_candidates(2, 2, 4, False, box)
+    hs = [h for h, _ in _h_candidates(2, 2, 4, False)]
     assert all(h[0] == 0 and h[-1] >= 1 for h in hs)
     assert all(gcd(*h) == 1 for h in hs)
 
 
-def unpruned_h_candidates(m, n, H, monic, box):
+def unpruned_h_candidates(m, n, H, monic):
     """The inner candidates cut by the top coefficients of f alone: the
     generator before the m = 2 low-coefficient cut, kept as its reference."""
     out = []
-    leads = [1] if monic else list(range(1, box.inner_lead_max() + 1))
+    b_max = _inner_height_bound(m, n, H)
+    leads = [1] if monic else list(range(1, _int_root(H, m) + 1))
     for L in leads:
         slope = m * L ** (m - 1)
         bs = [0] * (n + 1)
@@ -662,8 +692,8 @@ def unpruned_h_candidates(m, n, H, monic, box):
 
         def rec(j):
             s = poly_pow(tuple(bs), m)[(m - 1) * n + j]
-            lo = max(-box.b_max, -((H + s) // slope))
-            hi = min(box.b_max, (H - s) // slope)
+            lo = max(-b_max, -((H + s) // slope))
+            hi = min(b_max, (H - s) // slope)
             for t in range(lo, hi + 1):
                 bs[j] = t
                 if j > 1:
@@ -709,16 +739,16 @@ LOW_CUT_HEIGHTS = {
 @example(((4, False), 24))  # the L factors of the cut decide this box
 def test_low_coefficient_cut_drops_only_dead_inners(case):
     (n, monic), H = case
-    d, box = 2 * n, EnumBox.build(2, n, H)
-    full = unpruned_h_candidates(2, n, H, monic, box)
-    cut = _h_candidates(2, n, H, monic, box)
+    d = 2 * n
+    full = [(h, mul(h, h)) for h in unpruned_h_candidates(2, n, H, monic)]
+    cut = _h_candidates(2, n, H, monic)
     # the reference filtered one candidate at a time: an in-order subsequence
-    assert cut == [h for h in full if passes_low_tests(h, H, monic)]
+    assert cut == [(h, sq) for h, sq in full if passes_low_tests(h, H, monic)]
     kept = set(cut)
-    dropped = [h for h in full if h not in kept]
-    assert _run_chunk((d, H, monic, box, dropped, (), 10**9))[0] == 0
+    dropped = [pair for pair in full if pair not in kept]
+    assert _run_chunk((d, H, monic, (2, n), dropped, (), 10**9))[0] == 0
     # every pair of the unpruned inners is one of the cut enumeration's polynomials
-    pairs = _run_chunk((d, H, monic, box, full, (), 10**9))[0]
+    pairs = _run_chunk((d, H, monic, (2, n), full, (), 10**9))[0]
     assert len(forward_key_set(d, H, monic, (2, n))) == pairs
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from polycensus.asymptotics import spf
-from polycensus.census import EnumBox, explicit_constants_sq
+from polycensus.census import _inner_height_bound, explicit_constants_sq
 from polycensus.decompose import (
     _inner_degrees,
     decomposable_on_span,
@@ -229,10 +229,10 @@ def test_conclusiveness_against_direct_search():
     without excluding a single witness.
     """
     H = 6
-    box = EnumBox.build(2, 2, H)
+    b_max = _inner_height_bound(2, 2, H)
     gbound = isqrt(explicit_constants_sq(2, 2)[1] * H * H)
     composable = set()
-    for b1 in range(-box.b_max, box.b_max + 1):
+    for b1 in range(-b_max, b_max + 1):
         h = (0, b1, 1)
         a1_cap = min(gbound, H + b1 * b1)
         for a1 in range(-a1_cap, a1_cap + 1):
