@@ -29,7 +29,11 @@ every count carries an exact factor 2H+1.  Within one split the normalized
 witness is unique per polynomial, which every enumeration re-verifies
 without storing a key per pair: the packed coefficient vectors strictly
 increase within a block (one inner h with one outer lead), one comparison
-per polygon, and distinct blocks have distinct top coefficients.  Each
+per polygon and one where two chunks meet inside a block, and distinct
+blocks have distinct top coefficients.  A split runs in the calling
+process until it has walked _POOL_AFTER polygons; the pieces it leaves (an
+inner, or its first outer coefficients) go in batches to a pool that the
+query starts once, when a split first needs it.  Each
 variant sums the pairs of a plan of splits, less those whose polynomial
 also decomposes with one of the split's excluded inner degrees
 (count_forward gives the plans).  By Engstrom's theorem most of that is
@@ -47,8 +51,7 @@ from __future__ import annotations
 
 import os
 import time
-from bisect import insort
-from concurrent.futures import ProcessPoolExecutor
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import product
@@ -58,6 +61,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import poly_core
 from .asymptotics import spf
 from .decompose import (
     _adic_digits,
@@ -76,11 +80,23 @@ from .lattice import (
     union_count,
     window_interval,
 )
-from .poly_core import Poly, mul, poly_pow
+from .poly_core import Poly, mul
+
+# The forward walk no longer raises to powers; perfbench/tracer.py still wraps
+# census.poly_pow, so the binding stays until the benchmark drops it.
+poly_pow = poly_core.poly_pow
 
 DEFAULT_SET_BUDGET = 200_000_000   # witness pairs per split
 DEFAULT_ORACLE_BUDGET = 3_000_000  # brute-force box size
 _INT64_LIMIT = 1 << 62  # oracle rows bounded below this evaluate in int64
+# Polygons the calling process walks in a split before it hands the split's
+# other pieces to the query's pool.  Starting a pool of two forked workers,
+# running one task on each and shutting it down took 12-16 ms on 2 cores
+# (Python 3.11.7), about 10^3 polygons at the walk's ~10^5 polygons/s, so a
+# split below this never forks, and one above it has already done about as
+# much work as the pool costs.
+_POOL_AFTER = 1000
+_BATCHES_PER_WORKER = 8  # batches the pool hands out as its workers free up
 
 VARIANTS = ("total", "split", "indecomp_pair")
 
@@ -195,7 +211,10 @@ def _h_candidates(
     a_m [h^m]_((m-1)n+j) (h^(m-1) has degree (m-1)n), which depends on b_j
     linearly with slope m*L^(m-1) and must not exceed H in absolute value
     for any feasible outer polynomial (|a_m| >= 1).  For m > 2 that
-    coefficient is read off h^m.  The walk keeps the square of the partial
+    coefficient is [r^m]_(n-j) of the reversed top r = b_n + b_(n-1) y + ..
+    + b_1 y^(n-1), which reads only b_n..b_(j+1): _power_step finds it once
+    per level from the coefficients of the levels above, and setting b_j
+    moves it by slope*b_j.  The walk keeps the square of the partial
     h: setting b_j from u to t, with b_(j-1)..b_1 still 0, adds
     2(t-u) x^j (b_(j+1) x^(j+1) + .. + b_n x^n) + (t^2-u^2) x^(2j), one O(n)
     update.  For m = 2 the coefficient is that square's x^(n+j) entry, and
@@ -255,13 +274,18 @@ def _h_candidates(
         bs[n] = L
         sq = [0] * (2 * n + 1)  # the square of the partial h
         sq[2 * n] = L * L
+        rev = bs[::-1]  # the reversed top r: rev[i] = b_(n-i)
+        hm = [L**m] + [0] * (n - 1)  # hm[i] = [r^m]_i = [h^m]_(mn-i), kept for m > 2
         # live[j]: a candidate of a degree in cut that reads b_(n-1)..b_j is integral
         live = [False] * (n + 1)
         values: list = [None] * n  # values[j]: the b_j still to visit
 
         def level(j: int):
-            # the b_j that keep [h^m]_((m-1)n+j) in the window, b_(j-1)..b_1 being 0
-            s = sq[n + j] if m == 2 else poly_pow(tuple(bs), m)[(m - 1) * n + j]
+            # the b_j that keep [h^m]_((m-1)n+j) in the window, b_j..b_1 being 0
+            if m == 2:
+                s = sq[n + j]
+            else:
+                s = hm[n - j] = _power_step(rev, hm, m, n - j)
             lo, hi = window_interval((s,), (slope,), 0, 0, H, -b_max, b_max)
             if m == 2 and j == 2 and n > 3 and lo <= hi:
                 # the b_1 window of each b_2 must meet [-B, B]: |sq[n+1] + 2 b_(n-1) b_2|
@@ -287,13 +311,16 @@ def _h_candidates(
             return iter(keep)
 
         def put(j: int, t: int) -> None:
-            # b_j = t, and the square with it
+            # b_j = t, and the square and [h^m]_((m-1)n+j) with it
             u = t - bs[j]
             if u:
                 for i in range(j + 1, n + 1):
                     sq[i + j] += 2 * u * bs[i]
                 sq[2 * j] += u * (t + bs[j])
                 bs[j] = t
+                if m > 2:
+                    rev[n - j] = t
+                    hm[n - j] += slope * u
 
         j = n - 1
         values[j] = level(j)
@@ -320,6 +347,17 @@ def _h_candidates(
                 continue
             out.append((tuple(bs), tuple(sq)))
     return out
+
+
+def _power_step(r: Sequence[int], p: Sequence[int], m: int, k: int) -> int:
+    """[r^m]_k of a power series r with r_0 != 0, from r_1..r_k and the
+    p_i = [r^m]_i, i < k.
+
+    J. C. P. Miller's recurrence: r p' = m r' p for p = r^m gives
+    k r_0 p_k = sum_(i=1..k) ((m+1) i - k) r_i p_(k-i), and the division is
+    exact since p_k is an integer.  O(k), where a power costs O(m k^2).
+    """
+    return sum(((m + 1) * i - k) * r[i] * p[k - i] for i in range(1, k + 1)) // (k * r[0])
 
 
 def _low_square_bound(H: int, c: int) -> int:
@@ -353,7 +391,7 @@ def _pairs_budget_error(budget: int, m: int, n: int, H: int) -> BudgetError:
 
 
 def _walk_outer(
-    h: Poly, sq: Poly, m: int, H: int, monic: bool
+    h: Poly, sq: Poly, m: int, H: int, monic: bool, span=None, stop: int = 3
 ) -> Iterator[Tuple[List[int], List[int], int, int]]:
     """Yield (P, prefix, lo, hi) for every polygon of one inner h, in order.
 
@@ -372,6 +410,13 @@ def _walk_outer(
     m = 2 the lead is a_2: prefix is empty, P is 0 and lo = hi = a_2, one
     row per lead.  P and prefix are the walk's own lists: they hold until
     the next polygon is drawn, and the caller must not modify them.
+
+    The pieces of h are the prefixes of its first min(2, m-2) outer
+    coefficients (_pieces).  span = (first, last), two piece prefixes,
+    restricts the walk to the pieces from first to last in lexicographic
+    order; last None leaves the end open.  stop = k > 3 yields at level k,
+    once per (a_m, .., a_k) whose a_(k-1) window is not empty, with that
+    window as [lo, hi].
     """
     n = len(h) - 1
     d = m * n
@@ -380,11 +425,22 @@ def _walk_outer(
         hp.append(mul(hp[-1], h))
     P = [0] * (d + 1)
     prefix = [0] * (m - 2)  # prefix[m - k] = a_k
+
+    def window(i: int, lo: int, hi: int) -> range:
+        # the values of prefix[i] in [lo, hi] that span allows, prefix[:i] being set
+        if span:
+            first, last = span
+            if i < len(first) and tuple(prefix[:i]) == first[:i]:
+                lo = max(lo, first[i])
+            if last is not None and i < len(last) and tuple(prefix[:i]) == last[:i]:
+                hi = min(hi, last[i])
+        return range(lo, hi + 1)
+
     if monic:
-        leads = [1]
+        leads = window(0, 1, 1)
     else:
         lo_a, hi_a = window_interval(P, hp[m], (m - 1) * n + 1, d, H)
-        leads = [a for a in range(lo_a, hi_a + 1) if a]
+        leads = [a for a in window(0, lo_a, hi_a) if a]
     if m == 2:
         for a in leads:
             yield P, prefix, a, a
@@ -406,22 +462,92 @@ def _walk_outer(
         # the window of a_(k-1), the last to reach x^(top-n+1)..x^top
         top = (k - 1) * n
         lo, hi = window_interval(P, hp[k - 1], top - n + 1, top, H)
-        if k > 3:
+        if k > stop:
             k -= 1
-            values[k] = iter(range(lo, hi + 1))
+            values[k] = iter(window(m - k, lo, hi))
         elif lo <= hi:
             yield P, prefix, lo, hi
 
 
-def _run_chunk(args):
-    """Enumerate outer polynomials for one chunk of (h, h^2) inner candidates,
-    in one loop over the polygons that _walk_outer yields.
+def _pieces(h: Poly, sq: Poly, m: int, H: int, monic: bool) -> List[Tuple[int, ...]]:
+    """The pieces of one inner, in lexicographic order.
 
-    Returns (pairs, 0, None, away, tops):
+    A piece fixes the first min(2, m-2) outer coefficients: it is the whole
+    inner for m = 2, one a_3 for m = 3 and one (a_m, a_(m-1)) for m >= 4.
+    _walk_outer's span walks a run of them.  The list may leave out a piece
+    that holds no polygon, and for m >= 4 it keeps every a_(m-1) of the
+    windows, without testing the windows below.
+    """
+    if m == 2:
+        return [()]
+    if m == 3:
+        return [(prefix[0],) for _, prefix, _, _ in _walk_outer(h, sq, m, H, monic)]
+    walk = _walk_outer(h, sq, m, H, monic, stop=m)
+    return [(prefix[0], t) for _, prefix, lo, hi in walk for t in range(lo, hi + 1)]
+
+
+def _batches(rest, m: int, H: int, monic: bool, count: int) -> list:
+    """Cut the pieces of rest, in order, into at most count batches of about
+    equal numbers of pieces.
+
+    rest holds _run_chunk items (h, sq, span), span None for all the pieces
+    of h or (start, None) for those from the prefix start on.  A batch is a
+    list of items (h, sq, (first, last)), a run of the pieces of one inner
+    each.
+    """
+    def pieces(h, sq, span):
+        ps = _pieces(h, sq, m, H, monic)
+        return ps[bisect_left(ps, span[0]) :] if span else ps
+
+    size = -(-sum(len(pieces(*item)) for item in rest) // count)
+    batches: list = []
+    room = 0
+    for h, sq, span in rest:
+        ps = pieces(h, sq, span)
+        i = 0
+        while i < len(ps):
+            if not room:
+                batches.append([])
+                room = size
+            j = min(len(ps), i + room)
+            batches[-1].append((h, sq, (ps[i], ps[j - 1])))
+            room -= j - i
+            i = j
+    return batches
+
+
+def _start_pool(k: int):
+    """A pool of k worker processes.
+
+    concurrent.futures, and multiprocessing with it, is imported here, when
+    the first pool starts, so a query that never forks never loads it.
+    """
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=k)
+
+
+def _run_chunk(args, limit=None):
+    """Enumerate outer polynomials for one chunk of pieces, in one loop over
+    the polygons that _walk_outer yields.
+
+    args is (d, H, monic, (m, n), items, excluded, budget); each item
+    (h, sq, span) is an inner candidate h with sq = h^2, walked whole when
+    span is None and otherwise over the run of its pieces that span names
+    (_walk_outer).  With limit, the chunk stops at the first piece (_pieces)
+    that starts after it has walked limit polygons, and it leaves in the
+    list items the items, or the rest of one, that it did not walk: none
+    when it walked them all.
+
+    Returns (pairs, 0, None, away, (tops, ends)):
       pairs    -- witness pairs completed (equals distinct polynomials)
       away     -- pairs whose polynomial also decomposes with an inner degree
                   in excluded
       tops     -- the top-n coefficient vector of every non-empty block
+                  piece, in walk order
+      ends     -- (block, first key) of the first block piece and (block,
+                  last key) of the last, as one 4-tuple; None when tops is
+                  empty.  A block is (h, outer lead).
     The 0 and None slots keep the 5-tuple that perfbench/tracer.py unpacks.
 
     The unit of work is a polygon, and polygon_count counts its pairs
@@ -437,7 +563,8 @@ def _run_chunk(args):
     candidate inners are memoized per chunk.
 
     Uniqueness re-check, with no key stored.  A block is one inner h with one
-    outer lead a_m.  The packed key of f has the digits f_j + H, x^d most
+    outer lead a_m, and a block piece is the part of a block that one item
+    of a chunk walks.  The packed key of f has the digits f_j + H, x^d most
     significant, and every digit of a counted f lies in [0, 2H], so keys
     compare as the coefficient vectors do from x^d down.  Inside a block
     a_(m-1)..a_1 run in lexicographic order; raising a_k leaves
@@ -447,44 +574,53 @@ def _run_chunk(args):
     L^2 > 0 and leaves the digits above it unchanged, and one a_1 step
     raises x^n by L and never reaches x^(n+1) or above.  So a polygon's keys
     lie between those of its first and last points, and one
-    comparison per polygon completes the check: its first key must exceed
-    the block's previous key, its last key becomes the new one, and a
-    polygon of more than one point needs L > 0.  Every f of a block shares
-    the block's top n coefficients, so distinct tops, checked by _run_split
-    over all chunks, make the blocks disjoint.  Passing both proves that the
-    pairs give pairwise distinct polynomials.
+    comparison per polygon completes the check inside a block piece: its
+    first key must exceed the piece's previous key, its last key becomes
+    the new one, and a polygon of more than one point needs L > 0.  Every f
+    of a block shares the block's top n coefficients.  Only the first and
+    the last block piece of a chunk can continue a block of another chunk,
+    so their keys are all that _check_pieces needs besides the tops.
     """
-    (d, H, monic, (m, n), inners, excluded, budget) = args
+    (d, H, monic, (m, n), items, excluded, budget) = args
 
     base = 2 * H + 1
     bp = [0] + [base**e for e in range(d)]  # bp[j]: the weight of x^j in a key
     key_h = H * sum(bp)  # the key of the zero polynomial
     candidates: dict = {}
-    tops: List[Tuple[int, ...]] = []
-    pairs = 0
-    away = 0
-    last = -1  # the largest key emitted so far in the current block
+    tops: list = []
+    head = None  # (block, first key) of the chunk's first block piece
+    pairs = away = polygons = 0
+    last = -1  # the largest key emitted so far in the current block piece
+    depth = min(2, m - 2)  # the outer coefficients a piece fixes
 
-    for h, sq in inners:
+    for i, (h, sq, span) in enumerate(items):
         s = sq + (0,) * (d - 2 * n)
         hkf = sum(map(times, h, bp))
         skf = sum(map(times, s, bp))
-        block = None  # the outer lead of the current block
-        for P, prefix, lo, hi in _walk_outer(h, sq, m, H, monic):
+        block = None  # the outer lead of the current block piece
+        at = None  # the piece of the last polygon, followed when limit is set
+        for P, prefix, lo, hi in _walk_outer(h, sq, m, H, monic, span):
+            if limit is not None and tuple(prefix[:depth]) != at:
+                at = tuple(prefix[:depth])
+                if polygons >= limit:
+                    items[: i + 1] = [(h, sq, (at, span[1] if span else None))]
+                    break
+            polygons += 1
             rows, first, final = polygon(P, h, s, lo, hi, H)
             if first is None:
                 continue
             count = polygon_count(rows, first, final, H)
             lead = prefix[0] if prefix else first[0]
-            if lead != block:
-                # first polygon of a new block; a block's f share the top n coefficients
-                block = lead
-                last = -1
-                tops.append(
-                    tuple(p + first[0] * t for p, t in zip(P[d - n + 1 :], s[d - n + 1 :]))
-                )
             key0 = key_h + sum(map(times, P, bp))
-            if key0 + first[0] * skf + first[1] * hkf <= last or (count > 1 and h[n] <= 0):
+            key = key0 + first[0] * skf + first[1] * hkf
+            if lead != block:
+                # first polygon of a new block piece
+                block, last = lead, -1
+                tail = h, lead  # the current block
+                tops.append(tuple(p + first[0] * t for p, t in zip(P[d - n + 1 :], s[d - n + 1 :])))
+                if head is None:
+                    head = tail, key
+            if key <= last or (count > 1 and h[n] <= 0):
                 raise _uniqueness_error(m, n, H, "keys not increasing within a block")
             last = key0 + final[0] * skf + final[1] * hkf
             if excluded:
@@ -500,30 +636,73 @@ def _run_chunk(args):
             pairs += count
             if pairs > budget:
                 raise _pairs_budget_error(budget, m, n, H)
+        else:
+            continue
+        break  # the limit was reached
+    else:
+        if limit is not None:
+            items.clear()
+    ends = (*head, tail, last) if tops else None
+    return pairs, 0, None, away, (tops, ends)
 
-    return pairs, 0, None, away, tops
+
+def _check_pieces(m: int, n: int, H: int, chunks) -> None:
+    """The cross-chunk uniqueness re-check of a split over the (tops, ends)
+    of its chunks, in walk order; RuntimeError when it fails.
+
+    Where the last block piece of a chunk and the first of the next
+    non-empty one belong to one block, they are one block: the first key of
+    the second must exceed the last key of the first, and their tops must
+    agree.  Every other block piece is a block of its own, and the blocks
+    must have distinct tops, which makes them disjoint.  With _run_chunk's
+    check inside each block piece, passing proves that the pairs give
+    pairwise distinct polynomials.
+    """
+    seen = set()
+    blocks = 0
+    prev = None  # (block, last key, top) of the last block piece so far
+    for tops, ends in chunks:
+        if not tops:
+            continue
+        first_block, first_key, last_block, last_key = ends
+        blocks += len(tops)
+        if prev is not None and prev[0] == first_block:
+            if first_key <= prev[1]:
+                raise _uniqueness_error(m, n, H, "keys not increasing within a block")
+            if tops[0] != prev[2]:
+                raise _uniqueness_error(m, n, H, "two pieces of one block with different tops")
+            blocks -= 1
+        seen.update(tops)
+        prev = last_block, last_key, tops[-1]
+    if len(seen) != blocks:
+        raise _uniqueness_error(
+            m, n, H, f"{blocks} non-empty blocks but {len(seen)} distinct top coefficients"
+        )
 
 
-def _run_split(d, H, monic, split, workers, excluded, budget):
-    """Enumerate one split, sharded over workers; merge the chunk results.
+def _run_split(d, H, monic, split, workers, excluded, budget, *, pool):
+    """Enumerate one split, in process and, past _POOL_AFTER polygons, on the
+    query's pool; merge the chunk results.
 
-    The chunks are strided: of k chunks, chunk i holds the inner candidates
-    i, i + k, i + 2k, .. of the lexicographic list, so each one draws from
-    the whole range and not from one end of it.  Every count is a sum over
-    the inners, so the sharding never changes it.
+    With k = min(workers, os.cpu_count()) below 2 the split is one
+    _run_chunk call over all its inners, and no pool code is reached.
+    Otherwise the calling process walks the split's pieces (_pieces) in
+    lexicographic order until it has walked _POOL_AFTER polygons.  If
+    pieces are left, they are cut into at most k * _BATCHES_PER_WORKER
+    batches (_batches) for the query's pool, whose k processes take them as
+    they free up.  pool is the query's list that holds that pool once the
+    first split that needs it has started it (_start_pool).  Every count is
+    a sum over the pieces, so where they run never changes it.
 
-    Returns (pairs, 0, None, away), summed over the chunks of _run_chunk;
+    Returns (pairs, 0, None, away), summed over the chunks;
     pairs - away counts the pairs whose polynomial does not also decompose
     with an inner degree in excluded.  The inners that decompose with a
     degree e | n, e < n, of excluded are never walked, so neither pairs nor
     the budget count theirs.  The 0 and None slots keep the 4-tuple that
-    perfbench/tracer.py unpacks.  The calling process runs the first chunk
-    while a pool runs the others, so no more processes are busy than
-    os.cpu_count() reports.
+    perfbench/tracer.py unpacks.
 
     Completes the uniqueness re-check of _run_chunk for every split, variant
-    and worker count: the non-empty blocks of all chunks must have pairwise
-    distinct top coefficient vectors, or RuntimeError is raised.
+    and worker count: _check_pieces runs over the chunks in walk order.
     """
     m, n = split
     # count_forward proves both: every pair of an inner that decomposes with
@@ -531,26 +710,25 @@ def _run_split(d, H, monic, split, workers, excluded, budget):
     # for the degrees of kernel
     cut = tuple(e for e in excluded if n % e == 0 and e < n)
     kernel = tuple(k for k in excluded if gcd(k, n) not in cut)
-    h_list = _h_candidates(m, n, H, monic, cut)
-    k = max(1, min(workers, os.cpu_count() or 1, len(h_list)))
-    tasks = [(d, H, monic, split, h_list[i::k], kernel, budget) for i in range(k)]
-    if len(tasks) == 1:
-        results = [_run_chunk(tasks[0])]
+    items = [(h, sq, None) for h, sq in _h_candidates(m, n, H, monic, cut)]
+    k = min(workers, os.cpu_count() or 1)
+    if k < 2:
+        results = [_run_chunk((d, H, monic, split, items, kernel, budget))]
     else:
-        with ProcessPoolExecutor(max_workers=len(tasks) - 1) as pool:
-            rest = pool.map(_run_chunk, tasks[1:])
-            results = [_run_chunk(tasks[0]), *rest]
+        results = [_run_chunk((d, H, monic, split, items, kernel, budget), limit=_POOL_AFTER)]
+        if items:  # the pieces the calling process left
+            batches = _batches(items, m, H, monic, k * _BATCHES_PER_WORKER)
+            if not pool:
+                pool.append(_start_pool(k))
+            results += pool[0].map(
+                _run_chunk, [(d, H, monic, split, b, kernel, budget) for b in batches]
+            )
 
     pairs = sum(r[0] for r in results)
     away = sum(r[3] for r in results)
     if pairs > budget:
         raise _pairs_budget_error(budget, m, n, H)
-    blocks = sum(len(r[4]) for r in results)
-    tops = set().union(*(r[4] for r in results))
-    if len(tops) != blocks:
-        raise _uniqueness_error(
-            m, n, H, f"{blocks} non-empty blocks but {len(tops)} distinct top coefficients"
-        )
+    _check_pieces(m, n, H, [r[4] for r in results])
     return pairs, 0, None, away
 
 
@@ -614,7 +792,11 @@ def check_budget(q: CountQuery, method: str, budget: Optional[int] = None) -> No
 def count_forward(q: CountQuery, workers: int = 1, budget: Optional[int] = None) -> CountResult:
     """Constructive count: enumerate witness pairs, scale by 2H+1.
 
-    The count is exact and independent of the worker count.  Prime degrees
+    The count is exact and independent of the worker count.  With
+    min(workers, os.cpu_count()) = k >= 2, the query has at most one pool of
+    k processes, started by the first split that walks more than
+    _POOL_AFTER polygons (_run_split); it is shut down, its pending batches
+    cancelled, before count_forward returns or raises.  Prime degrees
     return 0 immediately, and check_budget runs before the splits are
     listed.  Each variant is a plan of (split, excluded inner degrees n' | d)
     and counts 2H+1 times the pairs of its splits whose polynomial does not
@@ -659,9 +841,14 @@ def count_forward(q: CountQuery, workers: int = 1, budget: Optional[int] = None)
     else:  # total
         plan = [(s, tuple(k for k in degrees if k < s[1])) for s in ordered_splits(d)]
     count = 0
-    for split, excluded in plan:
-        pairs, _, _, away = _run_split(d, H, monic, split, workers, excluded, budget)
-        count += pairs - away
+    pool: list = []  # the query's one pool, started by the first split that needs it
+    try:
+        for split, excluded in plan:
+            pairs, _, _, away = _run_split(d, H, monic, split, workers, excluded, budget, pool=pool)
+            count += pairs - away
+    finally:
+        for p in pool:
+            p.shutdown(cancel_futures=True)
     return CountResult(count * (2 * H + 1), q, "forward", time.perf_counter() - t0, workers)
 
 

@@ -1,8 +1,13 @@
 import functools
 import itertools
+import multiprocessing
+import os
 import random
+import subprocess
 import sys
+import time
 from math import gcd, prod
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -398,9 +403,18 @@ def test_pack_truncated_rejects_out_of_box():
 
 
 def test_worker_independence(monkeypatch, pool_sizes):
-    # the strided chunks of up to four workers, run in-process, merge to the
-    # one-worker count of every variant and split
+    # with the threshold at 0 every split past its first piece runs in
+    # batches on a stand-in pool of up to four workers; the batches merge to
+    # the one-worker count of every variant and split
+    monkeypatch.setattr(census, "_POOL_AFTER", 0)
     monkeypatch.setattr(census.os, "cpu_count", lambda: 4)
+    real, cuts = census._batches, []
+
+    def recording(rest, *args):
+        cuts.append(real(rest, *args))
+        return cuts[-1]
+
+    monkeypatch.setattr(census, "_batches", recording)
     for workers in (1, 2, 5):
         q = CountQuery(4, 30, True, "total")
         assert count_forward(q, workers=workers).count == count_forward(q).count
@@ -411,41 +425,45 @@ def test_worker_independence(monkeypatch, pool_sizes):
         queries += [CountQuery(d, H, monic, "split", s) for s in ordered_splits(d)]
         for q in queries:
             assert count_forward(q, workers=4).count == count_forward(q, workers=1).count
-    assert max(pool_sizes) == 3
-    # a split with fewer inners than workers gets one chunk per inner
-    assert min(len(_h_candidates(m, n, 3, False)) for m, n in ordered_splits(6)) < 4
+    assert max(pool_sizes) == 4
+    # one inner's pieces were cut across batches, so a block ran in several chunks
+    assert any(
+        {item[0] for item in batch} & {item[0] for item in after}
+        for batches in cuts
+        for batch, after in zip(batches, batches[1:])
+    )
 
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    """Run the chunks in-process through a stand-in pool; yield its sizes."""
+    """Run the batches in-process through a stand-in pool; yield the sizes of
+    the pools started, one entry per pool."""
     sizes = []
 
     class FakePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
+        def __init__(self, k):
+            sizes.append(k)
 
         def map(self, fn, tasks):
             return [fn(t) for t in tasks]
 
-    monkeypatch.setattr(census, "ProcessPoolExecutor", FakePool)
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(census, "_start_pool", FakePool)
     return sizes
 
 
 def test_pool_size_capped_at_cpu_count(monkeypatch, pool_sizes):
+    monkeypatch.setattr(census, "_POOL_AFTER", 0)
     monkeypatch.setattr(census.os, "cpu_count", lambda: 3)
     q = CountQuery(6, 3, True, "total")
     r = count_forward(q, workers=1000)
-    # three chunks: two in the pool, one in the calling process
-    assert pool_sizes and max(pool_sizes) == 2
+    # both splits of the total run on one pool of cpu_count processes
+    assert pool_sizes == [3]
     assert r.workers == 1000
     assert r.count == count_forward(q, workers=1).count
+    assert pool_sizes == [3]  # and one worker starts none
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -456,8 +474,10 @@ def test_uniqueness_recheck_catches_repeated_candidate(
     monkeypatch, pool_sizes, variant, split, workers
 ):
     # the first inner candidate of (3, 2), the dominant split of d = 6, comes
-    # twice; (3, 2) has three inners, so the copy is the fourth, and the
-    # strided chunks put it in chunk 1 of two, away from the first
+    # twice; (3, 2) has three inners, so the copy is the fourth.  A piece of
+    # (3, 2) is one inner here (the monic lead a_3 = 1), so with the
+    # threshold at one polygon the calling process walks the original and
+    # the pool the other three, the copy among them
     real, real_chunk = census._h_candidates, census._run_chunk
     chunks = []
 
@@ -468,21 +488,168 @@ def test_uniqueness_recheck_catches_repeated_candidate(
         assert len(hs) == 3
         return hs + hs[:1]
 
-    def recording(args):
+    def recording(args, **kw):
+        out = real_chunk(args, **kw)
         if args[3] == (3, 2):
-            chunks.append(args[4])
-        return real_chunk(args)
+            chunks.append(out[4][0])  # the tops of the blocks it walked
+        return out
 
+    monkeypatch.setattr(census, "_POOL_AFTER", 1)
     monkeypatch.setattr(census, "_h_candidates", repeated)
     monkeypatch.setattr(census, "_run_chunk", recording)
     monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
     with pytest.raises(RuntimeError, match="uniqueness"):
         count_forward(CountQuery(6, 3, True, variant, split), workers=workers)
-    # two chunks: the second in a pool of one, the first in the calling
-    # process, each with one copy, so only the merged tops can see it
-    assert (1 in pool_sizes) == (workers == 2)
-    first = real(3, 2, 3, True)[0]
-    assert sorted(c.count(first) for c in chunks) == ([1, 1] if workers == 2 else [2])
+    if workers == 1:
+        # one chunk over all four inners, the first block's top twice
+        assert pool_sizes == [] and len(chunks) == 1
+        assert chunks[0].count(chunks[0][0]) == 2
+    else:
+        # the original in the calling process's chunk, the copy in a pool
+        # batch, so only the merged tops can see it
+        assert pool_sizes == [2] and len(chunks[0]) == 1
+        assert sum(c.count(chunks[0][0]) for c in chunks[1:]) == 1
+
+
+def test_uniqueness_recheck_catches_pieces_out_of_order(monkeypatch, pool_sizes):
+    # two batches that hold consecutive pieces of one block run swapped; each
+    # is in order and the block keeps its top, so only the cross-piece merge
+    # of _check_pieces sees the keys fall
+    real, swapped = census._batches, []
+
+    def swap(rest, m, *args):
+        batches = real(rest, m, *args)
+        for i in range(len(batches) - 1):
+            (h, _, (_, p)), (g, _, (q, _)) = batches[i][-1], batches[i + 1][0]
+            if h == g and p[0] == q[0]:  # one inner, one outer lead
+                batches[i : i + 2] = batches[i + 1], batches[i]
+                swapped.append(m)
+                break
+        return batches
+
+    monkeypatch.setattr(census, "_POOL_AFTER", 0)
+    monkeypatch.setattr(census, "_batches", swap)
+    monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
+    with pytest.raises(RuntimeError, match="not increasing"):
+        count_forward(CountQuery(8, 3, True, "split", (4, 2)), workers=2)
+    assert swapped == [4] and pool_sizes == [2]
+
+
+@pytest.mark.parametrize(
+    "m,n,H,monic", [(6, 2, 6, True), (4, 2, 4, False), (3, 2, 6, False), (2, 4, 4, True)]
+)
+def test_pieces_cut_the_walk_exactly(m, n, H, monic):
+    # the calling process stops at a piece boundary and _batches cuts what
+    # it leaves: together they walk the whole split once, in order
+    d = m * n
+    inners = _h_candidates(m, n, H, monic)
+
+    def walked(items):
+        return [
+            (h, tuple(P), tuple(prefix), lo, hi)
+            for h, sq, span in items
+            for P, prefix, lo, hi in census._walk_outer(h, sq, m, H, monic, span)
+        ]
+
+    whole = walked((h, sq, None) for h, sq in inners)
+    full = _run_chunk((d, H, monic, (m, n), [(h, sq, None) for h, sq in inners], (), 10**12))
+    assert len(whole) > 2
+    for limit in (0, 1, len(whole) // 2, 10**9):
+        items = [(h, sq, None) for h, sq in inners]
+        head = _run_chunk((d, H, monic, (m, n), items, (), 10**12), limit=limit)
+        left = walked(items)  # what the calling process leaves: the tail of the walk
+        assert left == whole[len(whole) - len(left) :]
+        for count in (1, 3, 7):
+            batches = census._batches(items, m, H, monic, count) if items else []
+            assert len(batches) <= count
+            assert walked(item for b in batches for item in b) == left
+            rest = [_run_chunk((d, H, monic, (m, n), b, (), 10**12)) for b in batches]
+            assert head[0] + sum(r[0] for r in rest) == full[0]
+            census._check_pieces(m, n, H, [head[4]] + [r[4] for r in rest])
+
+
+def test_check_pieces_cases():
+    # chunks as _run_chunk reports them: the tops of their block pieces, and
+    # (first block, first key, last block, last key); a block is (inner, lead)
+    b, c = ((0, 0, 1), 1), ((0, 1, 1), 1)
+    census._check_pieces(2, 2, 3, [([(1,)], (b, 1, b, 5)), ([], None), ([(1,), (2,)], (b, 6, c, 3))])
+    for chunks, match in [
+        ([([(1,)], (b, 1, b, 5)), ([(1,)], (b, 5, b, 9))], "not increasing"),
+        ([([(1,)], (b, 1, b, 5)), ([(2,)], (b, 6, b, 9))], "different tops"),
+        ([([(1,)], (b, 1, b, 5)), ([(1,)], (c, 6, c, 9))], "distinct top"),
+        ([([(1,), (2,), (1,)], (b, 1, b, 9))], "distinct top"),  # one block twice in a chunk
+    ]:
+        with pytest.raises(RuntimeError, match=match):
+            census._check_pieces(2, 2, 3, chunks)
+
+
+@pytest.fixture
+def real_pools(monkeypatch):
+    """Start real pools, of two processes at most cpu_count; yield their sizes."""
+    sizes, real = [], census._start_pool
+
+    def recording(k):
+        sizes.append(k)
+        return real(k)
+
+    monkeypatch.setattr(census, "_start_pool", recording)
+    monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
+    yield sizes
+    assert multiprocessing.active_children() == []
+
+
+def test_real_pool_matches_one_worker(real_pools):
+    # the (6, 2) split of monic d = 12 at H = 6 walks 2,197 polygons, past
+    # the default threshold, so two workers start the query's one pool
+    q = CountQuery(12, 6, True, "total")
+    t0 = time.perf_counter()
+    two = count_forward(q, workers=2).count
+    assert time.perf_counter() - t0 < 2
+    assert real_pools == [2]
+    assert two == count_forward(q, workers=1).count == 4966871
+
+
+@pytest.mark.parametrize("error", [BudgetError, RuntimeError], ids=["budget", "uniqueness"])
+def test_errors_in_a_started_pool_propagate(monkeypatch, real_pools, error):
+    monkeypatch.setattr(census, "_POOL_AFTER", 0)
+    if error is BudgetError:
+        # every batch of (2, 4) at H = 4 holds more than 10 pairs; the
+        # up-front check, which would refuse the query first, is skipped
+        monkeypatch.setattr(census, "check_budget", lambda *args: None)
+        q, budget = CountQuery(8, 4, True, "split", (2, 4)), 10
+    else:
+        # negated inners (lead -1) make the keys fall inside a block, which
+        # the chunk that walks it sees; with the threshold at 0 that is a
+        # pool batch
+        real = census._h_candidates
+        monkeypatch.setattr(
+            census, "_h_candidates", lambda *a: [(tuple(-c for c in h), sq) for h, sq in real(*a)]
+        )
+        q, budget = CountQuery(8, 3, True, "split", (4, 2)), None
+    with pytest.raises(error, match="budget" if error is BudgetError else "uniqueness") as info:
+        count_forward(q, workers=2, budget=budget)
+    # raised in a worker: the pool attaches the worker's traceback as the cause
+    assert type(info.value.__cause__).__name__ == "_RemoteTraceback"
+    assert real_pools == [2]
+
+
+def test_small_split_starts_no_pool(real_pools):
+    # the (4, 2) split of monic d = 8 at H = 18 walks 61 polygons
+    q = CountQuery(8, 18, True, "indecomp_pair")
+    assert count_forward(q, workers=2).count == count_forward(q, workers=1).count
+    assert real_pools == []
+    # and a process that never starts a pool never imports one
+    code = (
+        "import sys; from polycensus.census import CountQuery, count_forward; "
+        "count_forward(CountQuery(8, 18, True, 'indecomp_pair'), workers=2); "
+        "print(sorted(m for m in sys.modules if m.startswith(('concurrent', 'multiprocessing'))))"
+    )
+    src = str(Path(census.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0 and out.stdout.strip() == "[]"
 
 
 def test_uniqueness_recheck_catches_keys_out_of_order(monkeypatch):
@@ -562,7 +729,7 @@ def test_two_inner_degrees_counted_once():
     [(a2, lo, hi)] = polygon_rows(*polygon(P, h, mul(h, h), lo2, hi2, H), H)
     assert a2 == 1 and lo <= 0 <= hi and mul(h, h) == f
     assert decomposable_on_span(f, (h,), (2,)) is None
-    pairs, _, _, away, _ = _run_chunk((d, H, True, (2, 4), [(h, mul(h, h))], (2,), 10**9))
+    pairs, _, _, away, _ = _run_chunk((d, H, True, (2, 4), [(h, mul(h, h), None)], (2,), 10**9))
     assert pairs == away == hi - lo + 1  # a_2 = 1 is the only row of this h
     count = count_forward(CountQuery(d, H, True, "total")).count
     assert count == (2 * H + 1) * len(union_key_set(d, H, True))
@@ -670,6 +837,27 @@ def test_inner_walk_is_iterative():
     assert count == 3125
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(-60, 60), min_size=2, max_size=14).filter(lambda r: r[0] != 0),
+    st.integers(2, 9),
+)
+def test_power_step_matches_poly_pow(r, m):
+    # the truncated power of a reversed top, one coefficient at a time
+    p = [r[0] ** m]
+    for k in range(1, len(r)):
+        p.append(census._power_step(r, p, m, k))
+    assert p == list(poly_pow(tuple(r), m)[: len(r)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 6), st.integers(2, 5), st.integers(2, 6), st.booleans())
+def test_inner_walk_powers_match_poly_pow(m, n, H, monic):
+    # for m >= 3 only the top-coefficient windows cut the inners, and the
+    # reference reads each window's coefficient off poly_pow(h, m)
+    assert [h for h, _ in _h_candidates(m, n, H, monic)] == unpruned_h_candidates(m, n, H, monic)
+
+
 def test_h_candidates_normalized_and_ordered():
     hs = [h for h, _ in _h_candidates(2, 2, 8, True)]
     assert all(h[0] == 0 and h[-1] == 1 for h in hs)
@@ -745,10 +933,10 @@ def test_low_coefficient_cut_drops_only_dead_inners(case):
     # the reference filtered one candidate at a time: an in-order subsequence
     assert cut == [(h, sq) for h, sq in full if passes_low_tests(h, H, monic)]
     kept = set(cut)
-    dropped = [pair for pair in full if pair not in kept]
+    dropped = [(h, sq, None) for h, sq in full if (h, sq) not in kept]
     assert _run_chunk((d, H, monic, (2, n), dropped, (), 10**9))[0] == 0
     # every pair of the unpruned inners is one of the cut enumeration's polynomials
-    pairs = _run_chunk((d, H, monic, (2, n), full, (), 10**9))[0]
+    pairs = _run_chunk((d, H, monic, (2, n), [(h, sq, None) for h, sq in full], (), 10**9))[0]
     assert len(forward_key_set(d, H, monic, (2, n))) == pairs
 
 
