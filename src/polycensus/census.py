@@ -21,7 +21,9 @@ Two independent routes produce every count:
   outer degree 2 also by its low coefficients x^1, x^2 and x^n, which leave
   b_1 a short window, and, when f is monic, by the one row of (a_2, a_1)
   that is left; every cut is a proved necessary condition.  The walk builds
-  h^2 as it goes, one O(n) update per coefficient.
+  h^2 as it goes, one O(n) update per coefficient.  The inner x^n, whose
+  polynomials g(x^n) have the coefficients of g, is counted in closed form
+  wherever its exclusion is known (count_forward proves the counts).
 
 The constant term never interacts with decomposability (it is the free
 constant term of the outer polynomial), so the enumeration fixes it at 0 and
@@ -29,11 +31,10 @@ every count carries an exact factor 2H+1.  Within one split the normalized
 witness is unique per polynomial, which every enumeration re-verifies
 without storing a key per pair: the packed coefficient vectors strictly
 increase within a block (one inner h with one outer lead), one comparison
-per polygon and one where two chunks meet inside a block, and distinct
-blocks have distinct top coefficients.  A split runs in the calling
-process until it has walked _POOL_AFTER polygons; the pieces it leaves (an
-inner, or its first outer coefficients) go in batches to a pool that the
-query starts once, when a split first needs it.  Each
+per polygon, and distinct blocks have distinct top coefficients.  A split
+runs in the calling process until it has walked _POOL_AFTER polygons; the
+whole inners it leaves go in batches to a pool that the query starts once,
+when a split first needs it.  Each
 variant sums the pairs of a plan of splits, less those whose polynomial
 also decomposes with one of the split's excluded inner degrees
 (count_forward gives the plans).  By Engstrom's theorem most of that is
@@ -51,7 +52,7 @@ from __future__ import annotations
 
 import os
 import time
-from bisect import bisect_left, insort
+from bisect import insort
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import product
@@ -90,7 +91,7 @@ DEFAULT_SET_BUDGET = 200_000_000   # witness pairs per split
 DEFAULT_ORACLE_BUDGET = 3_000_000  # brute-force box size
 _INT64_LIMIT = 1 << 62  # oracle rows bounded below this evaluate in int64
 # Polygons the calling process walks in a split before it hands the split's
-# other pieces to the query's pool.  Starting a pool of two forked workers,
+# other inners to the query's pool.  Starting a pool of two forked workers,
 # running one task on each and shutting it down took 12-16 ms on 2 cores
 # (Python 3.11.7), about 10^3 polygons at the walk's ~10^5 polygons/s, so a
 # split below this never forks, and one above it has already done about as
@@ -391,7 +392,7 @@ def _pairs_budget_error(budget: int, m: int, n: int, H: int) -> BudgetError:
 
 
 def _walk_outer(
-    h: Poly, sq: Poly, m: int, H: int, monic: bool, span=None, stop: int = 3
+    h: Poly, sq: Poly, m: int, H: int, monic: bool
 ) -> Iterator[Tuple[List[int], List[int], int, int]]:
     """Yield (P, prefix, lo, hi) for every polygon of one inner h, in order.
 
@@ -410,13 +411,6 @@ def _walk_outer(
     m = 2 the lead is a_2: prefix is empty, P is 0 and lo = hi = a_2, one
     row per lead.  P and prefix are the walk's own lists: they hold until
     the next polygon is drawn, and the caller must not modify them.
-
-    The pieces of h are the prefixes of its first min(2, m-2) outer
-    coefficients (_pieces).  span = (first, last), two piece prefixes,
-    restricts the walk to the pieces from first to last in lexicographic
-    order; last None leaves the end open.  stop = k > 3 yields at level k,
-    once per (a_m, .., a_k) whose a_(k-1) window is not empty, with that
-    window as [lo, hi].
     """
     n = len(h) - 1
     d = m * n
@@ -425,22 +419,11 @@ def _walk_outer(
         hp.append(mul(hp[-1], h))
     P = [0] * (d + 1)
     prefix = [0] * (m - 2)  # prefix[m - k] = a_k
-
-    def window(i: int, lo: int, hi: int) -> range:
-        # the values of prefix[i] in [lo, hi] that span allows, prefix[:i] being set
-        if span:
-            first, last = span
-            if i < len(first) and tuple(prefix[:i]) == first[:i]:
-                lo = max(lo, first[i])
-            if last is not None and i < len(last) and tuple(prefix[:i]) == last[:i]:
-                hi = min(hi, last[i])
-        return range(lo, hi + 1)
-
     if monic:
-        leads = window(0, 1, 1)
+        leads = [1]
     else:
         lo_a, hi_a = window_interval(P, hp[m], (m - 1) * n + 1, d, H)
-        leads = [a for a in window(0, lo_a, hi_a) if a]
+        leads = [a for a in range(lo_a, hi_a + 1) if a]
     if m == 2:
         for a in leads:
             yield P, prefix, a, a
@@ -462,58 +445,18 @@ def _walk_outer(
         # the window of a_(k-1), the last to reach x^(top-n+1)..x^top
         top = (k - 1) * n
         lo, hi = window_interval(P, hp[k - 1], top - n + 1, top, H)
-        if k > stop:
+        if k > 3:
             k -= 1
-            values[k] = iter(window(m - k, lo, hi))
+            values[k] = iter(range(lo, hi + 1))
         elif lo <= hi:
             yield P, prefix, lo, hi
 
 
-def _pieces(h: Poly, sq: Poly, m: int, H: int, monic: bool) -> List[Tuple[int, ...]]:
-    """The pieces of one inner, in lexicographic order.
-
-    A piece fixes the first min(2, m-2) outer coefficients: it is the whole
-    inner for m = 2, one a_3 for m = 3 and one (a_m, a_(m-1)) for m >= 4.
-    _walk_outer's span walks a run of them.  The list may leave out a piece
-    that holds no polygon, and for m >= 4 it keeps every a_(m-1) of the
-    windows, without testing the windows below.
-    """
-    if m == 2:
-        return [()]
-    if m == 3:
-        return [(prefix[0],) for _, prefix, _, _ in _walk_outer(h, sq, m, H, monic)]
-    walk = _walk_outer(h, sq, m, H, monic, stop=m)
-    return [(prefix[0], t) for _, prefix, lo, hi in walk for t in range(lo, hi + 1)]
-
-
-def _batches(rest, m: int, H: int, monic: bool, count: int) -> list:
-    """Cut the pieces of rest, in order, into at most count batches of about
-    equal numbers of pieces.
-
-    rest holds _run_chunk items (h, sq, span), span None for all the pieces
-    of h or (start, None) for those from the prefix start on.  A batch is a
-    list of items (h, sq, (first, last)), a run of the pieces of one inner
-    each.
-    """
-    def pieces(h, sq, span):
-        ps = _pieces(h, sq, m, H, monic)
-        return ps[bisect_left(ps, span[0]) :] if span else ps
-
-    size = -(-sum(len(pieces(*item)) for item in rest) // count)
-    batches: list = []
-    room = 0
-    for h, sq, span in rest:
-        ps = pieces(h, sq, span)
-        i = 0
-        while i < len(ps):
-            if not room:
-                batches.append([])
-                room = size
-            j = min(len(ps), i + room)
-            batches[-1].append((h, sq, (ps[i], ps[j - 1])))
-            room -= j - i
-            i = j
-    return batches
+def _batches(rest: list, count: int) -> list:
+    """Cut the inners of rest, in order, into at most count runs of about
+    equal numbers of inners; no inner is cut."""
+    size = -(-len(rest) // count)
+    return [rest[i : i + size] for i in range(0, len(rest), size)]
 
 
 def _start_pool(k: int):
@@ -528,26 +471,21 @@ def _start_pool(k: int):
 
 
 def _run_chunk(args, limit=None):
-    """Enumerate outer polynomials for one chunk of pieces, in one loop over
+    """Enumerate outer polynomials for one chunk of inners, in one loop over
     the polygons that _walk_outer yields.
 
     args is (d, H, monic, (m, n), items, excluded, budget); each item
-    (h, sq, span) is an inner candidate h with sq = h^2, walked whole when
-    span is None and otherwise over the run of its pieces that span names
-    (_walk_outer).  With limit, the chunk stops at the first piece (_pieces)
-    that starts after it has walked limit polygons, and it leaves in the
-    list items the items, or the rest of one, that it did not walk: none
-    when it walked them all.
+    (h, sq) is an inner candidate h with sq = h^2, walked whole.  With
+    limit, the chunk stops before the first inner that it reaches after it
+    has walked limit polygons, and deletes from the list items the inners
+    that it walked, leaving those that it did not.
 
-    Returns (pairs, 0, None, away, (tops, ends)):
+    Returns (pairs, 0, None, away, tops):
       pairs    -- witness pairs completed (equals distinct polynomials)
       away     -- pairs whose polynomial also decomposes with an inner degree
                   in excluded
-      tops     -- the top-n coefficient vector of every non-empty block
-                  piece, in walk order
-      ends     -- (block, first key) of the first block piece and (block,
-                  last key) of the last, as one 4-tuple; None when tops is
-                  empty.  A block is (h, outer lead).
+      tops     -- the top-n coefficient vector of every non-empty block, in
+                  walk order
     The 0 and None slots keep the 5-tuple that perfbench/tracer.py unpacks.
 
     The unit of work is a polygon, and polygon_count counts its pairs
@@ -563,23 +501,21 @@ def _run_chunk(args, limit=None):
     candidate inners are memoized per chunk.
 
     Uniqueness re-check, with no key stored.  A block is one inner h with one
-    outer lead a_m, and a block piece is the part of a block that one item
-    of a chunk walks.  The packed key of f has the digits f_j + H, x^d most
-    significant, and every digit of a counted f lies in [0, 2H], so keys
-    compare as the coefficient vectors do from x^d down.  Inside a block
-    a_(m-1)..a_1 run in lexicographic order; raising a_k leaves
-    x^(kn+1)..x^d unchanged and raises x^(kn) by L^k > 0, L = lead(h)
-    (a_(k-1)..a_1 only reach lower powers), so the keys strictly increase.
-    Within a polygon this reads: one a_2 step raises the x^(2n) digit by
-    L^2 > 0 and leaves the digits above it unchanged, and one a_1 step
-    raises x^n by L and never reaches x^(n+1) or above.  So a polygon's keys
-    lie between those of its first and last points, and one
-    comparison per polygon completes the check inside a block piece: its
-    first key must exceed the piece's previous key, its last key becomes
-    the new one, and a polygon of more than one point needs L > 0.  Every f
-    of a block shares the block's top n coefficients.  Only the first and
-    the last block piece of a chunk can continue a block of another chunk,
-    so their keys are all that _check_pieces needs besides the tops.
+    outer lead a_m, and a chunk walks whole inners, so whole blocks.  The
+    packed key of f has the digits f_j + H, x^d most significant, and every
+    digit of a counted f lies in [0, 2H], so keys compare as the coefficient
+    vectors do from x^d down.  Inside a block a_(m-1)..a_1 run in
+    lexicographic order; raising a_k leaves x^(kn+1)..x^d unchanged and
+    raises x^(kn) by L^k > 0, L = lead(h) (a_(k-1)..a_1 only reach lower
+    powers), so the keys strictly increase.  Within a polygon this reads:
+    one a_2 step raises the x^(2n) digit by L^2 > 0 and leaves the digits
+    above it unchanged, and one a_1 step raises x^n by L and never reaches
+    x^(n+1) or above.  So a polygon's keys lie between those of its first
+    and last points, and one comparison per polygon completes the check
+    inside a block: its first key must exceed the block's previous key, its
+    last key becomes the new one, and a polygon of more than one point needs
+    L > 0.  Every f of a block shares the block's top n coefficients, so
+    the tops are all that _check_pieces needs.
     """
     (d, H, monic, (m, n), items, excluded, budget) = args
 
@@ -588,23 +524,18 @@ def _run_chunk(args, limit=None):
     key_h = H * sum(bp)  # the key of the zero polynomial
     candidates: dict = {}
     tops: list = []
-    head = None  # (block, first key) of the chunk's first block piece
-    pairs = away = polygons = 0
-    last = -1  # the largest key emitted so far in the current block piece
-    depth = min(2, m - 2)  # the outer coefficients a piece fixes
+    pairs = away = polygons = walked = 0
 
-    for i, (h, sq, span) in enumerate(items):
+    for h, sq in items:
+        if limit is not None and polygons >= limit:
+            break
+        walked += 1
         s = sq + (0,) * (d - 2 * n)
         hkf = sum(map(times, h, bp))
         skf = sum(map(times, s, bp))
-        block = None  # the outer lead of the current block piece
-        at = None  # the piece of the last polygon, followed when limit is set
-        for P, prefix, lo, hi in _walk_outer(h, sq, m, H, monic, span):
-            if limit is not None and tuple(prefix[:depth]) != at:
-                at = tuple(prefix[:depth])
-                if polygons >= limit:
-                    items[: i + 1] = [(h, sq, (at, span[1] if span else None))]
-                    break
+        block = None  # the outer lead of the current block
+        last = -1  # the largest key emitted so far in the current block
+        for P, prefix, lo, hi in _walk_outer(h, sq, m, H, monic):
             polygons += 1
             rows, first, final = polygon(P, h, s, lo, hi, H)
             if first is None:
@@ -614,12 +545,9 @@ def _run_chunk(args, limit=None):
             key0 = key_h + sum(map(times, P, bp))
             key = key0 + first[0] * skf + first[1] * hkf
             if lead != block:
-                # first polygon of a new block piece
+                # first polygon of a new block
                 block, last = lead, -1
-                tail = h, lead  # the current block
                 tops.append(tuple(p + first[0] * t for p, t in zip(P[d - n + 1 :], s[d - n + 1 :])))
-                if head is None:
-                    head = tail, key
             if key <= last or (count > 1 and h[n] <= 0):
                 raise _uniqueness_error(m, n, H, "keys not increasing within a block")
             last = key0 + final[0] * skf + final[1] * hkf
@@ -636,47 +564,25 @@ def _run_chunk(args, limit=None):
             pairs += count
             if pairs > budget:
                 raise _pairs_budget_error(budget, m, n, H)
-        else:
-            continue
-        break  # the limit was reached
-    else:
-        if limit is not None:
-            items.clear()
-    ends = (*head, tail, last) if tops else None
-    return pairs, 0, None, away, (tops, ends)
+    if limit is not None:
+        del items[:walked]
+    return pairs, 0, None, away, tops
 
 
 def _check_pieces(m: int, n: int, H: int, chunks) -> None:
-    """The cross-chunk uniqueness re-check of a split over the (tops, ends)
-    of its chunks, in walk order; RuntimeError when it fails.
+    """The cross-chunk uniqueness re-check of a split over the tops of its
+    chunks; RuntimeError when it fails.
 
-    Where the last block piece of a chunk and the first of the next
-    non-empty one belong to one block, they are one block: the first key of
-    the second must exceed the last key of the first, and their tops must
-    agree.  Every other block piece is a block of its own, and the blocks
-    must have distinct tops, which makes them disjoint.  With _run_chunk's
-    check inside each block piece, passing proves that the pairs give
-    pairwise distinct polynomials.
+    Each chunk walks whole inners, so every block lies in one chunk, and
+    the blocks must have distinct tops, which makes them disjoint.  With
+    _run_chunk's check inside each block, passing proves that the pairs
+    give pairwise distinct polynomials.
     """
-    seen = set()
-    blocks = 0
-    prev = None  # (block, last key, top) of the last block piece so far
-    for tops, ends in chunks:
-        if not tops:
-            continue
-        first_block, first_key, last_block, last_key = ends
-        blocks += len(tops)
-        if prev is not None and prev[0] == first_block:
-            if first_key <= prev[1]:
-                raise _uniqueness_error(m, n, H, "keys not increasing within a block")
-            if tops[0] != prev[2]:
-                raise _uniqueness_error(m, n, H, "two pieces of one block with different tops")
-            blocks -= 1
-        seen.update(tops)
-        prev = last_block, last_key, tops[-1]
-    if len(seen) != blocks:
+    tops = [t for chunk in chunks for t in chunk]
+    distinct = len(set(tops))
+    if distinct != len(tops):
         raise _uniqueness_error(
-            m, n, H, f"{blocks} non-empty blocks but {len(seen)} distinct top coefficients"
+            m, n, H, f"{len(tops)} non-empty blocks but {distinct} distinct top coefficients"
         )
 
 
@@ -684,17 +590,24 @@ def _run_split(d, H, monic, split, workers, excluded, budget, *, pool):
     """Enumerate one split, in process and, past _POOL_AFTER polygons, on the
     query's pool; merge the chunk results.
 
-    With k = min(workers, os.cpu_count()) below 2 the split is one
-    _run_chunk call over all its inners, and no pool code is reached.
-    Otherwise the calling process walks the split's pieces (_pieces) in
-    lexicographic order until it has walked _POOL_AFTER polygons.  If
-    pieces are left, they are cut into at most k * _BATCHES_PER_WORKER
-    batches (_batches) for the query's pool, whose k processes take them as
-    they free up.  pool is the query's list that holds that pool once the
-    first split that needs it has started it (_start_pool).  Every count is
-    a sum over the pieces, so where they run never changes it.
+    The inner x^n is counted in closed form when its exclusion is known
+    (count_forward proves the counts): always when the split's kernel is
+    empty, and for the kernel of an indecomp_pair, {n j : j | m, 1 < j < m},
+    by one total count at degree m.  Its pairs count against the budget
+    first, and the chunks get what is left.  Any other copy of x^n, and x^n
+    under any other kernel, is walked.
 
-    Returns (pairs, 0, None, away), summed over the chunks;
+    With k = min(workers, os.cpu_count()) below 2 the split is one
+    _run_chunk call over all the other inners, and no pool code is reached.
+    Otherwise the calling process walks the inners in order until it has
+    walked _POOL_AFTER polygons, and stops at the next inner.  If inners are
+    left, they are cut into at most k * _BATCHES_PER_WORKER runs (_batches)
+    for the query's pool, whose k processes take them as they free up.  pool
+    is the query's list that holds that pool once the first split that needs
+    it has started it (_start_pool).  Every count is a sum over the inners,
+    so where they run never changes it.
+
+    Returns (pairs, 0, None, away), summed over x^n and the chunks;
     pairs - away counts the pairs whose polynomial does not also decompose
     with an inner degree in excluded.  The inners that decompose with a
     degree e | n, e < n, of excluded are never walked, so neither pairs nor
@@ -702,7 +615,8 @@ def _run_split(d, H, monic, split, workers, excluded, budget, *, pool):
     perfbench/tracer.py unpacks.
 
     Completes the uniqueness re-check of _run_chunk for every split, variant
-    and worker count: _check_pieces runs over the chunks in walk order.
+    and worker count: _check_pieces runs over the tops of x^n and of every
+    chunk.
     """
     m, n = split
     # count_forward proves both: every pair of an inner that decomposes with
@@ -710,25 +624,43 @@ def _run_split(d, H, monic, split, workers, excluded, budget, *, pool):
     # for the degrees of kernel
     cut = tuple(e for e in excluded if n % e == 0 and e < n)
     kernel = tuple(k for k in excluded if gcd(k, n) not in cut)
-    items = [(h, sq, None) for h, sq in _h_candidates(m, n, H, monic, cut)]
+    items = _h_candidates(m, n, H, monic, cut)
+    pairs = away = 0
+    tops: list = []
+    power = ((0,) * n + (1,), (0,) * (2 * n) + (1,))  # (x^n, x^2n)
+    closed = not kernel or set(kernel) == {n * j for j in _inner_degrees(m)}
+    if closed and power in items:
+        items.remove(power)  # the first copy only: a second is walked
+        leads = [1] if monic else [a for a in range(-H, H + 1) if a]
+        pairs = len(leads) * (2 * H + 1) ** (m - 1)
+        if pairs > budget:
+            raise _pairs_budget_error(budget, m, n, H)
+        if kernel:
+            total = count_forward(CountQuery(m, H, monic, "total"), budget=budget)
+            away = total.count // (2 * H + 1)
+        tops = [(0,) * (n - 1) + (a,) for a in leads]
+    left = budget - pairs  # the chunks' budget
     k = min(workers, os.cpu_count() or 1)
     if k < 2:
-        results = [_run_chunk((d, H, monic, split, items, kernel, budget))]
+        results = [_run_chunk((d, H, monic, split, items, kernel, left))]
     else:
-        results = [_run_chunk((d, H, monic, split, items, kernel, budget), limit=_POOL_AFTER)]
-        if items:  # the pieces the calling process left
-            batches = _batches(items, m, H, monic, k * _BATCHES_PER_WORKER)
+        results = [_run_chunk((d, H, monic, split, items, kernel, left), limit=_POOL_AFTER)]
+        if items:  # the inners the calling process left
             if not pool:
                 pool.append(_start_pool(k))
             results += pool[0].map(
-                _run_chunk, [(d, H, monic, split, b, kernel, budget) for b in batches]
+                _run_chunk,
+                [
+                    (d, H, monic, split, b, kernel, left)
+                    for b in _batches(items, k * _BATCHES_PER_WORKER)
+                ],
             )
 
-    pairs = sum(r[0] for r in results)
-    away = sum(r[3] for r in results)
+    pairs += sum(r[0] for r in results)
+    away += sum(r[3] for r in results)
     if pairs > budget:
         raise _pairs_budget_error(budget, m, n, H)
-    _check_pieces(m, n, H, [r[4] for r in results])
+    _check_pieces(m, n, H, [tops] + [r[4] for r in results])
     return pairs, 0, None, away
 
 
@@ -824,6 +756,26 @@ def count_forward(q: CountQuery, workers: int = 1, budget: Optional[int] = None)
     those k.  A total's cut is every divisor e of n with 1 < e < n (each is
     below n and divides d), so its splits (2, 4) and (2, 6) need no kernel;
     indecomp_pair has n = l prime and an empty cut, and split an empty E.
+
+    The inner x^n is counted in closed form (_run_split).  f = g(x^n) has
+    [f]_(kn) = a_k and every other coefficient 0, so f is in the height box
+    exactly when g is, and the pairs of x^n are every outer g with g(0) = 0
+    and height <= H: (2H+1)^(m-1) of them when monic, 2H (2H+1)^(m-1)
+    otherwise (L x^n with L >= 2 is imprimitive, never an inner).  Its
+    blocks, one per outer lead a, have the tops (0, .., 0, a); every other
+    inner has some b_j != 0, j < n, and for the largest such j
+    [f]_((m-1)n+j) = a_m m L^(m-1) b_j != 0, so the tops stay distinct.
+    What it excludes:
+      * nothing when the split's kernel is empty: every split variant, the
+        dominant split (d/l, l) of a total (no inner degree is below l), and
+        indecomp_pair when m = d/l is prime (no n' with l < n' < d, l | n');
+      * for indecomp_pair with m composite, whose kernel is {l j : j | m,
+        1 < j < m}: by the argument above, exactly the pairs with g
+        decomposable.  Decomposability ignores the constant term, so these
+        are the total count at degree m, the same H and regime, divided by
+        2H+1.  That count runs at one worker, so the query keeps one pool.
+    The x^p of a total's other splits (d/p, p), p prime, p > l, keep their
+    kernel and are walked; for p composite the cut drops x^p.
     """
     t0 = time.perf_counter()
     if budget is None:

@@ -179,6 +179,78 @@ def test_pinned_regression_excluded_degrees(d, H, monic, variant, count):
     assert count_forward(CountQuery(d, H, monic, variant)).count == count
 
 
+@pytest.mark.parametrize(
+    "d,H,monic,variant,count",
+    [
+        (24, 2, True, "total", 244_574_795),
+        (24, 2, True, "split:12,2", 244_140_625),
+        (12, 40, True, "split:6,2", 283_873_789_647),
+        # computed once by walking x^2, before its block had a closed form
+        (24, 2, True, "indecomp_pair", 244_123_190),
+        (24, 2, False, "indecomp_pair", 976_495_180),
+        (24, 2, False, "total", 978_210_840),
+    ],
+)
+def test_pinned_regression_closed_form_power(d, H, monic, variant, count):
+    # queries whose count is mostly the block of x^n, now counted in closed
+    # form; the budget lets through the (6, 2) split's 81^5 pairs
+    split = tuple(map(int, variant[6:].split(","))) if variant.startswith("split:") else None
+    q = CountQuery(d, H, monic, "split" if split else variant, split)
+    assert count_forward(q, budget=10**12).count == count
+
+
+@pytest.mark.parametrize("d", [4, 6, 8, 9, 12, 16])
+@pytest.mark.parametrize("monic", [True, False], ids=["monic", "non-monic"])
+def test_closed_form_power_matches_its_walk(monkeypatch, d, monic):
+    # for every split of every variant's plan, x^n alone through _run_split
+    # (the closed form where it applies) against _run_chunk walking [x^n]
+    # with the split's kernel: the same pairs, away and block tops
+    H = 3 if d <= 8 else 2
+    real_split, real_chunk, real_h = census._run_split, census._run_chunk, census._h_candidates
+    plans = set()
+    monkeypatch.setattr(
+        census, "_run_split", lambda *a, **kw: plans.add(a[3:4] + a[5:6]) or (0, 0, None, 0)
+    )
+    for q in [CountQuery(d, H, monic, v) for v in ("total", "indecomp_pair")] + [
+        CountQuery(d, H, monic, "split", s) for s in ordered_splits(d)
+    ]:
+        count_forward(q)
+    monkeypatch.setattr(census, "_run_split", real_split)
+    closed, recursive = 0, []
+    for split, excluded in sorted(plans):
+        m, n = split
+        power = ((0,) * n + (1,), (0,) * (2 * n) + (1,))
+        chunks, tops = [], []
+
+        def only_power(m_, n_, *rest):
+            hs = real_h(m_, n_, *rest)
+            return [c for c in hs if c == power] if (m_, n_) == split else hs
+
+        def recording(args, **kw):
+            chunks.append(args)
+            return real_chunk(args, **kw)
+
+        monkeypatch.setattr(census, "_h_candidates", only_power)
+        monkeypatch.setattr(census, "_run_chunk", recording)
+        monkeypatch.setattr(census, "_check_pieces", lambda m_, n_, H_, c: tops.append(c))
+        pairs, _, _, away = census._run_split(d, H, monic, split, 1, excluded, 10**12, pool=[])
+        args = chunks[-1]  # the split's own chunk, after any count the closed form makes
+        assert args[3] == split
+        inners = only_power(m, n, H, monic, tuple(e for e in excluded if n % e == 0 and e < n))
+        walk = real_chunk((d, H, monic, split, inners, args[5], 10**12))
+        assert (pairs, away) == (walk[0], walk[3])
+        if inners and not args[4]:
+            closed += 1
+            if args[5]:  # indecomp_pair's kernel: away from a total at degree m
+                recursive.append(away)
+        assert [t for c in tops[-1] for t in c] == walk[4]
+    # x^n in closed form wherever nothing is excluded and in the dominant
+    # split (d/l, l) of indecomp_pair; walked in the other splits of a total
+    top = d // spf(d)
+    assert closed == sum(not e or s == (top, spf(d)) for s, e in plans) > 0
+    assert len(recursive) == (spf(top) != top) and all(recursive)  # m composite
+
+
 def test_prime_degree_zero():
     assert count_forward(CountQuery(5, 10, True, "total")).count == 0
     assert count_forward(CountQuery(7, 10, False, "total")).count == 0
@@ -403,35 +475,50 @@ def test_pack_truncated_rejects_out_of_box():
 
 
 def test_worker_independence(monkeypatch, pool_sizes):
-    # with the threshold at 0 every split past its first piece runs in
-    # batches on a stand-in pool of up to four workers; the batches merge to
-    # the one-worker count of every variant and split
+    # with the threshold at 0 every split with inners besides x^n (counted in
+    # closed form) runs them in batches on a stand-in pool of up to four
+    # workers; the batches merge to the one-worker count of every variant
+    # and split
     monkeypatch.setattr(census, "_POOL_AFTER", 0)
     monkeypatch.setattr(census.os, "cpu_count", lambda: 4)
     real, cuts = census._batches, []
+    real_chunk, walked = census._run_chunk, []
 
     def recording(rest, *args):
         cuts.append(real(rest, *args))
         return cuts[-1]
 
+    def counting(args, **kw):
+        out = real_chunk(args, **kw)
+        walked.append(out[0])
+        return out
+
     monkeypatch.setattr(census, "_batches", recording)
-    for workers in (1, 2, 5):
-        q = CountQuery(4, 30, True, "total")
-        assert count_forward(q, workers=workers).count == count_forward(q).count
+    monkeypatch.setattr(census, "_run_chunk", counting)
+
+    def check(q, workers):
+        one = count_forward(q).count
+        pools, start = len(pool_sizes), len(walked)
+        assert count_forward(q, workers=workers).count == one
+        # one pool, whose batches walked pairs
+        assert pool_sizes[pools:] == [min(workers, 4)] and sum(walked[start:]) > 0
+        return one
+
+    for workers in (2, 5):
+        check(CountQuery(4, 30, True, "total"), workers)
     q = CountQuery(6, 3, True, "total")
-    assert count_forward(q, workers=3).count == count_bruteforce(q).count
+    assert check(q, 3) == count_bruteforce(q).count
     for d, H, monic in ((8, 4, True), (6, 3, False)):
         queries = [CountQuery(d, H, monic, v) for v in ("total", "indecomp_pair")]
         queries += [CountQuery(d, H, monic, "split", s) for s in ordered_splits(d)]
         for q in queries:
-            assert count_forward(q, workers=4).count == count_forward(q, workers=1).count
+            check(q, 4)
     assert max(pool_sizes) == 4
-    # one inner's pieces were cut across batches, so a block ran in several chunks
-    assert any(
-        {item[0] for item in batch} & {item[0] for item in after}
-        for batches in cuts
-        for batch, after in zip(batches, batches[1:])
-    )
+    # the batches cut whole inners: no inner is in two batches of a split
+    assert any(len(batches) > 1 for batches in cuts)
+    for batches in cuts:
+        hs = [h for batch in batches for h, _ in batch]
+        assert len(hs) == len(set(hs))
 
 
 @pytest.fixture
@@ -474,10 +561,11 @@ def test_uniqueness_recheck_catches_repeated_candidate(
     monkeypatch, pool_sizes, variant, split, workers
 ):
     # the first inner candidate of (3, 2), the dominant split of d = 6, comes
-    # twice; (3, 2) has three inners, so the copy is the fourth.  A piece of
-    # (3, 2) is one inner here (the monic lead a_3 = 1), so with the
-    # threshold at one polygon the calling process walks the original and
-    # the pool the other three, the copy among them
+    # twice; (3, 2) has three inners, x^2 - x, x^2 and x^2 + x, and x^2 is
+    # counted in closed form, so the walk holds x^2 - x, x^2 + x and the
+    # copy.  Every inner holds a polygon, so with the threshold at one
+    # polygon the calling process walks the original and the pool the
+    # other two, the copy among them
     real, real_chunk = census._h_candidates, census._run_chunk
     chunks = []
 
@@ -491,7 +579,7 @@ def test_uniqueness_recheck_catches_repeated_candidate(
     def recording(args, **kw):
         out = real_chunk(args, **kw)
         if args[3] == (3, 2):
-            chunks.append(out[4][0])  # the tops of the blocks it walked
+            chunks.append(out[4])  # the tops of the blocks it walked
         return out
 
     monkeypatch.setattr(census, "_POOL_AFTER", 1)
@@ -501,7 +589,7 @@ def test_uniqueness_recheck_catches_repeated_candidate(
     with pytest.raises(RuntimeError, match="uniqueness"):
         count_forward(CountQuery(6, 3, True, variant, split), workers=workers)
     if workers == 1:
-        # one chunk over all four inners, the first block's top twice
+        # one chunk over the three walked inners, the first block's top twice
         assert pool_sizes == [] and len(chunks) == 1
         assert chunks[0].count(chunks[0][0]) == 2
     else:
@@ -511,75 +599,93 @@ def test_uniqueness_recheck_catches_repeated_candidate(
         assert sum(c.count(chunks[0][0]) for c in chunks[1:]) == 1
 
 
-def test_uniqueness_recheck_catches_pieces_out_of_order(monkeypatch, pool_sizes):
-    # two batches that hold consecutive pieces of one block run swapped; each
-    # is in order and the block keeps its top, so only the cross-piece merge
-    # of _check_pieces sees the keys fall
-    real, swapped = census._batches, []
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "q",
+    [
+        CountQuery(6, 3, True, "split", (3, 2)),
+        CountQuery(6, 3, True, "total"),
+        CountQuery(8, 4, True, "indecomp_pair"),  # the closed form's away by recursion
+    ],
+    ids=["split", "total", "indecomp_pair"],
+)
+def test_uniqueness_recheck_catches_a_repeated_power(monkeypatch, pool_sizes, q, workers):
+    # x^n comes twice in the dominant split: the closed form takes out one
+    # copy, and the other is walked, in the calling process at one worker and
+    # on the pool at two; its block tops repeat those of the closed form
+    real, real_chunk = census._h_candidates, census._run_chunk
+    split = (q.d // 2, 2)
+    power = ((0, 0, 1), (0, 0, 0, 0, 1))
+    walked = []
 
-    def swap(rest, m, *args):
-        batches = real(rest, m, *args)
-        for i in range(len(batches) - 1):
-            (h, _, (_, p)), (g, _, (q, _)) = batches[i][-1], batches[i + 1][0]
-            if h == g and p[0] == q[0]:  # one inner, one outer lead
-                batches[i : i + 2] = batches[i + 1], batches[i]
-                swapped.append(m)
-                break
-        return batches
+    def repeated(m, n, *rest):
+        hs = real(m, n, *rest)
+        return hs + [power] if (m, n) == split else hs
+
+    def recording(args, limit=None):
+        items = list(args[4])
+        out = real_chunk(args, limit=limit)
+        if args[3] == split:  # the inners it walked; with limit, it left the others
+            walked.extend(items[: len(items) - len(args[4])] if limit is not None else items)
+        return out
 
     monkeypatch.setattr(census, "_POOL_AFTER", 0)
-    monkeypatch.setattr(census, "_batches", swap)
+    monkeypatch.setattr(census, "_h_candidates", repeated)
+    monkeypatch.setattr(census, "_run_chunk", recording)
     monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
-    with pytest.raises(RuntimeError, match="not increasing"):
-        count_forward(CountQuery(8, 3, True, "split", (4, 2)), workers=2)
-    assert swapped == [4] and pool_sizes == [2]
+    with pytest.raises(RuntimeError, match="distinct top"):
+        count_forward(q, workers=workers)
+    assert walked.count(power) == 1
+    assert pool_sizes == ([] if workers == 1 else [2])
 
 
 @pytest.mark.parametrize(
     "m,n,H,monic", [(6, 2, 6, True), (4, 2, 4, False), (3, 2, 6, False), (2, 4, 4, True)]
 )
 def test_pieces_cut_the_walk_exactly(m, n, H, monic):
-    # the calling process stops at a piece boundary and _batches cuts what
-    # it leaves: together they walk the whole split once, in order
+    # the calling process stops at an inner boundary and _batches cuts the
+    # inners it leaves: together they walk the whole split once, in order
     d = m * n
     inners = _h_candidates(m, n, H, monic)
 
     def walked(items):
         return [
             (h, tuple(P), tuple(prefix), lo, hi)
-            for h, sq, span in items
-            for P, prefix, lo, hi in census._walk_outer(h, sq, m, H, monic, span)
+            for h, sq in items
+            for P, prefix, lo, hi in census._walk_outer(h, sq, m, H, monic)
         ]
 
-    whole = walked((h, sq, None) for h, sq in inners)
-    full = _run_chunk((d, H, monic, (m, n), [(h, sq, None) for h, sq in inners], (), 10**12))
-    assert len(whole) > 2
+    whole = walked(inners)
+    full = _run_chunk((d, H, monic, (m, n), list(inners), (), 10**12))
+    assert len(inners) > 2 and len(whole) > 2
     for limit in (0, 1, len(whole) // 2, 10**9):
-        items = [(h, sq, None) for h, sq in inners]
+        items = list(inners)
         head = _run_chunk((d, H, monic, (m, n), items, (), 10**12), limit=limit)
-        left = walked(items)  # what the calling process leaves: the tail of the walk
-        assert left == whole[len(whole) - len(left) :]
+        # what the calling process leaves: the inners after the last it walked
+        assert items == inners[len(inners) - len(items) :]
+        assert (limit == 0) == (items == inners)
+        assert not items or len(whole) - len(walked(items)) >= limit
         for count in (1, 3, 7):
-            batches = census._batches(items, m, H, monic, count) if items else []
-            assert len(batches) <= count
-            assert walked(item for b in batches for item in b) == left
+            batches = census._batches(items, count) if items else []
+            assert len(batches) <= count and all(batches)
+            assert [c for b in batches for c in b] == items
             rest = [_run_chunk((d, H, monic, (m, n), b, (), 10**12)) for b in batches]
             assert head[0] + sum(r[0] for r in rest) == full[0]
+            assert head[4] + [t for r in rest for t in r[4]] == full[4]
             census._check_pieces(m, n, H, [head[4]] + [r[4] for r in rest])
 
 
 def test_check_pieces_cases():
-    # chunks as _run_chunk reports them: the tops of their block pieces, and
-    # (first block, first key, last block, last key); a block is (inner, lead)
-    b, c = ((0, 0, 1), 1), ((0, 1, 1), 1)
-    census._check_pieces(2, 2, 3, [([(1,)], (b, 1, b, 5)), ([], None), ([(1,), (2,)], (b, 6, c, 3))])
-    for chunks, match in [
-        ([([(1,)], (b, 1, b, 5)), ([(1,)], (b, 5, b, 9))], "not increasing"),
-        ([([(1,)], (b, 1, b, 5)), ([(2,)], (b, 6, b, 9))], "different tops"),
-        ([([(1,)], (b, 1, b, 5)), ([(1,)], (c, 6, c, 9))], "distinct top"),
-        ([([(1,), (2,), (1,)], (b, 1, b, 9))], "distinct top"),  # one block twice in a chunk
+    # chunks as _run_chunk reports them: the tops of their blocks, in walk
+    # order; every block lies in one chunk, and no two may share a top
+    census._check_pieces(2, 2, 3, [[(0, 1)], [], [(1, 1), (2, 1)]])
+    census._check_pieces(2, 2, 3, [])
+    for chunks in [
+        [[(0, 1)], [(0, 1)]],  # one top in two chunks
+        [[(0, 1), (1, 1), (0, 1)]],  # one top twice in a chunk
+        [[(1, 1)], [], [(2, 1), (1, 1)]],
     ]:
-        with pytest.raises(RuntimeError, match=match):
+        with pytest.raises(RuntimeError, match="distinct top"):
             census._check_pieces(2, 2, 3, chunks)
 
 
@@ -599,8 +705,9 @@ def real_pools(monkeypatch):
 
 
 def test_real_pool_matches_one_worker(real_pools):
-    # the (6, 2) split of monic d = 12 at H = 6 walks 2,197 polygons, past
-    # the default threshold, so two workers start the query's one pool
+    # the (2, 6) split of monic d = 12 at H = 6 walks 1,086 polygons, past
+    # the default threshold, so two workers start the query's one pool; its
+    # (6, 2) split walks none, x^2 being its one inner with a polygon
     q = CountQuery(12, 6, True, "total")
     t0 = time.perf_counter()
     two = count_forward(q, workers=2).count
@@ -729,7 +836,7 @@ def test_two_inner_degrees_counted_once():
     [(a2, lo, hi)] = polygon_rows(*polygon(P, h, mul(h, h), lo2, hi2, H), H)
     assert a2 == 1 and lo <= 0 <= hi and mul(h, h) == f
     assert decomposable_on_span(f, (h,), (2,)) is None
-    pairs, _, _, away, _ = _run_chunk((d, H, True, (2, 4), [(h, mul(h, h), None)], (2,), 10**9))
+    pairs, _, _, away, _ = _run_chunk((d, H, True, (2, 4), [(h, mul(h, h))], (2,), 10**9))
     assert pairs == away == hi - lo + 1  # a_2 = 1 is the only row of this h
     count = count_forward(CountQuery(d, H, True, "total")).count
     assert count == (2 * H + 1) * len(union_key_set(d, H, True))
@@ -933,10 +1040,10 @@ def test_low_coefficient_cut_drops_only_dead_inners(case):
     # the reference filtered one candidate at a time: an in-order subsequence
     assert cut == [(h, sq) for h, sq in full if passes_low_tests(h, H, monic)]
     kept = set(cut)
-    dropped = [(h, sq, None) for h, sq in full if (h, sq) not in kept]
+    dropped = [(h, sq) for h, sq in full if (h, sq) not in kept]
     assert _run_chunk((d, H, monic, (2, n), dropped, (), 10**9))[0] == 0
     # every pair of the unpruned inners is one of the cut enumeration's polynomials
-    pairs = _run_chunk((d, H, monic, (2, n), [(h, sq, None) for h, sq in full], (), 10**9))[0]
+    pairs = _run_chunk((d, H, monic, (2, n), full, (), 10**9))[0]
     assert len(forward_key_set(d, H, monic, (2, n))) == pairs
 
 
