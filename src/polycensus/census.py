@@ -10,7 +10,8 @@ Two independent routes produce every count:
   remaining coefficients (the non-constant parts of F's K-adic digits
   0..m-2, proved sufficient in the decompose module docstring), evaluated
   over the block with numpy.  A total ORs the split masks, one bool per
-  polynomial.
+  polynomial.  numpy is imported by the oracle's functions, when they first
+  run, so the forward route and the command line never load it.
 * count_forward generates the polynomials constructively, enumerating
   normalized inner polynomials h (h(0) = 0, positive leading coefficient,
   monic in the monic regime) inside a provably sufficient height box, then
@@ -23,7 +24,8 @@ Two independent routes produce every count:
   that is left; every cut is a proved necessary condition.  The walk builds
   h^2 as it goes, one O(n) update per coefficient.  The inner x^n, whose
   polynomials g(x^n) have the coefficients of g, is counted in closed form
-  wherever its exclusion is known (count_forward proves the counts).
+  wherever count_forward knows its exclusion (it proves the counts and
+  hands each split the rule).
 
 The constant term never interacts with decomposability (it is the free
 constant term of the outer polynomial), so the enumeration fixes it at 0 and
@@ -34,18 +36,17 @@ increase within a block (one inner h with one outer lead), one comparison
 per polygon, and distinct blocks have distinct top coefficients.  A split
 runs in the calling process until it has walked _POOL_AFTER polygons; the
 whole inners it leaves go in batches to a pool that the query starts once,
-when a split first needs it.  Each
-variant sums the pairs of a plan of splits, less those whose polynomial
-also decomposes with one of the split's excluded inner degrees
-(count_forward gives the plans).  By Engstrom's theorem most of that is
-decided by the inner alone: the inner walk drops every h with a right
-component of an excluded degree dividing n, all of whose pairs are
-excluded, and the other inners need the exclusion test only for the
-excluded degrees k with gcd(k, n) not such a degree.  That test runs once
-per polygon, by decompose.decomposable_on_span, and lattice.union_count
-counts what it excludes.  No variant stores a key.  The budget bounds the
-witness pairs that a split walks and, up front (check_budget), the inner
-candidates that it tests.
+when a split first needs it.  Each variant sums the pairs of a plan of
+splits, less those whose polynomial also decomposes with one of the split's
+excluded inner degrees (_plan lists the plans, and count_forward proves
+them).  By Engstrom's theorem most of that is decided by the inner alone:
+the inner walk drops every h with a right component of an excluded degree
+dividing n, all of whose pairs are excluded, and the other inners need the
+exclusion test only for the excluded degrees k with gcd(k, n) not such a
+degree.  That test runs once per polygon, by decompose.decomposable_on_span,
+and lattice.union_count counts what it excludes.  No variant stores a key.
+The budget bounds the witness pairs that a split walks and, up front
+(check_budget), the inner candidates that it tests.
 """
 
 from __future__ import annotations
@@ -59,8 +60,6 @@ from itertools import product
 from math import gcd, isqrt
 from operator import mul as times
 from typing import Iterator, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from . import poly_core
 from .asymptotics import spf
@@ -81,7 +80,7 @@ from .lattice import (
     union_count,
     window_interval,
 )
-from .poly_core import Poly, mul
+from .poly_core import Poly, height, lead, mul
 
 # The forward walk no longer raises to powers; perfbench/tracer.py still wraps
 # census.poly_pow, so the binding stays until the benchmark drops it.
@@ -139,6 +138,15 @@ def explicit_constants_sq(m: int, n: int) -> Tuple[int, int]:
         raise ValueError("split parts must both be >= 2")
     d = m * n
     return 4**d * (n + 1) ** m, 4**m * (n + 1) ** m * (d + 1)
+
+
+def height_lemma(g: Poly, h: Poly, hf: int) -> Tuple[bool, bool]:
+    """The verdicts of both bounds of explicit_constants_sq on f = g(h), whose
+    height is hf: (|lead(g)| H(h)^m <= K1 H(f), H(g) <= K2 H(f)), decided on
+    the squares."""
+    k1_sq, k2_sq = explicit_constants_sq(len(g) - 1, len(h) - 1)
+    lhs1 = lead(g) * height(h) ** (len(g) - 1)
+    return lhs1 * lhs1 <= k1_sq * hf * hf, height(g) ** 2 <= k2_sq * hf * hf
 
 
 def _inner_height_bound(m: int, n: int, H: int) -> int:
@@ -475,10 +483,11 @@ def _run_chunk(args, limit=None):
     the polygons that _walk_outer yields.
 
     args is (d, H, monic, (m, n), items, excluded, budget); each item
-    (h, sq) is an inner candidate h with sq = h^2, walked whole.  With
-    limit, the chunk stops before the first inner that it reaches after it
-    has walked limit polygons, and deletes from the list items the inners
-    that it walked, leaving those that it did not.
+    (h, sq) is an inner candidate h with sq = h^2, walked whole.  The chunk
+    consumes what it walks: it deletes from the list items the inners that
+    it walked, all of them without limit.  With limit, it stops before the
+    first inner that it reaches after it has walked limit polygons, so the
+    inners it leaves in items are those still to walk.
 
     Returns (pairs, 0, None, away, tops):
       pairs    -- witness pairs completed (equals distinct polynomials)
@@ -564,8 +573,7 @@ def _run_chunk(args, limit=None):
             pairs += count
             if pairs > budget:
                 raise _pairs_budget_error(budget, m, n, H)
-    if limit is not None:
-        del items[:walked]
+    del items[:walked]
     return pairs, 0, None, away, tops
 
 
@@ -586,26 +594,25 @@ def _check_pieces(m: int, n: int, H: int, chunks) -> None:
         )
 
 
-def _run_split(d, H, monic, split, workers, excluded, budget, *, pool):
+def _run_split(d, H, monic, split, workers, excluded, budget, *, pool, power_away):
     """Enumerate one split, in process and, past _POOL_AFTER polygons, on the
     query's pool; merge the chunk results.
 
-    The inner x^n is counted in closed form when its exclusion is known
-    (count_forward proves the counts): always when the split's kernel is
-    empty, and for the kernel of an indecomp_pair, {n j : j | m, 1 < j < m},
-    by one total count at degree m.  Its pairs count against the budget
-    first, and the chunks get what is left.  Any other copy of x^n, and x^n
-    under any other kernel, is walked.
+    power_away is the plan's rule for the inner x^n (count_forward decides
+    it): None walks x^n with the other inners, and an int counts its first
+    copy in closed form with that many pairs excluded.  Its pairs count
+    against the budget first, and the chunks get what is left.  A second
+    copy of x^n is walked.
 
-    With k = min(workers, os.cpu_count()) below 2 the split is one
-    _run_chunk call over all the other inners, and no pool code is reached.
-    Otherwise the calling process walks the inners in order until it has
-    walked _POOL_AFTER polygons, and stops at the next inner.  If inners are
-    left, they are cut into at most k * _BATCHES_PER_WORKER runs (_batches)
-    for the query's pool, whose k processes take them as they free up.  pool
-    is the query's list that holds that pool once the first split that needs
-    it has started it (_start_pool).  Every count is a sum over the inners,
-    so where they run never changes it.
+    The calling process walks the inners in order with one _run_chunk call,
+    which consumes them: all of them when k = min(workers, os.cpu_count())
+    is below 2, and otherwise those up to the first inner boundary past
+    _POOL_AFTER polygons.  The inners it leaves are cut into at most
+    k * _BATCHES_PER_WORKER runs (_batches) for the query's pool, whose k
+    processes take them as they free up.  pool is the query's list that
+    holds that pool once the first split that needs it has started it
+    (_start_pool).  Every count is a sum over the inners, so where they run
+    never changes it.
 
     Returns (pairs, 0, None, away), summed over x^n and the chunks;
     pairs - away counts the pairs whose polynomial does not also decompose
@@ -628,33 +635,22 @@ def _run_split(d, H, monic, split, workers, excluded, budget, *, pool):
     pairs = away = 0
     tops: list = []
     power = ((0,) * n + (1,), (0,) * (2 * n) + (1,))  # (x^n, x^2n)
-    closed = not kernel or set(kernel) == {n * j for j in _inner_degrees(m)}
-    if closed and power in items:
+    if power_away is not None and power in items:
         items.remove(power)  # the first copy only: a second is walked
         leads = [1] if monic else [a for a in range(-H, H + 1) if a]
-        pairs = len(leads) * (2 * H + 1) ** (m - 1)
+        pairs, away = len(leads) * (2 * H + 1) ** (m - 1), power_away
         if pairs > budget:
             raise _pairs_budget_error(budget, m, n, H)
-        if kernel:
-            total = count_forward(CountQuery(m, H, monic, "total"), budget=budget)
-            away = total.count // (2 * H + 1)
         tops = [(0,) * (n - 1) + (a,) for a in leads]
     left = budget - pairs  # the chunks' budget
     k = min(workers, os.cpu_count() or 1)
-    if k < 2:
-        results = [_run_chunk((d, H, monic, split, items, kernel, left))]
-    else:
-        results = [_run_chunk((d, H, monic, split, items, kernel, left), limit=_POOL_AFTER)]
-        if items:  # the inners the calling process left
-            if not pool:
-                pool.append(_start_pool(k))
-            results += pool[0].map(
-                _run_chunk,
-                [
-                    (d, H, monic, split, b, kernel, left)
-                    for b in _batches(items, k * _BATCHES_PER_WORKER)
-                ],
-            )
+    limit = _POOL_AFTER if k > 1 else None
+    results = [_run_chunk((d, H, monic, split, items, kernel, left), limit=limit)]
+    if items:  # the inners the calling process left
+        if not pool:
+            pool.append(_start_pool(k))
+        batches = _batches(items, k * _BATCHES_PER_WORKER)
+        results += pool[0].map(_run_chunk, [(d, H, monic, split, b, kernel, left) for b in batches])
 
     pairs += sum(r[0] for r in results)
     away += sum(r[3] for r in results)
@@ -664,12 +660,27 @@ def _run_split(d, H, monic, split, workers, excluded, budget, *, pool):
     return pairs, 0, None, away
 
 
+def _plan(q: CountQuery) -> List[Tuple[Tuple[int, int], Tuple[int, ...]]]:
+    """The (split, excluded inner degrees) of a composite-degree forward
+    query, in walk order; count_forward proves what each variant excludes."""
+    d = q.d
+    if q.variant == "split":
+        return [(q.split, ())]
+    degrees = _inner_degrees(d)
+    if q.variant == "indecomp_pair":
+        ell = spf(d)
+        return [((d // ell, ell), tuple(k for k in degrees if k % ell == 0 and k > ell))]
+    return [(s, tuple(k for k in degrees if k < s[1])) for s in ordered_splits(d)]
+
+
 def check_budget(q: CountQuery, method: str, budget: Optional[int] = None) -> None:
     """Raise BudgetError if q is refused up front by method, forward or oracle.
 
     Both count functions call it first, and a caller can run it over a whole
     grid of queries before it writes any output.  Neither test builds a
-    power whose exponent grows with d before a bit-length test passes.
+    power whose exponent grows with d before a bit-length test passes, and
+    a forward query at a prime degree or refused for its largest outer
+    degree lists no divisor of d (_plan).
     """
     if method == "oracle":
         if budget is None:
@@ -707,11 +718,7 @@ def check_budget(q: CountQuery, method: str, budget: Optional[int] = None) -> No
     # integers, as floor(x) + floor(y) <= floor(x + y).  So it tests at most
     # leads * w^(n-1) tuples (b_(n-1), .., b_1), leads <= floor(H^(1/m)), and
     # w^(n-1) >= 2^(n-1) refuses a long inner without the power.
-    if q.variant == "split":
-        splits = [q.split]
-    else:
-        splits = [(d // n, n) for n in _inner_degrees(d) if q.variant == "total" or n == ell]
-    for m, n in splits:
+    for (m, n), _ in _plan(q):
         w = 2 * H // m + 1
         leads = 1 if q.monic else _int_root(H, m)
         if (w > 1 and n > budget.bit_length()) or leads * w ** (n - 1) > budget:
@@ -730,20 +737,20 @@ def count_forward(q: CountQuery, workers: int = 1, budget: Optional[int] = None)
     _POOL_AFTER polygons (_run_split); it is shut down, its pending batches
     cancelled, before count_forward returns or raises.  Prime degrees
     return 0 immediately, and check_budget runs before the splits are
-    listed.  Each variant is a plan of (split, excluded inner degrees n' | d)
-    and counts 2H+1 times the pairs of its splits whose polynomial does not
-    also decompose with an excluded degree.  split excludes nothing.  total
-    runs every (d/n, n) and excludes n' < n, so f counts once, at its
-    smallest inner degree.  indecomp_pair runs the dominant split (d/l, l),
-    l = spf(d), and excludes the n' > l with l | n', which leaves exactly the
-    pairs with g indecomposable: if g = g1(g2), then f = g1(g2(h)) has an
-    inner of degree l*deg g2; conversely, if f = G(K) with deg K = n', then
-    Engstrom's theorem ("Polynomial substitutions", 1941) gives h and K, in
-    characteristic 0, a common right component of degree gcd(l, n') = l: h
-    up to a linear map.  So K = u(h), and cancelling h gives g = G(u) with
-    deg G, deg u >= 2; the kernel's verdict is conclusive over the complex
-    numbers.  Without l | n' this fails: x^6 = x^3(x^2) = x^2(x^3), and x^3
-    is indecomposable.
+    listed.  Each variant is a plan (_plan) of (split, excluded inner
+    degrees n' | d) and counts 2H+1 times the pairs of its splits whose
+    polynomial does not also decompose with an excluded degree.  split
+    excludes nothing.  total runs every (d/n, n) and excludes n' < n, so f
+    counts once, at its smallest inner degree.  indecomp_pair runs the
+    dominant split (d/l, l), l = spf(d), and excludes the n' > l with
+    l | n', which leaves exactly the pairs with g indecomposable: if
+    g = g1(g2), then f = g1(g2(h)) has an inner of degree l*deg g2;
+    conversely, if f = G(K) with deg K = n', then Engstrom's theorem
+    ("Polynomial substitutions", 1941) gives h and K, in characteristic 0, a
+    common right component of degree gcd(l, n') = l: h up to a linear map.
+    So K = u(h), and cancelling h gives g = G(u) with deg G, deg u >= 2; the
+    kernel's verdict is conclusive over the complex numbers.  Without l | n'
+    this fails: x^6 = x^3(x^2) = x^2(x^3), and x^3 is indecomposable.
 
     The same theorem makes most of a split's exclusion a property of the
     inner alone.  Let the split (m, n) exclude E and let cut = {e in E :
@@ -757,7 +764,8 @@ def count_forward(q: CountQuery, workers: int = 1, budget: Optional[int] = None)
     below n and divides d), so its splits (2, 4) and (2, 6) need no kernel;
     indecomp_pair has n = l prime and an empty cut, and split an empty E.
 
-    The inner x^n is counted in closed form (_run_split).  f = g(x^n) has
+    The inner x^n is counted in closed form (_run_split) under the rule
+    that count_forward hands each split as power_away.  f = g(x^n) has
     [f]_(kn) = a_k and every other coefficient 0, so f is in the height box
     exactly when g is, and the pairs of x^n are every outer g with g(0) = 0
     and height <= H: (2H+1)^(m-1) of them when monic, 2H (2H+1)^(m-1)
@@ -765,38 +773,37 @@ def count_forward(q: CountQuery, workers: int = 1, budget: Optional[int] = None)
     blocks, one per outer lead a, have the tops (0, .., 0, a); every other
     inner has some b_j != 0, j < n, and for the largest such j
     [f]_((m-1)n+j) = a_m m L^(m-1) b_j != 0, so the tops stay distinct.
-    What it excludes:
-      * nothing when the split's kernel is empty: every split variant, the
-        dominant split (d/l, l) of a total (no inner degree is below l), and
-        indecomp_pair when m = d/l is prime (no n' with l < n' < d, l | n');
-      * for indecomp_pair with m composite, whose kernel is {l j : j | m,
-        1 < j < m}: by the argument above, exactly the pairs with g
-        decomposable.  Decomposability ignores the constant term, so these
-        are the total count at degree m, the same H and regime, divided by
-        2H+1.  That count runs at one worker, so the query keeps one pool.
-    The x^p of a total's other splits (d/p, p), p prime, p > l, keep their
-    kernel and are walked; for p composite the cut drops x^p.
+    What it excludes, the rule:
+      * 0 when the split excludes nothing: every split variant, and the
+        dominant split (d/l, l) of a total (no inner degree is below l);
+      * for indecomp_pair, whose kernel is {l j : j | m, 1 < j < m}: by the
+        argument above, exactly the pairs with g decomposable.
+        Decomposability ignores the constant term, so these are the total
+        count at degree m, the same H and regime, divided by 2H+1; it is 0
+        at once when m is prime.  That count runs at one worker, so the
+        query keeps one pool.
+      * None, walk x^n, in a total's other splits (d/p, p): x^p, p prime,
+        p > l, keeps its kernel, and for p composite the cut drops x^p.
     """
     t0 = time.perf_counter()
     if budget is None:
         budget = DEFAULT_SET_BUDGET
     check_budget(q, "forward", budget)
     d, H, monic = q.d, q.H, q.monic
-    ell = spf(d)
-    if ell == d:
+    if spf(d) == d:
         return CountResult(0, q, "forward", time.perf_counter() - t0, workers)
-    degrees = _inner_degrees(d)
-    if q.variant == "split":
-        plan = [(q.split, ())]
-    elif q.variant == "indecomp_pair":
-        plan = [((d // ell, ell), tuple(k for k in degrees if k % ell == 0 and k > ell))]
-    else:  # total
-        plan = [(s, tuple(k for k in degrees if k < s[1])) for s in ordered_splits(d)]
     count = 0
     pool: list = []  # the query's one pool, started by the first split that needs it
     try:
-        for split, excluded in plan:
-            pairs, _, _, away = _run_split(d, H, monic, split, workers, excluded, budget, pool=pool)
+        for split, excluded in _plan(q):
+            if q.variant == "indecomp_pair":
+                total = count_forward(CountQuery(split[0], H, monic, "total"), budget=budget)
+                power_away = total.count // (2 * H + 1)
+            else:
+                power_away = None if excluded else 0
+            pairs, _, _, away = _run_split(
+                d, H, monic, split, workers, excluded, budget, pool=pool, power_away=power_away
+            )
             count += pairs - away
     finally:
         for p in pool:
@@ -835,9 +842,7 @@ def _box_size(d: int, H: int, monic: bool) -> int:
     return side**d if monic else 2 * H * side**d
 
 
-def _block_masks(
-    ranges: Sequence[range], c: int, n: int
-) -> Iterator[Tuple[Tuple[int, ...], np.ndarray]]:
+def _block_masks(ranges: Sequence[range], c: int, n: int) -> Iterator[tuple]:
     """Yield (top, mask) for every block of the box that holds a split hit.
 
     The box is lead c times ranges[d-1] x .. x ranges[0], ranges[i] the
@@ -862,6 +867,8 @@ def _block_masks(
     dtype: int64 below _INT64_LIMIT, where nothing can wrap, and Python ints
     (dtype=object) otherwise, through the same expression.
     """
+    import numpy as np
+
     d = len(ranges)
     m, low = d // n, d - n + 1  # f_0..f_(d-n) vary inside a block
     conj = [c ** (d - 1 - i) for i in range(d)]
@@ -915,6 +922,8 @@ def _oracle_count(
     masks in one bool per polynomial of a lead; indecomp_pair: the hits of
     the dominant split (d/l, l) whose outer part is indecomposable.
     """
+    import numpy as np
+
     d = len(ranges)
     if variant == "split":
         return sum(

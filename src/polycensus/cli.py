@@ -281,6 +281,12 @@ def _cmd_fit(args) -> int:
             f" ({m},{n})" if m else ""
         )
         split = (int(m), int(n)) if variant == "split" else None
+        # indecomp_pair rows I get the total's prediction, two-sided for them
+        # too: I <= D, and the block of g(x^l), l = spf(d), m = d/l, alone
+        # gives I at least (2H+1)^(m-1) - D_m(H)/(2H+1) pairs per outer lead,
+        # where D_m(H) = o(H^m) as almost all polynomials are indecomposable.
+        # So I and D share their main term.  (Monic d = 4, whose D has a
+        # log H, has I = D: m = 2 excludes nothing.)
         pvariant = "total" if variant != "split" else "split"
         pred = predicted_growth(d, monic, pvariant, split)
         try:

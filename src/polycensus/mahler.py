@@ -306,12 +306,11 @@ def check_inequalities(
 
     Requires f = g*h exactly (product route: multiplicativity of the
     measure) or f = g(h(x)) with h(0) = 0 (composition route: the explicit
-    inner/outer height bounds, decided exactly on integers with the squared
-    constants from census.explicit_constants_sq; lhs and rhs are floats for
-    display).  Both routes also run the two-sided height-measure sandwich
-    on f.
+    inner/outer height bounds, decided exactly on integers by
+    census.height_lemma; lhs and rhs are floats for display).  Both routes
+    also run the two-sided height-measure sandwich on f.
     """
-    from .census import explicit_constants_sq
+    from .census import explicit_constants_sq, height_lemma
 
     if degree(f) < 1 or degree(g) < 1 or degree(h) < 1:
         raise ValueError("inequality checks need degrees >= 1")
@@ -342,18 +341,14 @@ def check_inequalities(
         if split is not None and tuple(split) != (m, n):
             raise ValueError(f"split {split} does not match degrees ({m},{n})")
         k1_sq, k2_sq = explicit_constants_sq(m, n)
-        hf, hg = height(f), height(g)
+        hf = height(f)
+        ok1, ok2 = height_lemma(g, h, hf)
         lhs1 = abs(lead(g)) * height(h) ** m
         checks.append(
-            InequalityCheck(
-                "lemma: |a|*H(h)^m <= K1*H(f)", float(lhs1), sqrt(k1_sq) * hf,
-                lhs1 * lhs1 <= k1_sq * hf * hf,
-            )
+            InequalityCheck("lemma: |a|*H(h)^m <= K1*H(f)", float(lhs1), sqrt(k1_sq) * hf, ok1)
         )
         checks.append(
-            InequalityCheck(
-                "lemma: H(g) <= K2*H(f)", float(hg), sqrt(k2_sq) * hf, hg * hg <= k2_sq * hf * hf
-            )
+            InequalityCheck("lemma: H(g) <= K2*H(f)", float(height(g)), sqrt(k2_sq) * hf, ok2)
         )
 
     return InequalityReport(tuple(checks), is_product, is_composition)

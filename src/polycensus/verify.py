@@ -21,12 +21,12 @@ from .census import (
     CountQuery,
     count_bruteforce,
     count_forward,
-    explicit_constants_sq,
+    height_lemma,
     iter_decompositions,
 )
 from .decompose import decompose_split, full_decomposition, is_decomposable
 from .mahler import mahler_measure, sandwich_bounds
-from .poly_core import Poly, compose, height, lead, mul
+from .poly_core import Poly, compose, height, mul
 
 ROUND_TRIP_SPLITS = ((2, 2), (2, 3), (3, 2), (2, 4), (4, 2))
 
@@ -178,11 +178,7 @@ def criterion_8(jobs: int = 1) -> Tuple[bool, str]:
 
 
 def _lemma_ok(g: Poly, h: Poly) -> bool:
-    m, n = len(g) - 1, len(h) - 1
-    k1_sq, k2_sq = explicit_constants_sq(m, n)
-    hf_sq = height(compose(g, h)) ** 2
-    lhs1 = (lead(g) * height(h) ** m) ** 2
-    return lhs1 <= k1_sq * hf_sq and height(g) ** 2 <= k2_sq * hf_sq
+    return all(height_lemma(g, h, height(compose(g, h))))
 
 
 def criterion_9(jobs: int = 1) -> Tuple[bool, str]:

@@ -203,21 +203,29 @@ def test_pinned_regression_closed_form_power(d, H, monic, variant, count):
 @pytest.mark.parametrize("monic", [True, False], ids=["monic", "non-monic"])
 def test_closed_form_power_matches_its_walk(monkeypatch, d, monic):
     # for every split of every variant's plan, x^n alone through _run_split
-    # (the closed form where it applies) against _run_chunk walking [x^n]
-    # with the split's kernel: the same pairs, away and block tops
+    # under the plan's x^n rule (the closed form where it is an int) against
+    # _run_chunk walking [x^n] with the split's kernel: the same pairs, away
+    # and block tops
     H = 3 if d <= 8 else 2
     real_split, real_chunk, real_h = census._run_split, census._run_chunk, census._h_candidates
     plans = set()
-    monkeypatch.setattr(
-        census, "_run_split", lambda *a, **kw: plans.add(a[3:4] + a[5:6]) or (0, 0, None, 0)
-    )
+
+    def planned(*a, **kw):
+        # indecomp_pair's rule runs a total at degree m < d through this
+        # stand-in: that one runs, and only the outer query's splits are kept
+        if a[0] != d:
+            return real_split(*a, **kw)
+        plans.add((a[3], a[5], kw["power_away"]))
+        return 0, 0, None, 0
+
+    monkeypatch.setattr(census, "_run_split", planned)
     for q in [CountQuery(d, H, monic, v) for v in ("total", "indecomp_pair")] + [
         CountQuery(d, H, monic, "split", s) for s in ordered_splits(d)
     ]:
         count_forward(q)
     monkeypatch.setattr(census, "_run_split", real_split)
     closed, recursive = 0, []
-    for split, excluded in sorted(plans):
+    for split, excluded, rule in sorted(plans, key=lambda p: p[:2]):
         m, n = split
         power = ((0,) * n + (1,), (0,) * (2 * n) + (1,))
         chunks, tops = [], []
@@ -227,19 +235,22 @@ def test_closed_form_power_matches_its_walk(monkeypatch, d, monic):
             return [c for c in hs if c == power] if (m_, n_) == split else hs
 
         def recording(args, **kw):
-            chunks.append(args)
+            chunks.append((args, list(args[4])))  # the chunk consumes its items
             return real_chunk(args, **kw)
 
         monkeypatch.setattr(census, "_h_candidates", only_power)
         monkeypatch.setattr(census, "_run_chunk", recording)
         monkeypatch.setattr(census, "_check_pieces", lambda m_, n_, H_, c: tops.append(c))
-        pairs, _, _, away = census._run_split(d, H, monic, split, 1, excluded, 10**12, pool=[])
-        args = chunks[-1]  # the split's own chunk, after any count the closed form makes
+        pairs, _, _, away = census._run_split(
+            d, H, monic, split, 1, excluded, 10**12, pool=[], power_away=rule
+        )
+        (args, items), = chunks  # the split's one chunk
         assert args[3] == split
         inners = only_power(m, n, H, monic, tuple(e for e in excluded if n % e == 0 and e < n))
-        walk = real_chunk((d, H, monic, split, inners, args[5], 10**12))
+        walk = real_chunk((d, H, monic, split, list(inners), args[5], 10**12))
         assert (pairs, away) == (walk[0], walk[3])
-        if inners and not args[4]:
+        assert (rule is not None) == bool(inners and not items)
+        if rule is not None:
             closed += 1
             if args[5]:  # indecomp_pair's kernel: away from a total at degree m
                 recursive.append(away)
@@ -247,8 +258,27 @@ def test_closed_form_power_matches_its_walk(monkeypatch, d, monic):
     # x^n in closed form wherever nothing is excluded and in the dominant
     # split (d/l, l) of indecomp_pair; walked in the other splits of a total
     top = d // spf(d)
-    assert closed == sum(not e or s == (top, spf(d)) for s, e in plans) > 0
+    assert closed == sum(not e or s == (top, spf(d)) for s, e, _ in plans) > 0
     assert len(recursive) == (spf(top) != top) and all(recursive)  # m composite
+
+
+def test_run_split_applies_the_power_rule_it_is_given(monkeypatch):
+    # the dominant split of monic d = 8 indecomp_pair, m = 4 composite, with
+    # the rule count_forward computes; _run_split itself counts nothing
+    q = CountQuery(8, 4, True, "indecomp_pair")
+    ((split, excluded),) = census._plan(q)
+    rule = count_forward(CountQuery(4, 4, True, "total")).count // 9
+    assert excluded and rule
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("_run_split called count_forward")
+
+    monkeypatch.setattr(census, "count_forward", refuse)
+    pairs, _, _, away = census._run_split(
+        8, 4, True, split, 1, excluded, 10**12, pool=[], power_away=rule
+    )
+    monkeypatch.undo()
+    assert (pairs - away) * 9 == count_forward(q).count
 
 
 def test_prime_degree_zero():
@@ -485,8 +515,9 @@ def test_worker_independence(monkeypatch, pool_sizes):
     real_chunk, walked = census._run_chunk, []
 
     def recording(rest, *args):
-        cuts.append(real(rest, *args))
-        return cuts[-1]
+        batches = real(rest, *args)
+        cuts.append([list(b) for b in batches])  # the chunks consume the batches
+        return batches
 
     def counting(args, **kw):
         out = real_chunk(args, **kw)
@@ -740,6 +771,43 @@ def test_errors_in_a_started_pool_propagate(monkeypatch, real_pools, error):
     assert real_pools == [2]
 
 
+def test_one_worker_walks_a_split_in_one_chunk(monkeypatch, pool_sizes):
+    # at one worker the calling process walks the whole split, however far
+    # past _POOL_AFTER, in one _run_chunk call, and starts no pool; at two
+    # the same split goes on a pool, to the same result
+    monkeypatch.setattr(census, "_POOL_AFTER", 0)
+    monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
+    real, limits = census._run_chunk, []
+
+    def recording(args, limit=None):
+        limits.append(limit)
+        return real(args, limit=limit)
+
+    monkeypatch.setattr(census, "_run_chunk", recording)
+    excluded = dict(census._plan(CountQuery(12, 6, True, "total")))[(2, 6)]
+    one = census._run_split(12, 6, True, (2, 6), 1, excluded, 10**12, pool=[], power_away=None)
+    assert limits == [None] and pool_sizes == []
+    two = census._run_split(12, 6, True, (2, 6), 2, excluded, 10**12, pool=[], power_away=None)
+    assert two == one and pool_sizes == [2] and limits[1] == 0 and len(limits) > 2
+
+
+def test_cli_and_forward_counts_load_no_numpy():
+    # numpy is the oracle's alone: a fresh interpreter that imports the
+    # command line and runs a forward count never loads it
+    code = (
+        "import sys, polycensus.cli; from polycensus.census import CountQuery, count_forward; "
+        "loaded = 'numpy' in sys.modules; "
+        "count_forward(CountQuery(8, 4, True, 'indecomp_pair'), workers=2); "
+        "print(loaded, 'numpy' in sys.modules)"
+    )
+    src = str(Path(census.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0 and out.stdout.strip() == "False False"
+
+
 def test_small_split_starts_no_pool(real_pools):
     # the (4, 2) split of monic d = 8 at H = 18 walks 61 polygons
     q = CountQuery(8, 18, True, "indecomp_pair")
@@ -901,7 +969,9 @@ def test_prime_degree_and_refusal_skip_ordered_splits(monkeypatch):
     assert code == 2 and calls == none
     q = CountQuery(6, 3, True, "total")
     assert count_forward(q).count == count_bruteforce(q).count == 945
-    assert calls["ordered_splits"] == [6]
+    # _plan lists the splits twice: check_budget bounds their inner search,
+    # and count_forward walks them
+    assert calls["ordered_splits"] == [6, 6]
 
 
 @pytest.mark.parametrize(

@@ -253,6 +253,24 @@ def test_fit_command(tmp_path):
     assert "fitted a=" in out
 
 
+def test_fit_command_on_indecomp_pair_rows(tmp_path):
+    # indecomp-pair rows get the total's two-sided prediction; at d = 8 the
+    # outer degree m = 4 is composite, so some pairs are excluded
+    csv_path = tmp_path / "ipair.csv"
+    grid = ["count", "--degree", "8", "--monic", "--grid", "3,6,12,24"]
+    _, body, _ = capture(grid + ["--variant", "indecomp-pair"])
+    csv_path.write_text(body)
+    code, out, _ = capture(["fit", str(csv_path)])
+    assert code == 0
+    label, rest = out.strip().split(": fitted a=")
+    assert label == "d=8 monic indecomp_pair (4,2)"
+    assert rest.endswith("; predicted ~ H^4")
+    assert 3.8 < float(rest.split()[0]) < 4.1
+    _, total, _ = capture(grid)
+    (tmp_path / "total.csv").write_text(total)
+    assert capture(["fit", str(tmp_path / "total.csv")])[1].endswith("; predicted ~ H^4\n")
+
+
 def test_verify_subset():
     code, out, _ = capture(["verify", "--criteria", "4"])
     assert code == 0
