@@ -26,6 +26,10 @@ Two independent routes produce every count:
   polynomials g(x^n) have the coefficients of g, is counted in closed form
   wherever count_forward knows its exclusion (it proves the counts and
   hands each split the rule).
+  The walk takes one pair of each orbit of the sign symmetries
+  sigma: f -> e f(-x) and, for non-monic f, tau: f -> -f: the sigma-canonical
+  inners only, and the positive outer leads only when f is not monic.  Each
+  polygon counts its pairs times the orbit size (count_forward proves it).
 
 The constant term never interacts with decomposability (it is the free
 constant term of the outer polynomial), so the enumeration fixes it at 0 and
@@ -259,6 +263,15 @@ def _h_candidates(
     yields no pair, and every count is unchanged.  b_1 = 0 is never dropped
     by the window.
 
+    Only sigma-canonical inners are walked: those whose first non-zero b_j
+    with n - j odd, from b_(n-1) down, is positive, or which have none (sigma
+    fixes them).  A level b_j with n - j odd starts at 0 while every higher
+    level of that parity is 0; that only removes values, so the walk yields
+    exactly the canonical inners of the full walk.  Every window and cut
+    here tests |coefficients| of f or the right components of h, which sigma
+    keeps, so the full walk is closed under sigma, and its other inners,
+    (-1)^n h(-x) of a walked h, count as images (count_forward).
+
     cut holds inner degrees e | n, e < n, and a candidate h = u(w) with
     deg w = e in cut is dropped: count_forward excludes all of its pairs
     anyway.  The candidate right component of degree e of h reads only
@@ -303,6 +316,8 @@ def _h_candidates(
                 lo, hi = window_interval(
                     (sq[n + 1],), (2 * bs[n - 1],), 0, 0, H + slope * B, lo, hi
                 )
+            if (n - j) % 2 and not any(bs[j + 2 :: 2]):
+                lo = max(lo, 0)  # sigma-canonical: the first non-zero b_j, n - j odd, is > 0
             if m > 2 or j > 1:
                 return iter(range(lo, hi + 1))
             # the b_1 that pass the low-coefficient tests
@@ -409,7 +424,9 @@ def _walk_outer(
     from the coefficients of f alone, in exact integers: window_interval,
     from an unbounded start, clips the outer lead a_m (1 if monic) to
     x^((m-1)n+1)..x^d and each a_(k-1) to x^((k-2)n+1)..x^((k-1)n), the
-    coefficients it is the last to reach.
+    coefficients it is the last to reach.  A non-monic lead runs over the
+    positive half of its window, which is symmetric: tau, g -> -g, maps the
+    polygons of a_m to those of -a_m, and _run_chunk counts both.
     Each range reaches x^(kn) of h^k, whose coefficient is L^k != 0
     (L = lead(h)), so every window is a finite integer interval.  A
     polygon fixes prefix = [a_m, .., a_3], and P[j] is the x^j coefficient
@@ -431,7 +448,7 @@ def _walk_outer(
         leads = [1]
     else:
         lo_a, hi_a = window_interval(P, hp[m], (m - 1) * n + 1, d, H)
-        leads = [a for a in range(lo_a, hi_a + 1) if a]
+        leads = range(max(lo_a, 1), hi_a + 1)  # tau: the leads -a are counted, not walked
     if m == 2:
         for a in leads:
             yield P, prefix, a, a
@@ -498,9 +515,13 @@ def _run_chunk(args, limit=None):
     The 0 and None slots keep the 5-tuple that perfbench/tracer.py unpacks.
 
     The unit of work is a polygon, and polygon_count counts its pairs
-    in closed form.  When excluded is not empty, one
-    decomposable_on_span call per polygon decides the exclusion for all of
-    its points, and union_count counts the excluded ones.  For m >= 3 the
+    in closed form.  Each polygon stands for its orbit under the sign
+    symmetries (count_forward), so its pairs and away count w times: w = 2
+    when h has a non-zero b_j with n - j odd (sigma(h) != h), times 2 when
+    f is not monic (tau).  pairs and the budget are in true pairs.  When
+    excluded is not empty, one decomposable_on_span call per polygon
+    decides the exclusion for all of its points, and union_count counts the
+    excluded ones.  For m >= 3 the
     polygon is the plane P + a_2 h^2 + a_1 h, and h^2 and h stay below the
     coefficients x^(d-n'+1)..x^(d-1) that fix the candidate inner of every
     excluded n': a total excludes n' < n, so d - n' > (m-1)n >= 2n, and an
@@ -539,6 +560,8 @@ def _run_chunk(args, limit=None):
         if limit is not None and polygons >= limit:
             break
         walked += 1
+        # the orbit of each pair under sigma (h not sigma-fixed) and tau (not monic)
+        w = (2 if any(h[n - 1 :: -2]) else 1) * (1 if monic else 2)
         s = sq + (0,) * (d - 2 * n)
         hkf = sum(map(times, h, bp))
         skf = sum(map(times, s, bp))
@@ -564,13 +587,15 @@ def _run_chunk(args, limit=None):
                 if m == 2:  # one row, whose lead a_2 reaches the candidates
                     row = [first[0] * t for t in s]
                     got = decomposable_on_span(row, (h,), excluded, candidates)
-                    away += count if got is None else sum(
+                    away += w * (count if got is None else sum(
                         first[1] <= a <= final[1] for a, in got[0]
-                    )
+                    ))
                 else:
                     got = decomposable_on_span(P, (sq, h), excluded, candidates)
-                    away += count if got is None else union_count(rows, first, final, H, *got)
-            pairs += count
+                    away += w * (
+                        count if got is None else union_count(rows, first, final, H, *got)
+                    )
+            pairs += w * count
             if pairs > budget:
                 raise _pairs_budget_error(budget, m, n, H)
     del items[:walked]
@@ -679,8 +704,8 @@ def check_budget(q: CountQuery, method: str, budget: Optional[int] = None) -> No
     Both count functions call it first, and a caller can run it over a whole
     grid of queries before it writes any output.  Neither test builds a
     power whose exponent grows with d before a bit-length test passes, and
-    a forward query at a prime degree or refused for its largest outer
-    degree lists no divisor of d (_plan).
+    neither lists a divisor of d: count_forward lists the plan (_plan) only
+    after the query passes.
     """
     if method == "oracle":
         if budget is None:
@@ -717,8 +742,12 @@ def check_budget(q: CountQuery, method: str, budget: Optional[int] = None) -> No
     # c + m L^(m-1) b_j in [-H, H], a window of at most 2H//(m L^(m-1)) + 1
     # integers, as floor(x) + floor(y) <= floor(x + y).  So it tests at most
     # leads * w^(n-1) tuples (b_(n-1), .., b_1), leads <= floor(H^(1/m)), and
-    # w^(n-1) >= 2^(n-1) refuses a long inner without the power.
-    for (m, n), _ in _plan(q):
+    # w^(n-1) >= 2^(n-1) refuses a long inner without the power.  Only a
+    # split query can fail this: every split (m, n) that a total or an
+    # indecomp_pair plans has n <= m_max, w <= 2H+1 and leads <= 2H, so the
+    # refusal above implies the bound.
+    if q.variant == "split":
+        m, n = q.split
         w = 2 * H // m + 1
         leads = 1 if q.monic else _int_root(H, m)
         if (w > 1 and n > budget.bit_length()) or leads * w ** (n - 1) > budget:
@@ -784,6 +813,25 @@ def count_forward(q: CountQuery, workers: int = 1, budget: Optional[int] = None)
         query keeps one pool.
       * None, walk x^n, in a total's other splits (d/p, p): x^p, p prime,
         p > l, keeps its kernel, and for p composite the cut drops x^p.
+
+    Sign symmetries.  sigma maps a normalized pair (g, h) to (g', h') with
+    h'_j = (-1)^(n-j) h_j and g'_k = e (-1)^(nk) g_k, e = (-1)^d if monic
+    else 1; then g'(h') = e f(-x).  It keeps h(0) = 0, lead(h), content and
+    heights, and lead(g) = 1 in the monic regime, so it is an involution,
+    hence a bijection, on the normalized pairs of the height box.  tau maps
+    (g, h) to (-g, h) for non-monic f and fixes no pair.  f = G(K) gives
+    f(-x) = G(K(-x)) and -f = (-G)(K), so both keep decomposability with
+    every inner degree, the right components of h (so the cut) and the
+    exclusion of every split.  sigma(g, h) has the inner h' != h unless h is
+    sigma-fixed, so the pairs of the non-fixed inners come in pairs {h, h'},
+    one sigma-canonical, and tau pairs the leads a_m and -a_m.  So the walk
+    takes the canonical inners and, when f is not monic, the positive leads,
+    and counts each polygon's pairs and exclusions times its orbit size.
+    This stays exact even where a cut drops one side of an orbit only: a
+    cut drops inners that count nothing (no pair, or every pair excluded),
+    and by the bijection the image of such an inner counts nothing either.
+    The uniqueness re-check covers the walked blocks, whose images are the
+    rest.
     """
     t0 = time.perf_counter()
     if budget is None:
@@ -818,7 +866,9 @@ def iter_decompositions(
 
     The pairs come polygon by polygon as _walk_outer yields them, each
     polygon row by row (a_2 rising, then a_1 rising); a polygon is built
-    only when its pairs are drawn.  The outer polynomial
+    only when its pairs are drawn.  Each walked pair is followed by the
+    pairs that count_forward counts with it (_orbit), so every pair of the
+    split comes exactly once.  The outer polynomial
     is produced with constant term 0; the full family per pair ranges over
     all constants in [-H, H].  Intended for inequality sweeps and tests,
     not for counting.
@@ -829,7 +879,24 @@ def iter_decompositions(
             tail = tuple(reversed(prefix))
             for a2, lo1, hi1 in polygon_rows(*polygon(P, h, sq, lo, hi, H), H):
                 for a in range(lo1, hi1 + 1):
-                    yield (0, a, a2) + tail, h
+                    yield from _orbit((0, a, a2) + tail, h, monic)
+
+
+def _orbit(g: Poly, h: Poly, monic: bool) -> List[Tuple[Poly, Poly]]:
+    """The walked pair (g, h) and the pairs count_forward counts with it:
+    sigma(g, h) unless h is sigma-fixed, then the tau image of each unless
+    monic (count_forward has the maps)."""
+    m, n = len(g) - 1, len(h) - 1
+    out = [(g, h)]
+    if any(h[n - 1 :: -2]):
+        e = (-1) ** (m * n) if monic else 1
+        out.append((
+            tuple(e * (-1) ** (n * k) * c for k, c in enumerate(g)),
+            tuple((-1) ** (n - j) * c for j, c in enumerate(h)),
+        ))
+    if not monic:
+        out += [(tuple(-c for c in g2), h2) for g2, h2 in out]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from polycensus.census import (
 )
 from polycensus.asymptotics import spf
 from polycensus.decompose import decomposable_on_span, decompose_split, is_decomposable
-from polycensus.lattice import polygon, polygon_count, polygon_rows
+from polycensus.lattice import polygon, polygon_count, polygon_rows, window_interval
 from polycensus.poly_core import add, compose, height, mul, poly_pow
 
 
@@ -51,12 +51,13 @@ def pack_truncated(f, d, H):
 def forward_key_set(d, H, monic, split):
     """The packed polynomials of one split's enumerated witness pairs, the
     reference that the forward counts are checked against."""
-    keys, pairs, run = set(), 0, None
+    keys, pairs, runs = set(), 0, {}
     for g, h in iter_decompositions(d, H, monic, split):
-        # the pairs come in runs that differ only in g's x term: one compose
-        # per run, then g(h) = (g - g_1 x)(h) + g_1 h
-        if (g[2:], h) != run:
-            run, f0 = (g[2:], h), compose((0, 0) + g[2:], h)
+        # the pairs come in interleaved runs, one per orbit image, that differ
+        # only in g's x term: one compose per run, then g(h) = (g - g_1 x)(h) + g_1 h
+        f0 = runs.get((g[2:], h))
+        if f0 is None:
+            f0 = runs[g[2:], h] = compose((0, 0) + g[2:], h)
         keys.add(pack_truncated(add(f0, tuple(g[1] * c for c in h)), d, H))
         pairs += 1
     assert len(keys) == pairs, "two witness pairs give one polynomial"
@@ -205,7 +206,8 @@ def test_closed_form_power_matches_its_walk(monkeypatch, d, monic):
     # for every split of every variant's plan, x^n alone through _run_split
     # under the plan's x^n rule (the closed form where it is an int) against
     # _run_chunk walking [x^n] with the split's kernel: the same pairs, away
-    # and block tops
+    # and block tops; a non-monic closed form has the walk's tops and their
+    # tau images -top, as the walk takes the leads a_m > 0 only
     H = 3 if d <= 8 else 2
     real_split, real_chunk, real_h = census._run_split, census._run_chunk, census._h_candidates
     plans = set()
@@ -254,7 +256,10 @@ def test_closed_form_power_matches_its_walk(monkeypatch, d, monic):
             closed += 1
             if args[5]:  # indecomp_pair's kernel: away from a total at degree m
                 recursive.append(away)
-        assert [t for c in tops[-1] for t in c] == walk[4]
+        walked_tops = walk[4] + [
+            tuple(-c for c in t) for t in walk[4] if rule is not None and not monic
+        ]
+        assert sorted(t for c in tops[-1] for t in c) == sorted(walked_tops)
     # x^n in closed form wherever nothing is excluded and in the dominant
     # split (d/l, l) of indecomp_pair; walked in the other splits of a total
     top = d // spf(d)
@@ -591,12 +596,12 @@ def test_pool_size_capped_at_cpu_count(monkeypatch, pool_sizes):
 def test_uniqueness_recheck_catches_repeated_candidate(
     monkeypatch, pool_sizes, variant, split, workers
 ):
-    # the first inner candidate of (3, 2), the dominant split of d = 6, comes
-    # twice; (3, 2) has three inners, x^2 - x, x^2 and x^2 + x, and x^2 is
-    # counted in closed form, so the walk holds x^2 - x, x^2 + x and the
-    # copy.  Every inner holds a polygon, so with the threshold at one
-    # polygon the calling process walks the original and the pool the
-    # other two, the copy among them
+    # the last inner candidate of (3, 2), the dominant split of d = 6, comes
+    # twice; (3, 2) has two sigma-canonical inners, x^2 and x^2 + x (x^2 - x
+    # is counted as the sigma image of x^2 + x), and x^2 is counted in closed
+    # form, so the walk holds x^2 + x and the copy.  Every inner holds a
+    # polygon, so with the threshold at one polygon the calling process
+    # walks the original and the pool the copy
     real, real_chunk = census._h_candidates, census._run_chunk
     chunks = []
 
@@ -604,8 +609,8 @@ def test_uniqueness_recheck_catches_repeated_candidate(
         hs = real(m, n, *rest)
         if (m, n) != (3, 2):
             return hs
-        assert len(hs) == 3
-        return hs + hs[:1]
+        assert [h for h, _ in hs] == [(0, 0, 1), (0, 1, 1)]
+        return hs + hs[1:]
 
     def recording(args, **kw):
         out = real_chunk(args, **kw)
@@ -620,7 +625,7 @@ def test_uniqueness_recheck_catches_repeated_candidate(
     with pytest.raises(RuntimeError, match="uniqueness"):
         count_forward(CountQuery(6, 3, True, variant, split), workers=workers)
     if workers == 1:
-        # one chunk over the three walked inners, the first block's top twice
+        # one chunk over the two walked inners, the first block's top twice
         assert pool_sizes == [] and len(chunks) == 1
         assert chunks[0].count(chunks[0][0]) == 2
     else:
@@ -671,7 +676,7 @@ def test_uniqueness_recheck_catches_a_repeated_power(monkeypatch, pool_sizes, q,
 
 
 @pytest.mark.parametrize(
-    "m,n,H,monic", [(6, 2, 6, True), (4, 2, 4, False), (3, 2, 6, False), (2, 4, 4, True)]
+    "m,n,H,monic", [(6, 2, 12, True), (4, 2, 8, False), (3, 2, 6, False), (2, 4, 4, True)]
 )
 def test_pieces_cut_the_walk_exactly(m, n, H, monic):
     # the calling process stops at an inner boundary and _batches cuts the
@@ -736,15 +741,15 @@ def real_pools(monkeypatch):
 
 
 def test_real_pool_matches_one_worker(real_pools):
-    # the (2, 6) split of monic d = 12 at H = 6 walks 1,086 polygons, past
+    # the (2, 6) split of monic d = 12 at H = 8 walks more polygons than
     # the default threshold, so two workers start the query's one pool; its
     # (6, 2) split walks none, x^2 being its one inner with a polygon
-    q = CountQuery(12, 6, True, "total")
+    q = CountQuery(12, 8, True, "total")
     t0 = time.perf_counter()
     two = count_forward(q, workers=2).count
     assert time.perf_counter() - t0 < 2
     assert real_pools == [2]
-    assert two == count_forward(q, workers=1).count == 4966871
+    assert two == count_forward(q, workers=1).count == 24562059
 
 
 @pytest.mark.parametrize("error", [BudgetError, RuntimeError], ids=["budget", "uniqueness"])
@@ -905,7 +910,8 @@ def test_two_inner_degrees_counted_once():
     assert a2 == 1 and lo <= 0 <= hi and mul(h, h) == f
     assert decomposable_on_span(f, (h,), (2,)) is None
     pairs, _, _, away, _ = _run_chunk((d, H, True, (2, 4), [(h, mul(h, h))], (2,), 10**9))
-    assert pairs == away == hi - lo + 1  # a_2 = 1 is the only row of this h
+    # a_2 = 1 is the only row of this h, counted with that of sigma(h) = (x^2-x)^2
+    assert pairs == away == 2 * (hi - lo + 1)
     count = count_forward(CountQuery(d, H, True, "total")).count
     assert count == (2 * H + 1) * len(union_key_set(d, H, True))
 
@@ -969,9 +975,54 @@ def test_prime_degree_and_refusal_skip_ordered_splits(monkeypatch):
     assert code == 2 and calls == none
     q = CountQuery(6, 3, True, "total")
     assert count_forward(q).count == count_bruteforce(q).count == 945
-    # _plan lists the splits twice: check_budget bounds their inner search,
-    # and count_forward walks them
-    assert calls["ordered_splits"] == [6, 6]
+    # count_forward lists the splits once, to walk them; check_budget bounds
+    # the inner search of split queries alone, which need no listing
+    assert calls["ordered_splits"] == [6]
+
+
+def inner_search_refused_before(q, budget):
+    """check_budget's forward verdict as it was when the inner-search bound
+    ran over every planned split of every variant, kept as its reference:
+    None, "pairs" (the largest outer degree) or "inner" (an inner search)."""
+    d, H = q.d, q.H
+    ell = spf(d)
+    if ell == d:
+        return None
+    m_max = q.split[0] if q.variant == "split" else d // ell
+    if (
+        m_max > budget.bit_length()
+        or (2 * H + 1) ** (m_max - 1) * (1 if q.monic else 2 * H) > budget
+    ):
+        return "pairs"
+    for (m, n), _ in census._plan(q):
+        w = 2 * H // m + 1
+        leads = 1 if q.monic else _int_root(H, m)
+        if (w > 1 and n > budget.bit_length()) or leads * w ** (n - 1) > budget:
+            return "inner"
+    return None
+
+
+def test_inner_search_bound_refuses_as_over_every_plan():
+    # for totals and indecomp_pair the largest outer degree's refusal implies
+    # the inner-search bound, so testing it for split queries alone refuses
+    # exactly the same queries, for the same reason
+    seen = set()
+    for d in range(4, 37):
+        for H in (2, 3, 5, 10, 40, 1000):
+            for monic in (True, False):
+                qs = [CountQuery(d, H, monic, v) for v in ("total", "indecomp_pair")]
+                qs += [CountQuery(d, H, monic, "split", s) for s in ordered_splits(d)]
+                for q in qs:
+                    for budget in (10, 10**3, 10**5, 10**8, 10**12):
+                        want = inner_search_refused_before(q, budget)
+                        try:
+                            census.check_budget(q, "forward", budget)
+                            got = None
+                        except BudgetError as e:
+                            got = "inner" if "inner search" in str(e) else "pairs"
+                        assert got == want, (q, budget)
+                        seen.add((q.variant, got))
+    assert ("split", "inner") in seen and ("total", "pairs") in seen
 
 
 @pytest.mark.parametrize(
@@ -1030,9 +1081,11 @@ def test_power_step_matches_poly_pow(r, m):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(3, 6), st.integers(2, 5), st.integers(2, 6), st.booleans())
 def test_inner_walk_powers_match_poly_pow(m, n, H, monic):
-    # for m >= 3 only the top-coefficient windows cut the inners, and the
-    # reference reads each window's coefficient off poly_pow(h, m)
-    assert [h for h, _ in _h_candidates(m, n, H, monic)] == unpruned_h_candidates(m, n, H, monic)
+    # for m >= 3 only the top-coefficient windows and sigma cut the inners,
+    # and the reference reads each window's coefficient off poly_pow(h, m)
+    assert [h for h, _ in _h_candidates(m, n, H, monic)] == [
+        h for h in unpruned_h_candidates(m, n, H, monic) if sigma_canonical(h)
+    ]
 
 
 def test_h_candidates_normalized_and_ordered():
@@ -1069,6 +1122,133 @@ def unpruned_h_candidates(m, n, H, monic):
 
         rec(n - 1)
     return out
+
+
+def sigma_canonical(h):
+    """True when the first non-zero b_j of h with n - j odd, from b_(n-1)
+    down, is positive, or there is none (sigma fixes h)."""
+    odd = [c for c in h[len(h) - 2 :: -2] if c]
+    return not odd or odd[0] > 0
+
+
+def sigma_inner(h):
+    """(-1)^n h(-x): b_j -> (-1)^(n-j) b_j."""
+    n = len(h) - 1
+    return tuple((-1) ** (n - j) * c for j, c in enumerate(h))
+
+
+def unsymmetrized_split_pairs(m, n, H, monic):
+    """The witness pairs of the split (m, n), summed over every inner of
+    unpruned_h_candidates and every outer polynomial, every lead included,
+    with polygon_count, by a plain recursion over the outer windows: the
+    reference for the orbit weights of count_forward."""
+    d = m * n
+    pairs = 0
+    for h in unpruned_h_candidates(m, n, H, monic):
+        hp = [None] + [poly_pow(h, k) for k in range(1, m + 1)]
+
+        def rec(k, P):
+            # a_k, the last outer coefficient to reach x^((k-1)n+1)..x^(kn)
+            nonlocal pairs
+            lo, hi = window_interval(P, hp[k], (k - 1) * n + 1, d, H)
+            if k == 2:
+                pairs += polygon_count(*polygon(P, h, hp[2], lo, hi, H), H)
+                return
+            for a in range(lo, hi + 1):
+                if k < m or a == 1 or (a and not monic):
+                    Q = list(P)
+                    for j, c in enumerate(hp[k]):
+                        Q[j] += a * c
+                    rec(k - 1, Q)
+
+        if m == 2:
+            lo, hi = window_interval([0] * (d + 1), hp[2], n + 1, d, H)
+            for a in [1] if monic else [a for a in range(lo, hi + 1) if a]:
+                pairs += polygon_count(*polygon([0] * (d + 1), h, hp[2], a, a, H), H)
+        else:
+            rec(m, [0] * (d + 1))
+    return pairs
+
+
+@pytest.mark.parametrize("d", [4, 6, 8, 9, 12])
+@pytest.mark.parametrize("monic", [True, False], ids=["monic", "non-monic"])
+def test_split_counts_match_the_unsymmetrized_walk(d, monic):
+    # every inner and every outer lead walked, no orbit counted twice, against
+    # the walk of the sigma-canonical inners and the positive leads, weighted
+    for H in (2, 3) if d <= 8 else (2,):
+        for split in ordered_splits(d):
+            q = CountQuery(d, H, monic, "split", split)
+            want = (2 * H + 1) * unsymmetrized_split_pairs(*split, H, monic)
+            assert count_forward(q).count == want, q
+
+
+@pytest.mark.parametrize(
+    "m,n,H,monic,cut",
+    [
+        (2, 2, 10, False, ()),
+        (2, 3, 8, True, ()),
+        (2, 4, 8, True, ()),
+        (2, 5, 4, False, ()),
+        (3, 2, 6, False, ()),
+        (3, 3, 4, True, ()),
+        (4, 3, 6, False, ()),
+        (2, 4, 12, True, (2,)),
+        (2, 6, 6, True, (2, 3)),
+        (2, 6, 3, False, (2, 3)),
+        (3, 4, 4, True, (2,)),
+        (2, 8, 3, True, (2, 4)),
+        (2, 9, 2, True, (3,)),
+    ],
+)
+def test_inner_walk_is_the_sigma_canonical_half(m, n, H, monic, cut):
+    # every inner walked is sigma-canonical, and with their sigma images they
+    # are the inners of the unsymmetrized walk under the same cuts: the top
+    # coefficients, the low coefficients at m = 2, and the degrees of cut
+    hs = [h for h, _ in _h_candidates(m, n, H, monic, cut)]
+    assert all(sigma_canonical(h) for h in hs)
+    assert len(set(hs)) == len(hs)
+    ref = {
+        h
+        for h in unpruned_h_candidates(m, n, H, monic)
+        if (m > 2 or passes_low_tests(h, H, monic))
+        and decomposable_on_span(h, (), cut) is not None
+    }
+    assert set(hs) | {sigma_inner(h) for h in hs} == ref
+    assert len(hs) < len(ref)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_sign_symmetries_map_normalized_pairs(data):
+    # the images census._orbit lists for a composed pair: sigma(g, h), whose
+    # f is e f(-x), e = (-1)^d if monic else 1, unless h is sigma-fixed, and
+    # then the tau image (-g, h) of each, whose f is -f, unless monic.  Each is
+    # normalized, keeps the height and is the witness of its own f
+    d = data.draw(st.sampled_from([4, 6, 8, 9, 10, 12, 14, 15, 16]), label="d")
+    m, n = data.draw(st.sampled_from(ordered_splits(d)), label="split")
+    monic = data.draw(st.booleans(), label="monic")
+    small = st.integers(-3, 3)
+    g = tuple(data.draw(st.lists(small, min_size=m, max_size=m), label="g"))
+    g += (1 if monic else data.draw(st.sampled_from([1, -1, 2, -3]), label="lead"),)
+    h = (0,) + tuple(data.draw(st.lists(small, min_size=n - 1, max_size=n - 1), label="h"))
+    h += (1 if monic else data.draw(st.sampled_from([1, 2]), label="L"),)
+    if gcd(*h) != 1:
+        h = h[:1] + (1,) + h[2:]  # primitive, as every normalized inner is
+    f = compose(g, h)
+    e = (-1) ** d if monic else 1
+    images = [f]
+    if not all(c == 0 for c in h[n - 1 :: -2]):
+        images.append(tuple(e * (-1) ** i * c for i, c in enumerate(f)))
+    if not monic:
+        images += [tuple(-c for c in F) for F in images]
+    orbit = census._orbit(g, h, monic)
+    assert orbit[0] == (g, h) and len(orbit) == len(images) == len(set(images))
+    for (g2, h2), F in zip(orbit, images):
+        assert compose(g2, h2) == F and height(F) == height(f)
+        assert h2[0] == 0 and h2[-1] == h[-1] and gcd(*h2) == 1
+        assert not monic or g2[-1] == 1
+        w = decompose_split(F, m, n)
+        assert (w.g, w.h) == (g2, h2)
 
 
 def passes_low_tests(h, H, monic):
@@ -1108,12 +1288,15 @@ def test_low_coefficient_cut_drops_only_dead_inners(case):
     full = [(h, mul(h, h)) for h in unpruned_h_candidates(2, n, H, monic)]
     cut = _h_candidates(2, n, H, monic)
     # the reference filtered one candidate at a time: an in-order subsequence
-    assert cut == [(h, sq) for h, sq in full if passes_low_tests(h, H, monic)]
-    kept = set(cut)
-    dropped = [(h, sq) for h, sq in full if (h, sq) not in kept]
+    live = [(h, sq) for h, sq in full if passes_low_tests(h, H, monic)]
+    assert cut == [(h, sq) for h, sq in live if sigma_canonical(h)]
+    dropped = [(h, sq) for h, sq in full if not passes_low_tests(h, H, monic)]
     assert _run_chunk((d, H, monic, (2, n), dropped, (), 10**9))[0] == 0
-    # every pair of the unpruned inners is one of the cut enumeration's polynomials
-    pairs = _run_chunk((d, H, monic, (2, n), full, (), 10**9))[0]
+    # every pair of the unpruned inners is one of the cut enumeration's
+    # polynomials; the unpruned inners are closed under sigma, so their
+    # canonical half, weighted by _run_chunk, counts the pairs of them all
+    assert {sigma_inner(h) for h, _ in full} == {h for h, _ in full}
+    pairs = _run_chunk((d, H, monic, (2, n), [c for c in full if sigma_canonical(c[0])], (), 10**9))[0]
     assert len(forward_key_set(d, H, monic, (2, n))) == pairs
 
 
