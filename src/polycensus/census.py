@@ -246,14 +246,13 @@ def _h_candidates(
         exactly when |b_1| <= B, B from _low_square_bound (once per |b_2|).
       * n >= 3: [f]_n = a_2 S + a_1 L with
         S = [h^2]_n = 2 b_(n-1) b_1 + sum_(i=2..n-2) b_i b_(n-i), so
-        |S| <= |a_2 S| <= H + L A.  As A <= H, this implies the linear
-        |S| <= H(1+L), which bounds b_1 to an interval when b_(n-1) != 0.
+        |S| <= |a_2 S| <= H + L A.
     Each is a necessary condition for the candidate to have any outer
     polynomial, for monic and non-monic f alike.  So the b_1 window is the
-    top-coefficient window cut to |b_1| <= B and to the linear interval, and
-    only its few values are tested exactly against |S| <= H + L A.  The
-    level b_2 (n >= 4) looks one level ahead: with b_1 = 0 the square's
-    x^(n+1) entry is sq[n+1] + 2 b_(n-1) b_2, and the b_1 window, which keeps
+    top-coefficient window cut to |b_1| <= B, and only its few values are
+    tested exactly against |S| <= H + L A.  The level b_2 (n >= 4) looks one
+    level ahead: with b_1 = 0 the square's x^(n+1) entry is
+    sq[n+1] + 2 b_(n-1) b_2, and the b_1 window, which keeps
     it plus slope*b_1 within H, meets [-B, B] only if it is at most
     H + slope*B in absolute value; B grows with |b_2|, so the B of the
     largest |b_2| of the level serves all of them.  A monic candidate has the
@@ -326,9 +325,10 @@ def _h_candidates(
             # S = b_1^2 is tested by B alone: c = R = 0
             R = sq[n]
             c = 2 * bs[n - 1] if n > 2 else 0
-            lo1, hi1 = window_interval((R,), (c,), 0, 0, H + H * L, max(lo, -B), min(hi, B))
             keep = [
-                t for t in range(lo1, hi1 + 1) if t and abs(c * t + R) <= H + L * (H // abs(t))
+                t
+                for t in range(max(lo, -B), min(hi, B) + 1)
+                if t and abs(c * t + R) <= H + L * (H // abs(t))
             ]
             if lo <= 0 <= hi:
                 insort(keep, 0)
@@ -663,7 +663,7 @@ def _run_split(d, H, monic, split, workers, excluded, budget, *, pool, power_awa
     if power_away is not None and power in items:
         items.remove(power)  # the first copy only: a second is walked
         leads = [1] if monic else [a for a in range(-H, H + 1) if a]
-        pairs, away = len(leads) * (2 * H + 1) ** (m - 1), power_away
+        pairs, away = _box_size(m - 1, H, monic), power_away
         if pairs > budget:
             raise _pairs_budget_error(budget, m, n, H)
         tops = [(0,) * (n - 1) + (a,) for a in leads]
@@ -729,10 +729,7 @@ def check_budget(q: CountQuery, method: str, budget: Optional[int] = None) -> No
     # degree exceeds the budget here would be refused later in any case.
     # As 2H+1 > 2, m_max > budget.bit_length() refuses without the power.
     m_max = q.split[0] if q.variant == "split" else d // ell
-    if (
-        m_max > budget.bit_length()
-        or (2 * H + 1) ** (m_max - 1) * (1 if q.monic else 2 * H) > budget
-    ):
+    if m_max > budget.bit_length() or _box_size(m_max - 1, H, q.monic) > budget:
         raise BudgetError(
             f"split ({m_max},{d // m_max}) at H={H} has more witness pairs than the "
             f"budget of {budget}; raise --budget"
@@ -905,6 +902,7 @@ def _orbit(g: Poly, h: Poly, monic: bool) -> List[Tuple[Poly, Poly]]:
 
 
 def _box_size(d: int, H: int, monic: bool) -> int:
+    """The polynomials of degree d and height at most H (monic or not)."""
     side = 2 * H + 1
     return side**d if monic else 2 * H * side**d
 
@@ -985,47 +983,43 @@ def _oracle_count(
 ) -> int:
     """Decomposable polynomials in the box leads x ranges[d-1] x .. x ranges[0].
 
-    split: the hits of one split's blocks; total: the OR of every split's
-    masks in one bool per polynomial of a lead; indecomp_pair: the hits of
-    the dominant split (d/l, l) whose outer part is indecomposable.
+    Per lead, the masks of the variant's inner degrees are ORed into one bool
+    per polynomial: n of split (m, n), every n of _inner_degrees(d) for total,
+    l = spf(d) for indecomp_pair.  The hits are counted; indecomp_pair keeps
+    only those whose outer part, of the split (d/l, l), is indecomposable.
     """
     import numpy as np
 
     d = len(ranges)
-    if variant == "split":
-        return sum(
-            int(np.count_nonzero(mask))
-            for c in leads
-            for _, mask in _block_masks(ranges, c, split[1])
-        )
     if not _inner_degrees(d):
         return 0
-    count = 0
-    if variant == "indecomp_pair":
-        ell = spf(d)
-        m, n = d // ell, ell
-        outer: dict = {}  # is_decomposable(g), keyed by g without the constant it ignores
-        for c in leads:
-            for top, mask in _block_masks(ranges, c, n):
-                for idx in zip(*np.nonzero(mask)):
-                    f = tuple(ranges[i][idx[-1 - i]] for i in range(d - n + 1))
-                    f += tuple(reversed(top)) + (c,)
-                    w = decompose_split(f, m, n)
-                    if w is None:
-                        raise RuntimeError(f"block test and decompose_split disagree on f={f}")
-                    key = w.g[1:]
-                    if key not in outer:
-                        outer[key] = is_decomposable(w.g)
-                    count += not outer[key]
-        return count
+    if variant == "split":
+        degrees = [split[1]]
+    elif variant == "total":
+        degrees = _inner_degrees(d)
+    else:
+        degrees = [spf(d)]
     shape = tuple(len(r) for r in reversed(ranges))  # axes f_(d-1)..f_0
+    outer: dict = {}  # is_decomposable(g), keyed by g without the constant it ignores
+    count = 0
     for c in leads:
         hit = np.zeros(shape, dtype=bool)
-        for n in _inner_degrees(d):
+        for n in degrees:
             for top, mask in _block_masks(ranges, c, n):
                 at = tuple(t - ranges[i][0] for i, t in zip(range(d - 1, -1, -1), top))
                 hit[at] |= mask
-        count += int(np.count_nonzero(hit))
+        if variant != "indecomp_pair":
+            count += int(np.count_nonzero(hit))
+            continue
+        for idx in zip(*np.nonzero(hit)):
+            f = tuple(r[i] for r, i in zip(ranges, reversed(idx))) + (c,)
+            w = decompose_split(f, d // degrees[0], degrees[0])
+            if w is None:
+                raise RuntimeError(f"block test and decompose_split disagree on f={f}")
+            key = w.g[1:]
+            if key not in outer:
+                outer[key] = is_decomposable(w.g)
+            count += not outer[key]
     return count
 
 

@@ -318,7 +318,7 @@ def _cmd_verify(args) -> int:
                 f"unknown criterion number(s) {','.join(map(str, sorted(unknown)))}; "
                 f"known: 1..{len(CRITERIA)}"
             )
-    outcomes = run_criteria(wanted, jobs=args.jobs)
+    outcomes = run_criteria(wanted)
     failed = [o for o in outcomes if not o.passed]
     return 1 if failed else 0
 
@@ -360,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run the canned acceptance suites")
     v.add_argument("--criteria", type=str, default=None, help="comma list, e.g. 1,4,13")
-    v.add_argument("--jobs", type=int, default=1)
 
     return ap
 
@@ -382,7 +381,7 @@ def run(argv: Sequence[str]) -> int:
         return int(exc.code or 0)
     args.raw_argv = list(argv)
     try:
-        if getattr(args, "jobs", 1) < 1:
+        if args.command == "count" and args.jobs < 1:
             raise ValueError("--jobs must be at least 1")
         if args.command == "count" and args.budget is not None and args.budget < 1:
             raise ValueError("--budget must be at least 1")

@@ -49,12 +49,12 @@ def _random_outer(rng, m, monic, bound):
     return tuple(g)
 
 
-def criterion_1(jobs: int = 1) -> Tuple[bool, str]:
+def criterion_1() -> Tuple[bool, str]:
     """Oracle equivalence, monic d=4, H in 2..12, total (= split (2,2))."""
     parts: List[str] = []
     for H in range(2, 13):
         q = CountQuery(4, H, True, "total")
-        fwd = count_forward(q, workers=jobs).count
+        fwd = count_forward(q).count
         orc = count_bruteforce(q).count
         spl = count_forward(CountQuery(4, H, True, "split", (2, 2))).count
         if not (fwd == orc == spl):
@@ -63,13 +63,13 @@ def criterion_1(jobs: int = 1) -> Tuple[bool, str]:
     return True, " ".join(parts[-3:])
 
 
-def criterion_2(jobs: int = 1) -> Tuple[bool, str]:
+def criterion_2() -> Tuple[bool, str]:
     """Oracle equivalence, monic d=6: splits (2,3), (3,2) and total, H in 2..4."""
     parts: List[str] = []
     for H in (2, 3, 4):
         for variant, split in (("split", (2, 3)), ("split", (3, 2)), ("total", None)):
             q = CountQuery(6, H, True, variant, split)
-            fwd = count_forward(q, workers=jobs).count
+            fwd = count_forward(q).count
             orc = count_bruteforce(q).count
             if fwd != orc:
                 return False, f"H={H} {variant}{split or ''}: forward={fwd} oracle={orc}"
@@ -77,12 +77,12 @@ def criterion_2(jobs: int = 1) -> Tuple[bool, str]:
     return True, " ".join(parts)
 
 
-def criterion_3(jobs: int = 1) -> Tuple[bool, str]:
+def criterion_3() -> Tuple[bool, str]:
     """Oracle equivalence, non-monic d=4, H in 2..5, total."""
     parts: List[str] = []
     for H in (2, 3, 4, 5):
         q = CountQuery(4, H, False, "total")
-        fwd = count_forward(q, workers=jobs).count
+        fwd = count_forward(q).count
         orc = count_bruteforce(q).count
         if fwd != orc:
             return False, f"H={H}: forward={fwd} oracle={orc}"
@@ -90,7 +90,7 @@ def criterion_3(jobs: int = 1) -> Tuple[bool, str]:
     return True, " ".join(parts)
 
 
-def criterion_4(jobs: int = 1) -> Tuple[bool, str]:
+def criterion_4() -> Tuple[bool, str]:
     """Prime-degree vanishing: D_5(100) = 0, D*_7(20) = 0, random samples."""
     d5 = count_forward(CountQuery(5, 100, True, "total")).count
     d7 = count_forward(CountQuery(7, 20, False, "total")).count
@@ -111,12 +111,12 @@ def criterion_4(jobs: int = 1) -> Tuple[bool, str]:
     return True, "D_5(100)=0 D*_7(20)=0, 10^4 random samples indecomposable"
 
 
-def criterion_5(jobs: int = 1) -> Tuple[bool, str]:
+def criterion_5() -> Tuple[bool, str]:
     """Monic d=4 log regime: exponent in [2.00, 2.35], log model preferred,
     count/(H^2 ln H) stable within 25% on the top three grid points."""
     grid = (125, 250, 500, 1000, 2000)
     pts = [
-        (H, count_forward(CountQuery(4, H, True, "total"), workers=jobs).count)
+        (H, count_forward(CountQuery(4, H, True, "total")).count)
         for H in grid
     ]
     fit = fit_growth(pts)
@@ -129,10 +129,10 @@ def criterion_5(jobs: int = 1) -> Tuple[bool, str]:
     )
 
 
-def criterion_6(jobs: int = 1) -> Tuple[bool, str]:
+def criterion_6() -> Tuple[bool, str]:
     """Monic d=9: pure-power exponent within 0.15 of 3."""
     pts = [
-        (H, count_forward(CountQuery(9, H, True, "total"), workers=jobs).count)
+        (H, count_forward(CountQuery(9, H, True, "total")).count)
         for H in (25, 50, 100, 200)
     ]
     fit = fit_growth(pts)
@@ -140,10 +140,10 @@ def criterion_6(jobs: int = 1) -> Tuple[bool, str]:
     return ok, f"power exponent={fit.power_exponent:.3f} (target 3 +- 0.15)"
 
 
-def criterion_7(jobs: int = 1) -> Tuple[bool, str]:
+def criterion_7() -> Tuple[bool, str]:
     """Non-monic d=4: pure-power exponent within 0.20 of 3."""
     pts = [
-        (H, count_forward(CountQuery(4, H, False, "total"), workers=jobs).count)
+        (H, count_forward(CountQuery(4, H, False, "total")).count)
         for H in (25, 50, 100, 200)
     ]
     fit = fit_growth(pts)
@@ -151,10 +151,10 @@ def criterion_7(jobs: int = 1) -> Tuple[bool, str]:
     return ok, f"power exponent={fit.power_exponent:.3f} (target 3 +- 0.20)"
 
 
-def criterion_8(jobs: int = 1) -> Tuple[bool, str]:
+def criterion_8() -> Tuple[bool, str]:
     """d=8 remainder: D-I >= 0, (D-I)/D nonincreasing, remainder exponent
     <= 3.3; D = I identically for d = 4 and d = 9."""
-    rep = remainder_report(8, True, (10, 20, 40, 80), workers=jobs)
+    rep = remainder_report(8, True, (10, 20, 40, 80))
     diffs = [row[3] for row in rep.rows]
     ratios = [row[4] for row in rep.rows]
     if any(x < 0 for x in diffs):
@@ -167,8 +167,8 @@ def criterion_8(jobs: int = 1) -> Tuple[bool, str]:
         return False, f"remainder exponent {rep.fit.power_exponent:.3f} > 3.3"
     for d in (4, 9):
         for H in (10, 20, 40, 80):
-            dd = count_forward(CountQuery(d, H, True, "total"), workers=jobs).count
-            ii = count_forward(CountQuery(d, H, True, "indecomp_pair"), workers=jobs).count
+            dd = count_forward(CountQuery(d, H, True, "total")).count
+            ii = count_forward(CountQuery(d, H, True, "indecomp_pair")).count
             if dd != ii:
                 return False, f"d={d} H={H}: D={dd} != I={ii}"
     return True, (
@@ -181,7 +181,7 @@ def _lemma_ok(g: Poly, h: Poly) -> bool:
     return all(height_lemma(g, h, height(compose(g, h))))
 
 
-def criterion_9(jobs: int = 1) -> Tuple[bool, str]:
+def criterion_9() -> Tuple[bool, str]:
     """Explicit inner/outer height bounds: zero violations over every
     decomposition produced in the oracle-equivalence boxes plus 10^4 random
     composed pairs."""
@@ -209,7 +209,7 @@ def criterion_9(jobs: int = 1) -> Tuple[bool, str]:
     return True, f"{checked} decompositions checked, zero violations"
 
 
-def criterion_10(jobs: int = 1) -> Tuple[bool, str]:
+def criterion_10() -> Tuple[bool, str]:
     """Measure suite: two-sided height sandwich and multiplicativity."""
     rng = random.Random(2718)
     worst_slack = math.inf
@@ -238,7 +238,7 @@ def criterion_10(jobs: int = 1) -> Tuple[bool, str]:
     return True, f"worst sandwich slack {worst_slack:.2e}, worst product error {worst_err:.2e}"
 
 
-def criterion_11(jobs: int = 1) -> Tuple[bool, str]:
+def criterion_11() -> Tuple[bool, str]:
     """Round trip: witnesses recompose exactly; full chains factor back."""
     rng = random.Random(424242)
     trips = 0
@@ -273,7 +273,7 @@ def criterion_11(jobs: int = 1) -> Tuple[bool, str]:
     return True, f"{trips} split round trips, {chains} full chains"
 
 
-def criterion_12(jobs: int = 1) -> Tuple[bool, str]:
+def criterion_12() -> Tuple[bool, str]:
     """Determinism: same counts for 1, 4, 8 workers; byte-identical CSV."""
     q = CountQuery(4, 100, True, "total")
     counts = [count_forward(q, workers=w).count for w in (1, 4, 8)]
@@ -306,7 +306,7 @@ def criterion_12(jobs: int = 1) -> Tuple[bool, str]:
     return True, f"count={counts[0]} for workers 1/4/8; CSV bodies identical; both-method rows equal"
 
 
-def criterion_13(jobs: int = 1) -> Tuple[bool, str]:
+def criterion_13() -> Tuple[bool, str]:
     """Quartic lower-bound family is exactly present in the enumeration."""
     H = 16
     # the enumerated polynomials with their constant term dropped
@@ -339,7 +339,7 @@ class CriterionOutcome:
     elapsed_seconds: float
 
 
-CRITERIA: List[Tuple[int, str, Callable[[int], Tuple[bool, str]]]] = [
+CRITERIA: List[Tuple[int, str, Callable[[], Tuple[bool, str]]]] = [
     (1, "oracle equivalence, monic d=4, H=2..12", criterion_1),
     (2, "oracle equivalence, monic d=6, both splits, H=2..4", criterion_2),
     (3, "oracle equivalence, non-monic d=4, H=2..5", criterion_3),
@@ -356,9 +356,7 @@ CRITERIA: List[Tuple[int, str, Callable[[int], Tuple[bool, str]]]] = [
 ]
 
 
-def run_criteria(
-    wanted: Optional[Set[int]] = None, jobs: int = 1, out=None
-) -> List[CriterionOutcome]:
+def run_criteria(wanted: Optional[Set[int]] = None, out=None) -> List[CriterionOutcome]:
     out = out or sys.stdout
     outcomes = []
     for number, name, fn in CRITERIA:
@@ -366,7 +364,7 @@ def run_criteria(
             continue
         t0 = time.perf_counter()
         try:
-            passed, detail = fn(jobs)
+            passed, detail = fn()
         except Exception as exc:  # a crash is a failure, not an abort
             passed, detail = False, f"exception: {exc!r}"
         elapsed = time.perf_counter() - t0

@@ -275,3 +275,9 @@ def test_verify_subset():
     code, out, _ = capture(["verify", "--criteria", "4"])
     assert code == 0
     assert out.startswith("PASS  c04")
+
+
+def test_verify_has_no_jobs_option():
+    # the criteria run in-process; c12 picks its own worker counts
+    code, out, err = capture(["verify", "--criteria", "4", "--jobs", "2"])
+    assert code == 2 and out == "" and "--jobs" in err
