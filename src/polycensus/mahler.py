@@ -4,7 +4,9 @@ The measure of f = a_d x^d + .. + a_0 with roots r_1..r_d is
 |a_d| * prod max(1, |r_i|).  Roots come from an Aberth-Ehrlich iteration
 in plain Python complex scalars (no numpy), with Bini's Newton-polygon
 starting points and Gauss-Seidel sweeps: each root's correction uses the
-roots already moved in the same sweep.  Zero roots are stripped exactly
+roots already moved in the same sweep.  A root whose residual is down to
+the rounding error of its Horner evaluation takes one free Newton step and
+is frozen; the sweeps go on over the others.  Zero roots are stripped exactly
 beforehand, and a multiple root is found exactly: when the roots' inclusion
 disks overlap, gcd(f, f') over Q splits f into factors with simple roots.
 Everything downstream compares the floating measure against exact integer
@@ -23,7 +25,7 @@ from .poly_core import Poly, compose, degree, height, lead, mul
 
 MAX_ITERATIONS = 200
 DEFAULT_TOL = 1e-12
-ROUNDING = 8 * 2.0**-53   # |p(z)| at a root, relative to sum |a_k||z|^k, once converged
+ROUNDING = 2.0**-53       # unit roundoff of a double
 
 EQ2_REL_TOL = 1e-9        # height-measure sandwich slack
 PRODUCT_REL_TOL = 1e-8    # M(gh) versus M(g)M(h)
@@ -78,57 +80,62 @@ def _start_points(coeffs: Sequence[float]) -> List[complex]:
     return z
 
 
-def _sweep(desc: Sequence[float], z: List[complex]) -> Tuple[List[complex], List[float]]:
-    """One Gauss-Seidel Aberth-Ehrlich sweep over descending coefficients.
-
-    Root i's correction uses roots 0..i-1 as already moved in this sweep.
-    Returns the moved roots and |p(z_i)| at the roots on entry.
-    """
-    top, *tail = desc
-    moved, residuals = [], []
-    for i, zi in enumerate(z):
-        p, dp = top, 0.0
-        for a in tail:
-            dp = dp * zi + p
-            p = p * zi + a
-        residuals.append(abs(p))
-        try:
-            w = p / dp
-            s = 0.0
-            for zj in moved:
-                s += 1.0 / (zi - zj)
-            for zj in z[i + 1:]:
-                s += 1.0 / (zi - zj)
-            moved.append(zi - w / (1.0 - w * s))
-        except ZeroDivisionError:  # dp == 0, a coincident root or a zero denominator
-            moved.append(zi * (1.0 + 1e-9) + 1e-12)
-    return moved, residuals
-
-
 def _aberth(coeffs: Sequence[float]) -> List[complex]:
     """Roots of a polynomial with nonzero constant term, ascending coeffs.
 
-    Sweeps from the Newton-polygon start; every root moves in every sweep.
-    The contract is |p(z)| <= DEFAULT_TOL*scale*max(1,|z|)^n for all n
-    roots at once.  That bound grows like |z|^n, so far from the unit
-    circle it accepts roots still off in their fifth digit; the sweeps
-    therefore go on until every |p(z)| is down to the rounding error of its
-    Horner evaluation, or MAX_ITERATIONS sweeps in all, and return the last
-    roots that met the contract.  RootConvergenceError if none did.
+    Gauss-Seidel Aberth-Ehrlich sweeps from the Newton-polygon start over
+    the roots still active: root i's correction uses every other root as it
+    stands, moved in this sweep or frozen.  The contract is
+    |p(z)| <= DEFAULT_TOL*scale*max(1,|z|)^n.  That bound grows like |z|^n,
+    so far from the unit circle it accepts roots still off in their fifth
+    digit; a root is therefore frozen only once its |p(z)| is also down to
+    the rounding error of its Horner evaluation, max(8, 2n)*ROUNDING*
+    sum |a_k||z|^k (that error is below gamma_2n times the sum, so the
+    floor grows with n), and it takes one Newton step z - p/p' from the
+    values in hand as it freezes.  Returns when no root is active; after
+    MAX_ITERATIONS sweeps, the last roots that all met the contract.
+    RootConvergenceError if none did.
     """
-    desc = [float(a) for a in reversed(coeffs)]
-    n = len(desc) - 1
+    top, *tail = desc = [float(a) for a in reversed(coeffs)]
+    n = len(tail)
     bound = DEFAULT_TOL * max(map(abs, desc))
-    noise = [ROUNDING * abs(a) for a in desc]
+    noise = [max(8, 2 * n) * ROUNDING * abs(a) for a in desc]
     z = _start_points(coeffs)
+    residuals = [0.0] * n
+    active = range(n)
     met = None
     for _ in range(MAX_ITERATIONS):
-        entry = z
-        z, residuals = _sweep(desc, entry)
-        if all(res <= bound * max(1.0, abs(zi)) ** n for zi, res in zip(entry, residuals)):
+        entry, still, contract = z[:], [], True
+        for i in active:
+            zi = z[i]
+            p, dp = top, 0.0
+            for a in tail:
+                dp = dp * zi + p
+                p = p * zi + a
+            residuals[i] = res = abs(p)
+            if res <= bound * max(1.0, abs(zi)) ** n:
+                if res <= _horner_abs(noise, abs(zi)):
+                    if dp:
+                        z[i] = zi - p / dp
+                    continue
+            else:
+                contract = False
+            still.append(i)
+            try:
+                w = p / dp
+                s = 0.0
+                for zj in z[:i]:
+                    s += 1.0 / (zi - zj)
+                for zj in z[i + 1:]:
+                    s += 1.0 / (zi - zj)
+                z[i] = zi - w / (1.0 - w * s)
+            except ZeroDivisionError:  # dp == 0, a coincident root or a zero denominator
+                z[i] = zi * (1.0 + 1e-9) + 1e-12
+        if not still:
+            return z
+        if contract:
             met = entry
-            if all(res <= _horner_abs(noise, abs(zi)) for zi, res in zip(entry, residuals)):
-                return entry
+        active = still
     if met is not None:
         return met
     raise RootConvergenceError(

@@ -10,6 +10,8 @@ from polycensus import mahler
 from polycensus.mahler import (
     InequalityReport,
     RootConvergenceError,
+    _aberth,
+    _horner_abs,
     _start_points,
     check_inequalities,
     mahler_measure,
@@ -238,3 +240,75 @@ def test_convergence_failure_carries_best_roots(monkeypatch):
     assert len(info.value.best_roots) == 8
     assert len(info.value.residuals) == 8
     assert all(math.isfinite(r) for r in info.value.residuals)
+
+
+def test_sparse_high_degree_exits_through_noise_rule(monkeypatch):
+    # Horner's rounding error grows with the degree, so the noise floor must
+    # too: with a fixed floor these run every sweep and return a fallback
+    # iterate that depends on the cap.
+    for f, measure in (((1,) * 200, 1.0), ((1,) + (0,) * 400 + (3,), 3.0)):
+        coeffs = [float(c) for c in f]
+        found = []
+        for cap in (40, 200):
+            monkeypatch.setattr(mahler, "MAX_ITERATIONS", cap)
+            found.append(_aberth(coeffs))
+        assert found[0] == found[1]
+        assert abs(roots(f).measure - measure) <= 1e-12 * measure
+
+
+def _all_roots_aberth(coeffs):
+    """The all-roots iteration: every root moves in every sweep until all n
+    residuals are at 8u times their Horner scale in the same sweep."""
+    desc = [float(a) for a in reversed(coeffs)]
+    top, *tail = desc
+    n = len(tail)
+    bound = mahler.DEFAULT_TOL * max(map(abs, desc))
+    noise = [8 * 2.0**-53 * abs(a) for a in desc]
+    z = _start_points(coeffs)
+    met = None
+    for _ in range(200):
+        moved, residuals = [], []
+        for i, zi in enumerate(z):
+            p, dp = top, 0.0
+            for a in tail:
+                dp = dp * zi + p
+                p = p * zi + a
+            residuals.append(abs(p))
+            try:
+                w = p / dp
+                s = sum(1.0 / (zi - zj) for zj in moved + z[i + 1:])
+                moved.append(zi - w / (1.0 - w * s))
+            except ZeroDivisionError:
+                moved.append(zi * (1.0 + 1e-9) + 1e-12)
+        if all(r <= bound * max(1.0, abs(zi)) ** n for zi, r in zip(z, residuals)):
+            met = z
+            if all(r <= _horner_abs(noise, abs(zi)) for zi, r in zip(z, residuals)):
+                return z
+        z = moved
+    assert met is not None
+    return met
+
+
+@settings(max_examples=300, deadline=None)
+@given(measure_inputs())
+@example((1,) + (0,) * 11 + (1,))  # x^12 + 1
+@example(mul(poly_pow((-3, 1), 2), (1, 0, 0, 5)))  # (x - 3)^2 (5x^3 + 1)
+@example((-8, -24, -44, -60, -2, 304, 264, -336, -350, 132, 102, 18, 1))  # condition 2.4e6
+def test_frozen_roots_match_all_roots_iteration(f):
+    """Freezing converged roots leaves every well-conditioned measure where
+    moving all of them to the end puts it.
+
+    Either iteration determines a root only to its condition number times
+    the rounding unit, so d such roots can move the measure by d times
+    that on either side; below 1e-9 the two must agree to 1e-9.
+    """
+    nzero = next(i for i, c in enumerate(f) if c)
+    condition = _numpy_reference(f[nzero:])[1]
+    if condition > 1e7:
+        return
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mahler, "_aberth", _all_roots_aberth)
+        ref = roots(f).measure
+    got = roots(f).measure
+    d = len(f) - 1
+    assert abs(got - ref) <= max(1e-9, 2 * d * condition * 2.0**-53) * ref
