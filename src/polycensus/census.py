@@ -47,8 +47,13 @@ them).  By Engstrom's theorem most of that is decided by the inner alone:
 the inner walk drops every h with a right component of an excluded degree
 dividing n, all of whose pairs are excluded, and the other inners need the
 exclusion test only for the excluded degrees k with gcd(k, n) not such a
-degree.  That test runs once per polygon, by decompose.decomposable_on_span,
-and lattice.union_count counts what it excludes.  No variant stores a key.
+degree.  For a total those are the k with gcd(k, n) = 1, and by Ritt's
+second theorem an inner decides them once, from its shape alone
+(_coprime_rule): most inners exclude nothing, and for k = 2 the excluded
+pairs of a polygon are one line, counted in closed form.  Only the inners
+with a shape of some k >= 3, and the split of indecomp_pair, run the kernel
+decompose.decomposable_on_span once per polygon.  lattice.union_count
+counts what a line or the kernel excludes.  No variant stores a key.
 The budget bounds the witness pairs that a split walks and, up front
 (check_budget), the inner candidates that it tests.
 """
@@ -61,7 +66,7 @@ from bisect import insort
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import product
-from math import gcd, isqrt
+from math import comb, gcd, isqrt
 from operator import mul as times
 from typing import Iterator, List, Optional, Sequence, Tuple
 
@@ -477,6 +482,99 @@ def _walk_outer(
             yield P, prefix, lo, hi
 
 
+def _coprime_rule(h: Poly, m: int, degrees: Sequence[int]):
+    """How the inner h excludes pairs with the inner degrees in degrees, each
+    k | mn with gcd(k, n) = 1, by Ritt's second theorem (count_forward
+    proves it): None when the kernel must decide (h has a shape of some
+    k >= 3), () when h excludes nothing, else the k = 2 closed form
+    (odd, tail, w_2, w_1, g) that _line_away reads.
+
+    With L = lead(h) and D = nL, c = D^n h((y - b_(n-1))/D) is an integer
+    polynomial: sum_j b_j D^(n-j) z^j, Taylor shifted to y = z + b_(n-1).
+    n = 2 always has the power shape, as c_(n-1) = 0.  The shifted inner
+    h~(x) = h(x + s) - h(s), s = -b_(n-1)/D, has [x^j] h~ = c_j D^(j-n) for
+    j >= 1, so it has the exponents of c, and gamma = h(s) = c_0/D^n = p/q
+    in lowest terms, q > 0.  For k = 2 a pair is excluded exactly when h~ is
+    odd and g(y + gamma) = sum_j y^j sum_i a_i C(i, j) gamma^(i-j) is even.
+    Times q^(m-j), its y^j coefficient for odd j >= 3 is the row odd[] of
+    a_m..a_3 (prefix order), and that of y^1 is the line
+    w_2 a_2 + w_1 a_1 = -tail.prefix, w_1 = q^(m-1), w_2 = 2 p q^(m-2), of
+    content |g| = gcd(w_2, w_1); w_2 and w_1 come divided by g, whose sign
+    makes the first non-zero one positive.
+    """
+    n = len(h) - 1
+    D = n * h[n]
+    b = h[n - 1]
+    c = list(h)  # b_j D^(n-j), the coefficients in y - b_(n-1), then in y
+    e = 1
+    for j in range(n - 1, -1, -1):
+        e *= D
+        c[j] *= e
+    if b:
+        for i in range(n):
+            for j in range(n - 1, i - 1, -1):
+                c[j] -= b * c[j + 1]
+    rule = ()
+    for k in degrees:
+        shaped = not any(c[j] for j in range(1, n) if (n - j) % k)
+        if k > 2 and (shaped or _chebyshev_shape(c)):
+            return None
+        if k == 2 and shaped:
+            t = gcd(c[0], e)
+            p, q = c[0] // t, e // t
+            w2, w1 = 2 * p * q ** (m - 2), q ** (m - 1)
+            g = -gcd(w2, w1) if w2 < 0 else gcd(w2, w1)  # w_2 > 0 as in union_count
+            odd = tail = ()
+            if m > 2:
+                odd = [
+                    [comb(i, j) * p ** (i - j) * q ** (m - i) if i >= j else 0
+                     for i in range(m, 2, -1)]
+                    for j in range(m - 1, 2, -2)
+                ]
+                tail = [i * p ** (i - 1) * q ** (m - i) for i in range(m, 2, -1)]
+            rule = (odd, tail, w2 // g, w1 // g, g)
+    return rule
+
+
+def _chebyshev_shape(c: Sequence[int]) -> bool:
+    """Whether c_1 y + .. + c_n y^n (n >= 3) is lam (T_n(alpha y) - T_n(0))
+    for some complex lam and alpha != 0, T_n the Chebyshev polynomial.
+
+    The x^(n-2i) coefficient t_(n-2i) of T_n, for 2i < n, has
+    t_(n-2i-2)/t_(n-2i) = -(n-2i)(n-2i-1)/(4(i+1)(n-i-1)), and the other
+    coefficients are 0.  So c has the shape exactly when c_(n-1-2i) = 0
+    above y^0, c_(n-2) != 0, which fixes alpha^2 = -n c_n/(4 c_(n-2)), and
+        n (i+1)(n-i-1) c_n c_(n-2i-2) = (n-2i)(n-2i-1) c_(n-2) c_(n-2i)
+    for every i >= 1 with n - 2i - 2 >= 1; lam follows from c_n.
+    """
+    n = len(c) - 1
+    if not c[n - 2] or any(c[j] for j in range(n - 1, 0, -2)):
+        return False
+    return all(
+        n * (i + 1) * (n - i - 1) * c[n] * c[n - 2 * i - 2]
+        == (n - 2 * i) * (n - 2 * i - 1) * c[n - 2] * c[n - 2 * i]
+        for i in range(1, (n - 1) // 2)
+    )
+
+
+def _line_away(rule, prefix, rows, first, final, H: int) -> int:
+    """The points of a polygon with outer prefix a_m..a_3 that the k = 2
+    closed form rule of _coprime_rule excludes."""
+    odd, tail, w2, w1, g = rule
+    c = 0
+    if prefix:  # m >= 3
+        if any(sum(map(times, r, prefix)) for r in odd):
+            return 0
+        c = -sum(map(times, tail, prefix))
+        if c % g:
+            return 0
+        c //= g
+    if first[0] == final[0]:  # one row: the line's one point in it
+        a1, r = divmod(c - w2 * first[0], w1)
+        return int(not r and first[1] <= a1 <= final[1])
+    return union_count(rows, first, final, H, (), ((w2, w1, c),))
+
+
 def _batches(rest: list, count: int) -> list:
     """Cut the inners of rest, in order, into at most count runs of about
     equal numbers of inners; no inner is cut."""
@@ -519,10 +617,15 @@ def _run_chunk(args, limit=None):
     symmetries (count_forward), so its pairs and away count w times: w = 2
     when h has a non-zero b_j with n - j odd (sigma(h) != h), times 2 when
     f is not monic (tau).  pairs and the budget are in true pairs.  When
-    excluded is not empty, one decomposable_on_span call per polygon
-    decides the exclusion for all of its points, and union_count counts the
-    excluded ones.  For m >= 3 the
-    polygon is the plane P + a_2 h^2 + a_1 h, and h^2 and h stay below the
+    excluded is not empty, each inner's exclusion is decided once, at its
+    first polygon with a point.  If every excluded degree k divides d and
+    has gcd(k, n) = 1, as in every kernel of a total, _coprime_rule decides
+    it by Ritt's second theorem (count_forward proves it): nothing, or the
+    k = 2 line that _line_away counts per polygon in closed form, or the
+    kernel.  The kernel, and every other excluded set, takes one
+    decomposable_on_span call per polygon, which decides the exclusion for
+    all of its points, and union_count counts the excluded ones.  For m >= 3
+    the polygon is the plane P + a_2 h^2 + a_1 h, and h^2 and h stay below the
     coefficients x^(d-n'+1)..x^(d-1) that fix the candidate inner of every
     excluded n': a total excludes n' < n, so d - n' > (m-1)n >= 2n, and an
     indecomp_pair excludes only when m >= 4 (l < n' <= d/2 with l | n' needs
@@ -555,6 +658,8 @@ def _run_chunk(args, limit=None):
     candidates: dict = {}
     tops: list = []
     pairs = away = polygons = walked = 0
+    # _coprime_rule decides per inner when every excluded degree is coprime to n
+    coprime = bool(excluded) and all(gcd(k, n) == 1 and d % k == 0 for k in excluded)
 
     for h, sq in items:
         if limit is not None and polygons >= limit:
@@ -565,6 +670,7 @@ def _run_chunk(args, limit=None):
         s = sq + (0,) * (d - 2 * n)
         hkf = sum(map(times, h, bp))
         skf = sum(map(times, s, bp))
+        rule = False  # the inner's exclusion rule, decided at its first polygon with a point
         block = None  # the outer lead of the current block
         last = -1  # the largest key emitted so far in the current block
         for P, prefix, lo, hi in _walk_outer(h, sq, m, H, monic):
@@ -583,7 +689,13 @@ def _run_chunk(args, limit=None):
             if key <= last or (count > 1 and h[n] <= 0):
                 raise _uniqueness_error(m, n, H, "keys not increasing within a block")
             last = key0 + final[0] * skf + final[1] * hkf
-            if excluded:
+            if excluded and rule is False:
+                # the kernel decides per polygon (None), or nothing is excluded
+                # (()), or the k = 2 closed form of _coprime_rule
+                rule = _coprime_rule(h, m, excluded) if coprime else None
+            if rule:
+                away += w * _line_away(rule, prefix, rows, first, final, H)
+            elif rule is None:
                 if m == 2:  # one row, whose lead a_2 reaches the candidates
                     row = [first[0] * t for t in s]
                     got = decomposable_on_span(row, (h,), excluded, candidates)
@@ -789,6 +901,40 @@ def count_forward(q: CountQuery, workers: int = 1, budget: Optional[int] = None)
     those k.  A total's cut is every divisor e of n with 1 < e < n (each is
     below n and divides d), so its splits (2, 4) and (2, 6) need no kernel;
     indecomp_pair has n = l prime and an empty cut, and split an empty E.
+
+    Ritt's second theorem decides the rest of a total's exclusion per inner
+    (_coprime_rule).  Its kernel degrees k have gcd(k, n) = 1, so k | m.
+    Let L = lead(h), s = -b_(n-1)/(nL), gamma = h(s), h~(x) = h(x+s) - gamma
+    and g_gamma(y) = g(y + gamma), so that f(x + s) = g_gamma(h~(x)).
+      * k = 2, n odd.  f = G(K) with deg K = 2 exactly when f is symmetric
+        about some t, f(t + x) = f(t - x), and then t is the mean of the
+        roots of f, -[f]_(d-1)/(d lead f) = -m a_m L^(m-1) b_(n-1)/(d a_m L^m)
+        = s.  So the pair is excluded iff F(x) = g_gamma(h~(x)) is even.  If
+        h~ is odd and g_gamma even, F is even.  Conversely, if F is even,
+        g_gamma(h~(x)) and g_gamma(h~(-x)) are two decompositions of F with
+        inner degree n, whose normalized inner is unique (the decompose
+        module docstring), so h~(-x) = (-1)^n h~(x) = -h~(x); then
+        g_gamma(-y) = g_gamma(y) at the infinitely many values y of h~, and
+        g_gamma is even.  So an inner whose h~ is not odd excludes nothing,
+        and for the others a pair is excluded iff the odd coefficients of
+        g_gamma vanish: those of y^3, y^5, .. read only a_m..a_3, so they
+        decide a polygon whole, and that of y^1 leaves the line
+        a_1 + 2 gamma a_2 + sum_(i>=3) i gamma^(i-1) a_i = 0.
+      * k >= 3.  By Engstrom, f = F(M) with M = a(h) = c(K), deg M = kn,
+        deg a = deg K = k and deg c = deg h = n.  As gcd(k, n) = 1, Ritt's
+        second theorem (J. F. Ritt, "Prime and composite polynomials", 1922;
+        Zieve and Mueller, "On Ritt's polynomial decomposition theorems",
+        2008) makes h, up to linear maps on both sides, a v that is
+        x^r P(x^k), x^n among them, or the Chebyshev polynomial T_n.  No
+        such v has an x^(n-1) term (k >= 2, and T_n has the parity of n),
+        so h = lam v(alpha x + beta) + mu has
+        b_(n-1)/(nL) = beta/alpha, that is s = -beta/alpha, and
+        h~ = lam (v(alpha x) - v(0)): all its exponents are n (mod k), or it
+        is a scaled T_n less its constant (_chebyshev_shape).  An inner of
+        neither shape excludes nothing with degree k; one of either shape
+        keeps the kernel, for all of the split's degrees.
+    So per inner the union over the degrees is nothing, the k = 2 line, or
+    the kernel's verdict per polygon.
 
     The inner x^n is counted in closed form (_run_split) under the rule
     that count_forward hands each split as power_away.  f = g(x^n) has

@@ -146,7 +146,8 @@ def polygon_count(rows, first, last, H: int) -> int:
 
 def union_count(rows, first, last, H: int, points, lines) -> int:
     """The number of lattice points of a polygon on a point or a line of a
-    decompose.decomposable_on_span result.
+    decompose.decomposable_on_span result, or on the one line by which
+    census._coprime_rule excludes a polygon's pairs in closed form.
 
     points are (a_2, a_1), and a line (w_2, w_1, c), gcd(w_2, w_1) = 1, holds
     the (a_2, a_1) with w_2 a_2 + w_1 a_1 = c; distinct lines are distinct

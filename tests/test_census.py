@@ -6,13 +6,14 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from math import gcd, prod
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from polycensus import census, cli
 from polycensus.census import (
@@ -30,8 +31,13 @@ from polycensus.census import (
     _run_chunk,
 )
 from polycensus.asymptotics import spf
-from polycensus.decompose import decomposable_on_span, decompose_split, is_decomposable
-from polycensus.lattice import polygon, polygon_count, polygon_rows, window_interval
+from polycensus.decompose import (
+    _inner_degrees,
+    decomposable_on_span,
+    decompose_split,
+    is_decomposable,
+)
+from polycensus.lattice import polygon, polygon_count, polygon_rows, union_count, window_interval
 from polycensus.poly_core import add, compose, height, mul, poly_pow
 
 
@@ -941,6 +947,176 @@ def test_composite_smaller_inner_degree_attributes_away(monkeypatch):
     keys4 = forward_key_set(d, H, True, (4, 4))
     assert forward_key_set(d, H, True, (2, 8)) <= keys4
     assert count_forward(CountQuery(d, H, True, "total")).count == (2 * H + 1) * len(keys4)
+
+
+# (m, n, H, monic): splits whose total kernel is coprime to n, k = 2 for
+# (2,3), (2,5) and (4,3), k = 3 for (3,4) and (3,5)
+COPRIME_SWEEP = [
+    (2, 3, 120, True), (2, 3, 40, False), (2, 5, 25, True), (2, 5, 10, False),
+    (4, 3, 16, True), (4, 3, 8, False), (3, 4, 40, True), (3, 4, 16, False),
+    (3, 5, 10, True), (3, 5, 5, False),
+]
+
+
+@pytest.mark.parametrize("m,n,H,monic", COPRIME_SWEEP)
+def test_coprime_rule_matches_the_kernel_per_polygon(monkeypatch, m, n, H, monic):
+    # the total's plan for the split: the cut drops the inners with a right
+    # component of a proper divisor of n, and the kernel degrees left are
+    # the k < n with gcd(k, n) = 1
+    d = m * n
+    degrees = tuple(k for k in _inner_degrees(d) if k < n and gcd(k, n) == 1)
+    cut = tuple(e for e in _inner_degrees(d) if e < n and n % e == 0)
+    items = _h_candidates(m, n, H, monic, cut)
+    seen = {"line": 0, "nothing": 0, "kernel": 0}
+    candidates = {}
+    for h, sq in items:
+        rule = census._coprime_rule(h, m, degrees)
+        seen["kernel" if rule is None else "line" if rule else "nothing"] += 1
+        s = sq + (0,) * (d - 2 * n)
+        for P, prefix, lo, hi in census._walk_outer(h, sq, m, H, monic):
+            rows, first, final = polygon(P, h, s, lo, hi, H)
+            if first is None:
+                continue
+            if m == 2:
+                got = decomposable_on_span([first[0] * t for t in s], (h,), degrees, candidates)
+                kernel = final[1] - first[1] + 1 if got is None else sum(
+                    first[1] <= a <= final[1] for a, in got[0]
+                )
+            else:
+                got = decomposable_on_span(P, (sq, h), degrees, candidates)
+                kernel = (
+                    polygon_count(rows, first, final, H)
+                    if got is None else union_count(rows, first, final, H, *got)
+                )
+            if rule == ():  # no shape of Ritt's theorem: the kernel excludes nothing
+                assert kernel == 0, (h, prefix, first, final)
+            elif rule is not None:
+                assert census._line_away(rule, prefix, rows, first, final, H) == kernel
+    if 2 in degrees:  # every cubic h~ is odd
+        assert seen["line"] and (n > 3 or not seen["nothing"])
+    else:
+        assert seen["nothing"] and seen["kernel"] and not seen["line"]
+    # whole chunks: the per-inner rules against the kernel on every inner
+    args = (d, H, monic, (m, n), items, degrees, 10**12)
+    got = _run_chunk(args[:4] + (list(items),) + args[5:])
+    monkeypatch.setattr(census, "_coprime_rule", lambda h, m, degrees: None)
+    assert got == _run_chunk(args[:4] + (list(items),) + args[5:])
+
+
+def gamma_of(h):
+    """gamma = h(s), s = -b_(n-1)/(n L): the centre value of the k = 2 closed form."""
+    n = len(h) - 1
+    s = Fraction(-h[n - 1], n * h[n])
+    return sum(b * s**j for j, b in enumerate(h))
+
+
+def closed_form_excludes(h, g):
+    """Whether the k = 2 closed form excludes the one pair (g, h): the polygon
+    of the single point (a_2, a_1), one row, under the prefix a_m..a_3."""
+    m = len(g) - 1
+    rule = census._coprime_rule(h, m, (2,))
+    point = (g[2], g[1])
+    return bool(rule) and census._line_away(rule, list(g[:2:-1]), None, point, point, None) == 1
+
+
+@st.composite
+def odd_degree_inners(draw):
+    """h(0) = 0 of odd degree 3..9 and lead 1..4: random coefficients
+    |b| <= 20, or o(x - t) - o(-t) for an odd o, whose h~ is odd."""
+    n = draw(st.sampled_from([3, 5, 7, 9]), label="n")
+    L = draw(st.integers(1, 4), label="L")
+    if draw(st.booleans()):
+        return (0,) + tuple(draw(st.lists(st.integers(-20, 20), min_size=n - 1, max_size=n - 1))) + (L,)
+    o = [0] * n + [L]
+    for j in range(1, n, 2):
+        o[j] = draw(st.integers(-3, 3))
+    t = draw(st.integers(-2, 2), label="t")
+    return (0,) + compose(tuple(o), (-t, 1))[1:]
+
+
+@settings(max_examples=150, deadline=None)
+@given(odd_degree_inners(), st.integers(-30, 30).filter(bool), st.integers(-100, 100), st.booleans())
+@example((0, 0, 3, 1), 5, -20, False)  # h~ = x^3 - 3x, gamma = 2: a_1 = -4 a_2
+@example((0, 0, 1, 2), 27, -1, False)  # gamma = 1/54
+def test_closed_form_for_inner_degree_2_matches_decompose_split(h, a2, a1, aim):
+    # aim: a_2 a multiple of the denominator of 2 gamma, and a_1 next to the
+    # one a_1 = -2 gamma a_2 of its row
+    n = len(h) - 1
+    if aim:
+        a2 *= (2 * gamma_of(h)).denominator
+        a1 = int(-2 * gamma_of(h) * a2) + a1 % 3 - 1
+    f = compose((0, a1, a2), h)
+    assert closed_form_excludes(h, (0, a1, a2)) == (decompose_split(f, n, 2) is not None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    odd_degree_inners(), st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+    st.integers(0, 3), st.integers(-1, 1), st.booleans(),
+)
+def test_closed_form_at_outer_degree_4_matches_decompose_split(h, a, at, step, aim):
+    # aim: g = q^4 E(y - gamma) for an even E = e_4 z^4 + e_2 z^2, gamma = p/q, so
+    # that g(h) decomposes with an inner of degree 2; then one coefficient
+    # of g steps by -1, 0 or 1.  Otherwise g = a_4 y^4 + .. + a_1 y at random.
+    n = len(h) - 1
+    if aim:
+        gamma = gamma_of(h)
+        p, q = gamma.numerator, gamma.denominator
+        e4, e2 = a[0] or 1, a[1]
+        z = (-p, q)  # q y - p
+        g = add(tuple(e4 * c for c in poly_pow(z, 4)), tuple(e2 * q * q * c for c in poly_pow(z, 2)))
+        g = list(g)
+    else:
+        g = [0] + a
+        g[4] = g[4] or 1
+    g[1 + at] += step
+    assume(g[4])
+    g = (0,) + tuple(g[1:])
+    f = compose(g, h)
+    assert closed_form_excludes(h, g) == (decompose_split(f, 2 * n, 2) is not None)
+
+
+def chebyshev(n):
+    t0, t1 = (1,), (0, 1)
+    for _ in range(n - 1):
+        t0, t1 = t1, add(mul((0, 2), t1), tuple(-c for c in t0))
+    return t1
+
+
+def test_coprime_rule_examples():
+    def excluded(g, h, k):  # g(h) decomposes with an inner of degree k
+        return decompose_split(compose(g, h), (len(g) - 1) * (len(h) - 1) // k, k) is not None
+
+    # h = x^3 + 3x^2: h~ = x^3 - 3x and gamma = 2, so a row a_2 excludes a_1 = -4 a_2
+    h = (0, 0, 3, 1)
+    for a2 in range(-6, 7):
+        for a1 in range(-30, 31):
+            if a2:
+                assert excluded((0, a1, a2), h, 2) == (a1 == -4 * a2) == closed_form_excludes(h, (0, a1, a2))
+    # h = 2x^3 + x^2: gamma = 1/54, so only the rows 27 | a_2 exclude a point
+    h = (0, 0, 1, 2)
+    assert gamma_of(h) == Fraction(1, 54)
+    hits = {(a2, a1) for a2 in range(1, 61) for a1 in range(-5, 6) if excluded((0, a1, a2), h, 2)}
+    assert hits == {(27, -1), (54, -2)}
+    assert all(closed_form_excludes(h, (0, a1, a2)) == ((a2, a1) in hits)
+               for a2 in range(1, 61) for a1 in range(-5, 6))
+    # h = x^5 + x^2: h~ is not odd, and h excludes nothing
+    h = (0, 0, 1, 0, 0, 1)
+    assert census._coprime_rule(h, 2, (2,)) == ()
+    assert not any(excluded((0, a1, a2), h, 2) for a2 in range(-5, 6) if a2 for a1 in range(-9, 10))
+    # h = x^4 + x in (3,4): the power shape of k = 3 (exponents 4 and 1), so
+    # the kernel decides; at a_3 = 1 it excludes g = y^3 alone, (x^4 + x)^3 = x^3 (x^3 + 1)^3
+    h = (0, 1, 0, 0, 1)
+    assert census._coprime_rule(h, 3, (3,)) is None
+    assert {(a2, a1) for a2 in range(-6, 7) for a1 in range(-6, 7)
+            if excluded((0, a1, a2, 1), h, 3)} == {(0, 0)}
+    # h = 8x^4 - 8x^2 = T_4 - 1 and g = 4y^3 + 12y^2 + 9y + 1 = T_3(y + 1): f = T_12 =
+    # T_4(T_3), so the kernel must decide, by the Chebyshev shape alone
+    h, g = (0, 0, -8, 0, 8), (1, 9, 12, 4)
+    assert compose(g, h) == chebyshev(12)
+    assert h[2] and census._chebyshev_shape(list(h))  # x^2 breaks the power shape, 4 - 2 = 2 (mod 3)
+    assert census._coprime_rule(h, 3, (3,)) is None
+    assert excluded(g, h, 3)
 
 
 def test_budget_refusals():
