@@ -20,12 +20,12 @@ Two independent routes produce every count:
   (a_2, a_1), whose points lattice.polygon_count counts in closed form.
   The inners are cut by the top coefficients of f, and those of a split with
   outer degree 2 also by its low coefficients x^1, x^2 and x^n, which leave
-  b_1 a short window, and, when f is monic, by the one row of (a_2, a_1)
-  that is left; every cut is a proved necessary condition.  The walk builds
-  h^2 as it goes, one O(n) update per coefficient.  The inner x^n, whose
-  polynomials g(x^n) have the coefficients of g, is counted in closed form
-  wherever count_forward knows its exclusion (it proves the counts and
-  hands each split the rule).
+  b_1 a short window, and, when f is monic, by the one row a_2 = 1 that is
+  left, tested for each b_1 at its level; every cut is a proved necessary
+  condition.  The walk builds h^2 as it goes, one O(n) update per
+  coefficient.  The inner x^n, whose polynomials g(x^n) have the
+  coefficients of g, is counted in closed form wherever count_forward knows
+  its exclusion (it proves the counts and hands each split the rule).
   The walk takes one pair of each orbit of the sign symmetries
   sigma: f -> e f(-x) and, for non-monic f, tau: f -> -f: the sigma-canonical
   inners only, and the positive outer leads only when f is not monic.  Each
@@ -45,14 +45,15 @@ splits, less those whose polynomial also decomposes with one of the split's
 excluded inner degrees (_plan lists the plans, and count_forward proves
 them).  By Engstrom's theorem most of that is decided by the inner alone:
 the inner walk drops every h with a right component of an excluded degree
-dividing n, all of whose pairs are excluded, and the other inners need the
-exclusion test only for the excluded degrees k with gcd(k, n) not such a
-degree.  For a total those are the k with gcd(k, n) = 1, and by Ritt's
-second theorem an inner decides them once, from its shape alone
-(_coprime_rule): most inners exclude nothing, and for k = 2 the excluded
-pairs of a polygon are one line, counted in closed form.  Only the inners
-with a shape of some k >= 3, and the split of indecomp_pair, run the kernel
-decompose.decomposable_on_span once per polygon.  lattice.union_count
+dividing n, all of whose pairs are excluded (degree 2 by the even shape of
+the centred h, _centred), and the other inners need the exclusion test only
+for the excluded degrees k with gcd(k, n) not such a degree.  For a total
+those are the k with gcd(k, n) = 1, and by Ritt's second theorem an inner
+decides them once, from its shape alone (_coprime_rule): most inners exclude
+nothing, and for k = 2 the excluded pairs of a polygon are one line, counted
+in closed form.  Only the inners with a shape of some k >= 3, and the split
+of indecomp_pair, run the kernel decompose.decomposable_on_span once per
+polygon.  lattice.union_count
 counts what a line or the kernel excludes.  No variant stores a key.
 The budget bounds the witness pairs that a split walks and, up front
 (check_budget), the inner candidates that it tests.
@@ -262,8 +263,10 @@ def _h_candidates(
     H + slope*B in absolute value; B grows with |b_2|, so the B of the
     largest |b_2| of the level serves all of them.  A monic candidate has the
     one outer lead a_2 = 1, so its pairs are the single row
-    |[h^2]_j + a_1 h_j| <= H, j = 1..n, of lattice.polygon, and a candidate
-    whose row holds no a_1 is dropped at the leaf.  A dropped candidate
+    |[h^2]_j + a_1 h_j| <= H, j = 1..n, and a candidate whose row holds no
+    a_1 is dropped at level b_1: each t of the b_1 window is kept only if its
+    row, with h_1 = t and the square that put would make, holds an a_1
+    (_monic_row_holds), so a dead b_1 is never put.  A dropped candidate
     yields no pair, and every count is unchanged.  b_1 = 0 is never dropped
     by the window.
 
@@ -280,9 +283,19 @@ def _h_candidates(
     deg w = e in cut is dropped: count_forward excludes all of its pairs
     anyway.  The candidate right component of degree e of h reads only
     b_(n-1)..b_(n-e+1) (decompose._integer_candidate on h's monic
-    conjugate), so it is solved once per prefix, at level n-e+1, and
-    decomposable_on_span checks the digits at a leaf only below an integral
-    one.
+    conjugate), so it is solved once per prefix, at level n-e+1, and a leaf
+    is tested only below an integral one: a decomposable h has an integral
+    candidate (the decompose module docstring).  decomposable_on_span checks
+    the digits of e >= 3.  e = 2 takes no kernel call: with L = lead(h) and
+    s = -b_(n-1)/(nL), h = u(w) with deg w = 2 exactly when the centred
+    h~(x) = h(x + s) - h(s) is even (_even_shape).  If h = u(w), write
+    w = alpha (x - r)^2 + beta, so h = v((x - r)^2) with
+    v(y) = u(alpha y + beta) of degree n/2 and lead L; the lower terms of v
+    reach only x^(n-2), so b_(n-1) = -nLr from L (x - r)^n alone, r = s, and
+    h(x + s) = v(x^2) is even, as is h~.  Conversely, an even h~ is v(x^2),
+    and h = (v + h(s))((x - s)^2).  Both decompositions are over the complex
+    numbers, as is the kernel's verdict, so the shape test drops exactly the
+    h that the kernel drops.
     """
     out: List[Tuple[Poly, Poly]] = []
     b_max = _inner_height_bound(m, n, H)
@@ -292,7 +305,6 @@ def _h_candidates(
         decided.setdefault(n - e + 1, []).append(e)
     candidates: dict = {}
     bound = lru_cache(maxsize=None)(partial(_low_square_bound, H))  # by |b_2|
-    zero = (0,) * (n + 1)
 
     for L in leads:
         slope = m * L ** (m - 1)
@@ -302,8 +314,8 @@ def _h_candidates(
         sq[2 * n] = L * L
         rev = bs[::-1]  # the reversed top r: rev[i] = b_(n-i)
         hm = [L**m] + [0] * (n - 1)  # hm[i] = [r^m]_i = [h^m]_(mn-i), kept for m > 2
-        # live[j]: a candidate of a degree in cut that reads b_(n-1)..b_j is integral
-        live = [False] * (n + 1)
+        # live[j]: the degrees of cut whose candidate, read from b_(n-1)..b_j, is integral
+        live = [()] * (n + 1)
         values: list = [None] * n  # values[j]: the b_j still to visit
 
         def level(j: int):
@@ -337,6 +349,8 @@ def _h_candidates(
             ]
             if lo <= 0 <= hi:
                 insort(keep, 0)
+            if monic:
+                keep = [t for t in keep if _monic_row_holds(bs, sq, t, H)]
             return iter(keep)
 
         def put(j: int, t: int) -> None:
@@ -359,23 +373,44 @@ def _h_candidates(
             if t is None:
                 j += 1
                 continue
-            live[j] = live[j + 1] or j in decided and any(
-                _candidate(_monic_conjugate(tuple(bs)), n // e, e, candidates) is not None
-                for e in decided[j]
-            )
+            live[j] = live[j + 1]
+            if j in decided:
+                F = _monic_conjugate(tuple(bs))
+                live[j] += tuple(
+                    e for e in decided[j] if _candidate(F, n // e, e, candidates) is not None
+                )
             if j > 1:
                 j -= 1
                 values[j] = level(j)
                 continue
             # a leaf: the candidate b_(n-1)..b_1
-            if monic and m == 2 and polygon(zero, bs, sq, 1, 1, H)[1] is None:
-                continue  # the row a_2 = 1 holds no a_1
             if not monic and gcd(*bs) != 1:
                 continue
-            if live[1] and decomposable_on_span(tuple(bs), (), cut, candidates) is None:
+            if 2 in live[1] and _even_shape(bs):
+                continue
+            kernel = [e for e in live[1] if e != 2]
+            if kernel and decomposable_on_span(tuple(bs), (), kernel, candidates) is None:
                 continue
             out.append((tuple(bs), tuple(sq)))
     return out
+
+
+def _monic_row_holds(bs: Sequence[int], sq: Sequence[int], t: int, H: int) -> bool:
+    """Whether the row a_2 = 1 of the monic inner bs with b_1 = t holds an a_1.
+
+    bs and sq are the inner and its square with b_1 = 0, so [h^2]_2 = 0;
+    setting b_1 = t makes [h^2]_2 = t^2 and adds 2 t b_(j-1) to [h^2]_j for
+    j >= 3 (put).  The row is |[h^2]_j + a_1 h_j| <= H for j = 1..n, and
+    j = 1 reads |a_1 t| <= H.
+    """
+    n = len(bs) - 1
+    P = [0, 0, t * t] + [sq[j] + 2 * t * bs[j - 1] for j in range(3, n + 1)]
+    if t:
+        A = H // abs(t)
+        lo, hi = window_interval(P, bs, 2, n, H, -A, A)
+    else:
+        lo, hi = window_interval(P, bs, 2, n, H)
+    return lo <= hi
 
 
 def _power_step(r: Sequence[int], p: Sequence[int], m: int, k: int) -> int:
@@ -503,17 +538,7 @@ def _coprime_rule(h: Poly, m: int, degrees: Sequence[int]):
     makes the first non-zero one positive.
     """
     n = len(h) - 1
-    D = n * h[n]
-    b = h[n - 1]
-    c = list(h)  # b_j D^(n-j), the coefficients in y - b_(n-1), then in y
-    e = 1
-    for j in range(n - 1, -1, -1):
-        e *= D
-        c[j] *= e
-    if b:
-        for i in range(n):
-            for j in range(n - 1, i - 1, -1):
-                c[j] -= b * c[j + 1]
+    c, e = _centred(h)
     rule = ()
     for k in degrees:
         shaped = not any(c[j] for j in range(1, n) if (n - j) % k)
@@ -534,6 +559,31 @@ def _coprime_rule(h: Poly, m: int, degrees: Sequence[int]):
                 tail = [i * p ** (i - 1) * q ** (m - i) for i in range(m, 2, -1)]
             rule = (odd, tail, w2 // g, w1 // g, g)
     return rule
+
+
+def _centred(h: Sequence[int]) -> Tuple[List[int], int]:
+    """(c, D^n) for the integer polynomial c(y) = D^n h((y - b_(n-1))/D),
+    D = n lead(h), whose coefficients are those of the centred inner
+    h(x + s), s = -b_(n-1)/D, times D^(n-j) at x^j (_coprime_rule)."""
+    n = len(h) - 1
+    D = n * h[n]
+    b = h[n - 1]
+    c = list(h)  # b_j D^(n-j), the coefficients in y - b_(n-1), then in y
+    e = 1
+    for j in range(n - 1, -1, -1):
+        e *= D
+        c[j] *= e
+    if b:
+        for i in range(n):
+            for j in range(n - 1, i - 1, -1):
+                c[j] -= b * c[j + 1]
+    return c, e
+
+
+def _even_shape(h: Sequence[int]) -> bool:
+    """Whether h, of even degree, is u(w) with deg w = 2: the odd coefficients
+    of _centred(h) vanish (_h_candidates proves it)."""
+    return not any(_centred(h)[0][1::2])
 
 
 def _chebyshev_shape(c: Sequence[int]) -> bool:
@@ -631,7 +681,8 @@ def _run_chunk(args, limit=None):
     indecomp_pair excludes only when m >= 4 (l < n' <= d/2 with l | n' needs
     d/l >= 4), and then d - n' >= d/2 >= 2n.  For m = 2 the polygon is one
     row, the line a_2 h^2 + a_1 h, and h alone moves (d - n' > n).  The
-    candidate inners are memoized per chunk.
+    candidate inners are memoized per chunk.  _one_row reads that row's
+    a_1 window, and m >= 3 builds its polygon.
 
     Uniqueness re-check, with no key stored.  A block is one inner h with one
     outer lead a_m, and a chunk walks whole inners, so whole blocks.  The
@@ -675,12 +726,15 @@ def _run_chunk(args, limit=None):
         last = -1  # the largest key emitted so far in the current block
         for P, prefix, lo, hi in _walk_outer(h, sq, m, H, monic):
             polygons += 1
-            rows, first, final = polygon(P, h, s, lo, hi, H)
+            if m == 2:
+                rows, first, final = _one_row(h, sq, lo, H)
+            else:
+                rows, first, final = polygon(P, h, s, lo, hi, H)
             if first is None:
                 continue
             count = polygon_count(rows, first, final, H)
             lead = prefix[0] if prefix else first[0]
-            key0 = key_h + sum(map(times, P, bp))
+            key0 = key_h + sum(map(times, P, bp)) if m > 2 else key_h  # P = 0 at m = 2
             key = key0 + first[0] * skf + first[1] * hkf
             if lead != block:
                 # first polygon of a new block
@@ -712,6 +766,17 @@ def _run_chunk(args, limit=None):
                 raise _pairs_budget_error(budget, m, n, H)
     del items[:walked]
     return pairs, 0, None, away, tops
+
+
+def _one_row(h: Poly, sq: Poly, a2: int, H: int):
+    """lattice.polygon's (rows, first, last) for the one row a_2 of a split
+    (2, n), whose P is 0, with rows None: its a_1 window is one
+    window_interval over (a_2 [h^2]_j, h_j), j = 1..n."""
+    n = len(h) - 1
+    lo1, hi1 = window_interval([a2 * t for t in sq[: n + 1]], h, 1, n, H)
+    if lo1 > hi1:
+        return None, None, None
+    return None, (a2, lo1), (a2, hi1)
 
 
 def _check_pieces(m: int, n: int, H: int, chunks) -> None:

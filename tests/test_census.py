@@ -1476,6 +1476,94 @@ def test_low_coefficient_cut_drops_only_dead_inners(case):
     assert len(forward_key_set(d, H, monic, (2, n))) == pairs
 
 
+@st.composite
+def even_degree_inners(draw):
+    """h(0) = 0 of even degree 2..12, monic or not: random coefficients, a
+    composition u(l x^2 + k x) with u(0) = 0 (so h = u(w), deg w = 2, whose
+    centre -k/(2l) need not be an integer), or such a composition with one
+    coefficient below the lead moved by 1 or 2."""
+    n = draw(st.sampled_from([2, 4, 6, 8, 10, 12]), label="n")
+    monic = draw(st.booleans(), label="monic")
+    kind = draw(st.sampled_from(["random", "composed", "near-miss"]), label="kind")
+    if kind == "random":
+        L = 1 if monic else draw(st.integers(1, 4))
+        return (0,) + tuple(draw(st.lists(st.integers(-20, 20), min_size=n - 1, max_size=n - 1))) + (L,)
+    ell = 1 if monic else draw(st.integers(1, 3))
+    k = draw(st.integers(-6, 6))
+    u = draw(st.lists(st.integers(-5, 5), min_size=n // 2 - 1, max_size=n // 2 - 1))
+    h = compose((0, *u, 1 if monic else draw(st.integers(1, 3))), (0, k, ell))
+    if kind == "near-miss":
+        j = draw(st.integers(1, n - 1))
+        h = h[:j] + (h[j] + draw(st.sampled_from([-2, -1, 1, 2])),) + h[j + 1 :]
+    return h
+
+
+@settings(max_examples=400, deadline=None)
+@given(even_degree_inners())
+@example((0, 0, 1, 2, 1))  # (x^2 + x)^2
+@example((0, 0, 1, 4, 4))  # (2x^2 + x)^2, centre -1/4
+@example((0, 1, 1, 4, 4))  # one coefficient off it
+@example((0, 3, 2))  # n = 2: every quadratic is u(w) with deg w = 2
+def test_even_shape_matches_the_kernel(h):
+    # the inner walk's e = 2 cut against decompose's kernel on h alone
+    assert census._even_shape(h) == (decomposable_on_span(h, (), (2,)) is None)
+
+
+@pytest.mark.parametrize(
+    "n,heights", [(4, (2, 9, 35)), (5, (2, 5, 9)), (6, (2, 4, 6)), (8, (2, 3))]
+)
+def test_monic_row_at_level_b1_matches_polygon(n, heights):
+    # every b_1 of the top-coefficient window under every prefix: the level
+    # keeps t exactly when lattice.polygon finds a point on the row a_2 = 1
+    zero = (0,) * (n + 1)
+    for H in heights:
+        seen = set()
+        for h in unpruned_h_candidates(2, n, H, True):
+            h0 = (0, 0) + h[2:]
+            kept = census._monic_row_holds(h0, mul(h0, h0), h[1], H)
+            assert kept == (polygon(zero, h, mul(h, h), 1, 1, H)[1] is not None), (h, H)
+            seen.add(kept)
+        assert seen == {True, False}
+
+
+@pytest.mark.parametrize(
+    "n,H,monic",
+    [(2, 20, True), (2, 20, False), (3, 12, True), (3, 12, False), (4, 8, True),
+     (4, 8, False), (5, 4, True), (6, 3, False)],
+)
+def test_one_row_matches_polygon(n, H, monic):
+    # the m = 2 chunk row against lattice.polygon, at every walked lead and
+    # at leads off the window
+    zero = (0,) * (2 * n + 1)
+    seen = set()
+    for h, sq in _h_candidates(2, n, H, monic):
+        walked = [lo for _, _, lo, _ in census._walk_outer(h, sq, 2, H, monic)]
+        for a2 in walked + list(range(-H - 1, H + 2)):
+            got = census._one_row(h, sq, a2, H)
+            assert got[1:] == polygon(zero, h, sq, a2, a2, H)[1:], (h, a2)
+            seen.add(got[1] is None)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("n,H,cut", [(4, 35, (2,)), (6, 6, (2, 3)), (8, 3, (2, 4))])
+def test_monic_leaves_build_no_polygon_and_no_degree_2_kernel(monkeypatch, n, H, cut):
+    # the row a_2 = 1 is decided at level b_1 and e = 2 by the even shape:
+    # no lattice.polygon call, and no kernel call for the degree 2
+    real = census.decomposable_on_span
+    degrees = []
+
+    def kernel(f0, directions, inner_degrees, candidates=None):
+        degrees.append(tuple(inner_degrees))
+        return real(f0, directions, inner_degrees, candidates)
+
+    monkeypatch.setattr(census, "polygon", lambda *args: pytest.fail("polygon at a leaf"))
+    monkeypatch.setattr(census, "decomposable_on_span", kernel)
+    kept = _h_candidates(2, n, H, True, cut)
+    monkeypatch.undo()
+    assert kept == _h_candidates(2, n, H, True, cut)
+    assert all(2 not in d for d in degrees) and bool(degrees) == (max(cut) > 2)
+
+
 def test_iter_decompositions_matches_counts():
     pairs = list(iter_decompositions(4, 5, True, (2, 2)))
     fs = {compose(g, h) for g, h in pairs}
