@@ -17,13 +17,14 @@ Two independent routes produce every count:
   monic in the monic regime) inside a provably sufficient height box, then
   backtracking over the outer coefficients a_m..a_3 with exact
   final-coefficient pruning.  Each prefix leaves a lattice polygon of
-  (a_2, a_1), whose points lattice.polygon_count counts in closed form.
+  (a_2, a_1), which _walk_outer builds and yields when it holds a point,
+  and whose points lattice.polygon_count counts in closed form.
   The inners are cut by the top coefficients of f, and those of a split with
   outer degree 2 also by its low coefficients x^1, x^2 and x^n, which leave
   b_1 a short window, and, when f is monic, by the one row a_2 = 1 that is
-  left, tested for each b_1 at its level; every cut is a proved necessary
-  condition.  The walk builds h^2 as it goes, one O(n) update per
-  coefficient.  The inner x^n, whose polynomials g(x^n) have the
+  left, tested at the leaf; every cut is a proved necessary condition.
+  The walk builds h^2 as it goes, one O(n) update per coefficient.  The
+  inner x^n, whose polynomials g(x^n) have the
   coefficients of g, is counted in closed form wherever count_forward knows
   its exclusion (it proves the counts and hands each split the rule).
   The walk takes one pair of each orbit of the sign symmetries
@@ -38,9 +39,9 @@ witness is unique per polynomial, which every enumeration re-verifies
 without storing a key per pair: the packed coefficient vectors strictly
 increase within a block (one inner h with one outer lead), one comparison
 per polygon, and distinct blocks have distinct top coefficients.  A split
-runs in the calling process until it has walked _POOL_AFTER polygons; the
-whole inners it leaves go in batches to a pool that the query starts once,
-when a split first needs it.  Each variant sums the pairs of a plan of
+runs in the calling process until it has walked _POOL_AFTER non-empty
+polygons; the whole inners it leaves go in batches to a pool that the query
+starts once, when a split first needs it.  Each variant sums the pairs of a plan of
 splits, less those whose polynomial also decomposes with one of the split's
 excluded inner degrees (_plan lists the plans, and count_forward proves
 them).  By Engstrom's theorem most of that is decided by the inner alone:
@@ -99,12 +100,12 @@ poly_pow = poly_core.poly_pow
 DEFAULT_SET_BUDGET = 200_000_000   # witness pairs per split
 DEFAULT_ORACLE_BUDGET = 3_000_000  # brute-force box size
 _INT64_LIMIT = 1 << 62  # oracle rows bounded below this evaluate in int64
-# Polygons the calling process walks in a split before it hands the split's
-# other inners to the query's pool.  Starting a pool of two forked workers,
-# running one task on each and shutting it down took 12-16 ms on 2 cores
-# (Python 3.11.7), about 10^3 polygons at the walk's ~10^5 polygons/s, so a
-# split below this never forks, and one above it has already done about as
-# much work as the pool costs.
+# Non-empty polygons the calling process walks in a split before it hands the
+# split's other inners to the query's pool.  Starting a pool of two forked
+# workers, running one task on each and shutting it down took 12-16 ms on
+# 2 cores (Python 3.11.7), about 10^3 polygons at the walk's ~10^5 polygons/s,
+# so a split below this never forks, and one above it has already done about
+# as much work as the pool costs.
 _POOL_AFTER = 1000
 _BATCHES_PER_WORKER = 8  # batches the pool hands out as its workers free up
 
@@ -264,11 +265,9 @@ def _h_candidates(
     largest |b_2| of the level serves all of them.  A monic candidate has the
     one outer lead a_2 = 1, so its pairs are the single row
     |[h^2]_j + a_1 h_j| <= H, j = 1..n, and a candidate whose row holds no
-    a_1 is dropped at level b_1: each t of the b_1 window is kept only if its
-    row, with h_1 = t and the square that put would make, holds an a_1
-    (_monic_row_holds), so a dead b_1 is never put.  A dropped candidate
-    yields no pair, and every count is unchanged.  b_1 = 0 is never dropped
-    by the window.
+    a_1 is dropped at its leaf, by _one_row.  A dropped candidate yields no
+    pair, and every count is unchanged.  b_1 = 0 is never dropped by the
+    window.
 
     Only sigma-canonical inners are walked: those whose first non-zero b_j
     with n - j odd, from b_(n-1) down, is positive, or which have none (sigma
@@ -349,8 +348,6 @@ def _h_candidates(
             ]
             if lo <= 0 <= hi:
                 insort(keep, 0)
-            if monic:
-                keep = [t for t in keep if _monic_row_holds(bs, sq, t, H)]
             return iter(keep)
 
         def put(j: int, t: int) -> None:
@@ -384,6 +381,8 @@ def _h_candidates(
                 values[j] = level(j)
                 continue
             # a leaf: the candidate b_(n-1)..b_1
+            if monic and m == 2 and _one_row(bs, sq, 1, H)[1] is None:
+                continue  # the one row a_2 = 1 holds no a_1
             if not monic and gcd(*bs) != 1:
                 continue
             if 2 in live[1] and _even_shape(bs):
@@ -393,24 +392,6 @@ def _h_candidates(
                 continue
             out.append((tuple(bs), tuple(sq)))
     return out
-
-
-def _monic_row_holds(bs: Sequence[int], sq: Sequence[int], t: int, H: int) -> bool:
-    """Whether the row a_2 = 1 of the monic inner bs with b_1 = t holds an a_1.
-
-    bs and sq are the inner and its square with b_1 = 0, so [h^2]_2 = 0;
-    setting b_1 = t makes [h^2]_2 = t^2 and adds 2 t b_(j-1) to [h^2]_j for
-    j >= 3 (put).  The row is |[h^2]_j + a_1 h_j| <= H for j = 1..n, and
-    j = 1 reads |a_1 t| <= H.
-    """
-    n = len(bs) - 1
-    P = [0, 0, t * t] + [sq[j] + 2 * t * bs[j - 1] for j in range(3, n + 1)]
-    if t:
-        A = H // abs(t)
-        lo, hi = window_interval(P, bs, 2, n, H, -A, A)
-    else:
-        lo, hi = window_interval(P, bs, 2, n, H)
-    return lo <= hi
 
 
 def _power_step(r: Sequence[int], p: Sequence[int], m: int, k: int) -> int:
@@ -456,8 +437,9 @@ def _pairs_budget_error(budget: int, m: int, n: int, H: int) -> BudgetError:
 
 def _walk_outer(
     h: Poly, sq: Poly, m: int, H: int, monic: bool
-) -> Iterator[Tuple[List[int], List[int], int, int]]:
-    """Yield (P, prefix, lo, hi) for every polygon of one inner h, in order.
+) -> Iterator[tuple]:
+    """Yield (P, prefix, rows, first, last) for every polygon of one inner h
+    that holds a point, built, in order.
 
     sq is h^2, and the walk multiplies out h^3..h^m, which only it reads.
     One odometer runs a_m..a_3 in lexicographic order.  Every window comes
@@ -470,12 +452,13 @@ def _walk_outer(
     Each range reaches x^(kn) of h^k, whose coefficient is L^k != 0
     (L = lead(h)), so every window is a finite integer interval.  A
     polygon fixes prefix = [a_m, .., a_3], and P[j] is the x^j coefficient
-    of (a_3 x^3 + .. + a_m x^m)(h); [lo, hi] is the a_2 window clipped by
-    x^(n+1)..x^(2n), the last coefficients a_2 reaches.  Its polynomials
-    are P + a_2 h^2 + a_1 h for the (a_2, a_1) of lattice.polygon.  For
-    m = 2 the lead is a_2: prefix is empty, P is 0 and lo = hi = a_2, one
-    row per lead.  P and prefix are the walk's own lists: they hold until
-    the next polygon is drawn, and the caller must not modify them.
+    of (a_3 x^3 + .. + a_m x^m)(h).  lattice.polygon builds it over the a_2
+    window clipped by x^(n+1)..x^(2n), the last coefficients a_2 reaches,
+    as (rows, first, last), and its polynomials are P + a_2 h^2 + a_1 h for
+    its points (a_2, a_1).  For m = 2 the lead is a_2: prefix is empty, P
+    is 0 and each lead is one row, built by _one_row with rows None.
+    P and prefix are the walk's own lists: they hold until the
+    next polygon is drawn, and the caller must not modify them.
     """
     n = len(h) - 1
     d = m * n
@@ -491,7 +474,9 @@ def _walk_outer(
         leads = range(max(lo_a, 1), hi_a + 1)  # tau: the leads -a are counted, not walked
     if m == 2:
         for a in leads:
-            yield P, prefix, a, a
+            rows, first, last = _one_row(h, sq, a, H)
+            if first is not None:
+                yield P, prefix, rows, first, last
         return
     values: list = [None] * (m + 1)  # values[k]: the a_k still to visit
     k = m
@@ -514,7 +499,20 @@ def _walk_outer(
             k -= 1
             values[k] = iter(range(lo, hi + 1))
         elif lo <= hi:
-            yield P, prefix, lo, hi
+            rows, first, last = polygon(P, h, sq, lo, hi, H)
+            if first is not None:
+                yield P, prefix, rows, first, last
+
+
+def _one_row(h: Poly, sq: Poly, a2: int, H: int):
+    """lattice.polygon's (rows, first, last) for the one row a_2 of a split
+    (2, n), whose P is 0, with rows None: its a_1 window is one
+    window_interval over (a_2 [h^2]_j, h_j), j = 1..n."""
+    n = len(h) - 1
+    lo1, hi1 = window_interval(sq if a2 == 1 else [a2 * t for t in sq[: n + 1]], h, 1, n, H)
+    if lo1 > hi1:
+        return None, None, None
+    return None, (a2, lo1), (a2, hi1)
 
 
 def _coprime_rule(h: Poly, m: int, degrees: Sequence[int]):
@@ -645,14 +643,14 @@ def _start_pool(k: int):
 
 def _run_chunk(args, limit=None):
     """Enumerate outer polynomials for one chunk of inners, in one loop over
-    the polygons that _walk_outer yields.
+    the built, non-empty polygons that _walk_outer yields.
 
     args is (d, H, monic, (m, n), items, excluded, budget); each item
     (h, sq) is an inner candidate h with sq = h^2, walked whole.  The chunk
     consumes what it walks: it deletes from the list items the inners that
     it walked, all of them without limit.  With limit, it stops before the
-    first inner that it reaches after it has walked limit polygons, so the
-    inners it leaves in items are those still to walk.
+    first inner that it reaches after it has walked limit polygons (each
+    with a point), so the inners it leaves in items are those still to walk.
 
     Returns (pairs, 0, None, away, tops):
       pairs    -- witness pairs completed (equals distinct polynomials)
@@ -668,21 +666,23 @@ def _run_chunk(args, limit=None):
     when h has a non-zero b_j with n - j odd (sigma(h) != h), times 2 when
     f is not monic (tau).  pairs and the budget are in true pairs.  When
     excluded is not empty, each inner's exclusion is decided once, at its
-    first polygon with a point.  If every excluded degree k divides d and
-    has gcd(k, n) = 1, as in every kernel of a total, _coprime_rule decides
+    first polygon.  If every excluded degree k divides d and has
+    gcd(k, n) = 1, as in every kernel of a total, _coprime_rule decides
     it by Ritt's second theorem (count_forward proves it): nothing, or the
     k = 2 line that _line_away counts per polygon in closed form, or the
     kernel.  The kernel, and every other excluded set, takes one
     decomposable_on_span call per polygon, which decides the exclusion for
-    all of its points, and union_count counts the excluded ones.  For m >= 3
-    the polygon is the plane P + a_2 h^2 + a_1 h, and h^2 and h stay below the
+    all of its points, and union_count counts the excluded ones.  The
+    kernel never runs for m = 2: in a total's (2, n) split the kernel
+    degrees k divide 2n, are below n and are coprime to n, so the only one
+    is k = 2 with n odd, which _coprime_rule always decides, and an
+    indecomp_pair with m = 2 excludes nothing.  For m >= 3 the polygon is
+    the plane P + a_2 h^2 + a_1 h, and h^2 and h stay below the
     coefficients x^(d-n'+1)..x^(d-1) that fix the candidate inner of every
     excluded n': a total excludes n' < n, so d - n' > (m-1)n >= 2n, and an
     indecomp_pair excludes only when m >= 4 (l < n' <= d/2 with l | n' needs
-    d/l >= 4), and then d - n' >= d/2 >= 2n.  For m = 2 the polygon is one
-    row, the line a_2 h^2 + a_1 h, and h alone moves (d - n' > n).  The
-    candidate inners are memoized per chunk.  _one_row reads that row's
-    a_1 window, and m >= 3 builds its polygon.
+    d/l >= 4), and then d - n' >= d/2 >= 2n.  The candidate inners are
+    memoized per chunk.
 
     Uniqueness re-check, with no key stored.  A block is one inner h with one
     outer lead a_m, and a chunk walks whole inners, so whole blocks.  The
@@ -721,17 +721,11 @@ def _run_chunk(args, limit=None):
         s = sq + (0,) * (d - 2 * n)
         hkf = sum(map(times, h, bp))
         skf = sum(map(times, s, bp))
-        rule = False  # the inner's exclusion rule, decided at its first polygon with a point
+        rule = False  # the inner's exclusion rule, decided at its first polygon
         block = None  # the outer lead of the current block
         last = -1  # the largest key emitted so far in the current block
-        for P, prefix, lo, hi in _walk_outer(h, sq, m, H, monic):
+        for P, prefix, rows, first, final in _walk_outer(h, sq, m, H, monic):
             polygons += 1
-            if m == 2:
-                rows, first, final = _one_row(h, sq, lo, H)
-            else:
-                rows, first, final = polygon(P, h, s, lo, hi, H)
-            if first is None:
-                continue
             count = polygon_count(rows, first, final, H)
             lead = prefix[0] if prefix else first[0]
             key0 = key_h + sum(map(times, P, bp)) if m > 2 else key_h  # P = 0 at m = 2
@@ -750,33 +744,13 @@ def _run_chunk(args, limit=None):
             if rule:
                 away += w * _line_away(rule, prefix, rows, first, final, H)
             elif rule is None:
-                if m == 2:  # one row, whose lead a_2 reaches the candidates
-                    row = [first[0] * t for t in s]
-                    got = decomposable_on_span(row, (h,), excluded, candidates)
-                    away += w * (count if got is None else sum(
-                        first[1] <= a <= final[1] for a, in got[0]
-                    ))
-                else:
-                    got = decomposable_on_span(P, (sq, h), excluded, candidates)
-                    away += w * (
-                        count if got is None else union_count(rows, first, final, H, *got)
-                    )
+                got = decomposable_on_span(P, (sq, h), excluded, candidates)
+                away += w * (count if got is None else union_count(rows, first, final, H, *got))
             pairs += w * count
             if pairs > budget:
                 raise _pairs_budget_error(budget, m, n, H)
     del items[:walked]
     return pairs, 0, None, away, tops
-
-
-def _one_row(h: Poly, sq: Poly, a2: int, H: int):
-    """lattice.polygon's (rows, first, last) for the one row a_2 of a split
-    (2, n), whose P is 0, with rows None: its a_1 window is one
-    window_interval over (a_2 [h^2]_j, h_j), j = 1..n."""
-    n = len(h) - 1
-    lo1, hi1 = window_interval([a2 * t for t in sq[: n + 1]], h, 1, n, H)
-    if lo1 > hi1:
-        return None, None, None
-    return None, (a2, lo1), (a2, hi1)
 
 
 def _check_pieces(m: int, n: int, H: int, chunks) -> None:
@@ -797,8 +771,8 @@ def _check_pieces(m: int, n: int, H: int, chunks) -> None:
 
 
 def _run_split(d, H, monic, split, workers, excluded, budget, *, pool, power_away):
-    """Enumerate one split, in process and, past _POOL_AFTER polygons, on the
-    query's pool; merge the chunk results.
+    """Enumerate one split, in process and, past _POOL_AFTER non-empty
+    polygons, on the query's pool; merge the chunk results.
 
     power_away is the plan's rule for the inner x^n (count_forward decides
     it): None walks x^n with the other inners, and an int counts its first
@@ -809,9 +783,9 @@ def _run_split(d, H, monic, split, workers, excluded, budget, *, pool, power_awa
     The calling process walks the inners in order with one _run_chunk call,
     which consumes them: all of them when k = min(workers, os.cpu_count())
     is below 2, and otherwise those up to the first inner boundary past
-    _POOL_AFTER polygons.  The inners it leaves are cut into at most
-    k * _BATCHES_PER_WORKER runs (_batches) for the query's pool, whose k
-    processes take them as they free up.  pool is the query's list that
+    _POOL_AFTER non-empty polygons.  The inners it leaves are cut into at
+    most k * _BATCHES_PER_WORKER runs (_batches) for the query's pool, whose
+    k processes take them as they free up.  pool is the query's list that
     holds that pool once the first split that needs it has started it
     (_start_pool).  Every count is a sum over the inners, so where they run
     never changes it.
@@ -937,8 +911,8 @@ def count_forward(q: CountQuery, workers: int = 1, budget: Optional[int] = None)
     The count is exact and independent of the worker count.  With
     min(workers, os.cpu_count()) = k >= 2, the query has at most one pool of
     k processes, started by the first split that walks more than
-    _POOL_AFTER polygons (_run_split); it is shut down, its pending batches
-    cancelled, before count_forward returns or raises.  Prime degrees
+    _POOL_AFTER non-empty polygons (_run_split); it is shut down, its
+    pending batches cancelled, before count_forward returns or raises.  Prime degrees
     return 0 immediately, and check_budget runs before the splits are
     listed.  Each variant is a plan (_plan) of (split, excluded inner
     degrees n' | d) and counts 2H+1 times the pairs of its splits whose
@@ -1072,20 +1046,20 @@ def iter_decompositions(
 ) -> Iterator[Tuple[Poly, Poly]]:
     """Yield every enumerated witness pair (g, h) for one split.
 
-    The pairs come polygon by polygon as _walk_outer yields them, each
+    The pairs come polygon by polygon as _walk_outer builds them, each
     polygon row by row (a_2 rising, then a_1 rising); a polygon is built
-    only when its pairs are drawn.  Each walked pair is followed by the
-    pairs that count_forward counts with it (_orbit), so every pair of the
-    split comes exactly once.  The outer polynomial
+    only when the pairs before it have been drawn.  Each walked pair is
+    followed by the pairs that count_forward counts with it (_orbit), so
+    every pair of the split comes exactly once.  The outer polynomial
     is produced with constant term 0; the full family per pair ranges over
     all constants in [-H, H].  Intended for inequality sweeps and tests,
     not for counting.
     """
     m, n = split
     for h, sq in _h_candidates(m, n, H, monic):
-        for P, prefix, lo, hi in _walk_outer(h, sq, m, H, monic):
+        for P, prefix, rows, first, last in _walk_outer(h, sq, m, H, monic):
             tail = tuple(reversed(prefix))
-            for a2, lo1, hi1 in polygon_rows(*polygon(P, h, sq, lo, hi, H), H):
+            for a2, lo1, hi1 in polygon_rows(rows, first, last, H):
                 for a in range(lo1, hi1 + 1):
                     yield from _orbit((0, a, a2) + tail, h, monic)
 

@@ -113,8 +113,15 @@ def row_window(rows, a2: int, H: int) -> Tuple[int, int]:
 
 
 def polygon_rows(rows, first, last, H: int) -> Iterator[Tuple[int, int, int]]:
-    """Yield (a_2, lo_1, hi_1) for every non-empty row of a polygon, a_2 rising."""
+    """Yield (a_2, lo_1, hi_1) for every non-empty row of a polygon, a_2 rising.
+
+    A polygon of one row is read from first and last alone, as in
+    polygon_count, so its rows may be None.
+    """
     if first is None:
+        return
+    if first[0] == last[0]:
+        yield first[0], first[1], last[1]
         return
     for a2 in range(first[0], last[0] + 1):
         lo1, hi1 = row_window(rows, a2, H)

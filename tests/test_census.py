@@ -37,7 +37,9 @@ from polycensus.decompose import (
     decompose_split,
     is_decomposable,
 )
-from polycensus.lattice import polygon, polygon_count, polygon_rows, union_count, window_interval
+from polycensus.lattice import (
+    polygon, polygon_count, polygon_rows, row_window, union_count, window_interval,
+)
 from polycensus.poly_core import add, compose, height, mul, poly_pow
 
 
@@ -114,8 +116,8 @@ def test_outer_windows_are_exact_at_any_height():
     h = (0, 0, 1)
     sq = mul(h, h)
     polygons = [
-        (prefix[:], lo, hi, polygon_count(*polygon(P, h, sq, lo, hi, H), H))
-        for P, prefix, lo, hi in census._walk_outer(h, sq, 3, H, True)
+        (prefix[:], first[0], last[0], polygon_count(rows, first, last, H))
+        for P, prefix, rows, first, last in census._walk_outer(h, sq, 3, H, True)
     ]
     assert polygons == [([1], -H, H, (2 * H + 1) ** 2)]
 
@@ -692,9 +694,9 @@ def test_pieces_cut_the_walk_exactly(m, n, H, monic):
 
     def walked(items):
         return [
-            (h, tuple(P), tuple(prefix), lo, hi)
+            (h, tuple(P), tuple(prefix), first, last)
             for h, sq in items
-            for P, prefix, lo, hi in census._walk_outer(h, sq, m, H, monic)
+            for P, prefix, rows, first, last in census._walk_outer(h, sq, m, H, monic)
         ]
 
     whole = walked(inners)
@@ -852,20 +854,20 @@ def test_uniqueness_recheck_catches_keys_out_of_order(monkeypatch):
 @pytest.mark.parametrize("split,last_row", [((3, 2), False), ((2, 3), False), ((3, 2), True)])
 def test_uniqueness_recheck_catches_a_repeated_polygon(monkeypatch, split, last_row):
     # every polygon is yielded again right after itself, whole or (last_row,
-    # windows of several a_2 only) just its last a_2, so the copy lies in the
+    # polygons of several a_2 only) just its last row, so the copy lies in the
     # same block with the same top coefficients; only the per-polygon key
     # comparison sees it (at m = 2 each polygon is a whole block).  A last
     # row starts above the polygon's first key, so the comparison must be
     # with the last key.
     real = census._walk_outer
 
-    def again(*args):
-        for P, prefix, lo, hi in real(*args):
-            yield P, prefix, lo, hi
+    def again(h, sq, m, H, monic):
+        for P, prefix, rows, first, last in real(h, sq, m, H, monic):
+            yield P, prefix, rows, first, last
             if not last_row:
-                yield P, prefix, lo, hi
-            elif lo < hi:
-                yield P, prefix, hi, hi
+                yield P, prefix, rows, first, last
+            elif first[0] < last[0]:
+                yield P, prefix, rows, (last[0], row_window(rows, last[0], H)[0]), last
 
     monkeypatch.setattr(census, "_walk_outer", again)
     with pytest.raises(RuntimeError, match="not increasing"):
@@ -906,18 +908,23 @@ def test_two_inner_degrees_counted_once():
     assert key in forward_key_set(d, H, True, (4, 2))
     assert key in forward_key_set(d, H, True, (2, 4))
     polygons = [
-        (tuple(P), prefix[:], lo, hi)
-        for P, prefix, lo, hi in census._walk_outer(h, mul(h, h), 2, H, True)
+        (tuple(P), prefix[:], rows, first, last)
+        for P, prefix, rows, first, last in census._walk_outer(h, mul(h, h), 2, H, True)
     ]
     # m = 2: the monic lead a_2 = 1 is the only polygon, a single row over P = 0
-    [(P, prefix, lo2, hi2)] = polygons
-    assert prefix == [] and lo2 == hi2 == 1 and not any(P)
-    [(a2, lo, hi)] = polygon_rows(*polygon(P, h, mul(h, h), lo2, hi2, H), H)
+    [(P, prefix, rows, first, last)] = polygons
+    assert prefix == [] and first[0] == last[0] == 1 and not any(P) and rows is None
+    assert (first, last) == polygon(P, h, mul(h, h), 1, 1, H)[1:]
+    [(a2, lo, hi)] = polygon_rows(rows, first, last, H)
     assert a2 == 1 and lo <= 0 <= hi and mul(h, h) == f
     assert decomposable_on_span(f, (h,), (2,)) is None
-    pairs, _, _, away, _ = _run_chunk((d, H, True, (2, 4), [(h, mul(h, h))], (2,), 10**9))
+    pairs, _, _, away, _ = _run_chunk((d, H, True, (2, 4), [(h, mul(h, h))], (), 10**9))
     # a_2 = 1 is the only row of this h, counted with that of sigma(h) = (x^2-x)^2
-    assert pairs == away == 2 * (hi - lo + 1)
+    assert pairs == 2 * (hi - lo + 1) and away == 0
+    # the total's (2, 4) split excludes the degree 2, which cuts h from the
+    # inner walk, so all of its pairs are attributed away
+    assert h in [c for c, _ in _h_candidates(2, 4, H, True)]
+    assert h not in [c for c, _ in _h_candidates(2, 4, H, True, (2,))]
     count = count_forward(CountQuery(d, H, True, "total")).count
     assert count == (2 * H + 1) * len(union_key_set(d, H, True))
 
@@ -969,15 +976,14 @@ def test_coprime_rule_matches_the_kernel_per_polygon(monkeypatch, m, n, H, monic
     items = _h_candidates(m, n, H, monic, cut)
     seen = {"line": 0, "nothing": 0, "kernel": 0}
     candidates = {}
+    away = 0  # the kernel's exclusions, with the orbit weights of _run_chunk
     for h, sq in items:
         rule = census._coprime_rule(h, m, degrees)
         seen["kernel" if rule is None else "line" if rule else "nothing"] += 1
         s = sq + (0,) * (d - 2 * n)
-        for P, prefix, lo, hi in census._walk_outer(h, sq, m, H, monic):
-            rows, first, final = polygon(P, h, s, lo, hi, H)
-            if first is None:
-                continue
-            if m == 2:
+        w = (2 if any(h[n - 1 :: -2]) else 1) * (1 if monic else 2)
+        for P, prefix, rows, first, final in census._walk_outer(h, sq, m, H, monic):
+            if m == 2:  # one row, whose lead a_2 reaches the candidates
                 got = decomposable_on_span([first[0] * t for t in s], (h,), degrees, candidates)
                 kernel = final[1] - first[1] + 1 if got is None else sum(
                     first[1] <= a <= final[1] for a, in got[0]
@@ -992,6 +998,7 @@ def test_coprime_rule_matches_the_kernel_per_polygon(monkeypatch, m, n, H, monic
                 assert kernel == 0, (h, prefix, first, final)
             elif rule is not None:
                 assert census._line_away(rule, prefix, rows, first, final, H) == kernel
+            away += w * kernel
     if 2 in degrees:  # every cubic h~ is odd
         assert seen["line"] and (n > 3 or not seen["nothing"])
     else:
@@ -999,8 +1006,10 @@ def test_coprime_rule_matches_the_kernel_per_polygon(monkeypatch, m, n, H, monic
     # whole chunks: the per-inner rules against the kernel on every inner
     args = (d, H, monic, (m, n), items, degrees, 10**12)
     got = _run_chunk(args[:4] + (list(items),) + args[5:])
-    monkeypatch.setattr(census, "_coprime_rule", lambda h, m, degrees: None)
-    assert got == _run_chunk(args[:4] + (list(items),) + args[5:])
+    assert got[3] == away
+    if m > 2:  # _run_chunk's own kernel route, which m = 2 never takes
+        monkeypatch.setattr(census, "_coprime_rule", lambda h, m, degrees: None)
+        assert got == _run_chunk(args[:4] + (list(items),) + args[5:])
 
 
 def gamma_of(h):
@@ -1513,16 +1522,18 @@ def test_even_shape_matches_the_kernel(h):
     "n,heights", [(4, (2, 9, 35)), (5, (2, 5, 9)), (6, (2, 4, 6)), (8, (2, 3))]
 )
 def test_monic_row_at_level_b1_matches_polygon(n, heights):
-    # every b_1 of the top-coefficient window under every prefix: the level
-    # keeps t exactly when lattice.polygon finds a point on the row a_2 = 1
+    # the row a_2 = 1, tested at the leaf: of the sigma-canonical inners of
+    # the unpruned walk that pass the low-coefficient tests, the walk keeps
+    # exactly those on whose row lattice.polygon finds a point
     zero = (0,) * (n + 1)
     for H in heights:
+        kept = {h for h, _ in _h_candidates(2, n, H, True)}
         seen = set()
         for h in unpruned_h_candidates(2, n, H, True):
-            h0 = (0, 0) + h[2:]
-            kept = census._monic_row_holds(h0, mul(h0, h0), h[1], H)
-            assert kept == (polygon(zero, h, mul(h, h), 1, 1, H)[1] is not None), (h, H)
-            seen.add(kept)
+            if sigma_canonical(h) and passes_low_tests(h, H, False):
+                row = polygon(zero, h, mul(h, h), 1, 1, H)[1] is not None
+                assert (h in kept) == row, (h, H)
+                seen.add(row)
         assert seen == {True, False}
 
 
@@ -1532,12 +1543,15 @@ def test_monic_row_at_level_b1_matches_polygon(n, heights):
      (4, 8, False), (5, 4, True), (6, 3, False)],
 )
 def test_one_row_matches_polygon(n, H, monic):
-    # the m = 2 chunk row against lattice.polygon, at every walked lead and
-    # at leads off the window
+    # the m = 2 row of the walk against lattice.polygon, at every walked lead
+    # and at leads off the window
     zero = (0,) * (2 * n + 1)
     seen = set()
     for h, sq in _h_candidates(2, n, H, monic):
-        walked = [lo for _, _, lo, _ in census._walk_outer(h, sq, 2, H, monic)]
+        walked = []
+        for _, _, rows, first, last in census._walk_outer(h, sq, 2, H, monic):
+            assert (rows, first, last) == census._one_row(h, sq, first[0], H)
+            walked.append(first[0])
         for a2 in walked + list(range(-H - 1, H + 2)):
             got = census._one_row(h, sq, a2, H)
             assert got[1:] == polygon(zero, h, sq, a2, a2, H)[1:], (h, a2)
@@ -1545,9 +1559,78 @@ def test_one_row_matches_polygon(n, H, monic):
     assert seen == {True, False}
 
 
+def windows_then_polygons(h, sq, m, H, monic):
+    """The non-empty polygons of one inner as the outer walk once gave them:
+    a plain recursion yields (P, prefix, lo, hi) per a_2 window, one row per
+    lead at m = 2, and each is then built by _one_row or lattice.polygon."""
+    n = len(h) - 1
+    d = m * n
+    hp = [None, h, sq] + [poly_pow(h, k) for k in range(3, m + 1)]
+    zero = [0] * (d + 1)
+    if monic:
+        leads = [1]
+    else:
+        lo, hi = window_interval(zero, hp[m], (m - 1) * n + 1, d, H)
+        leads = range(max(lo, 1), hi + 1)
+
+    def windows(k, P, prefix):
+        # a_m..a_k are in P; a_(k-1) is the last to reach x^(top-n+1)..x^top
+        top = (k - 1) * n
+        lo, hi = window_interval(P, hp[k - 1], top - n + 1, top, H)
+        if k == 3:
+            if lo <= hi:
+                yield P, prefix, lo, hi
+            return
+        for t in range(lo, hi + 1):
+            Q = [p + t * c for p, c in zip(P, hp[k - 1] + (0,) * d)]
+            yield from windows(k - 1, Q, prefix + [t])
+
+    if m == 2:
+        walk = ((zero, [], a, a) for a in leads)
+    else:
+        walk = (w for a in leads for w in windows(m, [a * c for c in hp[m]], [a]))
+    for P, prefix, lo, hi in walk:
+        if m == 2:
+            rows, first, last = census._one_row(h, sq, lo, H)
+        else:
+            rows, first, last = polygon(P, h, sq, lo, hi, H)
+        if first is not None:
+            yield tuple(P), tuple(prefix), rows, first, last
+
+
+# largest H drawn per (m, n): the inners of each box take milliseconds
+STREAM_HEIGHTS = {
+    (2, 2): 40, (2, 3): 20, (2, 4): 8, (3, 2): 40, (3, 3): 12, (3, 4): 4, (4, 2): 16,
+}
+
+
+@functools.lru_cache(maxsize=None)
+def inners_of(m, n, H, monic):
+    return _h_candidates(m, n, H, monic)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(sorted(STREAM_HEIGHTS)), st.booleans(), st.data(),
+)
+def test_walk_outer_streams_the_built_polygons(mn, monic, data):
+    # the stream against the window walk followed by the row or polygon
+    # build: the same non-empty polygons, in the same order, none twice
+    m, n = mn
+    H = data.draw(st.integers(1, STREAM_HEIGHTS[mn]), label="H")
+    inners = inners_of(m, n, H, monic)
+    assume(inners)
+    h, sq = data.draw(st.sampled_from(inners), label="h")
+    got = [
+        (tuple(P), tuple(prefix), rows, first, last)
+        for P, prefix, rows, first, last in census._walk_outer(h, sq, m, H, monic)
+    ]
+    assert got == list(windows_then_polygons(h, sq, m, H, monic))
+
+
 @pytest.mark.parametrize("n,H,cut", [(4, 35, (2,)), (6, 6, (2, 3)), (8, 3, (2, 4))])
 def test_monic_leaves_build_no_polygon_and_no_degree_2_kernel(monkeypatch, n, H, cut):
-    # the row a_2 = 1 is decided at level b_1 and e = 2 by the even shape:
+    # the row a_2 = 1 is decided at the leaf by _one_row and e = 2 by the even shape:
     # no lattice.polygon call, and no kernel call for the degree 2
     real = census.decomposable_on_span
     degrees = []
