@@ -776,9 +776,13 @@ def _run_split(d, H, monic, split, workers, excluded, budget, *, pool, power_awa
 
     power_away is the plan's rule for the inner x^n (count_forward decides
     it): None walks x^n with the other inners, and an int counts its first
-    copy in closed form with that many pairs excluded.  Its pairs count
-    against the budget first, and the chunks get what is left.  A second
-    copy of x^n is walked.
+    copy in closed form with that many pairs excluded.  A second copy of
+    x^n is walked.  Each chunk refuses once its own pairs exceed the
+    budget, and the merged pairs, x^n's included, are checked against it
+    once more, so a split is refused exactly when its true total exceeds
+    the budget.  check_budget has already refused x^n's pairs alone past
+    the budget: every split that counts x^n in closed form has the
+    query's largest outer degree.
 
     The calling process walks the inners in order with one _run_chunk call,
     which consumes them: all of them when k = min(workers, os.cpu_count())
@@ -815,18 +819,15 @@ def _run_split(d, H, monic, split, workers, excluded, budget, *, pool, power_awa
         items.remove(power)  # the first copy only: a second is walked
         leads = [1] if monic else [a for a in range(-H, H + 1) if a]
         pairs, away = _box_size(m - 1, H, monic), power_away
-        if pairs > budget:
-            raise _pairs_budget_error(budget, m, n, H)
         tops = [(0,) * (n - 1) + (a,) for a in leads]
-    left = budget - pairs  # the chunks' budget
     k = min(workers, os.cpu_count() or 1)
     limit = _POOL_AFTER if k > 1 else None
-    results = [_run_chunk((d, H, monic, split, items, kernel, left), limit=limit)]
+    results = [_run_chunk((d, H, monic, split, items, kernel, budget), limit=limit)]
     if items:  # the inners the calling process left
         if not pool:
             pool.append(_start_pool(k))
         batches = _batches(items, k * _BATCHES_PER_WORKER)
-        results += pool[0].map(_run_chunk, [(d, H, monic, split, b, kernel, left) for b in batches])
+        results += pool[0].map(_run_chunk, [(d, H, monic, split, b, kernel, budget) for b in batches])
 
     pairs += sum(r[0] for r in results)
     away += sum(r[3] for r in results)

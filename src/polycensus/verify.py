@@ -1,8 +1,8 @@
 """Canned acceptance suites: one callable per criterion, shared by CLI and tests.
 
 Every criterion returns (passed, detail) and prints nothing; run_criteria
-wraps them with one PASS/FAIL line each.  Tolerances are pinned here and
-nowhere else.
+wraps them with one PASS/FAIL line each.  The fit tolerances are pinned
+here; the measure tolerances are mahler's (EQ2_REL_TOL, PRODUCT_REL_TOL).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .census import (
     iter_decompositions,
 )
 from .decompose import decompose_split, full_decomposition, is_decomposable
-from .mahler import mahler_measure, sandwich_bounds
+from .mahler import EQ2_REL_TOL, check_inequalities, mahler_measure, sandwich_bounds
 from .poly_core import Poly, compose, height, mul
 
 ROUND_TRIP_SPLITS = ((2, 2), (2, 3), (3, 2), (2, 4), (4, 2))
@@ -49,45 +49,45 @@ def _random_outer(rng, m, monic, bound):
     return tuple(g)
 
 
-def criterion_1() -> Tuple[bool, str]:
-    """Oracle equivalence, monic d=4, H in 2..12, total (= split (2,2))."""
-    parts: List[str] = []
-    for H in range(2, 13):
-        q = CountQuery(4, H, True, "total")
-        fwd = count_forward(q).count
-        orc = count_bruteforce(q).count
-        spl = count_forward(CountQuery(4, H, True, "split", (2, 2))).count
-        if not (fwd == orc == spl):
-            return False, f"H={H}: forward={fwd} oracle={orc} split={spl}"
-        parts.append(f"D_4({H})={fwd}")
-    return True, " ".join(parts[-3:])
+def _totals(d, monic, heights):
+    """(H, forward total count) at each height."""
+    return [(H, count_forward(CountQuery(d, H, monic, "total")).count) for H in heights]
 
 
-def criterion_2() -> Tuple[bool, str]:
-    """Oracle equivalence, monic d=6: splits (2,3), (3,2) and total, H in 2..4."""
+def _forward_matches_oracle(label, d, monic, heights, queries, shown=None):
+    """At each height, count_forward against count_bruteforce for every
+    (variant, split) of queries; the detail reads label(H) = the first
+    query's count, over the last shown heights (all of them by default)."""
     parts: List[str] = []
-    for H in (2, 3, 4):
-        for variant, split in (("split", (2, 3)), ("split", (3, 2)), ("total", None)):
-            q = CountQuery(6, H, True, variant, split)
+    for H in heights:
+        counts = []
+        for variant, split in queries:
+            q = CountQuery(d, H, monic, variant, split)
             fwd = count_forward(q).count
             orc = count_bruteforce(q).count
             if fwd != orc:
                 return False, f"H={H} {variant}{split or ''}: forward={fwd} oracle={orc}"
-        parts.append(f"D_6({H})={fwd}")
-    return True, " ".join(parts)
+            counts.append(fwd)
+        parts.append(f"{label}({H})={counts[0]}")
+    return True, " ".join(parts[-shown:] if shown else parts)
+
+
+def criterion_1() -> Tuple[bool, str]:
+    """Oracle equivalence, monic d=4, H in 2..12: total and split (2,2),
+    each against the oracle."""
+    queries = (("total", None), ("split", (2, 2)))
+    return _forward_matches_oracle("D_4", 4, True, range(2, 13), queries, shown=3)
+
+
+def criterion_2() -> Tuple[bool, str]:
+    """Oracle equivalence, monic d=6: total and splits (2,3), (3,2), H in 2..4."""
+    queries = (("total", None), ("split", (2, 3)), ("split", (3, 2)))
+    return _forward_matches_oracle("D_6", 6, True, (2, 3, 4), queries)
 
 
 def criterion_3() -> Tuple[bool, str]:
     """Oracle equivalence, non-monic d=4, H in 2..5, total."""
-    parts: List[str] = []
-    for H in (2, 3, 4, 5):
-        q = CountQuery(4, H, False, "total")
-        fwd = count_forward(q).count
-        orc = count_bruteforce(q).count
-        if fwd != orc:
-            return False, f"H={H}: forward={fwd} oracle={orc}"
-        parts.append(f"D*_4({H})={fwd}")
-    return True, " ".join(parts)
+    return _forward_matches_oracle("D*_4", 4, False, (2, 3, 4, 5), (("total", None),))
 
 
 def criterion_4() -> Tuple[bool, str]:
@@ -114,11 +114,7 @@ def criterion_4() -> Tuple[bool, str]:
 def criterion_5() -> Tuple[bool, str]:
     """Monic d=4 log regime: exponent in [2.00, 2.35], log model preferred,
     count/(H^2 ln H) stable within 25% on the top three grid points."""
-    grid = (125, 250, 500, 1000, 2000)
-    pts = [
-        (H, count_forward(CountQuery(4, H, True, "total")).count)
-        for H in grid
-    ]
+    pts = _totals(4, True, (125, 250, 500, 1000, 2000))
     fit = fit_growth(pts)
     ratios = [c / (H * H * math.log(H)) for H, c in pts[-3:]]
     spread = max(ratios) / min(ratios) - 1.0
@@ -129,26 +125,22 @@ def criterion_5() -> Tuple[bool, str]:
     )
 
 
+def _power_fit(d: int, monic: bool, target: int, tol: float) -> Tuple[bool, str]:
+    """Total counts at H = 25, 50, 100, 200: pure-power exponent within tol
+    of target."""
+    fit = fit_growth(_totals(d, monic, (25, 50, 100, 200)))
+    ok = abs(fit.power_exponent - target) <= tol
+    return ok, f"power exponent={fit.power_exponent:.3f} (target {target} +- {tol:.2f})"
+
+
 def criterion_6() -> Tuple[bool, str]:
     """Monic d=9: pure-power exponent within 0.15 of 3."""
-    pts = [
-        (H, count_forward(CountQuery(9, H, True, "total")).count)
-        for H in (25, 50, 100, 200)
-    ]
-    fit = fit_growth(pts)
-    ok = abs(fit.power_exponent - 3.0) <= 0.15
-    return ok, f"power exponent={fit.power_exponent:.3f} (target 3 +- 0.15)"
+    return _power_fit(9, True, 3, 0.15)
 
 
 def criterion_7() -> Tuple[bool, str]:
     """Non-monic d=4: pure-power exponent within 0.20 of 3."""
-    pts = [
-        (H, count_forward(CountQuery(4, H, False, "total")).count)
-        for H in (25, 50, 100, 200)
-    ]
-    fit = fit_growth(pts)
-    ok = abs(fit.power_exponent - 3.0) <= 0.20
-    return ok, f"power exponent={fit.power_exponent:.3f} (target 3 +- 0.20)"
+    return _power_fit(4, False, 3, 0.20)
 
 
 def criterion_8() -> Tuple[bool, str]:
@@ -166,8 +158,7 @@ def criterion_8() -> Tuple[bool, str]:
     if rep.fit.power_exponent > 3.0 + 0.3:
         return False, f"remainder exponent {rep.fit.power_exponent:.3f} > 3.3"
     for d in (4, 9):
-        for H in (10, 20, 40, 80):
-            dd = count_forward(CountQuery(d, H, True, "total")).count
+        for H, dd in _totals(d, True, (10, 20, 40, 80)):
             ii = count_forward(CountQuery(d, H, True, "indecomp_pair")).count
             if dd != ii:
                 return False, f"d={d} H={H}: D={dd} != I={ii}"
@@ -210,7 +201,9 @@ def criterion_9() -> Tuple[bool, str]:
 
 
 def criterion_10() -> Tuple[bool, str]:
-    """Measure suite: two-sided height sandwich and multiplicativity."""
+    """Measure suite: two-sided height sandwich and multiplicativity, at
+    mahler's tolerances; the product half reads check_inequalities' product
+    check."""
     rng = random.Random(2718)
     worst_slack = math.inf
     for _ in range(10_000):
@@ -223,18 +216,18 @@ def criterion_10() -> Tuple[bool, str]:
         m = mahler_measure(f)
         lo, hi = sandwich_bounds(f)
         worst_slack = min(worst_slack, (m - lo) / m, (hi - m) / m)
-        if (m - lo) / m < -1e-9 or (hi - m) / m < -1e-9:
+        if (m - lo) / m < -EQ2_REL_TOL or (hi - m) / m < -EQ2_REL_TOL:
             return False, f"sandwich violated for {f}: M={m}, bounds=({lo},{hi})"
     worst_err = 0.0
     for _ in range(10_000):
         dg, dh = rng.randint(1, 5), rng.randint(1, 5)
         g = tuple(rng.randint(-1000, 1000) for _ in range(dg)) + (rng.randint(1, 1000),)
         h = tuple(rng.randint(-1000, 1000) for _ in range(dh)) + (rng.randint(1, 1000),)
-        mf = mahler_measure(mul(g, h))
-        rel = abs(mf - mahler_measure(g) * mahler_measure(h)) / mf
-        worst_err = max(worst_err, rel)
-        if rel > 1e-8:
-            return False, f"multiplicativity off by {rel:.2e} for g={g} h={h}"
+        report = check_inequalities(mul(g, h), g, h)
+        product = next(c for c in report.checks if c.name.startswith("product:"))
+        worst_err = max(worst_err, product.lhs)
+        if not product.ok:
+            return False, f"multiplicativity off by {product.lhs:.2e} for g={g} h={h}"
     return True, f"worst sandwich slack {worst_slack:.2e}, worst product error {worst_err:.2e}"
 
 

@@ -281,3 +281,12 @@ def test_verify_has_no_jobs_option():
     # the criteria run in-process; c12 picks its own worker counts
     code, out, err = capture(["verify", "--criteria", "4", "--jobs", "2"])
     assert code == 2 and out == "" and "--jobs" in err
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_walk_refusal_names_the_budget_given(jobs):
+    # passes the up-front checks; the (4,2) walk exceeds the budget
+    argv = ["count", "--degree", "8", "--height-max", "40", "--budget", "600000", "--jobs", jobs]
+    code, _, err = capture(argv)
+    assert code == 2 and err.startswith("error:")
+    assert "budget of 600000 witness pairs" in err
