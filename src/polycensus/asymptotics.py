@@ -76,6 +76,8 @@ def predicted_growth(
     if m < 2 or n < 2 or m * n != d:
         raise ValueError(f"invalid split ({m},{n}) for degree {d}")
 
+    # m(m-1) and m(m+1) are even, so each regime's three cases are exhaustive:
+    # the last return is m(m-1) <= 2(n-2) monic and m(m+1) <= 2(n-1) otherwise
     if monic:
         if m == 2 and n == 2:
             return Prediction(Fraction(2), True, TWO_SIDED)
@@ -83,17 +85,13 @@ def predicted_growth(
             return Prediction(Fraction(m), False, TWO_SIDED)
         if m * (m - 1) == 2 * (n - 1):
             return Prediction(Fraction(m), True, UPPER_ONLY)
-        if m * (m - 1) <= 2 * (n - 2):
-            return Prediction(Fraction(m + 1, 2) + Fraction(n - 1, m), False, UPPER_ONLY)
-        raise AssertionError("unreachable: m(m-1) is even")
+        return Prediction(Fraction(m + 1, 2) + Fraction(n - 1, m), False, UPPER_ONLY)
 
     if m * (m + 1) >= 2 * (n + 1):
         return Prediction(Fraction(m + 1), False, TWO_SIDED)
     if m * (m + 1) == 2 * n:
         return Prediction(Fraction(m + 1), True, UPPER_ONLY)
-    if m * (m + 1) <= 2 * (n - 1):
-        return Prediction(Fraction(m + 1, 2) + Fraction(n, m), False, UPPER_ONLY)
-    raise AssertionError("unreachable: m(m+1) is even")
+    return Prediction(Fraction(m + 1, 2) + Fraction(n, m), False, UPPER_ONLY)
 
 
 @dataclass(frozen=True)
@@ -105,8 +103,6 @@ class GrowthFit:
     points_used: int
     power_exponent: float
     log_exponent: float
-    power_rms: float
-    log_rms: float
     log_detection_inconclusive: bool = False
 
 
@@ -159,8 +155,6 @@ def fit_growth(points: Iterable[Tuple[int, int]]) -> GrowthFit:
         points_used=len(pts),
         power_exponent=p_slope,
         log_exponent=l_slope,
-        power_rms=p_rms,
-        log_rms=l_rms,
         log_detection_inconclusive=inconclusive,
     )
 
@@ -177,13 +171,10 @@ class RemainderReport:
     monic: bool
     rows: Tuple[Tuple[int, int, int, int, float], ...]
     predicted_exponent: Fraction
-    predicted_log: bool
     fit: Optional[GrowthFit]
 
 
-def remainder_report(
-    d: int, monic: bool, H_grid: Sequence[int], workers: int = 1
-) -> RemainderReport:
+def remainder_report(d: int, monic: bool, H_grid: Sequence[int]) -> RemainderReport:
     """Measure D - I on a grid and fit its growth.
 
     For d equal to the square of its smallest prime factor the remainder is
@@ -196,21 +187,19 @@ def remainder_report(
         raise ValueError("remainder report needs composite d")
     rows: List[Tuple[int, int, int, int, float]] = []
     for H in H_grid:
-        total = count_forward(CountQuery(d, H, monic, "total"), workers=workers).count
-        ipair = count_forward(CountQuery(d, H, monic, "indecomp_pair"), workers=workers).count
+        total = count_forward(CountQuery(d, H, monic, "total")).count
+        ipair = count_forward(CountQuery(d, H, monic, "indecomp_pair")).count
         diff = total - ipair
         rows.append((H, total, ipair, diff, diff / total if total else 0.0))
 
     if monic:
         pred_exp = Fraction(5, 2) if d == 6 else Fraction(d, ell) - 1
-        pred_log = False
     else:
         pred_exp = Fraction(3) if d == 6 else Fraction(d, ell)
-        pred_log = d == 6
 
     fit = None
     try:
         fit = fit_growth([(h, diff) for h, _, _, diff, _ in rows])
     except ValueError:
         pass
-    return RemainderReport(d, monic, tuple(rows), pred_exp, pred_log, fit)
+    return RemainderReport(d, monic, tuple(rows), pred_exp, fit)

@@ -64,7 +64,6 @@ from __future__ import annotations
 
 import os
 import time
-from bisect import insort
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import product
@@ -344,10 +343,8 @@ def _h_candidates(
             keep = [
                 t
                 for t in range(max(lo, -B), min(hi, B) + 1)
-                if t and abs(c * t + R) <= H + L * (H // abs(t))
+                if not t or abs(c * t + R) <= H + L * (H // abs(t))
             ]
-            if lo <= 0 <= hi:
-                insort(keep, 0)
             return iter(keep)
 
         def put(j: int, t: int) -> None:

@@ -19,7 +19,6 @@ import json
 import os
 import platform
 import sys
-from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -42,25 +41,6 @@ CSV_HEADER = "d,monic,variant,m,n,H,count,method,workers,elapsed_seconds"
 FIT_COLUMNS = ("d", "monic", "variant", "m", "n", "H", "count")
 
 
-@dataclass
-class RunManifest:
-    """Provenance record written alongside every output file."""
-
-    command: List[str]
-    started_utc: str
-    finished_utc: str
-    workers: int
-    budget: Optional[int]
-    configuration: dict
-    elapsed_seconds: List[float]  # one per body row, in body order
-    versions: dict = field(default_factory=dict)
-
-    def write(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(asdict(self), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-
 def _utcnow() -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%S.%fZ")
 
@@ -70,7 +50,8 @@ def _split_fields(q: CountQuery) -> Tuple[str, str]:
         return str(q.split[0]), str(q.split[1])
     if q.variant == "indecomp_pair":
         ell = spf(q.d)
-        return str(q.d // ell), str(ell)
+        if ell < q.d:  # a prime degree has no split (d/l, l)
+            return str(q.d // ell), str(ell)
     return "", ""
 
 
@@ -156,6 +137,10 @@ def _check_writable(path: str) -> None:
 
 
 def _cmd_count(args) -> int:
+    if args.jobs < 1:
+        raise ValueError("--jobs must be at least 1")
+    if args.budget is not None and args.budget < 1:
+        raise ValueError("--budget must be at least 1")
     started = _utcnow()
     variant, split = _parse_variant(args.variant)
     grid = _parse_grid(args)
@@ -171,8 +156,6 @@ def _cmd_count(args) -> int:
     elapsed = []
     out = open(args.output, "w") if args.output else sys.stdout
     try:
-        if args.out == "csv":
-            out.write(CSV_HEADER + "\n")
         for q in queries:
             results = [
                 count_forward(q, workers=args.jobs, budget=args.budget)
@@ -185,6 +168,8 @@ def _cmd_count(args) -> int:
                     f"method disagreement at d={q.d}, H={q.H}: "
                     f"forward={results[0].count} oracle={results[1].count}"
                 )
+            if args.out == "csv" and not elapsed:  # a walk refused before it leaves no header
+                out.write(CSV_HEADER + "\n")
             for r in results:
                 _emit(_result_row(r, args.timings), args.out, out)
                 elapsed.append(r.elapsed_seconds)
@@ -193,13 +178,13 @@ def _cmd_count(args) -> int:
         if args.output:
             out.close()
     if manifest_path:
-        RunManifest(
-            command=args.raw_argv,
-            started_utc=started,
-            finished_utc=_utcnow(),
-            workers=args.jobs,
-            budget=args.budget,
-            configuration={
+        manifest = {
+            "command": args.raw_argv,
+            "started_utc": started,
+            "finished_utc": _utcnow(),
+            "workers": args.jobs,
+            "budget": args.budget,
+            "configuration": {
                 "degree": args.degree,
                 "monic": args.monic,
                 "variant": args.variant,
@@ -208,9 +193,12 @@ def _cmd_count(args) -> int:
                 "format": args.out,
                 "timings": args.timings,
             },
-            elapsed_seconds=elapsed,
-            versions={"polycensus": __version__, "python": platform.python_version()},
-        ).write(manifest_path)
+            "elapsed_seconds": elapsed,  # one per body row, in body order
+            "versions": {"polycensus": __version__, "python": platform.python_version()},
+        }
+        with open(manifest_path, "w") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
     return 0
 
 
@@ -318,9 +306,7 @@ def _cmd_verify(args) -> int:
                 f"unknown criterion number(s) {','.join(map(str, sorted(unknown)))}; "
                 f"known: 1..{len(CRITERIA)}"
             )
-    outcomes = run_criteria(wanted)
-    failed = [o for o in outcomes if not o.passed]
-    return 1 if failed else 0
+    return 0 if run_criteria(wanted) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -331,6 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("count", help="count decomposable polynomials")
+    c.set_defaults(run=_cmd_count)
     c.add_argument("--degree", type=int, required=True)
     mg = c.add_mutually_exclusive_group()
     mg.add_argument("--monic", dest="monic", action="store_true", default=True)
@@ -349,16 +336,20 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--timings", action="store_true", help="fill elapsed_seconds in the body")
 
     d = sub.add_parser("decompose", help="decompose one polynomial")
+    d.set_defaults(run=_cmd_decompose)
     d.add_argument("poly")
     d.add_argument("--split", type=str, default=None, help="m,n")
 
     m = sub.add_parser("mahler", help="roots, measure, inequality slacks")
+    m.set_defaults(run=_cmd_mahler)
     m.add_argument("poly")
 
     f = sub.add_parser("fit", help="fit growth exponents from a count CSV")
+    f.set_defaults(run=_cmd_fit)
     f.add_argument("csv", help="CSV path or - for stdin")
 
     v = sub.add_parser("verify", help="run the canned acceptance suites")
+    v.set_defaults(run=_cmd_verify)
     v.add_argument("--criteria", type=str, default=None, help="comma list, e.g. 1,4,13")
 
     return ap
@@ -381,21 +372,7 @@ def run(argv: Sequence[str]) -> int:
         return int(exc.code or 0)
     args.raw_argv = list(argv)
     try:
-        if args.command == "count" and args.jobs < 1:
-            raise ValueError("--jobs must be at least 1")
-        if args.command == "count" and args.budget is not None and args.budget < 1:
-            raise ValueError("--budget must be at least 1")
-        if args.command == "count":
-            return _cmd_count(args)
-        if args.command == "decompose":
-            return _cmd_decompose(args)
-        if args.command == "mahler":
-            return _cmd_mahler(args)
-        if args.command == "fit":
-            return _cmd_fit(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        return 2
+        return args.run(args)
     except (BudgetError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -282,10 +282,6 @@ class InequalityCheck:
     rhs: float
     ok: bool
 
-    @property
-    def slack(self) -> float:
-        return self.rhs - self.lhs
-
 
 @dataclass(frozen=True)
 class InequalityReport:
@@ -296,14 +292,6 @@ class InequalityReport:
     @property
     def all_ok(self) -> bool:
         return all(c.ok for c in self.checks)
-
-
-def _eq2_checks(label, f, mf):
-    lo, hi = sandwich_bounds(f)
-    return [
-        InequalityCheck(f"{label}: H*2^-d <= M", lo, mf, mf - lo >= -EQ2_REL_TOL * mf),
-        InequalityCheck(f"{label}: M <= H*sqrt(d+1)", mf, hi, hi - mf >= -EQ2_REL_TOL * mf),
-    ]
 
 
 def check_inequalities(
@@ -329,7 +317,11 @@ def check_inequalities(
         raise ValueError("f is neither the exact product nor the exact composition of (g, h)")
 
     mf = mahler_measure(f)
-    checks = _eq2_checks("f", f, mf)
+    lo, hi = sandwich_bounds(f)
+    checks = [
+        InequalityCheck("f: H*2^-d <= M", lo, mf, mf - lo >= -EQ2_REL_TOL * mf),
+        InequalityCheck("f: M <= H*sqrt(d+1)", mf, hi, hi - mf >= -EQ2_REL_TOL * mf),
+    ]
 
     if is_product:
         mg, mh = mahler_measure(g), mahler_measure(h)

@@ -10,10 +10,8 @@ from __future__ import annotations
 import io
 import math
 import random
-import sys
 import time
 from contextlib import redirect_stdout
-from dataclasses import dataclass
 from typing import Callable, List, Optional, Set, Tuple
 
 from .asymptotics import fit_growth, remainder_report
@@ -155,8 +153,9 @@ def criterion_8() -> Tuple[bool, str]:
         return False, f"remainder ratio not nonincreasing: {ratios}"
     if rep.fit is None:
         return False, "no remainder fit possible"
-    if rep.fit.power_exponent > 3.0 + 0.3:
-        return False, f"remainder exponent {rep.fit.power_exponent:.3f} > 3.3"
+    bound = rep.predicted_exponent + 0.3
+    if rep.fit.power_exponent > bound:
+        return False, f"remainder exponent {rep.fit.power_exponent:.3f} > {bound:.1f}"
     for d in (4, 9):
         for H, dd in _totals(d, True, (10, 20, 40, 80)):
             ii = count_forward(CountQuery(d, H, True, "indecomp_pair")).count
@@ -323,15 +322,6 @@ def criterion_13() -> Tuple[bool, str]:
     return True, f"{len(family)} family members all present; D_4(2,2;{H})={split_count}"
 
 
-@dataclass(frozen=True)
-class CriterionOutcome:
-    number: int
-    name: str
-    passed: bool
-    detail: str
-    elapsed_seconds: float
-
-
 CRITERIA: List[Tuple[int, str, Callable[[], Tuple[bool, str]]]] = [
     (1, "oracle equivalence, monic d=4, H=2..12", criterion_1),
     (2, "oracle equivalence, monic d=6, both splits, H=2..4", criterion_2),
@@ -349,9 +339,9 @@ CRITERIA: List[Tuple[int, str, Callable[[], Tuple[bool, str]]]] = [
 ]
 
 
-def run_criteria(wanted: Optional[Set[int]] = None, out=None) -> List[CriterionOutcome]:
-    out = out or sys.stdout
-    outcomes = []
+def run_criteria(wanted: Optional[Set[int]] = None) -> bool:
+    """Print one PASS/FAIL line per wanted criterion; whether all passed."""
+    all_passed = True
     for number, name, fn in CRITERIA:
         if wanted is not None and number not in wanted:
             continue
@@ -361,8 +351,7 @@ def run_criteria(wanted: Optional[Set[int]] = None, out=None) -> List[CriterionO
         except Exception as exc:  # a crash is a failure, not an abort
             passed, detail = False, f"exception: {exc!r}"
         elapsed = time.perf_counter() - t0
-        outcomes.append(CriterionOutcome(number, name, passed, detail, elapsed))
+        all_passed = all_passed and passed
         status = "PASS" if passed else "FAIL"
-        out.write(f"{status}  c{number:02d}  {name}: {detail} [{elapsed:.1f}s]\n")
-        out.flush()
-    return outcomes
+        print(f"{status}  c{number:02d}  {name}: {detail} [{elapsed:.1f}s]", flush=True)
+    return all_passed

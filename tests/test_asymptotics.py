@@ -65,6 +65,39 @@ def test_predicted_growth_non_monic_splits():
     assert predicted_growth(6, False, "split", (3, 2)) == Prediction(Fraction(4), False, TWO_SIDED)
 
 
+def _split_rule(m, n, monic):
+    """The split rates, each case stated by its own inequality."""
+    if monic:
+        if m == n == 2:
+            return [Prediction(Fraction(2), True, TWO_SIDED)]
+        k = m * (m - 1)
+        cases = [
+            (k >= 2 * n, Prediction(Fraction(m), False, TWO_SIDED)),
+            (k == 2 * (n - 1), Prediction(Fraction(m), True, UPPER_ONLY)),
+            (
+                k <= 2 * (n - 2),
+                Prediction(Fraction(m + 1, 2) + Fraction(n - 1, m), False, UPPER_ONLY),
+            ),
+        ]
+    else:
+        k = m * (m + 1)
+        cases = [
+            (k >= 2 * (n + 1), Prediction(Fraction(m + 1), False, TWO_SIDED)),
+            (k == 2 * n, Prediction(Fraction(m + 1), True, UPPER_ONLY)),
+            (k <= 2 * (n - 1), Prediction(Fraction(m + 1, 2) + Fraction(n, m), False, UPPER_ONLY)),
+        ]
+    return [p for holds, p in cases if holds]
+
+
+@pytest.mark.parametrize("monic", [True, False])
+def test_predicted_growth_cases_are_exhaustive(monic):
+    # m(m-1) and m(m+1) are even: exactly one case holds for every split
+    for m in range(2, 41):
+        for n in range(2, 41):
+            (expected,) = _split_rule(m, n, monic)
+            assert predicted_growth(m * n, monic, "split", (m, n)) == expected, (m, n)
+
+
 def test_predicted_growth_validation():
     with pytest.raises(ValueError):
         predicted_growth(6, True, "split", (2, 2))

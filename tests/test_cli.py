@@ -52,6 +52,11 @@ def test_count_prime_degree_row():
     lines = out.strip().splitlines()
     assert lines[0] == CSV_HEADER
     assert lines[1] == "5,true,total,,,100,0,forward,1,"
+    # a prime degree has no split (d/l, l) to name, so m and n stay empty as for total
+    argv = ["count", "--degree", "5", "--height-max", "3", "--variant", "indecomp-pair"]
+    code, out, _ = capture(argv)
+    assert code == 0
+    assert out.strip().splitlines()[1] == "5,true,indecomp_pair,,,3,0,forward,1,"
 
 
 def test_count_both_methods_agree():
@@ -146,6 +151,13 @@ def test_count_output_file_and_manifest(tmp_path):
     times = manifest["elapsed_seconds"]
     assert len(times) == 2 and all(isinstance(t, float) and t >= 0 for t in times)
     assert manifest["workers"] == 1
+    assert set(manifest) == {
+        "command", "started_utc", "finished_utc", "workers", "budget",
+        "configuration", "elapsed_seconds", "versions",
+    }
+    assert set(manifest["configuration"]) == {
+        "degree", "monic", "variant", "grid", "method", "format", "timings",
+    }
     assert manifest["configuration"]["degree"] == 4
     assert "polycensus" in manifest["versions"]
 
@@ -287,6 +299,31 @@ def test_verify_has_no_jobs_option():
 def test_walk_refusal_names_the_budget_given(jobs):
     # passes the up-front checks; the (4,2) walk exceeds the budget
     argv = ["count", "--degree", "8", "--height-max", "40", "--budget", "600000", "--jobs", jobs]
-    code, _, err = capture(argv)
-    assert code == 2 and err.startswith("error:")
+    code, out, err = capture(argv)
+    assert code == 2 and err.startswith("error:") and out == ""
     assert "budget of 600000 witness pairs" in err
+
+
+def test_walk_refusal_keeps_the_rows_already_finished():
+    # H=2 is counted and written; the walk at H=40 is refused
+    argv = ["count", "--degree", "8", "--grid", "2,40", "--budget", "600000"]
+    code, out, err = capture(argv)
+    assert code == 2 and "budget of 600000 witness pairs" in err
+    assert out.splitlines() == [CSV_HEADER, "8,true,total,,,2,895,forward,1,"]
+
+
+def test_verify_failing_criterion_exits_1(monkeypatch):
+    from polycensus import verify
+
+    def crash():
+        raise RuntimeError("boom")
+
+    criteria = list(verify.CRITERIA)
+    criteria[3] = (4, "always fails", lambda: (False, "x"))
+    criteria[12] = (13, "always raises", crash)
+    monkeypatch.setattr(verify, "CRITERIA", criteria)
+    code, out, _ = capture(["verify", "--criteria", "4"])
+    assert code == 1 and out.startswith("FAIL  c04  always fails: x [")
+    code, out, _ = capture(["verify", "--criteria", "13"])
+    assert code == 1
+    assert out.startswith("FAIL  c13  always raises: exception: RuntimeError('boom') [")
