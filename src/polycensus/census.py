@@ -9,9 +9,11 @@ Two independent routes produce every count:
   (m, n)-decomposability as (m-1)(n-1) integer-linear equations in the
   remaining coefficients (the non-constant parts of F's K-adic digits
   0..m-2, proved sufficient in the decompose module docstring), evaluated
-  over the block with numpy.  A total ORs the split masks, one bool per
-  polynomial.  numpy is imported by the oracle's functions, when they first
-  run, so the forward route and the command line never load it.
+  over the block with numpy.  No equation reads the constant term, so a
+  total ORs the split masks into one bool per polynomial modulo f_0, and
+  each hit counts 2H+1 polynomials.  numpy is imported by the oracle's
+  functions, when they first run, so the forward route and the command
+  line never load it.
 * count_forward generates the polynomials constructively, enumerating
   normalized inner polynomials h (h(0) = 0, positive leading coefficient,
   monic in the monic regime) inside a provably sufficient height box, then
@@ -97,7 +99,11 @@ from .poly_core import Poly, height, lead, mul
 poly_pow = poly_core.poly_pow
 
 DEFAULT_SET_BUDGET = 200_000_000   # witness pairs per split
-DEFAULT_ORACLE_BUDGET = 3_000_000  # brute-force box size
+# Brute-force box size.  The block walk decides a box of this size at about
+# 2*10^8 (monic d=8, H=2) to 5*10^9 (monic d=4, H=20) polynomials/s for a
+# total, and 4*10^8 for indecomp_pair at monic d=8, H=3 (2 cores, Python
+# 3.11.7, numpy loaded), so the default keeps an oracle query to milliseconds.
+DEFAULT_ORACLE_BUDGET = 3_000_000
 _INT64_LIMIT = 1 << 62  # oracle rows bounded below this evaluate in int64
 # Non-empty polygons the calling process walks in a split before it hands the
 # split's other inners to the query's pool.  Starting a pool of two forked
@@ -1095,8 +1101,9 @@ def _block_masks(ranges: Sequence[range], c: int, n: int) -> Iterator[tuple]:
 
     The box is lead c times ranges[d-1] x .. x ranges[0], ranges[i] the
     values of f_i.  A block fixes top = (f_(d-1), .., f_(d-n+1)); mask is a
-    bool array over its axes f_(d-n), .., f_0, True exactly where f is
-    (d/n, n)-decomposable.  Blocks without a hit are not yielded.
+    bool array over its axes f_(d-n), .., f_1, True exactly where f is
+    (d/n, n)-decomposable, whatever f_0: f - f_0 = (g - g_0)(h), so no row
+    reads f_0.  Blocks without a hit are not yielded.
 
     Why the mask is decompose_split(f, m, n) is not None, m = d/n: f
     decomposes exactly when its monic conjugate F, F_i = f_i c^(d-1-i),
@@ -1109,18 +1116,17 @@ def _block_masks(ranges: Sequence[range], c: int, n: int) -> Iterator[tuple]:
     top x^d + sum_(i>d-n) F_i x^i.
 
     One row at a time is evaluated by broadcasting over the block's axes
-    f_(d-n)..f_1 and ANDed into the mask, which has an entry for every f of
-    the block, f_0 included; an emptied mask ends the block.  The exact bound
-    max_k (sum_j |A_kj| max|f_j| + |b_k|) on every partial sum decides the
-    dtype: int64 below _INT64_LIMIT, where nothing can wrap, and Python ints
-    (dtype=object) otherwise, through the same expression.
+    f_(d-n)..f_1 and ANDed into the mask; an emptied mask ends the block.
+    The exact bound max_k (sum_j |A_kj| max|f_j| + |b_k|) on every partial
+    sum decides the dtype: int64 below _INT64_LIMIT, where nothing can wrap,
+    and Python ints (dtype=object) otherwise, through the same expression.
     """
     import numpy as np
 
     d = len(ranges)
-    m, low = d // n, d - n + 1  # f_0..f_(d-n) vary inside a block
+    m, low = d // n, d - n + 1  # f_1..f_(d-n) vary inside a block
     conj = [c ** (d - 1 - i) for i in range(d)]
-    shape = tuple(len(ranges[i]) for i in range(low - 1, -1, -1))
+    shape = tuple(len(ranges[i]) for i in range(low - 1, 0, -1))
     reach = [max(abs(r[0]), abs(r[-1])) for r in ranges]
     for top in product(*(ranges[i] for i in range(d - 1, low - 1, -1))):
         F = [0] * low + [conj[i] * t for i, t in zip(range(low, d), reversed(top))] + [1]
@@ -1144,10 +1150,10 @@ def _block_masks(ranges: Sequence[range], c: int, n: int) -> Iterator[tuple]:
             for j, col in enumerate(cols, 1):
                 a, r = col[k], ranges[j]
                 if a:
-                    # a*f_j on axis -1-j (f_0 last), b_k folded into the first term
+                    # a*f_j on axis -j (f_1 last), b_k folded into the first term
                     off = bk if v is None else 0
                     t = np.array(range(a * r[0] + off, a * (r[-1] + 1) + off, a), dtype=dtype)
-                    t = t.reshape((-1,) + (1,) * j)
+                    t = t.reshape((-1,) + (1,) * (j - 1))
                     v = t if v is None else v + t
             if mask is None:
                 mask = np.zeros(shape, dtype=bool)
@@ -1166,10 +1172,12 @@ def _oracle_count(
 ) -> int:
     """Decomposable polynomials in the box leads x ranges[d-1] x .. x ranges[0].
 
-    Per lead, the masks of the variant's inner degrees are ORed into one bool
-    per polynomial: n of split (m, n), every n of _inner_degrees(d) for total,
-    l = spf(d) for indecomp_pair.  The hits are counted; indecomp_pair keeps
-    only those whose outer part, of the split (d/l, l), is indecomposable.
+    Per lead, the masks of the variant's inner degrees (n of split (m, n),
+    every n of _inner_degrees(d) for total, l = spf(d) for indecomp_pair) are
+    ORed into one bool per polynomial modulo f_0, which no mask reads, so each
+    hit stands for len(ranges[0]) polynomials.  indecomp_pair keeps only the
+    hits whose outer part, of the split (d/l, l), is indecomposable, decided
+    on the one f of the hit with f_0 = ranges[0][0].
     """
     import numpy as np
 
@@ -1182,28 +1190,24 @@ def _oracle_count(
         degrees = _inner_degrees(d)
     else:
         degrees = [spf(d)]
-    shape = tuple(len(r) for r in reversed(ranges))  # axes f_(d-1)..f_0
-    outer: dict = {}  # is_decomposable(g), keyed by g without the constant it ignores
-    count = 0
+    shape = tuple(len(r) for r in reversed(ranges[1:]))  # axes f_(d-1)..f_1
+    hits = 0
     for c in leads:
         hit = np.zeros(shape, dtype=bool)
         for n in degrees:
             for top, mask in _block_masks(ranges, c, n):
-                at = tuple(t - ranges[i][0] for i, t in zip(range(d - 1, -1, -1), top))
+                at = tuple(t - ranges[i][0] for i, t in zip(range(d - 1, 0, -1), top))
                 hit[at] |= mask
         if variant != "indecomp_pair":
-            count += int(np.count_nonzero(hit))
+            hits += int(np.count_nonzero(hit))
             continue
         for idx in zip(*np.nonzero(hit)):
-            f = tuple(r[i] for r, i in zip(ranges, reversed(idx))) + (c,)
+            f = (ranges[0][0],) + tuple(r[i] for r, i in zip(ranges[1:], reversed(idx))) + (c,)
             w = decompose_split(f, d // degrees[0], degrees[0])
             if w is None:
                 raise RuntimeError(f"block test and decompose_split disagree on f={f}")
-            key = w.g[1:]
-            if key not in outer:
-                outer[key] = is_decomposable(w.g)
-            count += not outer[key]
-    return count
+            hits += not is_decomposable(w.g)
+    return len(ranges[0]) * hits
 
 
 def count_bruteforce(q: CountQuery, budget: Optional[int] = None) -> CountResult:

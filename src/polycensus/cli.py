@@ -19,6 +19,7 @@ import json
 import os
 import platform
 import sys
+from contextlib import contextmanager, nullcontext, suppress
 from datetime import datetime, timezone
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -136,6 +137,28 @@ def _check_writable(path: str) -> None:
         raise ValueError(f"cannot write {path}: it is a directory")
 
 
+@contextmanager
+def _staged(path: str):
+    """Open path for writing.  A regular file is written as a temporary sibling
+    that replaces it only once the block completes, so a refused or failed run
+    leaves an earlier file whole; a device or a pipe is written directly."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w") as fh:
+            yield fh
+        return
+    # through a symlink, replace the file it names and keep the link
+    real = os.path.realpath(path) if os.path.islink(path) else path
+    tmp = f"{real}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            yield fh
+        os.replace(tmp, real)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def _cmd_count(args) -> int:
     if args.jobs < 1:
         raise ValueError("--jobs must be at least 1")
@@ -148,14 +171,16 @@ def _cmd_count(args) -> int:
     for path in (args.output, manifest_path):
         if path:
             _check_writable(path)
+    if args.output and args.manifest:  # the default manifest path is never the output
+        if os.path.realpath(args.output) == os.path.realpath(args.manifest):
+            raise ValueError(f"--output and --manifest both name {args.output}")
     queries = [CountQuery(args.degree, H, args.monic, variant, split) for H in grid]
     methods = ("forward", "oracle") if args.method == "both" else (args.method,)
     for q in queries:  # refuse before the first byte of output
         for method in methods:
             check_budget(q, method, args.budget)
     elapsed = []
-    out = open(args.output, "w") if args.output else sys.stdout
-    try:
+    with _staged(args.output) if args.output else nullcontext(sys.stdout) as out:
         for q in queries:
             results = [
                 count_forward(q, workers=args.jobs, budget=args.budget)
@@ -174,9 +199,6 @@ def _cmd_count(args) -> int:
                 _emit(_result_row(r, args.timings), args.out, out)
                 elapsed.append(r.elapsed_seconds)
             out.flush()
-    finally:
-        if args.output:
-            out.close()
     if manifest_path:
         manifest = {
             "command": args.raw_argv,

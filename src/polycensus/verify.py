@@ -157,8 +157,7 @@ def criterion_8() -> Tuple[bool, str]:
     if rep.fit.power_exponent > bound:
         return False, f"remainder exponent {rep.fit.power_exponent:.3f} > {bound:.1f}"
     for d in (4, 9):
-        for H, dd in _totals(d, True, (10, 20, 40, 80)):
-            ii = count_forward(CountQuery(d, H, True, "indecomp_pair")).count
+        for H, dd, ii, _, _ in remainder_report(d, True, (10, 20, 40, 80)).rows:
             if dd != ii:
                 return False, f"d={d} H={H}: D={dd} != I={ii}"
     return True, (

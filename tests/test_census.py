@@ -328,12 +328,13 @@ def test_oracle_equivalence_d8_total_and_ipair():
 @pytest.mark.parametrize(
     "d,H,monic,variant",
     [(6, 6, True, "total"), (8, 3, True, "total"), (8, 3, True, "indecomp_pair"),
-     (6, 4, False, "total")],
+     (6, 4, False, "total"), (6, 12, True, "total"), (12, 2, True, "total"),
+     (12, 2, True, "indecomp_pair"), (6, 8, False, "total")],
 )
 def test_oracle_equivalence_beyond_the_default_budget(d, H, monic, variant):
-    # boxes of 4.3M-5.8M polynomials, out of reach of the per-polynomial oracle
+    # boxes of 4.3M-390M polynomials, out of reach of the per-polynomial oracle
     q = CountQuery(d, H, monic, variant)
-    assert count_forward(q).count == count_bruteforce(q, budget=6 * 10**6).count
+    assert count_forward(q).count == count_bruteforce(q, budget=10**9).count
 
 
 def scalar_oracle(ranges, leads, variant, split=None):
@@ -1694,7 +1695,7 @@ def oracle_key_set(d, H, monic, split):
     for c in box_leads(H, monic):
         for top, mask in census._block_masks(ranges, c, n):
             for idx in zip(*np.nonzero(mask)):
-                f = tuple(ranges[i][idx[-1 - i]] for i in range(d - n + 1))
+                f = (ranges[0][0],) + tuple(ranges[i][idx[-i]] for i in range(1, d - n + 1))
                 keys.add(pack_truncated(f + tuple(reversed(top)) + (c,), d, H))
     return keys
 

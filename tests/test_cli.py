@@ -312,6 +312,28 @@ def test_walk_refusal_keeps_the_rows_already_finished():
     assert out.splitlines() == [CSV_HEADER, "8,true,total,,,2,895,forward,1,"]
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_walk_refusal_keeps_an_earlier_output_file(tmp_path, jobs):
+    target = tmp_path / "r.csv"
+    target.write_bytes(b"rows of an earlier run\n")
+    argv = ["count", "--degree", "8", "--height-max", "40", "--budget", "600000",
+            "--jobs", jobs, "--output", str(target)]
+    code, out, err = capture(argv)
+    assert code == 2 and out == "" and "budget of 600000 witness pairs" in err
+    assert target.read_bytes() == b"rows of an earlier run\n"
+    assert os.listdir(tmp_path) == ["r.csv"]  # no temporary file, no manifest
+
+
+def test_output_and_manifest_must_differ(tmp_path):
+    target = tmp_path / "r.csv"
+    argv = ["count", "--degree", "4", "--height-max", "3", "--output", str(target),
+            "--manifest", os.path.join(str(tmp_path), ".", "r.csv")]
+    code, out, err = capture(argv)
+    assert code == 2 and out == "" and err.startswith("error:") and "--manifest" in err
+    assert len(err.strip().splitlines()) == 1
+    assert os.listdir(tmp_path) == []
+
+
 def test_verify_failing_criterion_exits_1(monkeypatch):
     from polycensus import verify
 
