@@ -21,18 +21,22 @@ Two independent routes produce every count:
   final-coefficient pruning.  Each prefix leaves a lattice polygon of
   (a_2, a_1), which _walk_outer builds and yields when it holds a point,
   and whose points lattice.polygon_count counts in closed form.
-  The inners are cut by the top coefficients of f, and those of a split with
-  outer degree 2 also by its low coefficients x^1, x^2 and x^n, which leave
-  b_1 a short window, and, when f is monic, by the one row a_2 = 1 that is
-  left, tested at the leaf; every cut is a proved necessary condition.
-  The walk builds h^2 as it goes, one O(n) update per coefficient.  The
-  inner x^n, whose polynomials g(x^n) have the
-  coefficients of g, is counted in closed form wherever count_forward knows
-  its exclusion (it proves the counts and hands each split the rule).
+  The inners are cut by the top coefficients of f; every cut is a proved
+  necessary condition.  The walk builds h^2 as it goes, one O(n) update per
+  coefficient.  A split (2, n) walks its inners only to the prefix
+  b_(n-1)..b_2 and counts each prefix as one region of columns
+  (b_1, a_2), in the order (prefix, a_2, b_1, a_1) (_columns): the rows
+  x^3..x^(n+1) of f are linear in (b_1, a_1), the rows above read neither,
+  and the rows x^1 and x^2 finish each column of the short range
+  |b_1| <= B, whose a_1 interval is a few floor divisions.  The inner x^n
+  of a split (m, n), m >= 3, whose polynomials g(x^n) have the coefficients
+  of g, is counted in closed form wherever count_forward knows its
+  exclusion (it proves the counts and hands each split the rule).
   The walk takes one pair of each orbit of the sign symmetries
   sigma: f -> e f(-x) and, for non-monic f, tau: f -> -f: the sigma-canonical
   inners only, and the positive outer leads only when f is not monic.  Each
-  polygon counts its pairs times the orbit size (count_forward proves it).
+  polygon or column counts its pairs times the orbit size (count_forward
+  proves it).
 
 The constant term never interacts with decomposability (it is the free
 constant term of the outer polynomial), so the enumeration fixes it at 0 and
@@ -42,21 +46,22 @@ without storing a key per pair: the packed coefficient vectors strictly
 increase within a block (one inner h with one outer lead), one comparison
 per polygon, and distinct blocks have distinct top coefficients.  A split
 runs in the calling process until it has walked _POOL_AFTER non-empty
-polygons; the whole inners it leaves go in batches to a pool that the query
-starts once, when a split first needs it.  Each variant sums the pairs of a plan of
-splits, less those whose polynomial also decomposes with one of the split's
-excluded inner degrees (_plan lists the plans, and count_forward proves
-them).  By Engstrom's theorem most of that is decided by the inner alone:
-the inner walk drops every h with a right component of an excluded degree
-dividing n, all of whose pairs are excluded (degree 2 by the even shape of
-the centred h, _centred), and the other inners need the exclusion test only
-for the excluded degrees k with gcd(k, n) not such a degree.  For a total
+polygons (or (2, n) columns); the whole inners (or prefixes) it leaves go in
+batches to a pool that the query starts once, when a split first needs it.
+Each variant sums the pairs of a plan of splits, less those whose polynomial
+also decomposes with one of the split's excluded inner degrees (_plan lists
+the plans, and count_forward proves them).  By Engstrom's theorem most of
+that is decided by the inner alone: the inner walk drops every h with a
+right component of an excluded degree dividing n, all of whose pairs are
+excluded (at most one b_1 per prefix and degree, _cut_columns), and the
+other inners need the exclusion test only for the excluded degrees k with
+gcd(k, n) not such a degree.  For a total
 those are the k with gcd(k, n) = 1, and by Ritt's second theorem an inner
 decides them once, from its shape alone (_coprime_rule): most inners exclude
 nothing, and for k = 2 the excluded pairs of a polygon are one line, counted
-in closed form.  Only the inners with a shape of some k >= 3, and the split
-of indecomp_pair, run the kernel decompose.decomposable_on_span once per
-polygon.  lattice.union_count
+in closed form (in a (2, n) split one point per column).  Only the inners
+with a shape of some k >= 3, and the split of indecomp_pair, run the kernel
+decompose.decomposable_on_span once per polygon.  lattice.union_count
 counts what a line or the kernel excludes.  No variant stores a key.
 The budget bounds the witness pairs that a split walks and, up front
 (check_budget), the inner candidates that it tests.
@@ -67,7 +72,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import product
 from math import comb, gcd, isqrt
 from operator import mul as times
@@ -106,7 +111,8 @@ DEFAULT_SET_BUDGET = 200_000_000   # witness pairs per split
 DEFAULT_ORACLE_BUDGET = 3_000_000
 _INT64_LIMIT = 1 << 62  # oracle rows bounded below this evaluate in int64
 # Non-empty polygons the calling process walks in a split before it hands the
-# split's other inners to the query's pool.  Starting a pool of two forked
+# split's other inners to the query's pool; in a split (2, n) each non-empty
+# column counts as one, and the items handed on are prefixes.  Starting a pool of two forked
 # workers, running one task on each and shutting it down took 12-16 ms on
 # 2 cores (Python 3.11.7), about 10^3 polygons at the walk's ~10^5 polygons/s,
 # so a split below this never forks, and one above it has already done about
@@ -222,16 +228,18 @@ def ordered_splits(d: int) -> List[Tuple[int, int]]:
 
 def _h_candidates(
     m: int, n: int, H: int, monic: bool, cut: Sequence[int] = ()
-) -> List[Tuple[Poly, Poly]]:
-    """(h, h^2) for the normalized inner candidates h in lexicographic order.
+) -> list:
+    """The normalized inner candidates h in lexicographic order: (h, h^2) for
+    m >= 3, and for m = 2 one item (h0, h0^2, drop) per prefix, the columns
+    of which _columns walks.
 
     Walks the inner coefficients b_(n-1)..b_1 of h = b_1 x + ... + b_n x^n,
     b_n = L >= 1, as one odometer without recursion: one level per
-    coefficient, and each value of the last level b_1 is a leaf, one
-    candidate to test.  A non-monic lead L is at most H^(1/m), since
-    lead(g) L^m is the top of f; K1 >= 1 makes b_max (_inner_height_bound)
-    at least that.  Each level is restricted by |b| <= b_max and by the
-    final top coefficients of f:
+    coefficient, down to b_1 for m >= 3, whose every value is a leaf, one
+    candidate to test, and down to b_2 for m = 2.  A non-monic lead L is at
+    most H^(1/m), since lead(g) L^m is the top of f; K1 >= 1 makes b_max
+    (_inner_height_bound) at least that.  Each level is restricted by
+    |b| <= b_max and by the final top coefficients of f:
     with b_j..b_1 still 0, the coefficient of x^((m-1)n+j) of f = g(h) is
     a_m [h^m]_((m-1)n+j) (h^(m-1) has degree (m-1)n), which depends on b_j
     linearly with slope m*L^(m-1) and must not exceed H in absolute value
@@ -242,73 +250,49 @@ def _h_candidates(
     moves it by slope*b_j.  The walk keeps the square of the partial
     h: setting b_j from u to t, with b_(j-1)..b_1 still 0, adds
     2(t-u) x^j (b_(j+1) x^(j+1) + .. + b_n x^n) + (t^2-u^2) x^(2j), one O(n)
-    update.  For m = 2 the coefficient is that square's x^(n+j) entry, and
-    every candidate hands its square on.  Non-monic candidates
-    are additionally primitive (content 1); imprimitive inners never
-    generate new polynomials.
+    update.  For m = 2 the coefficient is that square's x^(n+j) entry.
+    Non-monic candidates of m >= 3 are additionally primitive (content 1);
+    imprimitive inners never generate new polynomials.
 
-    For m = 2 the last level b_1 is also cut by the low coefficients of f.
-    Let f = a_2 h^2 + a_1 h + a_0 with a_2 != 0 and every |[f]_j| <= H, and
-    let b_1 != 0.  Since h(0) = 0 and h^2 starts at x^2:
-      * [f]_1 = a_1 b_1, so |a_1| <= A := floor(H/|b_1|) (a_1 is an integer).
-      * n >= 3: [f]_2 = a_2 b_1^2 + a_1 b_2, so, as |a_2| >= 1,
-        b_1^2 <= |a_2| b_1^2 <= H + |a_1||b_2| <= H + A |b_2|.
-        n = 2: [f]_2 = a_2 b_1^2 + a_1 L, the same inequality since b_2 = L.
-        Its left side increases and A does not as |b_1| grows, so it holds
-        exactly when |b_1| <= B, B from _low_square_bound (once per |b_2|).
-      * n >= 3: [f]_n = a_2 S + a_1 L with
-        S = [h^2]_n = 2 b_(n-1) b_1 + sum_(i=2..n-2) b_i b_(n-i), so
-        |S| <= |a_2 S| <= H + L A.
-    Each is a necessary condition for the candidate to have any outer
-    polynomial, for monic and non-monic f alike.  So the b_1 window is the
-    top-coefficient window cut to |b_1| <= B, and only its few values are
-    tested exactly against |S| <= H + L A.  The level b_2 (n >= 4) looks one
-    level ahead: with b_1 = 0 the square's x^(n+1) entry is
-    sq[n+1] + 2 b_(n-1) b_2, and the b_1 window, which keeps
-    it plus slope*b_1 within H, meets [-B, B] only if it is at most
-    H + slope*B in absolute value; B grows with |b_2|, so the B of the
-    largest |b_2| of the level serves all of them.  A monic candidate has the
-    one outer lead a_2 = 1, so its pairs are the single row
-    |[h^2]_j + a_1 h_j| <= H, j = 1..n, and a candidate whose row holds no
-    a_1 is dropped at its leaf, by _one_row.  A dropped candidate yields no
-    pair, and every count is unchanged.  b_1 = 0 is never dropped by the
-    window.
+    For m = 2 the walk stops at the prefix b_(n-1)..b_2 and hands each one
+    on with b_1 = 0: h0 and its square h0^2 (for n = 2 the prefix is the
+    lead alone).  _columns counts the b_1, with their outer polynomials, in
+    one region per prefix.  The level b_2 (n >= 4) looks ahead to b_1:
+    with b_1 = 0 the square's x^(n+1) entry is sq[n+1] + 2 b_(n-1) b_2, and
+    the b_1 window, which keeps it plus slope*b_1 within H, must meet
+    [-B, B] (_columns), so it is at most H + slope*B in absolute value; B
+    grows with |b_2|, so the B of the largest |b_2| of the level serves all
+    of them.
 
     Only sigma-canonical inners are walked: those whose first non-zero b_j
     with n - j odd, from b_(n-1) down, is positive, or which have none (sigma
     fixes them).  A level b_j with n - j odd starts at 0 while every higher
-    level of that parity is 0; that only removes values, so the walk yields
-    exactly the canonical inners of the full walk.  Every window and cut
-    here tests |coefficients| of f or the right components of h, which sigma
-    keeps, so the full walk is closed under sigma, and its other inners,
-    (-1)^n h(-x) of a walked h, count as images (count_forward).
+    level of that parity is 0 (_columns does the same for b_1); that only
+    removes values, so the walk yields exactly the canonical inners of the
+    full walk.  Every window and cut here tests |coefficients| of f or the
+    right components of h, which sigma keeps, so the full walk is closed
+    under sigma, and its other inners, (-1)^n h(-x) of a walked h, count as
+    images (count_forward).
 
     cut holds inner degrees e | n, e < n, and a candidate h = u(w) with
     deg w = e in cut is dropped: count_forward excludes all of its pairs
     anyway.  The candidate right component of degree e of h reads only
     b_(n-1)..b_(n-e+1) (decompose._integer_candidate on h's monic
-    conjugate), so it is solved once per prefix, at level n-e+1, and a leaf
-    is tested only below an integral one: a decomposable h has an integral
-    candidate (the decompose module docstring).  decomposable_on_span checks
-    the digits of e >= 3.  e = 2 takes no kernel call: with L = lead(h) and
-    s = -b_(n-1)/(nL), h = u(w) with deg w = 2 exactly when the centred
-    h~(x) = h(x + s) - h(s) is even (_even_shape).  If h = u(w), write
-    w = alpha (x - r)^2 + beta, so h = v((x - r)^2) with
-    v(y) = u(alpha y + beta) of degree n/2 and lead L; the lower terms of v
-    reach only x^(n-2), so b_(n-1) = -nLr from L (x - r)^n alone, r = s, and
-    h(x + s) = v(x^2) is even, as is h~.  Conversely, an even h~ is v(x^2),
-    and h = (v + h(s))((x - s)^2).  Both decompositions are over the complex
-    numbers, as is the kernel's verdict, so the shape test drops exactly the
-    h that the kernel drops.
+    conjugate), so it is solved once per prefix, at level n-e+1, and
+    _cut_columns runs at the prefix b_(n-1)..b_2 only for the degrees with
+    an integral one: a decomposable h has an integral candidate (the
+    decompose module docstring).  Each degree drops at most one b_1 under a
+    prefix; these b_1 are the prefix's drop, which the b_1 level of m >= 3
+    skips, and so does _columns.
     """
-    out: List[Tuple[Poly, Poly]] = []
+    out: list = []
     b_max = _inner_height_bound(m, n, H)
     leads = [1] if monic else range(1, _int_root(H, m) + 1)
     decided: dict = {}  # level -> the degrees of cut whose candidate it completes
     for e in cut:
         decided.setdefault(n - e + 1, []).append(e)
     candidates: dict = {}
-    bound = lru_cache(maxsize=None)(partial(_low_square_bound, H))  # by |b_2|
+    leaf = 2 if m == 2 else 1  # the last level walked
 
     for L in leads:
         slope = m * L ** (m - 1)
@@ -316,11 +300,15 @@ def _h_candidates(
         bs[n] = L
         sq = [0] * (2 * n + 1)  # the square of the partial h
         sq[2 * n] = L * L
+        if n <= leaf:  # (2, 2): the prefix is the lead alone
+            out.append((tuple(bs), tuple(sq), ()))
+            continue
         rev = bs[::-1]  # the reversed top r: rev[i] = b_(n-i)
         hm = [L**m] + [0] * (n - 1)  # hm[i] = [r^m]_i = [h^m]_(mn-i), kept for m > 2
         # live[j]: the degrees of cut whose candidate, read from b_(n-1)..b_j, is integral
         live = [()] * (n + 1)
         values: list = [None] * n  # values[j]: the b_j still to visit
+        drop = ()  # the b_1 that the cut drops under the current prefix
 
         def level(j: int):
             # the b_j that keep [h^m]_((m-1)n+j) in the window, b_j..b_1 being 0
@@ -332,26 +320,15 @@ def _h_candidates(
             if m == 2 and j == 2 and n > 3 and lo <= hi:
                 # the b_1 window of each b_2 must meet [-B, B]: |sq[n+1] + 2 b_(n-1) b_2|
                 # <= H + slope*B, B for the largest |b_2| (B grows with |b_2|)
-                B = bound(max(-lo, hi))
+                B = _low_square_bound(H, max(-lo, hi))
                 lo, hi = window_interval(
                     (sq[n + 1],), (2 * bs[n - 1],), 0, 0, H + slope * B, lo, hi
                 )
             if (n - j) % 2 and not any(bs[j + 2 :: 2]):
                 lo = max(lo, 0)  # sigma-canonical: the first non-zero b_j, n - j odd, is > 0
-            if m > 2 or j > 1:
-                return iter(range(lo, hi + 1))
-            # the b_1 that pass the low-coefficient tests
-            B = bound(abs(bs[2]))
-            # S = c*b_1 + R, R the square's x^n entry at b_1 = 0; for n = 2,
-            # S = b_1^2 is tested by B alone: c = R = 0
-            R = sq[n]
-            c = 2 * bs[n - 1] if n > 2 else 0
-            keep = [
-                t
-                for t in range(max(lo, -B), min(hi, B) + 1)
-                if not t or abs(c * t + R) <= H + L * (H // abs(t))
-            ]
-            return iter(keep)
+            if j == 1 and drop:
+                return iter([t for t in range(lo, hi + 1) if t not in drop])
+            return iter(range(lo, hi + 1))
 
         def put(j: int, t: int) -> None:
             # b_j = t, and the square and [h^m]_((m-1)n+j) with it
@@ -379,22 +356,46 @@ def _h_candidates(
                 live[j] += tuple(
                     e for e in decided[j] if _candidate(F, n // e, e, candidates) is not None
                 )
-            if j > 1:
+            if j == 2:
+                drop = _cut_columns(bs, live[2], candidates) if live[2] else ()
+            if j > leaf:
                 j -= 1
                 values[j] = level(j)
-                continue
-            # a leaf: the candidate b_(n-1)..b_1
-            if monic and m == 2 and _one_row(bs, sq, 1, H)[1] is None:
-                continue  # the one row a_2 = 1 holds no a_1
-            if not monic and gcd(*bs) != 1:
-                continue
-            if 2 in live[1] and _even_shape(bs):
-                continue
-            kernel = [e for e in live[1] if e != 2]
-            if kernel and decomposable_on_span(tuple(bs), (), kernel, candidates) is None:
-                continue
-            out.append((tuple(bs), tuple(sq)))
+            elif m == 2:
+                out.append((tuple(bs), tuple(sq), drop))
+            elif monic or gcd(*bs) == 1:
+                out.append((tuple(bs), tuple(sq)))
     return out
+
+
+def _cut_columns(h0: Sequence[int], degrees: Sequence[int], candidates: dict) -> tuple:
+    """The b_1 for which h0 + b_1 x is u(w) with deg w = e in degrees, each
+    e dividing n = deg h0 with 2 <= e < n, and h0 = (0, 0, b_2, .., b_n): at
+    most one per degree.
+
+    Let F be the monic conjugate of h0 (decompose._monic_conjugate), whose
+    candidate inner K of degree e reads only b_(n-1)..b_(n-e+1), so it
+    serves every b_1.  h = u(w) exactly when the non-constant parts of the
+    K-adic digits 0..n/e-2 of h's monic conjugate vanish (the decompose
+    module docstring); that conjugate is F + L^(n-2) b_1 x, L = lead(h0),
+    and the digits are linear, with x its own digit 0 as e >= 2.  So b_1
+    moves only the x^1 coefficient of digit 0: the other parts decide the
+    prefix, and that one fixes its b_1.  candidates memoizes the solves.
+    """
+    n = len(h0) - 1
+    F = _monic_conjugate(tuple(h0))
+    step = h0[n] ** (n - 2)  # F_1 moves by step * b_1
+    drop = []
+    for e in degrees:
+        K = _candidate(F, n // e, e, candidates)
+        if K is None:
+            continue
+        r = list(_adic_digits(F, K, n // e - 1))
+        if not any(r[0][2:]) and not any(c for digit in r[1:] for c in digit[1:]):
+            b1, rem = divmod(-r[0][1], step)
+            if not rem:
+                drop.append(b1)
+    return tuple(drop)
 
 
 def _power_step(r: Sequence[int], p: Sequence[int], m: int, k: int) -> int:
@@ -408,6 +409,7 @@ def _power_step(r: Sequence[int], p: Sequence[int], m: int, k: int) -> int:
     return sum(((m + 1) * i - k) * r[i] * p[k - i] for i in range(1, k + 1)) // (k * r[0])
 
 
+@lru_cache(maxsize=1 << 12)  # one entry per (H, |b_2|), read once per (2, n) prefix
 def _low_square_bound(H: int, c: int) -> int:
     """Largest t >= 1 with t*t <= H + (H // t) * c (c >= 0).
 
@@ -423,6 +425,91 @@ def _low_square_bound(H: int, c: int) -> int:
         else:
             hi = t - 1
     return lo
+
+
+def _columns(h0: Poly, sq0: Poly, drop: Sequence[int], H: int, monic: bool) -> Iterator[tuple]:
+    """Yield (a_2, b_1, lo_1, hi_1) for every column of the (2, n) prefix h0
+    that holds a point, a_2 rising, then b_1: its pairs are the inner
+    h = h0 + b_1 x with the outer a_2 y^2 + a_1 y, lo_1 <= a_1 <= hi_1.
+
+    h0 = (0, 0, b_2, .., b_n) and sq0 = h0^2 come from _h_candidates, with
+    the b_1 that its cut drops.  f = a_2 h^2 + a_1 h has the coefficients
+      * [f]_1 = a_1 b_1;
+      * [f]_2 = a_2 b_1^2 + a_1 b_2 (b_2 = L = lead(h) when n = 2);
+      * [f]_k = a_2 (C_k + 2 b_(k-1) b_1) + a_1 b_k for k = 3..n+1, with
+        C_k = [h0^2]_k and b_(n+1) = 0: linear in (b_1, a_1);
+      * [f]_k = a_2 C_k for k >= n+2, which reads neither b_1 nor a_1.
+    So per prefix the rows k >= n+2 give the window of the outer lead a_2,
+    the positive half only when f is not monic (tau, as in _walk_outer),
+    and a_2 = 1 when it is.  Per a_2 the linear rows clip the window of
+    b_1: exactly where b_k = 0 (row n+1 among them, and [f]_2 = a_2 b_1^2
+    when b_2 = 0), and elsewhere by |a_2 (C_k + 2 b_(k-1) b_1)| <= H +
+    |b_k| H, as |a_1| <= H (below).  Each b_1 of the window is one column,
+    whose a_1 interval the rows k = 1..n with b_k != 0 finish: a few floor
+    divisions.  Every column with a point is yielded, so the pairs are
+    exactly those of every inner of the prefix.
+
+    The b_1 run over the window clipped to |b_1| <= B, B from
+    _low_square_bound: with a_2 != 0 and every |[f]_j| <= H, b_1 != 0 gives
+    |a_1| <= A := floor(H/|b_1|) from [f]_1, and then, as |a_2| >= 1,
+    b_1^2 <= |a_2| b_1^2 <= H + A |b_2| from [f]_2.  Its left side
+    increases and A does not as |b_1| grows, so it holds exactly when
+    |b_1| <= B.  b_1 = 0 needs no clip, and |a_1| <= H holds at every b_1:
+    at the lowest k with b_k != 0, [h^2]_k = 0 and [f]_k = a_1 b_k.
+
+    Like every other level of the inner walk (_h_candidates), b_1 starts at
+    0 when n - 1 is odd and every b_j, n - j odd, of the prefix is 0
+    (sigma-canonical).  The b_1 of drop are skipped, and when f is not
+    monic so is every b_1 with gcd(b_1, content of h0) > 1: the inner must
+    be primitive.
+    """
+    n = len(h0) - 1
+    L = h0[n]
+    content = gcd(*h0)  # 1 when monic
+    B = _low_square_bound(H, abs(h0[2]))
+    lo_b = 0 if n % 2 == 0 and not any(h0[3::2]) else -B
+    # the rows x^3..x^(n+1) as (C_k, 2 b_(k-1), b_k), b_(n+1) = 0
+    lin = [(sq0[k], 2 * h0[k - 1], h0[k]) for k in range(3, n + 1)] + [(sq0[n + 1], 2 * L, 0)]
+    g2 = abs(h0[2])
+    s2 = -1 if h0[2] < 0 else 1
+    leads = (1,) if monic else range(1, H // max(map(abs, sq0[n + 2 :])) + 1)
+    for a2 in leads:
+        lo, hi = lo_b, B
+        rows = []  # (p, t, g): |p + t b_1 + g a_1| <= H, g > 0
+        for c, t, g in lin:
+            p, t = a2 * c, a2 * t
+            lo, hi = window_interval((p,), (t,), 0, 0, H + abs(g) * H, lo, hi)
+            if g:
+                rows.append((p, t, g) if g > 0 else (-p, -t, -g))
+        if not g2:  # [f]_2 = a_2 b_1^2
+            r = isqrt(H // a2)
+            lo, hi = max(lo, -r), min(hi, r)
+        q2 = s2 * a2
+        for b1 in range(lo, hi + 1):
+            if b1 in drop or content > 1 and gcd(content, b1) > 1:
+                continue
+            # lattice.row_window's loop, inline: a call per column cost a
+            # quarter of a perfbench total job
+            hi1 = H // abs(b1) if b1 else H
+            lo1 = -hi1
+            if g2:
+                q = q2 * b1 * b1
+                v = -((H + q) // g2)
+                if v > lo1:
+                    lo1 = v
+                v = (H - q) // g2
+                if v < hi1:
+                    hi1 = v
+            for p, t, g in rows:
+                q = p + t * b1
+                v = -((H + q) // g)
+                if v > lo1:
+                    lo1 = v
+                v = (H - q) // g
+                if v < hi1:
+                    hi1 = v
+            if lo1 <= hi1:
+                yield a2, b1, lo1, hi1
 
 
 def _uniqueness_error(m: int, n: int, H: int, detail: str) -> RuntimeError:
@@ -442,7 +529,8 @@ def _walk_outer(
     h: Poly, sq: Poly, m: int, H: int, monic: bool
 ) -> Iterator[tuple]:
     """Yield (P, prefix, rows, first, last) for every polygon of one inner h
-    that holds a point, built, in order.
+    of a split (m, n), m >= 3, that holds a point, built, in order (the
+    split (2, n) is counted by _columns).
 
     sq is h^2, and the walk multiplies out h^3..h^m, which only it reads.
     One odometer runs a_m..a_3 in lexicographic order.  Every window comes
@@ -458,9 +546,7 @@ def _walk_outer(
     of (a_3 x^3 + .. + a_m x^m)(h).  lattice.polygon builds it over the a_2
     window clipped by x^(n+1)..x^(2n), the last coefficients a_2 reaches,
     as (rows, first, last), and its polynomials are P + a_2 h^2 + a_1 h for
-    its points (a_2, a_1).  For m = 2 the lead is a_2: prefix is empty, P
-    is 0 and each lead is one row, built by _one_row with rows None.
-    P and prefix are the walk's own lists: they hold until the
+    its points (a_2, a_1).  P and prefix are the walk's own lists: they hold until the
     next polygon is drawn, and the caller must not modify them.
     """
     n = len(h) - 1
@@ -475,12 +561,6 @@ def _walk_outer(
     else:
         lo_a, hi_a = window_interval(P, hp[m], (m - 1) * n + 1, d, H)
         leads = range(max(lo_a, 1), hi_a + 1)  # tau: the leads -a are counted, not walked
-    if m == 2:
-        for a in leads:
-            rows, first, last = _one_row(h, sq, a, H)
-            if first is not None:
-                yield P, prefix, rows, first, last
-        return
     values: list = [None] * (m + 1)  # values[k]: the a_k still to visit
     k = m
     values[k] = iter(leads)
@@ -505,17 +585,6 @@ def _walk_outer(
             rows, first, last = polygon(P, h, sq, lo, hi, H)
             if first is not None:
                 yield P, prefix, rows, first, last
-
-
-def _one_row(h: Poly, sq: Poly, a2: int, H: int):
-    """lattice.polygon's (rows, first, last) for the one row a_2 of a split
-    (2, n), whose P is 0, with rows None: its a_1 window is one
-    window_interval over (a_2 [h^2]_j, h_j), j = 1..n."""
-    n = len(h) - 1
-    lo1, hi1 = window_interval(sq if a2 == 1 else [a2 * t for t in sq[: n + 1]], h, 1, n, H)
-    if lo1 > hi1:
-        return None, None, None
-    return None, (a2, lo1), (a2, hi1)
 
 
 def _coprime_rule(h: Poly, m: int, degrees: Sequence[int]):
@@ -581,12 +650,6 @@ def _centred(h: Sequence[int]) -> Tuple[List[int], int]:
     return c, e
 
 
-def _even_shape(h: Sequence[int]) -> bool:
-    """Whether h, of even degree, is u(w) with deg w = 2: the odd coefficients
-    of _centred(h) vanish (_h_candidates proves it)."""
-    return not any(_centred(h)[0][1::2])
-
-
 def _chebyshev_shape(c: Sequence[int]) -> bool:
     """Whether c_1 y + .. + c_n y^n (n >= 3) is lam (T_n(alpha y) - T_n(0))
     for some complex lam and alpha != 0, T_n the Chebyshev polynomial.
@@ -646,14 +709,17 @@ def _start_pool(k: int):
 
 def _run_chunk(args, limit=None):
     """Enumerate outer polynomials for one chunk of inners, in one loop over
-    the built, non-empty polygons that _walk_outer yields.
+    the built, non-empty polygons that _walk_outer yields, or for m = 2 over
+    the columns of each prefix (_region).
 
-    args is (d, H, monic, (m, n), items, excluded, budget); each item
-    (h, sq) is an inner candidate h with sq = h^2, walked whole.  The chunk
-    consumes what it walks: it deletes from the list items the inners that
+    args is (d, H, monic, (m, n), items, excluded, budget); for m >= 3 each
+    item (h, sq) is an inner candidate h with sq = h^2, walked whole, and
+    for m = 2 each item is a prefix of _h_candidates, counted whole.  The
+    chunk consumes what it walks: it deletes from the list items those that
     it walked, all of them without limit.  With limit, it stops before the
-    first inner that it reaches after it has walked limit polygons (each
-    with a point), so the inners it leaves in items are those still to walk.
+    first item that it reaches after it has walked limit polygons or
+    columns (each with a point), so the items it leaves are those still to
+    walk.
 
     Returns (pairs, 0, None, away, tops):
       pairs    -- witness pairs completed (equals distinct polynomials)
@@ -676,16 +742,15 @@ def _run_chunk(args, limit=None):
     kernel.  The kernel, and every other excluded set, takes one
     decomposable_on_span call per polygon, which decides the exclusion for
     all of its points, and union_count counts the excluded ones.  The
-    kernel never runs for m = 2: in a total's (2, n) split the kernel
-    degrees k divide 2n, are below n and are coprime to n, so the only one
-    is k = 2 with n odd, which _coprime_rule always decides, and an
-    indecomp_pair with m = 2 excludes nothing.  For m >= 3 the polygon is
-    the plane P + a_2 h^2 + a_1 h, and h^2 and h stay below the
+    polygon is the plane P + a_2 h^2 + a_1 h, and h^2 and h stay below the
     coefficients x^(d-n'+1)..x^(d-1) that fix the candidate inner of every
     excluded n': a total excludes n' < n, so d - n' > (m-1)n >= 2n, and an
     indecomp_pair excludes only when m >= 4 (l < n' <= d/2 with l | n' needs
     d/l >= 4), and then d - n' >= d/2 >= 2n.  The candidate inners are
-    memoized per chunk.
+    memoized per chunk.  For m = 2 the only excluded degree is k = 2 with n
+    odd: in a total's (2, n) split the kernel degrees k divide 2n, are
+    below n and are coprime to n, and an indecomp_pair with m = 2 excludes
+    nothing.  _region applies _coprime_rule's k = 2 closed form to it.
 
     Uniqueness re-check, with no key stored.  A block is one inner h with one
     outer lead a_m, and a chunk walks whole inners, so whole blocks.  The
@@ -702,9 +767,12 @@ def _run_chunk(args, limit=None):
     inside a block: its first key must exceed the block's previous key, its
     last key becomes the new one, and a polygon of more than one point needs
     L > 0.  Every f of a block shares the block's top n coefficients, so
-    the tops are all that _check_pieces needs.
+    the tops are all that _check_pieces needs.  At m = 2 a block is one
+    column, and _region checks its region of columns in the same way.
     """
     (d, H, monic, (m, n), items, excluded, budget) = args
+    if m == 2 and any(k != 2 or n % 2 == 0 for k in excluded):
+        raise ValueError(f"split (2,{n}) excludes only the inner degree 2, for n odd")
 
     base = 2 * H + 1
     bp = [0] + [base**e for e in range(d)]  # bp[j]: the weight of x^j in a key
@@ -715,10 +783,19 @@ def _run_chunk(args, limit=None):
     # _coprime_rule decides per inner when every excluded degree is coprime to n
     coprime = bool(excluded) and all(gcd(k, n) == 1 and d % k == 0 for k in excluded)
 
-    for h, sq in items:
+    for item in items:
         if limit is not None and polygons >= limit:
             break
         walked += 1
+        if m == 2:
+            columns, count, gone = _region(item, H, monic, excluded, tops)
+            polygons += columns
+            pairs += count
+            away += gone
+            if pairs > budget:
+                raise _pairs_budget_error(budget, m, n, H)
+            continue
+        h, sq = item
         # the orbit of each pair under sigma (h not sigma-fixed) and tau (not monic)
         w = (2 if any(h[n - 1 :: -2]) else 1) * (1 if monic else 2)
         s = sq + (0,) * (d - 2 * n)
@@ -730,12 +807,11 @@ def _run_chunk(args, limit=None):
         for P, prefix, rows, first, final in _walk_outer(h, sq, m, H, monic):
             polygons += 1
             count = polygon_count(rows, first, final, H)
-            lead = prefix[0] if prefix else first[0]
-            key0 = key_h + sum(map(times, P, bp)) if m > 2 else key_h  # P = 0 at m = 2
+            key0 = key_h + sum(map(times, P, bp))
             key = key0 + first[0] * skf + first[1] * hkf
-            if lead != block:
+            if prefix[0] != block:
                 # first polygon of a new block
-                block, last = lead, -1
+                block, last = prefix[0], -1
                 tops.append(tuple(p + first[0] * t for p, t in zip(P[d - n + 1 :], s[d - n + 1 :])))
             if key <= last or (count > 1 and h[n] <= 0):
                 raise _uniqueness_error(m, n, H, "keys not increasing within a block")
@@ -754,6 +830,63 @@ def _run_chunk(args, limit=None):
                 raise _pairs_budget_error(budget, m, n, H)
     del items[:walked]
     return pairs, 0, None, away, tops
+
+
+def _region(item, H: int, monic: bool, excluded: Sequence[int], tops: list) -> Tuple[int, ...]:
+    """(columns, pairs, away) of one (2, n) prefix item of _h_candidates,
+    over the non-empty columns that _columns yields, with the top of each
+    column appended to tops; pairs and away count the orbit weights of
+    _run_chunk.
+
+    Weights.  sigma fixes h = h0 + b_1 x exactly when every b_j with n - j
+    odd is 0: those of the prefix, and b_1 too when n is even.  tau doubles
+    every column when f is not monic.
+
+    Exclusion.  excluded is () or (2,) with n odd, and then _coprime_rule's
+    k = 2 closed form applies per column.  The centred h~ of h is odd
+    exactly when _centred's c_j vanish for the even j = 2..n-1, which b_1
+    does not reach (it moves only c_1 and c_0), so the prefix decides it.
+    Then gamma = c_0/D^n, D = nL, is linear in b_1: with c = _centred(h0),
+    the c_0 of h is c[0] - b_(n-1) D^(n-1) b_1.  The one line of m = 2
+    leaves each column the one point a_1 = -2 a_2 gamma, if it is an
+    integer in [lo_1, hi_1].
+
+    Uniqueness re-check.  A column is one inner with one outer lead, a
+    block of _run_chunk, whose top is (a_2 [h^2]_(n+1), .., a_2 [h^2]_2n)
+    and whose a_1 steps raise x^n by L > 0.  Within one a_2, the columns
+    come b_1 rising, and only [f]_(n+1) = a_2 (C_(n+1) + 2 L b_1) moves
+    among the tops: it must strictly increase.
+    """
+    h0, sq0, drop = item
+    n = len(h0) - 1
+    L = h0[n]
+    tau = 1 if monic else 2
+    moved = any(h0[n - 1 :: -2])  # sigma moves the prefix
+    even = n % 2 == 0
+    line = None
+    if excluded:
+        c, e = _centred(h0)
+        if not any(c[2:n:2]):
+            line = (c[0], h0[n - 1] * (e // (n * L)), e)
+    columns = pairs = away = 0
+    lead = None  # the a_2 of the current run of columns
+    for a2, b1, lo1, hi1 in _columns(h0, sq0, drop, H, monic):
+        count = hi1 - lo1 + 1
+        f1 = a2 * (sq0[n + 1] + 2 * L * b1)
+        if a2 != lead:
+            lead, last, upper = a2, None, tuple(a2 * s for s in sq0[n + 2 :])
+        if last is not None and f1 <= last or count > 1 and L <= 0:
+            raise _uniqueness_error(2, n, H, "keys not increasing within a block")
+        last = f1
+        tops.append((f1,) + upper)
+        w = tau * (2 if moved or even and b1 else 1)
+        if line:
+            a1, r = divmod(-2 * a2 * (line[0] - line[1] * b1), line[2])
+            if not r and lo1 <= a1 <= hi1:
+                away += w
+        columns += 1
+        pairs += w * count
+    return columns, pairs, away
 
 
 def _check_pieces(m: int, n: int, H: int, chunks) -> None:
@@ -780,12 +913,13 @@ def _run_split(d, H, monic, split, workers, excluded, budget, *, pool, power_awa
     power_away is the plan's rule for the inner x^n (count_forward decides
     it): None walks x^n with the other inners, and an int counts its first
     copy in closed form with that many pairs excluded.  A second copy of
-    x^n is walked.  Each chunk refuses once its own pairs exceed the
-    budget, and the merged pairs, x^n's included, are checked against it
-    once more, so a split is refused exactly when its true total exceeds
-    the budget.  check_budget has already refused x^n's pairs alone past
-    the budget: every split that counts x^n in closed form has the
-    query's largest outer degree.
+    x^n is walked, and so is the x^n of m = 2, the column b_1 = 0 of the
+    zero prefix, which costs no more than any other column.  Each chunk
+    refuses once its own pairs exceed the budget, and the merged pairs,
+    x^n's included, are checked against it once more, so a split is refused
+    exactly when its true total exceeds the budget.  check_budget has
+    already refused x^n's pairs alone past the budget: every split that
+    counts x^n in closed form has the query's largest outer degree.
 
     The calling process walks the inners in order with one _run_chunk call,
     which consumes them: all of them when k = min(workers, os.cpu_count())
@@ -818,7 +952,7 @@ def _run_split(d, H, monic, split, workers, excluded, budget, *, pool, power_awa
     pairs = away = 0
     tops: list = []
     power = ((0,) * n + (1,), (0,) * (2 * n) + (1,))  # (x^n, x^2n)
-    if power_away is not None and power in items:
+    if power_away is not None and m > 2 and power in items:
         items.remove(power)  # the first copy only: a second is walked
         leads = [1] if monic else [a for a in range(-H, H + 1) if a]
         pairs, away = _box_size(m - 1, H, monic), power_away
@@ -937,13 +1071,14 @@ def count_forward(q: CountQuery, workers: int = 1, budget: Optional[int] = None)
     inner alone.  Let the split (m, n) exclude E and let cut = {e in E :
     e | n, e < n}.  If h = u(w) with deg w = e in cut, every f = g(h) =
     (g(u))(w) decomposes with an inner of degree e, so every pair of h is
-    excluded: _h_candidates drops h, and neither its pairs nor its
-    exclusions are counted.  If h has no such right component and f = G(K)
-    with deg K = k in E, Engstrom gives h and K a common right component of
-    degree gcd(k, n), so gcd(k, n) is not in cut; the kernel runs only for
-    those k.  A total's cut is every divisor e of n with 1 < e < n (each is
-    below n and divides d), so its splits (2, 4) and (2, 6) need no kernel;
-    indecomp_pair has n = l prime and an empty cut, and split an empty E.
+    excluded: _h_candidates drops h (at m = 2 _columns drops its column),
+    and neither its pairs nor its exclusions are counted.  If h has no such
+    right component and f = G(K) with deg K = k in E, Engstrom gives h and K
+    a common right component of degree gcd(k, n), so gcd(k, n) is not in
+    cut; the kernel runs only for those k.  A total's cut is every divisor e
+    of n with 1 < e < n (each is below n and divides d), so its splits
+    (2, 4) and (2, 6) need no kernel; indecomp_pair has n = l prime and an
+    empty cut, and split an empty E.
 
     Ritt's second theorem decides the rest of a total's exclusion per inner
     (_coprime_rule).  Its kernel degrees k have gcd(k, n) = 1, so k | m.
@@ -1052,7 +1187,9 @@ def iter_decompositions(
 
     The pairs come polygon by polygon as _walk_outer builds them, each
     polygon row by row (a_2 rising, then a_1 rising); a polygon is built
-    only when the pairs before it have been drawn.  Each walked pair is
+    only when the pairs before it have been drawn.  For m = 2 they come
+    prefix by prefix of _h_candidates, in the order (prefix, a_2, b_1, a_1)
+    of _columns, one column at a time.  Each walked pair is
     followed by the pairs that count_forward counts with it (_orbit), so
     every pair of the split comes exactly once.  The outer polynomial
     is produced with constant term 0; the full family per pair ranges over
@@ -1060,7 +1197,15 @@ def iter_decompositions(
     not for counting.
     """
     m, n = split
-    for h, sq in _h_candidates(m, n, H, monic):
+    items = _h_candidates(m, n, H, monic)
+    if m == 2:
+        for h0, sq0, drop in items:
+            for a2, b1, lo1, hi1 in _columns(h0, sq0, drop, H, monic):
+                h = (0, b1) + h0[2:]
+                for a in range(lo1, hi1 + 1):
+                    yield from _orbit((0, a, a2), h, monic)
+        return
+    for h, sq in items:
         for P, prefix, rows, first, last in _walk_outer(h, sq, m, H, monic):
             tail = tuple(reversed(prefix))
             for a2, lo1, hi1 in polygon_rows(rows, first, last, H):

@@ -21,6 +21,7 @@ import platform
 import sys
 from contextlib import contextmanager, nullcontext, suppress
 from datetime import datetime, timezone
+from functools import lru_cache
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -331,7 +332,10 @@ def _cmd_verify(args) -> int:
     return 0 if run_criteria(wanted) else 1
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process: parse_args leaves
+    it unchanged, and run calls it for every command."""
     ap = argparse.ArgumentParser(
         prog="polycensus",
         description="Exact census of decomposable integer polynomials.",

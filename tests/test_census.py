@@ -7,7 +7,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
-from math import gcd, prod
+from math import comb, gcd, prod
 from pathlib import Path
 from unittest import mock
 
@@ -78,6 +78,48 @@ def union_key_set(d, H, monic):
     return frozenset().union(*(forward_key_set(d, H, monic, s) for s in ordered_splits(d)))
 
 
+def columns_of(items, H, monic):
+    """(h, a_2, lo_1, hi_1) for every column of the (2, n) prefix items of
+    _h_candidates, in walk order, h = h0 + b_1 x: the expanded column stream."""
+    return [
+        ((0, b1) + h0[2:], a2, lo1, hi1)
+        for h0, sq0, drop in items
+        for a2, b1, lo1, hi1 in census._columns(h0, sq0, drop, H, monic)
+    ]
+
+
+def column_inners(items, H, monic):
+    """The inners of columns_of, each once: the prefixes in walk order, and
+    the b_1 of each rising, so in lexicographic order, as at m >= 3."""
+    return [
+        (0, b1) + h0[2:]
+        for h0, sq0, drop in items
+        for b1 in sorted({c[1] for c in census._columns(h0, sq0, drop, H, monic)})
+    ]
+
+
+def one_column(item, b1, H):
+    """A (2, n) prefix item cut to its one column b_1: its drop takes every
+    other b_1 with |b_1| <= B, the bound of _columns."""
+    h0, sq0, drop = item
+    B = census._low_square_bound(H, abs(h0[2]))
+    return h0, sq0, drop + tuple(t for t in range(-B, B + 1) if t != b1)
+
+
+def walk_polygons(items, m, H, monic):
+    """(h, sq, P, prefix, rows, first, last) for every non-empty polygon of
+    the items of _h_candidates(m, n, ..), in walk order: those of _walk_outer,
+    and at m = 2 the one row of each column, with P = 0, no prefix and rows
+    None."""
+    if m > 2:
+        for h, sq in items:
+            for P, prefix, rows, first, last in census._walk_outer(h, sq, m, H, monic):
+                yield h, sq, P, prefix, rows, first, last
+        return
+    for h, a2, lo1, hi1 in columns_of(items, H, monic):
+        yield h, mul(h, h), (0,) * (2 * len(h) - 1), [], None, (a2, lo1), (a2, hi1)
+
+
 # exhaustively derived once with count_bruteforce over all 625 monic
 # quartics of height <= 2 and pinned before the forward enumerator existed
 D4_H2_MONIC = 65
@@ -106,7 +148,7 @@ def test_k1_bound_exhaustive_small_box():
 def test_enum_box():
     assert _inner_height_bound(2, 2, 10) == 21  # floor(sqrt(480))
     # non-monic inner leads run to floor(10^(1/2)) = 3: 9x^4 + 6x^3 + x^2 = (3x^2 + x)^2
-    assert max(h[-1] for h, _ in _h_candidates(2, 2, 10, False)) == 3
+    assert max(h0[-1] for h0, _, _ in _h_candidates(2, 2, 10, False)) == 3
 
 
 def test_outer_windows_are_exact_at_any_height():
@@ -215,7 +257,9 @@ def test_closed_form_power_matches_its_walk(monkeypatch, d, monic):
     # under the plan's x^n rule (the closed form where it is an int) against
     # _run_chunk walking [x^n] with the split's kernel: the same pairs, away
     # and block tops; a non-monic closed form has the walk's tops and their
-    # tau images -top, as the walk takes the leads a_m > 0 only
+    # tau images -top, as the walk takes the leads a_m > 0 only.  At m = 2,
+    # x^n is the column b_1 = 0 of the zero prefix, which _run_split walks
+    # like any other column: its pairs and away are those of the closed form
     H = 3 if d <= 8 else 2
     real_split, real_chunk, real_h = census._run_split, census._run_chunk, census._h_candidates
     plans = set()
@@ -240,9 +284,13 @@ def test_closed_form_power_matches_its_walk(monkeypatch, d, monic):
         power = ((0,) * n + (1,), (0,) * (2 * n) + (1,))
         chunks, tops = [], []
 
-        def only_power(m_, n_, *rest):
-            hs = real_h(m_, n_, *rest)
-            return [c for c in hs if c == power] if (m_, n_) == split else hs
+        def only_power(m_, n_, H_, *rest):
+            hs = real_h(m_, n_, H_, *rest)
+            if (m_, n_) != split:
+                return hs
+            if m_ == 2:  # the zero prefix of lead 1, cut to its column b_1 = 0
+                return [one_column(c, 0, H_) for c in hs if c[:2] == power]
+            return [c for c in hs if c == power]
 
         def recording(args, **kw):
             chunks.append((args, list(args[4])))  # the chunk consumes its items
@@ -259,19 +307,26 @@ def test_closed_form_power_matches_its_walk(monkeypatch, d, monic):
         inners = only_power(m, n, H, monic, tuple(e for e in excluded if n % e == 0 and e < n))
         walk = real_chunk((d, H, monic, split, list(inners), args[5], 10**12))
         assert (pairs, away) == (walk[0], walk[3])
-        assert (rule is not None) == bool(inners and not items)
-        if rule is not None:
+        if m == 2:
+            assert items == inners  # walked, never in closed form
+            if rule is not None:
+                assert (pairs, away) == (census._box_size(1, H, monic), rule)
+        else:
+            assert (rule is not None) == bool(inners and not items)
+        if rule is not None and m > 2:
             closed += 1
             if args[5]:  # indecomp_pair's kernel: away from a total at degree m
                 recursive.append(away)
         walked_tops = walk[4] + [
-            tuple(-c for c in t) for t in walk[4] if rule is not None and not monic
+            tuple(-c for c in t) for t in walk[4] if rule is not None and not monic and m > 2
         ]
         assert sorted(t for c in tops[-1] for t in c) == sorted(walked_tops)
-    # x^n in closed form wherever nothing is excluded and in the dominant
-    # split (d/l, l) of indecomp_pair; walked in the other splits of a total
+    # x^n in closed form at m >= 3 wherever nothing is excluded and in the
+    # dominant split (d/l, l) of indecomp_pair; walked in the other splits of
+    # a total.  d = 4 has the split (2, 2) alone
     top = d // spf(d)
-    assert closed == sum(not e or s == (top, spf(d)) for s, e, _ in plans) > 0
+    assert closed == sum(s[0] > 2 and (not e or s == (top, spf(d))) for s, e, _ in plans)
+    assert (closed > 0) == (d > 4)
     assert len(recursive) == (spf(top) != top) and all(recursive)  # m composite
 
 
@@ -559,10 +614,10 @@ def test_worker_independence(monkeypatch, pool_sizes):
         for q in queries:
             check(q, 4)
     assert max(pool_sizes) == 4
-    # the batches cut whole inners: no inner is in two batches of a split
+    # the batches cut whole inners (prefixes at m = 2): none is in two batches of a split
     assert any(len(batches) > 1 for batches in cuts)
     for batches in cuts:
-        hs = [h for batch in batches for h, _ in batch]
+        hs = [item[0] for batch in batches for item in batch]
         assert len(hs) == len(set(hs))
 
 
@@ -688,16 +743,16 @@ def test_uniqueness_recheck_catches_a_repeated_power(monkeypatch, pool_sizes, q,
     "m,n,H,monic", [(6, 2, 12, True), (4, 2, 8, False), (3, 2, 6, False), (2, 4, 4, True)]
 )
 def test_pieces_cut_the_walk_exactly(m, n, H, monic):
-    # the calling process stops at an inner boundary and _batches cuts the
-    # inners it leaves: together they walk the whole split once, in order
+    # the calling process stops at an inner boundary (a prefix at m = 2) and
+    # _batches cuts the inners it leaves: together they walk the whole split
+    # once, in order
     d = m * n
     inners = _h_candidates(m, n, H, monic)
 
     def walked(items):
         return [
             (h, tuple(P), tuple(prefix), first, last)
-            for h, sq in items
-            for P, prefix, rows, first, last in census._walk_outer(h, sq, m, H, monic)
+            for h, sq, P, prefix, rows, first, last in walk_polygons(items, m, H, monic)
         ]
 
     whole = walked(inners)
@@ -854,13 +909,14 @@ def test_uniqueness_recheck_catches_keys_out_of_order(monkeypatch):
 
 @pytest.mark.parametrize("split,last_row", [((3, 2), False), ((2, 3), False), ((3, 2), True)])
 def test_uniqueness_recheck_catches_a_repeated_polygon(monkeypatch, split, last_row):
-    # every polygon is yielded again right after itself, whole or (last_row,
-    # polygons of several a_2 only) just its last row, so the copy lies in the
-    # same block with the same top coefficients; only the per-polygon key
-    # comparison sees it (at m = 2 each polygon is a whole block).  A last
-    # row starts above the polygon's first key, so the comparison must be
-    # with the last key.
-    real = census._walk_outer
+    # every polygon (every column at m = 2) is yielded again right after
+    # itself, whole or (last_row, polygons of several a_2 only) just its last
+    # row, so the copy lies in the same block, or at m = 2 the same run of
+    # columns of one a_2, with the same top coefficients; only the
+    # per-polygon key comparison sees it (at m = 2 the per-column comparison
+    # of [f]_(n+1)).  A last row starts above the polygon's first key, so the
+    # comparison must be with the last key.
+    real, real_columns = census._walk_outer, census._columns
 
     def again(h, sq, m, H, monic):
         for P, prefix, rows, first, last in real(h, sq, m, H, monic):
@@ -870,7 +926,13 @@ def test_uniqueness_recheck_catches_a_repeated_polygon(monkeypatch, split, last_
             elif first[0] < last[0]:
                 yield P, prefix, rows, (last[0], row_window(rows, last[0], H)[0]), last
 
+    def columns_again(*args):
+        for column in real_columns(*args):
+            yield column
+            yield column
+
     monkeypatch.setattr(census, "_walk_outer", again)
+    monkeypatch.setattr(census, "_columns", columns_again)
     with pytest.raises(RuntimeError, match="not increasing"):
         count_forward(CountQuery(6, 3, True, "split", split))
 
@@ -908,24 +970,25 @@ def test_two_inner_degrees_counted_once():
     key = pack_truncated(f, d, H)
     assert key in forward_key_set(d, H, True, (4, 2))
     assert key in forward_key_set(d, H, True, (2, 4))
-    polygons = [
-        (tuple(P), prefix[:], rows, first, last)
-        for P, prefix, rows, first, last in census._walk_outer(h, mul(h, h), 2, H, True)
-    ]
-    # m = 2: the monic lead a_2 = 1 is the only polygon, a single row over P = 0
-    [(P, prefix, rows, first, last)] = polygons
+    # h has b_1 = 0, so it is its own prefix, and its column is b_1 = 0
+    [item] = [c for c in _h_candidates(2, 4, H, True) if c[0] == h]
+    item = one_column(item, 0, H)
+    polygons = list(walk_polygons([item], 2, H, True))
+    # m = 2: the monic lead a_2 = 1 is the only column, a single row over P = 0
+    [(h1, sq, P, prefix, rows, first, last)] = polygons
+    assert h1 == h and sq == mul(h, h)
     assert prefix == [] and first[0] == last[0] == 1 and not any(P) and rows is None
     assert (first, last) == polygon(P, h, mul(h, h), 1, 1, H)[1:]
     [(a2, lo, hi)] = polygon_rows(rows, first, last, H)
     assert a2 == 1 and lo <= 0 <= hi and mul(h, h) == f
     assert decomposable_on_span(f, (h,), (2,)) is None
-    pairs, _, _, away, _ = _run_chunk((d, H, True, (2, 4), [(h, mul(h, h))], (), 10**9))
+    pairs, _, _, away, _ = _run_chunk((d, H, True, (2, 4), [item], (), 10**9))
     # a_2 = 1 is the only row of this h, counted with that of sigma(h) = (x^2-x)^2
     assert pairs == 2 * (hi - lo + 1) and away == 0
     # the total's (2, 4) split excludes the degree 2, which cuts h from the
     # inner walk, so all of its pairs are attributed away
-    assert h in [c for c, _ in _h_candidates(2, 4, H, True)]
-    assert h not in [c for c, _ in _h_candidates(2, 4, H, True, (2,))]
+    assert h in column_inners(_h_candidates(2, 4, H, True), H, True)
+    assert h not in column_inners(_h_candidates(2, 4, H, True, (2,)), H, True)
     count = count_forward(CountQuery(d, H, True, "total")).count
     assert count == (2 * H + 1) * len(union_key_set(d, H, True))
 
@@ -944,10 +1007,11 @@ def test_composite_smaller_inner_degree_attributes_away(monkeypatch):
     assert decomposable_on_span(h8, (), (2,)) is not None
     assert decomposable_on_span(h8, (), (4,)) is None
     only = {(4, 4): [h4], (2, 8): [h8]}
+    # h8 has b_1 = 0: at m = 2 it is its own prefix, cut to its one column
     monkeypatch.setattr(
         census, "_h_candidates",
         lambda m, n, H, monic, cut=(): [
-            (h, mul(h, h))
+            (h, mul(h, h)) if m > 2 else one_column((h, mul(h, h), ()), 0, H)
             for h in only.get((m, n), [])
             if decomposable_on_span(h, (), cut) is not None
         ],
@@ -977,29 +1041,31 @@ def test_coprime_rule_matches_the_kernel_per_polygon(monkeypatch, m, n, H, monic
     items = _h_candidates(m, n, H, monic, cut)
     seen = {"line": 0, "nothing": 0, "kernel": 0}
     candidates = {}
+    rules = {}  # per inner, decided at its first polygon (at m = 2 a column)
     away = 0  # the kernel's exclusions, with the orbit weights of _run_chunk
-    for h, sq in items:
-        rule = census._coprime_rule(h, m, degrees)
-        seen["kernel" if rule is None else "line" if rule else "nothing"] += 1
+    for h, sq, P, prefix, rows, first, final in walk_polygons(items, m, H, monic):
+        if h not in rules:
+            rules[h] = census._coprime_rule(h, m, degrees)
+            seen["kernel" if rules[h] is None else "line" if rules[h] else "nothing"] += 1
+        rule = rules[h]
         s = sq + (0,) * (d - 2 * n)
         w = (2 if any(h[n - 1 :: -2]) else 1) * (1 if monic else 2)
-        for P, prefix, rows, first, final in census._walk_outer(h, sq, m, H, monic):
-            if m == 2:  # one row, whose lead a_2 reaches the candidates
-                got = decomposable_on_span([first[0] * t for t in s], (h,), degrees, candidates)
-                kernel = final[1] - first[1] + 1 if got is None else sum(
-                    first[1] <= a <= final[1] for a, in got[0]
-                )
-            else:
-                got = decomposable_on_span(P, (sq, h), degrees, candidates)
-                kernel = (
-                    polygon_count(rows, first, final, H)
-                    if got is None else union_count(rows, first, final, H, *got)
-                )
-            if rule == ():  # no shape of Ritt's theorem: the kernel excludes nothing
-                assert kernel == 0, (h, prefix, first, final)
-            elif rule is not None:
-                assert census._line_away(rule, prefix, rows, first, final, H) == kernel
-            away += w * kernel
+        if m == 2:  # one row, whose lead a_2 reaches the candidates
+            got = decomposable_on_span([first[0] * t for t in s], (h,), degrees, candidates)
+            kernel = final[1] - first[1] + 1 if got is None else sum(
+                first[1] <= a <= final[1] for a, in got[0]
+            )
+        else:
+            got = decomposable_on_span(P, (sq, h), degrees, candidates)
+            kernel = (
+                polygon_count(rows, first, final, H)
+                if got is None else union_count(rows, first, final, H, *got)
+            )
+        if rule == ():  # no shape of Ritt's theorem: the kernel excludes nothing
+            assert kernel == 0, (h, prefix, first, final)
+        elif rule is not None:
+            assert census._line_away(rule, prefix, rows, first, final, H) == kernel
+        away += w * kernel
     if 2 in degrees:  # every cubic h~ is odd
         assert seen["line"] and (n > 3 or not seen["nothing"])
     else:
@@ -1226,13 +1292,16 @@ def test_inner_search_bound_refuses_as_over_every_plan():
 def test_inner_cut_drops_exactly_the_decomposable_inners(m, n, H, monic, cut):
     # the walk solves each degree-e candidate once per prefix and checks the
     # digits only below an integral one; what it keeps must be the uncut
-    # candidates less those that decompose with a degree of cut, in order
+    # candidates less those that decompose with a degree of cut, in order.
+    # At m = 2 the columns of the prefixes are compared, each with its inner
     full = _h_candidates(m, n, H, monic)
     kept = _h_candidates(m, n, H, monic, cut)
-    assert kept == [(h, sq) for h, sq in full if decomposable_on_span(h, (), cut) is not None]
-    assert len(kept) < len(full)
     # the squares built along the walk
-    assert all(sq == mul(h, h) for h, sq in full)
+    assert all(item[1] == mul(item[0], item[0]) for item in full)
+    if m == 2:
+        full, kept = columns_of(full, H, monic), columns_of(kept, H, monic)
+    assert kept == [c for c in full if decomposable_on_span(c[0], (), cut) is not None]
+    assert len(kept) < len(full)
 
 
 def test_inner_walk_is_iterative():
@@ -1275,10 +1344,11 @@ def test_inner_walk_powers_match_poly_pow(m, n, H, monic):
 
 
 def test_h_candidates_normalized_and_ordered():
-    hs = [h for h, _ in _h_candidates(2, 2, 8, True)]
+    # the inners of the (2, 2) columns
+    hs = column_inners(_h_candidates(2, 2, 8, True), 8, True)
     assert all(h[0] == 0 and h[-1] == 1 for h in hs)
     assert hs == sorted(hs, key=lambda h: h[1:])
-    hs = [h for h, _ in _h_candidates(2, 2, 4, False)]
+    hs = column_inners(_h_candidates(2, 2, 4, False), 4, False)
     assert all(h[0] == 0 and h[-1] >= 1 for h in hs)
     assert all(gcd(*h) == 1 for h in hs)
 
@@ -1389,14 +1459,15 @@ def test_split_counts_match_the_unsymmetrized_walk(d, monic):
 def test_inner_walk_is_the_sigma_canonical_half(m, n, H, monic, cut):
     # every inner walked is sigma-canonical, and with their sigma images they
     # are the inners of the unsymmetrized walk under the same cuts: the top
-    # coefficients, the low coefficients at m = 2, and the degrees of cut
-    hs = [h for h, _ in _h_candidates(m, n, H, monic, cut)]
+    # coefficients, at m = 2 the columns with a point, and the degrees of cut
+    items = _h_candidates(m, n, H, monic, cut)
+    hs = column_inners(items, H, monic) if m == 2 else [h for h, _ in items]
     assert all(sigma_canonical(h) for h in hs)
     assert len(set(hs)) == len(hs)
     ref = {
         h
         for h in unpruned_h_candidates(m, n, H, monic)
-        if (m > 2 or passes_low_tests(h, H, monic))
+        if (m > 2 or has_pair(h, H, monic))
         and decomposable_on_span(h, (), cut) is not None
     }
     assert set(hs) | {sigma_inner(h) for h in hs} == ref
@@ -1437,20 +1508,36 @@ def test_sign_symmetries_map_normalized_pairs(data):
         assert (w.g, w.h) == (g2, h2)
 
 
-def passes_low_tests(h, H, monic):
-    """The three low-coefficient inequalities of an m = 2 inner, one by one,
-    and for a monic inner the one row a_2 = 1, by trying every a_1."""
+def passes_low_tests(h, H):
+    """The three low-coefficient inequalities of an m = 2 inner, one by one."""
     n, b1, L = len(h) - 1, h[1], h[-1]
     sq = poly_pow(h, 2)
     if b1:
         A = H // abs(b1)
         if b1 * b1 > H + A * abs(h[2]) or abs(sq[n]) > H + L * A:
             return False
-    # |a_1| <= H: at the lowest k with h_k != 0, [h^2]_k = 0 and [f]_k = a_1 h_k
-    rows = list(zip(sq[1 : n + 1], h[1:]))
-    return not monic or any(
-        all(abs(s + a * g) <= H for s, g in rows) for a in range(-H, H + 1)
-    )
+    return True
+
+
+def row_grid(h, H, monic):
+    """(a2s, a1s, ok) for an m = 2 inner h: ok[i, j] when f = a_2 h^2 + a_1 h,
+    a_2 = a2s[i] and a_1 = a1s[j], is in the height box.  Every pair is tried:
+    a_2 = 1 if monic, else every a_2 != 0, and |a_1| <= H (at the lowest k
+    with h_k != 0, [h^2]_k = 0 and [f]_k = a_1 h_k)."""
+    n = len(h) - 1
+    sq = mul(h, h)
+    a2s = np.array([1] if monic else [a for a in range(-H, H + 1) if a], dtype=np.int64)
+    a1s = np.arange(-H, H + 1, dtype=np.int64)
+    ok = np.ones((len(a2s), len(a1s)), dtype=bool)
+    for k in range(1, 2 * n + 1):
+        g = h[k] if k <= n else 0
+        ok &= np.abs(a2s[:, None] * sq[k] + a1s[None, :] * g) <= H
+    return a2s, a1s, ok
+
+
+def has_pair(h, H, monic):
+    """Whether the m = 2 inner h has a pair in the height box (row_grid)."""
+    return bool(row_grid(h, H, monic)[2].any())
 
 
 # largest H drawn per (n, monic) for the split (2, n); from H = 4 on, the
@@ -1469,21 +1556,102 @@ LOW_CUT_HEIGHTS = {
 )
 @example(((4, False), 24))  # the L factors of the cut decide this box
 def test_low_coefficient_cut_drops_only_dead_inners(case):
+    # the inners of the column stream are the sigma-canonical unpruned
+    # inners with a pair, and the low-coefficient cuts never drop one
     (n, monic), H = case
     d = 2 * n
-    full = [(h, mul(h, h)) for h in unpruned_h_candidates(2, n, H, monic)]
-    cut = _h_candidates(2, n, H, monic)
+    full = unpruned_h_candidates(2, n, H, monic)
+    points = {h: int(row_grid(h, H, monic)[2].sum()) for h in full}
+    items = _h_candidates(2, n, H, monic)
+    cut = column_inners(items, H, monic)
     # the reference filtered one candidate at a time: an in-order subsequence
-    live = [(h, sq) for h, sq in full if passes_low_tests(h, H, monic)]
-    assert cut == [(h, sq) for h, sq in live if sigma_canonical(h)]
-    dropped = [(h, sq) for h, sq in full if not passes_low_tests(h, H, monic)]
-    assert _run_chunk((d, H, monic, (2, n), dropped, (), 10**9))[0] == 0
-    # every pair of the unpruned inners is one of the cut enumeration's
-    # polynomials; the unpruned inners are closed under sigma, so their
-    # canonical half, weighted by _run_chunk, counts the pairs of them all
-    assert {sigma_inner(h) for h, _ in full} == {h for h, _ in full}
-    pairs = _run_chunk((d, H, monic, (2, n), [c for c in full if sigma_canonical(c[0])], (), 10**9))[0]
+    live = [h for h in full if points[h]]
+    assert all(passes_low_tests(h, H) for h in live)
+    assert cut == [h for h in live if sigma_canonical(h)]
+    dropped = [h for h in full if sigma_canonical(h) and h not in cut]
+    assert not any(points[h] for h in dropped)
+    # every pair of the unpruned inners, every outer lead included, is one of
+    # the cut enumeration's polynomials; the unpruned inners are closed under
+    # sigma, so their canonical half, weighted by _run_chunk, counts them all
+    assert {sigma_inner(h) for h in full} == set(full)
+    pairs = _run_chunk((d, H, monic, (2, n), list(items), (), 10**9))[0]
+    assert pairs == sum(points.values())
     assert len(forward_key_set(d, H, monic, (2, n))) == pairs
+
+
+def centred_odd(h):
+    """Whether h~(x) = h(x + s) - h(s), s = -b_(n-1)/(n L), is odd."""
+    n = len(h) - 1
+    s = Fraction(-h[n - 1], n * h[n])
+    return not any(
+        sum(h[i] * comb(i, j) * s ** (i - j) for i in range(j, n + 1)) for j in range(2, n + 1, 2)
+    )
+
+
+def brute_force_columns(n, H, monic, cut, excluded):
+    """(walked, pairs, away) of the split (2, n) from every (a_2, a_1) of the
+    height box over every inner of unpruned_h_candidates (row_grid).
+
+    The inners that decompose with a degree of cut are left out.  pairs and
+    away count every pair, both signs of a_2 and every inner, with no sign
+    symmetry; a pair is away when excluded = (2,) and f decomposes with an
+    inner of degree 2: h~ odd and a_1 = -2 a_2 gamma (count_forward proves
+    it; test_closed_form_for_inner_degree_2_matches_decompose_split checks
+    it).  walked lists the (h, a_2, a_1) of the sigma-canonical inners with
+    a_2 > 0: the pairs the column stream must walk, each once.
+    """
+    walked, pairs, away = [], 0, 0
+    for h in unpruned_h_candidates(2, n, H, monic):
+        if cut and decomposable_on_span(h, (), cut) is None:
+            continue
+        a2s, a1s, ok = row_grid(h, H, monic)
+        gamma = gamma_of(h) if excluded and centred_odd(h) else None
+        for i, j in zip(*np.nonzero(ok)):
+            a2, a1 = int(a2s[i]), int(a1s[j])
+            pairs += 1
+            away += gamma is not None and a1 == -2 * a2 * gamma
+            if sigma_canonical(h) and a2 > 0:
+                walked.append((h, a2, a1))
+    return walked, pairs, away
+
+
+# largest H drawn per n for the split (2, n): the brute force tries at most
+# about 2,700 inners
+COLUMN_HEIGHTS = {2: 40, 3: 30, 4: 12, 5: 6, 6: 4}
+
+
+@st.composite
+def column_cases(draw):
+    """(n, H, monic, cut, excluded): any cut of the proper divisors of n, and
+    the k = 2 exclusion of a total for odd n, or none."""
+    n = draw(st.sampled_from(sorted(COLUMN_HEIGHTS)), label="n")
+    H = draw(st.integers(2, COLUMN_HEIGHTS[n]), label="H")
+    monic = draw(st.booleans(), label="monic")
+    cut = tuple(e for e in range(2, n) if n % e == 0 and draw(st.booleans(), label=f"cut {e}"))
+    excluded = (2,) if n % 2 and draw(st.booleans(), label="exclude 2") else ()
+    return n, H, monic, cut, excluded
+
+
+@settings(max_examples=40, deadline=None)
+@given(column_cases())
+@example((2, 40, False, (), ()))
+@example((3, 30, True, (), (2,)))
+@example((4, 12, True, (2,), ()))
+@example((5, 6, False, (), (2,)))
+@example((6, 4, False, (2, 3), ()))
+def test_column_stream_matches_brute_force(case):
+    # the expanded column stream walks each pair of the canonical half once,
+    # and _run_chunk's orbit weights and k = 2 exclusion count every pair
+    n, H, monic, cut, excluded = case
+    items = _h_candidates(2, n, H, monic, cut)
+    stream = [
+        (h, a2, a1) for h, a2, lo1, hi1 in columns_of(items, H, monic) for a1 in range(lo1, hi1 + 1)
+    ]
+    walked, pairs, away = brute_force_columns(n, H, monic, cut, excluded)
+    assert sorted(stream) == sorted(walked)
+    got = _run_chunk((2 * n, H, monic, (2, n), list(items), excluded, 10**12))
+    assert (got[0], got[3]) == (pairs, away)
+    census._check_pieces(2, n, H, [got[4]])
 
 
 @st.composite
@@ -1515,23 +1683,29 @@ def even_degree_inners(draw):
 @example((0, 1, 1, 4, 4))  # one coefficient off it
 @example((0, 3, 2))  # n = 2: every quadratic is u(w) with deg w = 2
 def test_even_shape_matches_the_kernel(h):
-    # the inner walk's e = 2 cut against decompose's kernel on h alone
-    assert census._even_shape(h) == (decomposable_on_span(h, (), (2,)) is None)
+    # the inner walk's e = 2 cut, the one b_1 that _cut_columns drops under
+    # the prefix of h, against decompose's kernel on h alone; at n = 2 the
+    # degree 2 is no cut, and h is its own right component
+    kernel = decomposable_on_span(h, (), (2,)) is None
+    if len(h) == 3:
+        assert kernel
+    else:
+        assert (h[1] in census._cut_columns((0, 0) + h[2:], (2,), {})) == kernel
 
 
 @pytest.mark.parametrize(
     "n,heights", [(4, (2, 9, 35)), (5, (2, 5, 9)), (6, (2, 4, 6)), (8, (2, 3))]
 )
 def test_monic_row_at_level_b1_matches_polygon(n, heights):
-    # the row a_2 = 1, tested at the leaf: of the sigma-canonical inners of
-    # the unpruned walk that pass the low-coefficient tests, the walk keeps
-    # exactly those on whose row lattice.polygon finds a point
+    # the row a_2 = 1, a column of the stream: of the sigma-canonical inners
+    # of the unpruned walk that pass the low-coefficient tests, the columns
+    # hold exactly those on whose row lattice.polygon finds a point
     zero = (0,) * (n + 1)
     for H in heights:
-        kept = {h for h, _ in _h_candidates(2, n, H, True)}
+        kept = set(column_inners(_h_candidates(2, n, H, True), H, True))
         seen = set()
         for h in unpruned_h_candidates(2, n, H, True):
-            if sigma_canonical(h) and passes_low_tests(h, H, False):
+            if sigma_canonical(h) and passes_low_tests(h, H):
                 row = polygon(zero, h, mul(h, h), 1, 1, H)[1] is not None
                 assert (h in kept) == row, (h, H)
                 seen.add(row)
@@ -1544,26 +1718,31 @@ def test_monic_row_at_level_b1_matches_polygon(n, heights):
      (4, 8, False), (5, 4, True), (6, 3, False)],
 )
 def test_one_row_matches_polygon(n, H, monic):
-    # the m = 2 row of the walk against lattice.polygon, at every walked lead
-    # and at leads off the window
+    # each column of the stream against lattice.polygon on its row, at every
+    # walked lead; every other lead of the stream's range (a_2 = 1, or
+    # a_2 >= 1 when not monic) holds no point, off the a_2 window of the
+    # rows x^(n+1)..x^2n too
     zero = (0,) * (2 * n + 1)
+    walked = columns_of(_h_candidates(2, n, H, monic), H, monic)
+    columns = {(h, a2): (lo1, hi1) for h, a2, lo1, hi1 in walked}
+    assert len(columns) == len(walked)
     seen = set()
-    for h, sq in _h_candidates(2, n, H, monic):
-        walked = []
-        for _, _, rows, first, last in census._walk_outer(h, sq, 2, H, monic):
-            assert (rows, first, last) == census._one_row(h, sq, first[0], H)
-            walked.append(first[0])
-        for a2 in walked + list(range(-H - 1, H + 2)):
-            got = census._one_row(h, sq, a2, H)
-            assert got[1:] == polygon(zero, h, sq, a2, a2, H)[1:], (h, a2)
-            seen.add(got[1] is None)
+    for h in {h for h, _ in columns}:
+        sq = mul(h, h)
+        lo2, hi2 = window_interval(zero, sq, n + 1, 2 * n, H)
+        for a2 in range(-H - 1, H + 2):
+            got = polygon(zero, h, sq, a2, a2, H)[1:] if lo2 <= a2 <= hi2 else (None, None)
+            if a2 == 1 or a2 > 0 and not monic:
+                lo1, hi1 = columns.get((h, a2), (None, None))
+                assert got == ((None, None) if lo1 is None else ((a2, lo1), (a2, hi1))), (h, a2)
+            seen.add(got[0] is None)
     assert seen == {True, False}
 
 
 def windows_then_polygons(h, sq, m, H, monic):
     """The non-empty polygons of one inner as the outer walk once gave them:
     a plain recursion yields (P, prefix, lo, hi) per a_2 window, one row per
-    lead at m = 2, and each is then built by _one_row or lattice.polygon."""
+    lead at m = 2, and each is then built by lattice.polygon."""
     n = len(h) - 1
     d = m * n
     hp = [None, h, sq] + [poly_pow(h, k) for k in range(3, m + 1)]
@@ -1591,10 +1770,7 @@ def windows_then_polygons(h, sq, m, H, monic):
     else:
         walk = (w for a in leads for w in windows(m, [a * c for c in hp[m]], [a]))
     for P, prefix, lo, hi in walk:
-        if m == 2:
-            rows, first, last = census._one_row(h, sq, lo, H)
-        else:
-            rows, first, last = polygon(P, h, sq, lo, hi, H)
+        rows, first, last = polygon(P, h, sq, lo, hi, H)
         if first is not None:
             yield tuple(P), tuple(prefix), rows, first, last
 
@@ -1607,7 +1783,10 @@ STREAM_HEIGHTS = {
 
 @functools.lru_cache(maxsize=None)
 def inners_of(m, n, H, monic):
-    return _h_candidates(m, n, H, monic)
+    items = _h_candidates(m, n, H, monic)
+    if m == 2:
+        return [(h, mul(h, h)) for h in column_inners(items, H, monic)]
+    return items
 
 
 @settings(max_examples=150, deadline=None)
@@ -1615,24 +1794,38 @@ def inners_of(m, n, H, monic):
     st.sampled_from(sorted(STREAM_HEIGHTS)), st.booleans(), st.data(),
 )
 def test_walk_outer_streams_the_built_polygons(mn, monic, data):
-    # the stream against the window walk followed by the row or polygon
-    # build: the same non-empty polygons, in the same order, none twice
+    # the stream against the window walk followed by the polygon build: the
+    # same non-empty polygons, in the same order, none twice.  At m = 2 the
+    # stream is that of the columns of h, one row each, read from its
+    # first and last points (rows None)
     m, n = mn
     H = data.draw(st.integers(1, STREAM_HEIGHTS[mn]), label="H")
     inners = inners_of(m, n, H, monic)
     assume(inners)
     h, sq = data.draw(st.sampled_from(inners), label="h")
-    got = [
-        (tuple(P), tuple(prefix), rows, first, last)
-        for P, prefix, rows, first, last in census._walk_outer(h, sq, m, H, monic)
-    ]
-    assert got == list(windows_then_polygons(h, sq, m, H, monic))
+    want = list(windows_then_polygons(h, sq, m, H, monic))
+    if m == 2:
+        got = [
+            (tuple(P), tuple(prefix), first, last)
+            for h2, _, P, prefix, rows, first, last in walk_polygons(
+                _h_candidates(m, n, H, monic), m, H, monic
+            )
+            if h2 == h
+        ]
+        want = [(P, prefix, first, last) for P, prefix, rows, first, last in want]
+    else:
+        got = [
+            (tuple(P), tuple(prefix), rows, first, last)
+            for P, prefix, rows, first, last in census._walk_outer(h, sq, m, H, monic)
+        ]
+    assert got == want
 
 
 @pytest.mark.parametrize("n,H,cut", [(4, 35, (2,)), (6, 6, (2, 3)), (8, 3, (2, 4))])
 def test_monic_leaves_build_no_polygon_and_no_degree_2_kernel(monkeypatch, n, H, cut):
-    # the row a_2 = 1 is decided at the leaf by _one_row and e = 2 by the even shape:
-    # no lattice.polygon call, and no kernel call for the degree 2
+    # the row a_2 = 1 is a column, decided by a few floor divisions, and the
+    # cut reads the K-adic digits of each prefix (_cut_columns): no
+    # lattice.polygon call, and no kernel call, for the degree 2 or any other
     real = census.decomposable_on_span
     degrees = []
 
@@ -1643,9 +1836,10 @@ def test_monic_leaves_build_no_polygon_and_no_degree_2_kernel(monkeypatch, n, H,
     monkeypatch.setattr(census, "polygon", lambda *args: pytest.fail("polygon at a leaf"))
     monkeypatch.setattr(census, "decomposable_on_span", kernel)
     kept = _h_candidates(2, n, H, True, cut)
+    columns = columns_of(kept, H, True)
     monkeypatch.undo()
-    assert kept == _h_candidates(2, n, H, True, cut)
-    assert all(2 not in d for d in degrees) and bool(degrees) == (max(cut) > 2)
+    assert kept == _h_candidates(2, n, H, True, cut) and columns
+    assert all(2 not in d for d in degrees) and degrees == []
 
 
 def test_iter_decompositions_matches_counts():

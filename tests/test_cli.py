@@ -5,6 +5,7 @@ from contextlib import redirect_stdout, redirect_stderr
 
 import pytest
 
+from polycensus import cli
 from polycensus.cli import CSV_HEADER, run
 
 
@@ -349,3 +350,25 @@ def test_verify_failing_criterion_exits_1(monkeypatch):
     code, out, _ = capture(["verify", "--criteria", "13"])
     assert code == 1
     assert out.startswith("FAIL  c13  always raises: exception: RuntimeError('boom') [")
+
+
+def test_repeated_runs_share_one_parser():
+    # run builds its parser once per process, and every later call must
+    # print and return what a call with a freshly built parser does
+    argvs = [
+        ["count", "--degree", "4", "--height-max", "3"],
+        ["decompose", "5,2,3,2,1"],
+        ["count", "--degree", "4", "--height-max"],  # a flag without its value
+        ["--help"],
+    ]
+    fresh = []
+    for argv in argvs:
+        cli.build_parser.cache_clear()
+        fresh.append(capture(argv))
+    assert [code for code, _, _ in fresh] == [0, 0, 2, 0]
+    assert fresh[0][1].startswith(CSV_HEADER) and "usage: polycensus" in fresh[3][1]
+    parser = cli.build_parser()
+    for _ in range(2):
+        for argv, want in zip(argvs, fresh):
+            assert capture(argv) == want
+    assert cli.build_parser() is parser
