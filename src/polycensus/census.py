@@ -28,7 +28,9 @@ Two independent routes produce every count:
   (b_1, a_2), in the order (prefix, a_2, b_1, a_1) (_columns): the rows
   x^3..x^(n+1) of f are linear in (b_1, a_1), the rows above read neither,
   and the rows x^1 and x^2 finish each column of the short range
-  |b_1| <= B, whose a_1 interval is a few floor divisions.  The inner x^n
+  |b_1| <= B, whose a_1 interval is a few floor divisions.  The b_1 window
+  of a_2 = 1 holds that of every a_2, so a prefix whose window is empty is
+  never handed on.  The inner x^n
   of a split (m, n), m >= 3, whose polynomials g(x^n) have the coefficients
   of g, is counted in closed form wherever count_forward knows its
   exclusion (it proves the counts and hands each split the rule).
@@ -230,8 +232,8 @@ def _h_candidates(
     m: int, n: int, H: int, monic: bool, cut: Sequence[int] = ()
 ) -> list:
     """The normalized inner candidates h in lexicographic order: (h, h^2) for
-    m >= 3, and for m = 2 one item (h0, h0^2, drop) per prefix, the columns
-    of which _columns walks.
+    m >= 3, and for m = 2 one item (h0, h0^2, live, lo, hi) per prefix with
+    a b_1 window, the columns of which _columns walks.
 
     Walks the inner coefficients b_(n-1)..b_1 of h = b_1 x + ... + b_n x^n,
     b_n = L >= 1, as one odometer without recursion: one level per
@@ -254,15 +256,19 @@ def _h_candidates(
     Non-monic candidates of m >= 3 are additionally primitive (content 1);
     imprimitive inners never generate new polynomials.
 
-    For m = 2 the walk stops at the prefix b_(n-1)..b_2 and hands each one
-    on with b_1 = 0: h0 and its square h0^2 (for n = 2 the prefix is the
-    lead alone).  _columns counts the b_1, with their outer polynomials, in
-    one region per prefix.  The level b_2 (n >= 4) looks ahead to b_1:
-    with b_1 = 0 the square's x^(n+1) entry is sq[n+1] + 2 b_(n-1) b_2, and
-    the b_1 window, which keeps it plus slope*b_1 within H, must meet
-    [-B, B] (_columns), so it is at most H + slope*B in absolute value; B
-    grows with |b_2|, so the B of the largest |b_2| of the level serves all
-    of them.
+    For m = 2 the walk stops at the prefix b_(n-1)..b_2 (for n = 2 the
+    prefix is the lead alone) and hands one on as (h0, h0^2, live, lo, hi),
+    h0 the prefix with b_1 = 0, live the degrees of cut whose candidate
+    from it is integral (below), and [lo, hi] the window of b_1 at the
+    outer lead a_2 = 1 (_b1_window), only when that window is not empty:
+    it holds the window of every a_2 >= 1 (_columns), so a prefix with an
+    empty one has no pair.  _columns counts the b_1, with their outer
+    polynomials, in one region per prefix.  The level b_2 (n >= 4) looks
+    ahead to b_1: with b_1 = 0 the square's x^(n+1) entry is sq[n+1] +
+    2 b_(n-1) b_2, and the b_1 window, which keeps it plus slope*b_1 within
+    H, must meet [-B, B] (_columns), so it is at most H + slope*B in
+    absolute value; B grows with |b_2|, so the B of the largest |b_2| of
+    the level serves all of them.
 
     Only sigma-canonical inners are walked: those whose first non-zero b_j
     with n - j odd, from b_(n-1) down, is positive, or which have none (sigma
@@ -279,11 +285,13 @@ def _h_candidates(
     anyway.  The candidate right component of degree e of h reads only
     b_(n-1)..b_(n-e+1) (decompose._integer_candidate on h's monic
     conjugate), so it is solved once per prefix, at level n-e+1, and
-    _cut_columns runs at the prefix b_(n-1)..b_2 only for the degrees with
-    an integral one: a decomposable h has an integral candidate (the
-    decompose module docstring).  Each degree drops at most one b_1 under a
-    prefix; these b_1 are the prefix's drop, which the b_1 level of m >= 3
-    skips, and so does _columns.
+    _cut_columns reads the digits of the prefix b_(n-1)..b_2 only for the
+    degrees with an integral one, its live degrees: a decomposable h has an
+    integral candidate (the decompose module docstring).  Each degree drops
+    at most one b_1 under a prefix.  For m >= 3 _cut_columns runs at the
+    level b_2, and the b_1 level skips what it drops; a (2, n) prefix
+    carries its live degrees, and _columns runs _cut_columns at its first
+    column with a point, so a prefix without one never pays for it.
     """
     out: list = []
     b_max = _inner_height_bound(m, n, H)
@@ -300,8 +308,8 @@ def _h_candidates(
         bs[n] = L
         sq = [0] * (2 * n + 1)  # the square of the partial h
         sq[2 * n] = L * L
-        if n <= leaf:  # (2, 2): the prefix is the lead alone
-            out.append((tuple(bs), tuple(sq), ()))
+        if n <= leaf:  # (2, 2): the prefix is the lead alone, and b_1 = 0 is in its window
+            out.append((tuple(bs), tuple(sq), ()) + _b1_window(bs, sq, H))
             continue
         rev = bs[::-1]  # the reversed top r: rev[i] = b_(n-i)
         hm = [L**m] + [0] * (n - 1)  # hm[i] = [r^m]_i = [h^m]_(mn-i), kept for m > 2
@@ -356,13 +364,15 @@ def _h_candidates(
                 live[j] += tuple(
                     e for e in decided[j] if _candidate(F, n // e, e, candidates) is not None
                 )
-            if j == 2:
+            if j == 2 and m > 2:
                 drop = _cut_columns(bs, live[2], candidates) if live[2] else ()
             if j > leaf:
                 j -= 1
                 values[j] = level(j)
             elif m == 2:
-                out.append((tuple(bs), tuple(sq), drop))
+                lo, hi = _b1_window(bs, sq, H)
+                if lo <= hi:
+                    out.append((tuple(bs), tuple(sq), live[2], lo, hi))
             elif monic or gcd(*bs) == 1:
                 out.append((tuple(bs), tuple(sq)))
     return out
@@ -427,13 +437,58 @@ def _low_square_bound(H: int, c: int) -> int:
     return lo
 
 
-def _columns(h0: Poly, sq0: Poly, drop: Sequence[int], H: int, monic: bool) -> Iterator[tuple]:
-    """Yield (a_2, b_1, lo_1, hi_1) for every column of the (2, n) prefix h0
-    that holds a point, a_2 rising, then b_1: its pairs are the inner
-    h = h0 + b_1 x with the outer a_2 y^2 + a_1 y, lo_1 <= a_1 <= hi_1.
+def _b1_window(h0: Sequence[int], sq0: Sequence[int], H: int) -> Tuple[int, int]:
+    """The window [lo, hi] of b_1 of the (2, n) prefix h0 = (0, 0, b_2, ..,
+    b_n), sq0 = h0^2, at the outer lead a_2 = 1 (_columns); lo > hi when it
+    is empty.  It starts at [-B, B], or [0, B] where sigma fixes the prefix
+    and n is even, with B from _low_square_bound, and _clip_b1 clips it."""
+    n = len(h0) - 1
+    B = _low_square_bound(H, abs(h0[2]))
+    return _clip_b1(h0, sq0, 1, H, 0 if n % 2 == 0 and not any(h0[3::2]) else -B, B)
 
-    h0 = (0, 0, b_2, .., b_n) and sq0 = h0^2 come from _h_candidates, with
-    the b_1 that its cut drops.  f = a_2 h^2 + a_1 h has the coefficients
+
+def _clip_b1(h0: Sequence[int], sq0: Sequence[int], a2: int, H: int, lo: int, hi: int):
+    """Clip [lo, hi] to the b_1 that pass each row x^2..x^(n+1) of f = a_2 h^2
+    + a_1 h, h = h0 + b_1 x, a_2 >= 1, taken alone with some |a_1| <= H:
+    |a_2 (C_k + 2 b_(k-1) b_1)| <= H + |b_k| H for k = 3..n+1, C_k =
+    [h0^2]_k and b_(n+1) = 0, and a_2 b_1^2 <= H when b_2 = 0 (_columns).
+    Each row only tightens as a_2 grows, so the window of a_2 holds that of
+    every larger a_2.  Rows x^(n+1) down, each a pair of floor divisions;
+    an empty window comes back as soon as one is seen, with lo > hi.
+    """
+    n = len(h0) - 1
+    for k in range(n + 1, 2, -1):
+        X = H + abs(h0[k]) * H if k < n + 1 else H
+        p, t = a2 * sq0[k], 2 * a2 * h0[k - 1]
+        if t < 0:
+            p, t = -p, -t
+        if t:
+            v = -((X + p) // t)
+            if v > lo:
+                lo = v
+            v = (X - p) // t
+            if v < hi:
+                hi = v
+        elif p > X or p < -X:
+            return 1, 0
+        if lo > hi:
+            return lo, hi
+    if not h0[2]:  # [f]_2 = a_2 b_1^2
+        r = isqrt(H // a2)
+        lo, hi = max(lo, -r), min(hi, r)
+    return lo, hi
+
+
+def _columns(item, H: int, monic: bool, candidates: dict) -> Iterator[tuple]:
+    """Yield (a_2, b_1, lo_1, hi_1) for every column of a (2, n) prefix item
+    of _h_candidates that holds a point, a_2 rising, then b_1: its pairs are
+    the inner h = h0 + b_1 x with the outer a_2 y^2 + a_1 y, lo_1 <= a_1 <=
+    hi_1.
+
+    item is (h0, sq0, live, lo, hi): h0 = (0, 0, b_2, .., b_n), sq0 = h0^2,
+    the degrees live of the cut whose candidate is integral, and the b_1
+    window [lo, hi] at a_2 = 1 (_b1_window).  f = a_2 h^2 + a_1 h has the
+    coefficients
       * [f]_1 = a_1 b_1;
       * [f]_2 = a_2 b_1^2 + a_1 b_2 (b_2 = L = lead(h) when n = 2);
       * [f]_k = a_2 (C_k + 2 b_(k-1) b_1) + a_1 b_k for k = 3..n+1, with
@@ -442,12 +497,14 @@ def _columns(h0: Poly, sq0: Poly, drop: Sequence[int], H: int, monic: bool) -> I
     So per prefix the rows k >= n+2 give the window of the outer lead a_2,
     the positive half only when f is not monic (tau, as in _walk_outer),
     and a_2 = 1 when it is.  Per a_2 the linear rows clip the window of
-    b_1: exactly where b_k = 0 (row n+1 among them, and [f]_2 = a_2 b_1^2
-    when b_2 = 0), and elsewhere by |a_2 (C_k + 2 b_(k-1) b_1)| <= H +
-    |b_k| H, as |a_1| <= H (below).  Each b_1 of the window is one column,
-    whose a_1 interval the rows k = 1..n with b_k != 0 finish: a few floor
-    divisions.  Every column with a point is yielded, so the pairs are
-    exactly those of every inner of the prefix.
+    b_1 (_clip_b1): exactly where b_k = 0 (row n+1 among them, and [f]_2 =
+    a_2 b_1^2 when b_2 = 0), and elsewhere by |a_2 (C_k + 2 b_(k-1) b_1)|
+    <= H + |b_k| H, as |a_1| <= H (below).  These only tighten as a_2
+    grows, so the item's window at a_2 = 1 is clipped for each a_2 >= 2,
+    and the first a_2 with an empty window ends the prefix.  Each b_1 of
+    the window is one column, whose a_1 interval the rows k = 1..n with
+    b_k != 0 finish: a few floor divisions.  Every column with a point is
+    yielded, so the pairs are exactly those of every inner of the prefix.
 
     The b_1 run over the window clipped to |b_1| <= B, B from
     _low_square_bound: with a_2 != 0 and every |[f]_j| <= H, b_1 != 0 gives
@@ -459,34 +516,32 @@ def _columns(h0: Poly, sq0: Poly, drop: Sequence[int], H: int, monic: bool) -> I
 
     Like every other level of the inner walk (_h_candidates), b_1 starts at
     0 when n - 1 is odd and every b_j, n - j odd, of the prefix is 0
-    (sigma-canonical).  The b_1 of drop are skipped, and when f is not
-    monic so is every b_1 with gcd(b_1, content of h0) > 1: the inner must
-    be primitive.
+    (sigma-canonical).  The b_1 that the cut drops are skipped:
+    _cut_columns finds them, with the memo candidates, at the first column
+    with a point.  When f is not monic so is every b_1 with gcd(b_1,
+    content of h0) > 1: the inner must be primitive.
     """
+    h0, sq0, live, lo_w, hi_w = item
     n = len(h0) - 1
-    L = h0[n]
     content = gcd(*h0)  # 1 when monic
-    B = _low_square_bound(H, abs(h0[2]))
-    lo_b = 0 if n % 2 == 0 and not any(h0[3::2]) else -B
-    # the rows x^3..x^(n+1) as (C_k, 2 b_(k-1), b_k), b_(n+1) = 0
-    lin = [(sq0[k], 2 * h0[k - 1], h0[k]) for k in range(3, n + 1)] + [(sq0[n + 1], 2 * L, 0)]
+    drop = None if live else ()  # the b_1 that the cut drops, found at the first point
+    # the rows x^3..x^n with b_k != 0 as (C_k, 2 b_(k-1), b_k), times sign(b_k)
+    lin = [
+        (sq0[k], 2 * h0[k - 1], h0[k]) if h0[k] > 0 else (-sq0[k], -2 * h0[k - 1], -h0[k])
+        for k in range(3, n + 1)
+        if h0[k]
+    ]
     g2 = abs(h0[2])
     s2 = -1 if h0[2] < 0 else 1
     leads = (1,) if monic else range(1, H // max(map(abs, sq0[n + 2 :])) + 1)
     for a2 in leads:
-        lo, hi = lo_b, B
-        rows = []  # (p, t, g): |p + t b_1 + g a_1| <= H, g > 0
-        for c, t, g in lin:
-            p, t = a2 * c, a2 * t
-            lo, hi = window_interval((p,), (t,), 0, 0, H + abs(g) * H, lo, hi)
-            if g:
-                rows.append((p, t, g) if g > 0 else (-p, -t, -g))
-        if not g2:  # [f]_2 = a_2 b_1^2
-            r = isqrt(H // a2)
-            lo, hi = max(lo, -r), min(hi, r)
+        lo, hi = (lo_w, hi_w) if a2 == 1 else _clip_b1(h0, sq0, a2, H, lo_w, hi_w)
+        if lo > hi:
+            return
+        rows = [(a2 * p, a2 * t, g) for p, t, g in lin]  # |p + t b_1 + g a_1| <= H, g > 0
         q2 = s2 * a2
         for b1 in range(lo, hi + 1):
-            if b1 in drop or content > 1 and gcd(content, b1) > 1:
+            if content > 1 and gcd(content, b1) > 1:
                 continue
             # lattice.row_window's loop, inline: a call per column cost a
             # quarter of a perfbench total job
@@ -509,7 +564,10 @@ def _columns(h0: Poly, sq0: Poly, drop: Sequence[int], H: int, monic: bool) -> I
                 if v < hi1:
                     hi1 = v
             if lo1 <= hi1:
-                yield a2, b1, lo1, hi1
+                if drop is None:
+                    drop = _cut_columns(h0, live, candidates)
+                if b1 not in drop:
+                    yield a2, b1, lo1, hi1
 
 
 def _uniqueness_error(m: int, n: int, H: int, detail: str) -> RuntimeError:
@@ -788,7 +846,7 @@ def _run_chunk(args, limit=None):
             break
         walked += 1
         if m == 2:
-            columns, count, gone = _region(item, H, monic, excluded, tops)
+            columns, count, gone = _region(item, H, monic, excluded, tops, candidates)
             polygons += columns
             pairs += count
             away += gone
@@ -832,11 +890,13 @@ def _run_chunk(args, limit=None):
     return pairs, 0, None, away, tops
 
 
-def _region(item, H: int, monic: bool, excluded: Sequence[int], tops: list) -> Tuple[int, ...]:
+def _region(
+    item, H: int, monic: bool, excluded: Sequence[int], tops: list, candidates: dict
+) -> Tuple[int, ...]:
     """(columns, pairs, away) of one (2, n) prefix item of _h_candidates,
-    over the non-empty columns that _columns yields, with the top of each
-    column appended to tops; pairs and away count the orbit weights of
-    _run_chunk.
+    over the non-empty columns that _columns yields (its cut memoized in
+    candidates), with the top of each column appended to tops; pairs and
+    away count the orbit weights of _run_chunk.
 
     Weights.  sigma fixes h = h0 + b_1 x exactly when every b_j with n - j
     odd is 0: those of the prefix, and b_1 too when n is even.  tau doubles
@@ -857,7 +917,7 @@ def _region(item, H: int, monic: bool, excluded: Sequence[int], tops: list) -> T
     come b_1 rising, and only [f]_(n+1) = a_2 (C_(n+1) + 2 L b_1) moves
     among the tops: it must strictly increase.
     """
-    h0, sq0, drop = item
+    h0, sq0 = item[:2]
     n = len(h0) - 1
     L = h0[n]
     tau = 1 if monic else 2
@@ -870,7 +930,7 @@ def _region(item, H: int, monic: bool, excluded: Sequence[int], tops: list) -> T
             line = (c[0], h0[n - 1] * (e // (n * L)), e)
     columns = pairs = away = 0
     lead = None  # the a_2 of the current run of columns
-    for a2, b1, lo1, hi1 in _columns(h0, sq0, drop, H, monic):
+    for a2, b1, lo1, hi1 in _columns(item, H, monic, candidates):
         count = hi1 - lo1 + 1
         f1 = a2 * (sq0[n + 1] + 2 * L * b1)
         if a2 != lead:
@@ -1199,9 +1259,10 @@ def iter_decompositions(
     m, n = split
     items = _h_candidates(m, n, H, monic)
     if m == 2:
-        for h0, sq0, drop in items:
-            for a2, b1, lo1, hi1 in _columns(h0, sq0, drop, H, monic):
-                h = (0, b1) + h0[2:]
+        candidates: dict = {}
+        for item in items:
+            for a2, b1, lo1, hi1 in _columns(item, H, monic, candidates):
+                h = (0, b1) + item[0][2:]
                 for a in range(lo1, hi1 + 1):
                     yield from _orbit((0, a, a2), h, monic)
         return

@@ -332,18 +332,7 @@ def _cmd_verify(args) -> int:
     return 0 if run_criteria(wanted) else 1
 
 
-@lru_cache(maxsize=None)
-def build_parser() -> argparse.ArgumentParser:
-    """The command line's parser, built once per process: parse_args leaves
-    it unchanged, and run calls it for every command."""
-    ap = argparse.ArgumentParser(
-        prog="polycensus",
-        description="Exact census of decomposable integer polynomials.",
-    )
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    c = sub.add_parser("count", help="count decomposable polynomials")
-    c.set_defaults(run=_cmd_count)
+def _count_arguments(c: argparse.ArgumentParser) -> None:
     c.add_argument("--degree", type=int, required=True)
     mg = c.add_mutually_exclusive_group()
     mg.add_argument("--monic", dest="monic", action="store_true", default=True)
@@ -361,24 +350,68 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--budget", type=int, default=None)
     c.add_argument("--timings", action="store_true", help="fill elapsed_seconds in the body")
 
-    d = sub.add_parser("decompose", help="decompose one polynomial")
-    d.set_defaults(run=_cmd_decompose)
+
+def _decompose_arguments(d: argparse.ArgumentParser) -> None:
     d.add_argument("poly")
     d.add_argument("--split", type=str, default=None, help="m,n")
 
-    m = sub.add_parser("mahler", help="roots, measure, inequality slacks")
-    m.set_defaults(run=_cmd_mahler)
+
+def _mahler_arguments(m: argparse.ArgumentParser) -> None:
     m.add_argument("poly")
 
-    f = sub.add_parser("fit", help="fit growth exponents from a count CSV")
-    f.set_defaults(run=_cmd_fit)
+
+def _fit_arguments(f: argparse.ArgumentParser) -> None:
     f.add_argument("csv", help="CSV path or - for stdin")
 
-    v = sub.add_parser("verify", help="run the canned acceptance suites")
-    v.set_defaults(run=_cmd_verify)
+
+def _verify_arguments(v: argparse.ArgumentParser) -> None:
     v.add_argument("--criteria", type=str, default=None, help="comma list, e.g. 1,4,13")
 
+
+# command -> (its help line, the builder of its arguments, its handler)
+COMMANDS = {
+    "count": ("count decomposable polynomials", _count_arguments, _cmd_count),
+    "decompose": ("decompose one polynomial", _decompose_arguments, _cmd_decompose),
+    "mahler": ("roots, measure, inequality slacks", _mahler_arguments, _cmd_mahler),
+    "fit": ("fit growth exponents from a count CSV", _fit_arguments, _cmd_fit),
+    "verify": ("run the canned acceptance suites", _verify_arguments, _cmd_verify),
+}
+
+
+@lru_cache(maxsize=None)
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The command line's parser, built once per process: the full tree, or
+    with command the parser of that command alone, which is the full tree's
+    subparser for it (prog "polycensus <command>") and so prints and returns
+    what it does.  parse_args leaves a parser unchanged."""
+    if command is not None:
+        _, add_arguments, handler = COMMANDS[command]
+        parser = argparse.ArgumentParser(prog=f"polycensus {command}")
+        parser.set_defaults(run=handler)
+        add_arguments(parser)
+        return parser
+    ap = argparse.ArgumentParser(
+        prog="polycensus",
+        description="Exact census of decomposable integer polynomials.",
+    )
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_arguments, handler) in COMMANDS.items():
+        parser = sub.add_parser(name, help=help_line)
+        parser.set_defaults(run=handler)
+        add_arguments(parser)
     return ap
+
+
+def _parse_argv(argv: List[str]) -> argparse.Namespace:
+    """The arguments of argv, parsed by its command's parser alone when argv
+    starts with a known command and that parser leaves nothing over;
+    anything else goes to the full tree, which prints its own usage when it
+    refuses."""
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args, rest = build_parser(command).parse_known_args(argv[1:] if command else argv)
+    if rest:
+        args = build_parser().parse_args(argv)
+    return args
 
 
 def run(argv: Sequence[str]) -> int:
@@ -393,7 +426,7 @@ def run(argv: Sequence[str]) -> int:
                 argv.insert(i, "--")
                 break
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse_argv(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     args.raw_argv = list(argv)

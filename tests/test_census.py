@@ -82,9 +82,9 @@ def columns_of(items, H, monic):
     """(h, a_2, lo_1, hi_1) for every column of the (2, n) prefix items of
     _h_candidates, in walk order, h = h0 + b_1 x: the expanded column stream."""
     return [
-        ((0, b1) + h0[2:], a2, lo1, hi1)
-        for h0, sq0, drop in items
-        for a2, b1, lo1, hi1 in census._columns(h0, sq0, drop, H, monic)
+        ((0, b1) + item[0][2:], a2, lo1, hi1)
+        for item in items
+        for a2, b1, lo1, hi1 in census._columns(item, H, monic, {})
     ]
 
 
@@ -92,18 +92,18 @@ def column_inners(items, H, monic):
     """The inners of columns_of, each once: the prefixes in walk order, and
     the b_1 of each rising, so in lexicographic order, as at m >= 3."""
     return [
-        (0, b1) + h0[2:]
-        for h0, sq0, drop in items
-        for b1 in sorted({c[1] for c in census._columns(h0, sq0, drop, H, monic)})
+        (0, b1) + item[0][2:]
+        for item in items
+        for b1 in sorted({c[1] for c in census._columns(item, H, monic, {})})
     ]
 
 
 def one_column(item, b1, H):
-    """A (2, n) prefix item cut to its one column b_1: its drop takes every
-    other b_1 with |b_1| <= B, the bound of _columns."""
-    h0, sq0, drop = item
-    B = census._low_square_bound(H, abs(h0[2]))
-    return h0, sq0, drop + tuple(t for t in range(-B, B + 1) if t != b1)
+    """A (2, n) prefix item cut to its one column b_1: its b_1 window, which
+    must hold b_1, becomes b_1 alone."""
+    h0, sq0, live, lo, hi = item
+    assert lo <= b1 <= hi
+    return h0, sq0, live, b1, b1
 
 
 def walk_polygons(items, m, H, monic):
@@ -148,7 +148,7 @@ def test_k1_bound_exhaustive_small_box():
 def test_enum_box():
     assert _inner_height_bound(2, 2, 10) == 21  # floor(sqrt(480))
     # non-monic inner leads run to floor(10^(1/2)) = 3: 9x^4 + 6x^3 + x^2 = (3x^2 + x)^2
-    assert max(h0[-1] for h0, _, _ in _h_candidates(2, 2, 10, False)) == 3
+    assert max(item[0][-1] for item in _h_candidates(2, 2, 10, False)) == 3
 
 
 def test_outer_windows_are_exact_at_any_height():
@@ -1008,10 +1008,11 @@ def test_composite_smaller_inner_degree_attributes_away(monkeypatch):
     assert decomposable_on_span(h8, (), (4,)) is None
     only = {(4, 4): [h4], (2, 8): [h8]}
     # h8 has b_1 = 0: at m = 2 it is its own prefix, cut to its one column
+    # (its window at a_2 = 1 holds b_1 = 0: test_prefix_windows_nest)
     monkeypatch.setattr(
         census, "_h_candidates",
         lambda m, n, H, monic, cut=(): [
-            (h, mul(h, h)) if m > 2 else one_column((h, mul(h, h), ()), 0, H)
+            (h, mul(h, h)) if m > 2 else (h, mul(h, h), (), 0, 0)
             for h in only.get((m, n), [])
             if decomposable_on_span(h, (), cut) is not None
         ],
@@ -1654,6 +1655,65 @@ def test_column_stream_matches_brute_force(case):
     census._check_pieces(2, n, H, [got[4]])
 
 
+def prefix_has_pair(h0, H, monic):
+    """Whether some inner h0 + b_1 x, |b_1| <= b_max (_inner_height_bound), of
+    the split (2, n) has a pair in the height box: every (b_1, a_2, a_1) at
+    once, a_2 and a_1 as in row_grid, with h^2 = h0^2 + 2 b_1 x h0 + b_1^2 x^2."""
+    n = len(h0) - 1
+    b_max = _inner_height_bound(2, n, H)
+    sq0 = mul(h0, h0)
+    b1 = np.arange(-b_max, b_max + 1, dtype=np.int64)[:, None, None]
+    a2 = np.array([1] if monic else [a for a in range(-H, H + 1) if a], dtype=np.int64)
+    a2 = a2[None, :, None]
+    a1 = np.arange(-H, H + 1, dtype=np.int64)[None, None, :]
+    ok = np.ones((b1.shape[0], a2.shape[1], a1.shape[2]), dtype=bool)
+    b = tuple(h0) + (0,) * n  # b_k = 0 for k > n
+    for k in range(1, 2 * n + 1):
+        hk = b1 if k == 1 else b[k]
+        sk = sq0[k] + (2 * b1 * b[k - 1] if k >= 2 else 0) + (b1 * b1 if k == 2 else 0)
+        ok &= np.abs(a2 * sk + a1 * hk) <= H
+    return bool(ok.any())
+
+
+def reference_window(h0, sq0, lo, hi, H):
+    """The b_1 of [lo, hi] that pass each row x^2..x^(n+1) of f = h^2 + a_1 h
+    taken alone with some |a_1| <= H, one b_1 at a time: |C_k + 2 b_(k-1) b_1|
+    <= H + |b_k| H, b_(n+1) = 0, and b_1^2 <= H when b_2 = 0 (the docstring
+    of _columns)."""
+    n = len(h0) - 1
+    b = tuple(h0) + (0,)
+    return [
+        t for t in range(lo, hi + 1)
+        if all(abs(sq0[k] + 2 * b[k - 1] * t) <= H + abs(b[k]) * H for k in range(3, n + 2))
+        and (b[2] or t * t <= H)
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(column_cases())
+@example((2, 40, False, (), ()))
+@example((4, 12, True, (2,), ()))
+@example((5, 6, False, (), (2,)))
+@example((6, 4, False, (2, 3), ()))
+def test_prefix_windows_nest(case):
+    # the walk hands on a (2, n) prefix only when its b_1 window at a_2 = 1
+    # is not empty; that window holds the window of every a_2, so a prefix
+    # whose window is empty holds no pair, at any b_1 of the inner box
+    n, H, monic, cut, _ = case
+    kept = _h_candidates(2, n, H, monic, cut)
+    with pytest.MonkeyPatch.context() as patch:  # the unfiltered walk: no row clips the start
+        patch.setattr(census, "_clip_b1", lambda h0, sq0, a2, H, lo, hi: (lo, hi))
+        unfiltered = _h_candidates(2, n, H, monic, cut)
+    want = []
+    for h0, sq0, live, lo, hi in unfiltered:
+        window = reference_window(h0, sq0, lo, hi, H)
+        if window:
+            want.append((h0, sq0, live, window[0], window[-1]))
+        else:
+            assert not prefix_has_pair(h0, H, monic), h0
+    assert kept == want
+
+
 @st.composite
 def even_degree_inners(draw):
     """h(0) = 0 of even degree 2..12, monic or not: random coefficients, a
@@ -1840,6 +1900,33 @@ def test_monic_leaves_build_no_polygon_and_no_degree_2_kernel(monkeypatch, n, H,
     monkeypatch.undo()
     assert kept == _h_candidates(2, n, H, True, cut) and columns
     assert all(2 not in d for d in degrees) and degrees == []
+
+
+@pytest.mark.parametrize(
+    "n,H,monic,cut", [(4, 12, True, (2,)), (6, 4, False, (2, 3)), (8, 3, True, (2, 4))]
+)
+def test_the_cut_runs_once_per_prefix_with_a_point(monkeypatch, n, H, monic, cut):
+    # the (2, n) inner walk hands each prefix on with its live degrees and
+    # reads no digits; the chunk runs _cut_columns once for each prefix with
+    # live degrees and a column that holds a point before the cut, at that
+    # column, and for no other prefix
+    real = census._cut_columns
+    calls = []
+
+    def recording(h0, degrees, candidates):
+        calls.append(tuple(h0))
+        return real(h0, degrees, candidates)
+
+    monkeypatch.setattr(census, "_cut_columns", recording)
+    items = _h_candidates(2, n, H, monic, cut)
+    assert calls == []
+    _run_chunk((2 * n, H, monic, (2, n), list(items), (), 10**12))
+    uncut = [item[:2] + ((),) + item[3:] for item in items]
+    want = [
+        item[0] for item, bare in zip(items, uncut)
+        if item[2] and next(census._columns(bare, H, monic, {}), None)
+    ]
+    assert calls == want and 0 < len(want) < len(items)
 
 
 def test_iter_decompositions_matches_counts():

@@ -372,3 +372,38 @@ def test_repeated_runs_share_one_parser():
         for argv, want in zip(argvs, fresh):
             assert capture(argv) == want
     assert cli.build_parser() is parser
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["-h"],
+        ["bogus"],
+        *([command, "-h"] for command in cli.COMMANDS),
+        ["count", "--height-max", "3"],
+        ["count", "--degree", "x", "--height-max", "3"],
+        ["count", "--degree", "4", "--height-max", "3", "--monic", "--non-monic"],
+        ["count", "--degree", "4", "--height-max", "3", "--zzz"],
+        ["count", "--deg", "4", "--height-max", "3"],
+        ["mahler", "-4,0,1"],
+        ["decompose", "-1,0,2,0,-1"],
+    ],
+    ids=repr,
+)
+def test_command_parser_matches_the_full_tree(monkeypatch, argv):
+    # run parses a known command with that command's parser alone; stdout,
+    # stderr and the exit code must be those of the full tree
+    got = capture(argv)
+    monkeypatch.setattr(cli, "_parse_argv", lambda argv: cli.build_parser().parse_args(argv))
+    assert got == capture(argv)
+
+
+def test_a_command_builds_only_its_parser():
+    cli.build_parser.cache_clear()
+    assert capture(["decompose", "5,2,3,2,1"])[0] == 0
+    assert cli.build_parser.cache_info().currsize == 1
+    # arguments left over go to the full tree, which prints its own usage
+    code, out, err = capture(["decompose", "5,2,3,2,1", "--zzz"])
+    assert code == 2 and out == "" and err.startswith("usage: polycensus [-h] {count,")
+    assert cli.build_parser.cache_info().currsize == 2
