@@ -53,11 +53,12 @@ batches to a pool that the query starts once, when a split first needs it.
 Each variant sums the pairs of a plan of splits, less those whose polynomial
 also decomposes with one of the split's excluded inner degrees (_plan lists
 the plans, and count_forward proves them).  By Engstrom's theorem most of
-that is decided by the inner alone: the inner walk drops every h with a
-right component of an excluded degree dividing n, all of whose pairs are
-excluded (at most one b_1 per prefix and degree, _cut_columns), and the
-other inners need the exclusion test only for the excluded degrees k with
-gcd(k, n) not such a degree.  For a total
+that is decided by the inner alone: the chunk that counts the inners
+drops every h with a right component of an excluded degree dividing n, all
+of whose pairs are excluded (at most one b_1 per prefix and degree,
+_cut_columns), and the other inners need the exclusion test only for the
+excluded degrees k with gcd(k, n) not such a degree; the inner walk reads
+the height box alone.  For a total
 those are the k with gcd(k, n) = 1, and by Ritt's second theorem an inner
 decides them once, from its shape alone (_coprime_rule): most inners exclude
 nothing, and for k = 2 the excluded pairs of a polygon are one line, counted
@@ -228,17 +229,15 @@ def ordered_splits(d: int) -> List[Tuple[int, int]]:
 # ---------------------------------------------------------------------------
 
 
-def _h_candidates(
-    m: int, n: int, H: int, monic: bool, cut: Sequence[int] = ()
-) -> list:
+def _h_candidates(m: int, n: int, H: int, monic: bool) -> list:
     """The normalized inner candidates h in lexicographic order: (h, h^2) for
-    m >= 3, and for m = 2 one item (h0, h0^2, live, lo, hi) per prefix with
-    a b_1 window, the columns of which _columns walks.
+    m >= 3, and for m = 2 one item (h0, h0^2, lo, hi) per prefix with a b_1
+    window, the columns of which _columns walks.
 
     Walks the inner coefficients b_(n-1)..b_1 of h = b_1 x + ... + b_n x^n,
     b_n = L >= 1, as one odometer without recursion: one level per
     coefficient, down to b_1 for m >= 3, whose every value is a leaf, one
-    candidate to test, and down to b_2 for m = 2.  A non-monic lead L is at
+    candidate, and down to b_2 for m = 2.  A non-monic lead L is at
     most H^(1/m), since lead(g) L^m is the top of f; K1 >= 1 makes b_max
     (_inner_height_bound) at least that.  Each level is restricted by
     |b| <= b_max and by the final top coefficients of f:
@@ -257,13 +256,12 @@ def _h_candidates(
     imprimitive inners never generate new polynomials.
 
     For m = 2 the walk stops at the prefix b_(n-1)..b_2 (for n = 2 the
-    prefix is the lead alone) and hands one on as (h0, h0^2, live, lo, hi),
-    h0 the prefix with b_1 = 0, live the degrees of cut whose candidate
-    from it is integral (below), and [lo, hi] the window of b_1 at the
-    outer lead a_2 = 1 (_b1_window), only when that window is not empty:
-    it holds the window of every a_2 >= 1 (_columns), so a prefix with an
-    empty one has no pair.  _columns counts the b_1, with their outer
-    polynomials, in one region per prefix.  The level b_2 (n >= 4) looks
+    prefix is the lead alone) and hands one on as (h0, h0^2, lo, hi), h0
+    the prefix with b_1 = 0 and [lo, hi] the window of b_1 at the outer
+    lead a_2 = 1 (_b1_window), only when that window is not empty: it holds
+    the window of every a_2 >= 1 (_columns), so a prefix with an empty one
+    has no pair.  _columns counts the b_1, with their outer polynomials, in
+    one region per prefix.  The level b_2 (n >= 4) looks
     ahead to b_1: with b_1 = 0 the square's x^(n+1) entry is sq[n+1] +
     2 b_(n-1) b_2, and the b_1 window, which keeps it plus slope*b_1 within
     H, must meet [-B, B] (_columns), so it is at most H + slope*B in
@@ -275,31 +273,18 @@ def _h_candidates(
     fixes them).  A level b_j with n - j odd starts at 0 while every higher
     level of that parity is 0 (_columns does the same for b_1); that only
     removes values, so the walk yields exactly the canonical inners of the
-    full walk.  Every window and cut here tests |coefficients| of f or the
-    right components of h, which sigma keeps, so the full walk is closed
-    under sigma, and its other inners, (-1)^n h(-x) of a walked h, count as
-    images (count_forward).
+    full walk.  Every window here tests |coefficients| of f, which sigma
+    keeps, so the full walk is closed under sigma, and its other inners,
+    (-1)^n h(-x) of a walked h, count as images (count_forward).
 
-    cut holds inner degrees e | n, e < n, and a candidate h = u(w) with
-    deg w = e in cut is dropped: count_forward excludes all of its pairs
-    anyway.  The candidate right component of degree e of h reads only
-    b_(n-1)..b_(n-e+1) (decompose._integer_candidate on h's monic
-    conjugate), so it is solved once per prefix, at level n-e+1, and
-    _cut_columns reads the digits of the prefix b_(n-1)..b_2 only for the
-    degrees with an integral one, its live degrees: a decomposable h has an
-    integral candidate (the decompose module docstring).  Each degree drops
-    at most one b_1 under a prefix.  For m >= 3 _cut_columns runs at the
-    level b_2, and the b_1 level skips what it drops; a (2, n) prefix
-    carries its live degrees, and _columns runs _cut_columns at its first
-    column with a point, so a prefix without one never pays for it.
+    The walk reads the height box alone: the inners that a split's
+    exclusion makes count nothing (the Engstrom cut, count_forward) are
+    walked like any other and dropped by the chunk (_run_chunk, _columns),
+    so an item carries nothing computed above it.
     """
     out: list = []
     b_max = _inner_height_bound(m, n, H)
     leads = [1] if monic else range(1, _int_root(H, m) + 1)
-    decided: dict = {}  # level -> the degrees of cut whose candidate it completes
-    for e in cut:
-        decided.setdefault(n - e + 1, []).append(e)
-    candidates: dict = {}
     leaf = 2 if m == 2 else 1  # the last level walked
 
     for L in leads:
@@ -309,14 +294,11 @@ def _h_candidates(
         sq = [0] * (2 * n + 1)  # the square of the partial h
         sq[2 * n] = L * L
         if n <= leaf:  # (2, 2): the prefix is the lead alone, and b_1 = 0 is in its window
-            out.append((tuple(bs), tuple(sq), ()) + _b1_window(bs, sq, H))
+            out.append((tuple(bs), tuple(sq)) + _b1_window(bs, sq, H))
             continue
         rev = bs[::-1]  # the reversed top r: rev[i] = b_(n-i)
         hm = [L**m] + [0] * (n - 1)  # hm[i] = [r^m]_i = [h^m]_(mn-i), kept for m > 2
-        # live[j]: the degrees of cut whose candidate, read from b_(n-1)..b_j, is integral
-        live = [()] * (n + 1)
         values: list = [None] * n  # values[j]: the b_j still to visit
-        drop = ()  # the b_1 that the cut drops under the current prefix
 
         def level(j: int):
             # the b_j that keep [h^m]_((m-1)n+j) in the window, b_j..b_1 being 0
@@ -334,8 +316,6 @@ def _h_candidates(
                 )
             if (n - j) % 2 and not any(bs[j + 2 :: 2]):
                 lo = max(lo, 0)  # sigma-canonical: the first non-zero b_j, n - j odd, is > 0
-            if j == 1 and drop:
-                return iter([t for t in range(lo, hi + 1) if t not in drop])
             return iter(range(lo, hi + 1))
 
         def put(j: int, t: int) -> None:
@@ -358,21 +338,13 @@ def _h_candidates(
             if t is None:
                 j += 1
                 continue
-            live[j] = live[j + 1]
-            if j in decided:
-                F = _monic_conjugate(tuple(bs))
-                live[j] += tuple(
-                    e for e in decided[j] if _candidate(F, n // e, e, candidates) is not None
-                )
-            if j == 2 and m > 2:
-                drop = _cut_columns(bs, live[2], candidates) if live[2] else ()
             if j > leaf:
                 j -= 1
                 values[j] = level(j)
             elif m == 2:
                 lo, hi = _b1_window(bs, sq, H)
                 if lo <= hi:
-                    out.append((tuple(bs), tuple(sq), live[2], lo, hi))
+                    out.append((tuple(bs), tuple(sq), lo, hi))
             elif monic or gcd(*bs) == 1:
                 out.append((tuple(bs), tuple(sq)))
     return out
@@ -391,6 +363,9 @@ def _cut_columns(h0: Sequence[int], degrees: Sequence[int], candidates: dict) ->
     and the digits are linear, with x its own digit 0 as e >= 2.  So b_1
     moves only the x^1 coefficient of digit 0: the other parts decide the
     prefix, and that one fixes its b_1.  candidates memoizes the solves.
+    Only the chunk runs it, once per prefix b_(n-1)..b_2: at the prefix's
+    first inner for m >= 3 (_run_chunk), and at its first column with a
+    point for m = 2 (_columns), so a (2, n) prefix without one never pays.
     """
     n = len(h0) - 1
     F = _monic_conjugate(tuple(h0))
@@ -479,15 +454,16 @@ def _clip_b1(h0: Sequence[int], sq0: Sequence[int], a2: int, H: int, lo: int, hi
     return lo, hi
 
 
-def _columns(item, H: int, monic: bool, candidates: dict) -> Iterator[tuple]:
+def _columns(
+    item, H: int, monic: bool, cut: Sequence[int], candidates: dict
+) -> Iterator[tuple]:
     """Yield (a_2, b_1, lo_1, hi_1) for every column of a (2, n) prefix item
-    of _h_candidates that holds a point, a_2 rising, then b_1: its pairs are
-    the inner h = h0 + b_1 x with the outer a_2 y^2 + a_1 y, lo_1 <= a_1 <=
-    hi_1.
+    of _h_candidates that holds a point and whose inner the cut keeps, a_2
+    rising, then b_1: its pairs are the inner h = h0 + b_1 x with the outer
+    a_2 y^2 + a_1 y, lo_1 <= a_1 <= hi_1.
 
-    item is (h0, sq0, live, lo, hi): h0 = (0, 0, b_2, .., b_n), sq0 = h0^2,
-    the degrees live of the cut whose candidate is integral, and the b_1
-    window [lo, hi] at a_2 = 1 (_b1_window).  f = a_2 h^2 + a_1 h has the
+    item is (h0, sq0, lo, hi): h0 = (0, 0, b_2, .., b_n), sq0 = h0^2, and
+    the b_1 window [lo, hi] at a_2 = 1 (_b1_window).  f = a_2 h^2 + a_1 h has the
     coefficients
       * [f]_1 = a_1 b_1;
       * [f]_2 = a_2 b_1^2 + a_1 b_2 (b_2 = L = lead(h) when n = 2);
@@ -516,15 +492,16 @@ def _columns(item, H: int, monic: bool, candidates: dict) -> Iterator[tuple]:
 
     Like every other level of the inner walk (_h_candidates), b_1 starts at
     0 when n - 1 is odd and every b_j, n - j odd, of the prefix is 0
-    (sigma-canonical).  The b_1 that the cut drops are skipped:
-    _cut_columns finds them, with the memo candidates, at the first column
-    with a point.  When f is not monic so is every b_1 with gcd(b_1,
-    content of h0) > 1: the inner must be primitive.
+    (sigma-canonical).  The b_1 whose inner is u(w) with deg w in cut are
+    skipped (count_forward excludes all of their pairs): _cut_columns finds
+    them, with the memo candidates, at the first column with a point.  When
+    f is not monic so is every b_1 with gcd(b_1, content of h0) > 1: the
+    inner must be primitive.
     """
-    h0, sq0, live, lo_w, hi_w = item
+    h0, sq0, lo_w, hi_w = item
     n = len(h0) - 1
     content = gcd(*h0)  # 1 when monic
-    drop = None if live else ()  # the b_1 that the cut drops, found at the first point
+    drop = None if cut else ()  # the b_1 that the cut drops, found at the first point
     # the rows x^3..x^n with b_k != 0 as (C_k, 2 b_(k-1), b_k), times sign(b_k)
     lin = [
         (sq0[k], 2 * h0[k - 1], h0[k]) if h0[k] > 0 else (-sq0[k], -2 * h0[k - 1], -h0[k])
@@ -565,7 +542,7 @@ def _columns(item, H: int, monic: bool, candidates: dict) -> Iterator[tuple]:
                     hi1 = v
             if lo1 <= hi1:
                 if drop is None:
-                    drop = _cut_columns(h0, live, candidates)
+                    drop = _cut_columns(h0, cut, candidates)
                 if b1 not in drop:
                     yield a2, b1, lo1, hi1
 
@@ -779,10 +756,22 @@ def _run_chunk(args, limit=None):
     columns (each with a point), so the items it leaves are those still to
     walk.
 
+    excluded holds the split's excluded inner degrees, and the chunk parts
+    them as count_forward proves: the cut, every e in excluded with e | n
+    and e < n, drops each inner h = u(w) with deg w in the cut, all of
+    whose pairs are excluded, and the kernel, every k in excluded with
+    gcd(k, n) not in the cut, is all that the other inners are tested for.
+    For m >= 3 _cut_columns runs once per prefix b_(n-1)..b_2, at the
+    prefix's first inner, and the inners whose b_1 it drops are skipped;
+    for m = 2 _columns skips their columns.  A drop reads its prefix alone
+    and is found anew whenever the prefix changes, so it does not depend on
+    the order of the items or on how they are cut into chunks.
+
     Returns (pairs, 0, None, away, tops):
-      pairs    -- witness pairs completed (equals distinct polynomials)
+      pairs    -- witness pairs completed over the inners the cut keeps
+                  (equals distinct polynomials)
       away     -- pairs whose polynomial also decomposes with an inner degree
-                  in excluded
+                  in the kernel
       tops     -- the top-n coefficient vector of every non-empty block, in
                   walk order
     The 0 and None slots keep the 5-tuple that perfbench/tracer.py unpacks.
@@ -792,23 +781,24 @@ def _run_chunk(args, limit=None):
     symmetries (count_forward), so its pairs and away count w times: w = 2
     when h has a non-zero b_j with n - j odd (sigma(h) != h), times 2 when
     f is not monic (tau).  pairs and the budget are in true pairs.  When
-    excluded is not empty, each inner's exclusion is decided once, at its
-    first polygon.  If every excluded degree k divides d and has
+    the kernel is not empty, each inner's exclusion is decided once, at its
+    first polygon.  If every kernel degree k divides d and has
     gcd(k, n) = 1, as in every kernel of a total, _coprime_rule decides
     it by Ritt's second theorem (count_forward proves it): nothing, or the
     k = 2 line that _line_away counts per polygon in closed form, or the
-    kernel.  The kernel, and every other excluded set, takes one
+    kernel.  The kernel, and every other kernel set, takes one
     decomposable_on_span call per polygon, which decides the exclusion for
     all of its points, and union_count counts the excluded ones.  The
     polygon is the plane P + a_2 h^2 + a_1 h, and h^2 and h stay below the
     coefficients x^(d-n'+1)..x^(d-1) that fix the candidate inner of every
     excluded n': a total excludes n' < n, so d - n' > (m-1)n >= 2n, and an
     indecomp_pair excludes only when m >= 4 (l < n' <= d/2 with l | n' needs
-    d/l >= 4), and then d - n' >= d/2 >= 2n.  The candidate inners are
-    memoized per chunk.  For m = 2 the only excluded degree is k = 2 with n
-    odd: in a total's (2, n) split the kernel degrees k divide 2n, are
-    below n and are coprime to n, and an indecomp_pair with m = 2 excludes
-    nothing.  _region applies _coprime_rule's k = 2 closed form to it.
+    d/l >= 4), and then d - n' >= d/2 >= 2n.  The candidate inners, of the
+    kernel and of the cut, are memoized per chunk.  For m = 2 the only
+    kernel degree is k = 2 with n odd: in a total's (2, n) split the kernel
+    degrees k divide 2n, are below n and are coprime to n, and an
+    indecomp_pair with m = 2 excludes nothing.  _region applies
+    _coprime_rule's k = 2 closed form to it.
 
     Uniqueness re-check, with no key stored.  A block is one inner h with one
     outer lead a_m, and a chunk walks whole inners, so whole blocks.  The
@@ -829,8 +819,10 @@ def _run_chunk(args, limit=None):
     column, and _region checks its region of columns in the same way.
     """
     (d, H, monic, (m, n), items, excluded, budget) = args
-    if m == 2 and any(k != 2 or n % 2 == 0 for k in excluded):
-        raise ValueError(f"split (2,{n}) excludes only the inner degree 2, for n odd")
+    cut = tuple(e for e in excluded if n % e == 0 and e < n)
+    kernel = tuple(k for k in excluded if gcd(k, n) not in cut)
+    if m == 2 and any(k != 2 or n % 2 == 0 for k in kernel):
+        raise ValueError(f"split (2,{n}) tests only the inner degree 2, for n odd")
 
     base = 2 * H + 1
     bp = [0] + [base**e for e in range(d)]  # bp[j]: the weight of x^j in a key
@@ -838,15 +830,16 @@ def _run_chunk(args, limit=None):
     candidates: dict = {}
     tops: list = []
     pairs = away = polygons = walked = 0
-    # _coprime_rule decides per inner when every excluded degree is coprime to n
-    coprime = bool(excluded) and all(gcd(k, n) == 1 and d % k == 0 for k in excluded)
+    # _coprime_rule decides per inner when every kernel degree is coprime to n
+    coprime = bool(kernel) and all(gcd(k, n) == 1 and d % k == 0 for k in kernel)
+    upper = drop = None  # the last inner's b_2..b_n, and the b_1 that the cut drops under it
 
     for item in items:
         if limit is not None and polygons >= limit:
             break
         walked += 1
         if m == 2:
-            columns, count, gone = _region(item, H, monic, excluded, tops, candidates)
+            columns, count, gone = _region(item, H, monic, cut, kernel, tops, candidates)
             polygons += columns
             pairs += count
             away += gone
@@ -854,6 +847,12 @@ def _run_chunk(args, limit=None):
                 raise _pairs_budget_error(budget, m, n, H)
             continue
         h, sq = item
+        if cut:
+            if h[2:] != upper:
+                upper = h[2:]
+                drop = _cut_columns((0, 0) + upper, cut, candidates)
+            if h[1] in drop:
+                continue
         # the orbit of each pair under sigma (h not sigma-fixed) and tau (not monic)
         w = (2 if any(h[n - 1 :: -2]) else 1) * (1 if monic else 2)
         s = sq + (0,) * (d - 2 * n)
@@ -874,14 +873,14 @@ def _run_chunk(args, limit=None):
             if key <= last or (count > 1 and h[n] <= 0):
                 raise _uniqueness_error(m, n, H, "keys not increasing within a block")
             last = key0 + final[0] * skf + final[1] * hkf
-            if excluded and rule is False:
+            if kernel and rule is False:
                 # the kernel decides per polygon (None), or nothing is excluded
                 # (()), or the k = 2 closed form of _coprime_rule
-                rule = _coprime_rule(h, m, excluded) if coprime else None
+                rule = _coprime_rule(h, m, kernel) if coprime else None
             if rule:
                 away += w * _line_away(rule, prefix, rows, first, final, H)
             elif rule is None:
-                got = decomposable_on_span(P, (sq, h), excluded, candidates)
+                got = decomposable_on_span(P, (sq, h), kernel, candidates)
                 away += w * (count if got is None else union_count(rows, first, final, H, *got))
             pairs += w * count
             if pairs > budget:
@@ -891,18 +890,19 @@ def _run_chunk(args, limit=None):
 
 
 def _region(
-    item, H: int, monic: bool, excluded: Sequence[int], tops: list, candidates: dict
+    item, H: int, monic: bool, cut: Sequence[int], kernel: Sequence[int],
+    tops: list, candidates: dict,
 ) -> Tuple[int, ...]:
     """(columns, pairs, away) of one (2, n) prefix item of _h_candidates,
-    over the non-empty columns that _columns yields (its cut memoized in
-    candidates), with the top of each column appended to tops; pairs and
+    over the non-empty columns that _columns yields under the cut (memoized
+    in candidates), with the top of each column appended to tops; pairs and
     away count the orbit weights of _run_chunk.
 
     Weights.  sigma fixes h = h0 + b_1 x exactly when every b_j with n - j
     odd is 0: those of the prefix, and b_1 too when n is even.  tau doubles
     every column when f is not monic.
 
-    Exclusion.  excluded is () or (2,) with n odd, and then _coprime_rule's
+    Exclusion.  kernel is () or (2,) with n odd, and then _coprime_rule's
     k = 2 closed form applies per column.  The centred h~ of h is odd
     exactly when _centred's c_j vanish for the even j = 2..n-1, which b_1
     does not reach (it moves only c_1 and c_0), so the prefix decides it.
@@ -924,13 +924,13 @@ def _region(
     moved = any(h0[n - 1 :: -2])  # sigma moves the prefix
     even = n % 2 == 0
     line = None
-    if excluded:
+    if kernel:
         c, e = _centred(h0)
         if not any(c[2:n:2]):
             line = (c[0], h0[n - 1] * (e // (n * L)), e)
     columns = pairs = away = 0
     lead = None  # the a_2 of the current run of columns
-    for a2, b1, lo1, hi1 in _columns(item, H, monic, candidates):
+    for a2, b1, lo1, hi1 in _columns(item, H, monic, cut, candidates):
         count = hi1 - lo1 + 1
         f1 = a2 * (sq0[n + 1] + 2 * L * b1)
         if a2 != lead:
@@ -993,22 +993,17 @@ def _run_split(d, H, monic, split, workers, excluded, budget, *, pool, power_awa
 
     Returns (pairs, 0, None, away), summed over x^n and the chunks;
     pairs - away counts the pairs whose polynomial does not also decompose
-    with an inner degree in excluded.  The inners that decompose with a
-    degree e | n, e < n, of excluded are never walked, so neither pairs nor
-    the budget count theirs.  The 0 and None slots keep the 4-tuple that
-    perfbench/tracer.py unpacks.
+    with an inner degree in excluded.  Each chunk gets the whole excluded
+    and drops the inners that decompose with a degree e | n, e < n, of it
+    (_run_chunk), so neither pairs nor the budget count theirs.  The 0 and
+    None slots keep the 4-tuple that perfbench/tracer.py unpacks.
 
     Completes the uniqueness re-check of _run_chunk for every split, variant
     and worker count: _check_pieces runs over the tops of x^n and of every
     chunk.
     """
     m, n = split
-    # count_forward proves both: every pair of an inner that decomposes with
-    # a degree of cut is excluded, and any other inner needs the kernel only
-    # for the degrees of kernel
-    cut = tuple(e for e in excluded if n % e == 0 and e < n)
-    kernel = tuple(k for k in excluded if gcd(k, n) not in cut)
-    items = _h_candidates(m, n, H, monic, cut)
+    items = _h_candidates(m, n, H, monic)
     pairs = away = 0
     tops: list = []
     power = ((0,) * n + (1,), (0,) * (2 * n) + (1,))  # (x^n, x^2n)
@@ -1019,12 +1014,12 @@ def _run_split(d, H, monic, split, workers, excluded, budget, *, pool, power_awa
         tops = [(0,) * (n - 1) + (a,) for a in leads]
     k = min(workers, os.cpu_count() or 1)
     limit = _POOL_AFTER if k > 1 else None
-    results = [_run_chunk((d, H, monic, split, items, kernel, budget), limit=limit)]
+    results = [_run_chunk((d, H, monic, split, items, excluded, budget), limit=limit)]
     if items:  # the inners the calling process left
         if not pool:
             pool.append(_start_pool(k))
         batches = _batches(items, k * _BATCHES_PER_WORKER)
-        results += pool[0].map(_run_chunk, [(d, H, monic, split, b, kernel, budget) for b in batches])
+        results += pool[0].map(_run_chunk, [(d, H, monic, split, b, excluded, budget) for b in batches])
 
     pairs += sum(r[0] for r in results)
     away += sum(r[3] for r in results)
@@ -1131,8 +1126,8 @@ def count_forward(q: CountQuery, workers: int = 1, budget: Optional[int] = None)
     inner alone.  Let the split (m, n) exclude E and let cut = {e in E :
     e | n, e < n}.  If h = u(w) with deg w = e in cut, every f = g(h) =
     (g(u))(w) decomposes with an inner of degree e, so every pair of h is
-    excluded: _h_candidates drops h (at m = 2 _columns drops its column),
-    and neither its pairs nor its exclusions are counted.  If h has no such
+    excluded: the chunk drops h (_run_chunk, and _columns at m = 2), and
+    neither its pairs nor its exclusions are counted.  If h has no such
     right component and f = G(K) with deg K = k in E, Engstrom gives h and K
     a common right component of degree gcd(k, n), so gcd(k, n) is not in
     cut; the kernel runs only for those k.  A total's cut is every divisor e
@@ -1259,9 +1254,8 @@ def iter_decompositions(
     m, n = split
     items = _h_candidates(m, n, H, monic)
     if m == 2:
-        candidates: dict = {}
         for item in items:
-            for a2, b1, lo1, hi1 in _columns(item, H, monic, candidates):
+            for a2, b1, lo1, hi1 in _columns(item, H, monic, (), {}):
                 h = (0, b1) + item[0][2:]
                 for a in range(lo1, hi1 + 1):
                     yield from _orbit((0, a, a2), h, monic)

@@ -28,6 +28,7 @@ from typing import List, Optional, Sequence, Tuple
 from . import __version__
 from .asymptotics import fit_growth, predicted_growth, spf
 from .census import (
+    VARIANTS,
     BudgetError,
     CountQuery,
     CountResult,
@@ -277,7 +278,11 @@ def _cmd_fit(args) -> int:
         groups: dict = {}
         for row in reader:
             try:
-                key = (int(row["d"]), row["monic"] == "true", row["variant"], row["m"], row["n"])
+                variant, m, n = row["variant"], row["m"], row["n"]
+                if variant not in VARIANTS:
+                    raise ValueError(variant)
+                split = (int(m), int(n)) if variant == "split" else None
+                key = (int(row["d"]), row["monic"] == "true", variant, m, n, split)
                 groups.setdefault(key, []).append((int(row["H"]), int(row["count"])))
             except (TypeError, ValueError):
                 raise ValueError(f"malformed CSV row on line {reader.line_num}") from None
@@ -286,12 +291,11 @@ def _cmd_fit(args) -> int:
             fh.close()
     if not groups:
         raise ValueError("no data rows in CSV input")
-    for (d, monic, variant, m, n), pts in sorted(groups.items()):
+    for (d, monic, variant, m, n, split), pts in sorted(groups.items()):
         pts.sort()
         label = f"d={d} {'monic' if monic else 'non-monic'} {variant}" + (
             f" ({m},{n})" if m else ""
         )
-        split = (int(m), int(n)) if variant == "split" else None
         # indecomp_pair rows I get the total's prediction, two-sided for them
         # too: I <= D, and the block of g(x^l), l = spf(d), m = d/l, alone
         # gives I at least (2H+1)^(m-1) - D_m(H)/(2H+1) pairs per outer lead,
@@ -419,11 +423,12 @@ def run(argv: Sequence[str]) -> int:
     import re
 
     argv = list(argv)
-    # Let polynomials with a negative leading coefficient pass as positionals.
+    # Let a polynomial that starts with a minus sign pass as the positional:
+    # it moves behind a trailing "--", so every option still parses as one.
     if argv and argv[0] in ("decompose", "mahler") and "--" not in argv:
         for i, a in enumerate(argv[1:], 1):
             if a.startswith("-") and re.fullmatch(r"-?\d+(,-?\d+)*", a):
-                argv.insert(i, "--")
+                argv = argv[:i] + argv[i + 1 :] + ["--", a]
                 break
     try:
         args = _parse_argv(argv)

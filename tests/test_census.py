@@ -1,4 +1,5 @@
 import functools
+import inspect
 import itertools
 import multiprocessing
 import os
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from polycensus import census, cli
+from polycensus import census, cli, decompose
 from polycensus.census import (
     BudgetError,
     CountQuery,
@@ -78,32 +79,57 @@ def union_key_set(d, H, monic):
     return frozenset().union(*(forward_key_set(d, H, monic, s) for s in ordered_splits(d)))
 
 
-def columns_of(items, H, monic):
+def columns_of(items, H, monic, cut=()):
     """(h, a_2, lo_1, hi_1) for every column of the (2, n) prefix items of
-    _h_candidates, in walk order, h = h0 + b_1 x: the expanded column stream."""
+    _h_candidates that the cut keeps, in walk order, h = h0 + b_1 x: the
+    expanded column stream."""
     return [
         ((0, b1) + item[0][2:], a2, lo1, hi1)
         for item in items
-        for a2, b1, lo1, hi1 in census._columns(item, H, monic, {})
+        for a2, b1, lo1, hi1 in census._columns(item, H, monic, cut, {})
     ]
 
 
-def column_inners(items, H, monic):
+def column_inners(items, H, monic, cut=()):
     """The inners of columns_of, each once: the prefixes in walk order, and
     the b_1 of each rising, so in lexicographic order, as at m >= 3."""
     return [
         (0, b1) + item[0][2:]
         for item in items
-        for b1 in sorted({c[1] for c in census._columns(item, H, monic, {})})
+        for b1 in sorted({c[1] for c in census._columns(item, H, monic, cut, {})})
+    ]
+
+
+def cut_inners(items, cut):
+    """The (h, h^2) items of _h_candidates(m, n, ..), m >= 3, that the chunk
+    walks under the cut: those whose b_1 _cut_columns does not drop under
+    their prefix b_(n-1)..b_2."""
+    return [
+        (h, sq) for h, sq in items
+        if not cut or h[1] not in census._cut_columns((0, 0) + h[2:], cut, {})
+    ]
+
+
+def inner_items(items, m, H, monic, keep):
+    """The items of _h_candidates(m, n, ..) cut to the inners h with keep(h):
+    the (h, h^2) items at m >= 3, and at m = 2 one item per inner with a
+    point (one_column)."""
+    if m > 2:
+        return [(h, sq) for h, sq in items if keep(h)]
+    return [
+        one_column(item, b1, H)
+        for item in items
+        for b1 in sorted({c[1] for c in census._columns(item, H, monic, (), {})})
+        if keep((0, b1) + item[0][2:])
     ]
 
 
 def one_column(item, b1, H):
     """A (2, n) prefix item cut to its one column b_1: its b_1 window, which
     must hold b_1, becomes b_1 alone."""
-    h0, sq0, live, lo, hi = item
+    h0, sq0, lo, hi = item
     assert lo <= b1 <= hi
-    return h0, sq0, live, b1, b1
+    return h0, sq0, b1, b1
 
 
 def walk_polygons(items, m, H, monic):
@@ -225,7 +251,7 @@ def test_pinned_regression_monic_quartics():
 )
 def test_pinned_regression_excluded_degrees(d, H, monic, variant, count):
     # counts where the exclusion of each polygon solves one or two excluded
-    # degrees, or the inner walk cuts the inners that decompose, at heights
+    # degrees, or the chunk cuts the inners that decompose, at heights
     # beyond the per-pair reference
     assert count_forward(CountQuery(d, H, monic, variant)).count == count
 
@@ -255,7 +281,7 @@ def test_pinned_regression_closed_form_power(d, H, monic, variant, count):
 def test_closed_form_power_matches_its_walk(monkeypatch, d, monic):
     # for every split of every variant's plan, x^n alone through _run_split
     # under the plan's x^n rule (the closed form where it is an int) against
-    # _run_chunk walking [x^n] with the split's kernel: the same pairs, away
+    # _run_chunk walking [x^n] under the split's exclusion: the same pairs, away
     # and block tops; a non-monic closed form has the walk's tops and their
     # tau images -top, as the walk takes the leads a_m > 0 only.  At m = 2,
     # x^n is the column b_1 = 0 of the zero prefix, which _run_split walks
@@ -304,7 +330,7 @@ def test_closed_form_power_matches_its_walk(monkeypatch, d, monic):
         )
         (args, items), = chunks  # the split's one chunk
         assert args[3] == split
-        inners = only_power(m, n, H, monic, tuple(e for e in excluded if n % e == 0 and e < n))
+        inners = only_power(m, n, H, monic)
         walk = real_chunk((d, H, monic, split, list(inners), args[5], 10**12))
         assert (pairs, away) == (walk[0], walk[3])
         if m == 2:
@@ -985,10 +1011,12 @@ def test_two_inner_degrees_counted_once():
     pairs, _, _, away, _ = _run_chunk((d, H, True, (2, 4), [item], (), 10**9))
     # a_2 = 1 is the only row of this h, counted with that of sigma(h) = (x^2-x)^2
     assert pairs == 2 * (hi - lo + 1) and away == 0
-    # the total's (2, 4) split excludes the degree 2, which cuts h from the
-    # inner walk, so all of its pairs are attributed away
-    assert h in column_inners(_h_candidates(2, 4, H, True), H, True)
-    assert h not in column_inners(_h_candidates(2, 4, H, True, (2,)), H, True)
+    # the total's (2, 4) split excludes the degree 2, whose cut drops h's
+    # column in the chunk, so all of its pairs are attributed away
+    items = _h_candidates(2, 4, H, True)
+    assert h in column_inners(items, H, True)
+    assert h not in column_inners(items, H, True, (2,))
+    assert _run_chunk((d, H, True, (2, 4), [item], (2,), 10**9))[:4] == (0, 0, None, 0)
     count = count_forward(CountQuery(d, H, True, "total")).count
     assert count == (2 * H + 1) * len(union_key_set(d, H, True))
 
@@ -997,8 +1025,8 @@ def test_composite_smaller_inner_degree_attributes_away(monkeypatch):
     # f = (x^4+x)^4 + a(x^4+x)^2 lies in the splits (4,4) and (2,8) but not
     # in (8,2), as x^4+x is indecomposable; only the composite inner degree
     # 4 attributes its (2,8) pairs away: the (2,8) inner (x^4+x)^2 decomposes
-    # with it, so the inner walk of (2,8), cut {2, 4}, drops it.  The inners
-    # are cut to this family, and the stand-in drops what the walk drops
+    # with it, so the chunk of (2,8), cut {2, 4}, drops it.  The inners are
+    # cut to this family, and the chunks cut them as in every split
     # (test_inner_cut_drops_exactly_the_decomposable_inners).
     d, H = 16, 6
     h4 = (0, 1, 0, 0, 1)
@@ -1011,12 +1039,12 @@ def test_composite_smaller_inner_degree_attributes_away(monkeypatch):
     # (its window at a_2 = 1 holds b_1 = 0: test_prefix_windows_nest)
     monkeypatch.setattr(
         census, "_h_candidates",
-        lambda m, n, H, monic, cut=(): [
-            (h, mul(h, h)) if m > 2 else (h, mul(h, h), (), 0, 0)
-            for h in only.get((m, n), [])
-            if decomposable_on_span(h, (), cut) is not None
+        lambda m, n, H, monic: [
+            (h, mul(h, h)) if m > 2 else (h, mul(h, h), 0, 0) for h in only.get((m, n), [])
         ],
     )
+    dropped = census._h_candidates(2, 8, H, True)
+    assert _run_chunk((d, H, True, (2, 8), dropped, (2, 4), 10**9))[0] == 0
     keys4 = forward_key_set(d, H, True, (4, 4))
     assert forward_key_set(d, H, True, (2, 8)) <= keys4
     assert count_forward(CountQuery(d, H, True, "total")).count == (2 * H + 1) * len(keys4)
@@ -1035,11 +1063,13 @@ COPRIME_SWEEP = [
 def test_coprime_rule_matches_the_kernel_per_polygon(monkeypatch, m, n, H, monic):
     # the total's plan for the split: the cut drops the inners with a right
     # component of a proper divisor of n, and the kernel degrees left are
-    # the k < n with gcd(k, n) = 1
+    # the k < n with gcd(k, n) = 1 (no sweep case has a cut at m = 2)
     d = m * n
     degrees = tuple(k for k in _inner_degrees(d) if k < n and gcd(k, n) == 1)
     cut = tuple(e for e in _inner_degrees(d) if e < n and n % e == 0)
-    items = _h_candidates(m, n, H, monic, cut)
+    assert m > 2 or not cut
+    inners = _h_candidates(m, n, H, monic)
+    items = cut_inners(inners, cut) if m > 2 else inners
     seen = {"line": 0, "nothing": 0, "kernel": 0}
     candidates = {}
     rules = {}  # per inner, decided at its first polygon (at m = 2 a column)
@@ -1071,13 +1101,14 @@ def test_coprime_rule_matches_the_kernel_per_polygon(monkeypatch, m, n, H, monic
         assert seen["line"] and (n > 3 or not seen["nothing"])
     else:
         assert seen["nothing"] and seen["kernel"] and not seen["line"]
-    # whole chunks: the per-inner rules against the kernel on every inner
-    args = (d, H, monic, (m, n), items, degrees, 10**12)
-    got = _run_chunk(args[:4] + (list(items),) + args[5:])
+    # whole chunks over the uncut walk, the split's whole exclusion: the
+    # chunk's cut and per-inner rules against the kernel on every inner
+    args = (d, H, monic, (m, n), inners, cut + degrees, 10**12)
+    got = _run_chunk(args[:4] + (list(inners),) + args[5:])
     assert got[3] == away
     if m > 2:  # _run_chunk's own kernel route, which m = 2 never takes
         monkeypatch.setattr(census, "_coprime_rule", lambda h, m, degrees: None)
-        assert got == _run_chunk(args[:4] + (list(items),) + args[5:])
+        assert got == _run_chunk(args[:4] + (list(inners),) + args[5:])
 
 
 def gamma_of(h):
@@ -1291,18 +1322,25 @@ def test_inner_search_bound_refuses_as_over_every_plan():
     ],
 )
 def test_inner_cut_drops_exactly_the_decomposable_inners(m, n, H, monic, cut):
-    # the walk solves each degree-e candidate once per prefix and checks the
-    # digits only below an integral one; what it keeps must be the uncut
+    # the chunk solves each degree-e candidate once per prefix and checks the
+    # digits only below an integral one; what it keeps must be the walk's
     # candidates less those that decompose with a degree of cut, in order.
     # At m = 2 the columns of the prefixes are compared, each with its inner
-    full = _h_candidates(m, n, H, monic)
-    kept = _h_candidates(m, n, H, monic, cut)
+    d = m * n
+    items = _h_candidates(m, n, H, monic)
     # the squares built along the walk
-    assert all(item[1] == mul(item[0], item[0]) for item in full)
+    assert all(item[1] == mul(item[0], item[0]) for item in items)
     if m == 2:
-        full, kept = columns_of(full, H, monic), columns_of(kept, H, monic)
+        full, kept = columns_of(items, H, monic), columns_of(items, H, monic, cut)
+    else:
+        full, kept = items, cut_inners(items, cut)
     assert kept == [c for c in full if decomposable_on_span(c[0], (), cut) is not None]
     assert len(kept) < len(full)
+    # the chunk under the cut counts the pairs of exactly those inners
+    got = _run_chunk((d, H, monic, (m, n), list(items), cut, 10**12))
+    ref = inner_items(items, m, H, monic, lambda h: decomposable_on_span(h, (), cut) is not None)
+    want = _run_chunk((d, H, monic, (m, n), ref, (), 10**12))
+    assert got[:4] == want[:4] and sorted(got[4]) == sorted(want[4])
 
 
 def test_inner_walk_is_iterative():
@@ -1460,9 +1498,9 @@ def test_split_counts_match_the_unsymmetrized_walk(d, monic):
 def test_inner_walk_is_the_sigma_canonical_half(m, n, H, monic, cut):
     # every inner walked is sigma-canonical, and with their sigma images they
     # are the inners of the unsymmetrized walk under the same cuts: the top
-    # coefficients, at m = 2 the columns with a point, and the degrees of cut
-    items = _h_candidates(m, n, H, monic, cut)
-    hs = column_inners(items, H, monic) if m == 2 else [h for h, _ in items]
+    # coefficients, at m = 2 the columns with a point, and the chunk's cut
+    items = _h_candidates(m, n, H, monic)
+    hs = column_inners(items, H, monic, cut) if m == 2 else [h for h, _ in cut_inners(items, cut)]
     assert all(sigma_canonical(h) for h in hs)
     assert len(set(hs)) == len(hs)
     ref = {
@@ -1644,13 +1682,16 @@ def test_column_stream_matches_brute_force(case):
     # the expanded column stream walks each pair of the canonical half once,
     # and _run_chunk's orbit weights and k = 2 exclusion count every pair
     n, H, monic, cut, excluded = case
-    items = _h_candidates(2, n, H, monic, cut)
+    items = _h_candidates(2, n, H, monic)
     stream = [
-        (h, a2, a1) for h, a2, lo1, hi1 in columns_of(items, H, monic) for a1 in range(lo1, hi1 + 1)
+        (h, a2, a1)
+        for h, a2, lo1, hi1 in columns_of(items, H, monic, cut)
+        for a1 in range(lo1, hi1 + 1)
     ]
     walked, pairs, away = brute_force_columns(n, H, monic, cut, excluded)
     assert sorted(stream) == sorted(walked)
-    got = _run_chunk((2 * n, H, monic, (2, n), list(items), excluded, 10**12))
+    # the chunk gets the split's whole exclusion and parts it into cut and kernel
+    got = _run_chunk((2 * n, H, monic, (2, n), list(items), cut + excluded, 10**12))
     assert (got[0], got[3]) == (pairs, away)
     census._check_pieces(2, n, H, [got[4]])
 
@@ -1699,16 +1740,16 @@ def test_prefix_windows_nest(case):
     # the walk hands on a (2, n) prefix only when its b_1 window at a_2 = 1
     # is not empty; that window holds the window of every a_2, so a prefix
     # whose window is empty holds no pair, at any b_1 of the inner box
-    n, H, monic, cut, _ = case
-    kept = _h_candidates(2, n, H, monic, cut)
+    n, H, monic, _, _ = case
+    kept = _h_candidates(2, n, H, monic)
     with pytest.MonkeyPatch.context() as patch:  # the unfiltered walk: no row clips the start
         patch.setattr(census, "_clip_b1", lambda h0, sq0, a2, H, lo, hi: (lo, hi))
-        unfiltered = _h_candidates(2, n, H, monic, cut)
+        unfiltered = _h_candidates(2, n, H, monic)
     want = []
-    for h0, sq0, live, lo, hi in unfiltered:
+    for h0, sq0, lo, hi in unfiltered:
         window = reference_window(h0, sq0, lo, hi, H)
         if window:
-            want.append((h0, sq0, live, window[0], window[-1]))
+            want.append((h0, sq0, window[0], window[-1]))
         else:
             assert not prefix_has_pair(h0, H, monic), h0
     assert kept == want
@@ -1895,10 +1936,10 @@ def test_monic_leaves_build_no_polygon_and_no_degree_2_kernel(monkeypatch, n, H,
 
     monkeypatch.setattr(census, "polygon", lambda *args: pytest.fail("polygon at a leaf"))
     monkeypatch.setattr(census, "decomposable_on_span", kernel)
-    kept = _h_candidates(2, n, H, True, cut)
-    columns = columns_of(kept, H, True)
+    items = _h_candidates(2, n, H, True)
+    columns = columns_of(items, H, True, cut)
     monkeypatch.undo()
-    assert kept == _h_candidates(2, n, H, True, cut) and columns
+    assert items == _h_candidates(2, n, H, True) and columns
     assert all(2 not in d for d in degrees) and degrees == []
 
 
@@ -1906,10 +1947,9 @@ def test_monic_leaves_build_no_polygon_and_no_degree_2_kernel(monkeypatch, n, H,
     "n,H,monic,cut", [(4, 12, True, (2,)), (6, 4, False, (2, 3)), (8, 3, True, (2, 4))]
 )
 def test_the_cut_runs_once_per_prefix_with_a_point(monkeypatch, n, H, monic, cut):
-    # the (2, n) inner walk hands each prefix on with its live degrees and
-    # reads no digits; the chunk runs _cut_columns once for each prefix with
-    # live degrees and a column that holds a point before the cut, at that
-    # column, and for no other prefix
+    # the (2, n) inner walk reads no digits; the chunk runs _cut_columns once
+    # for each prefix with a column that holds a point before the cut, at
+    # that column, and for no other prefix
     real = census._cut_columns
     calls = []
 
@@ -1918,15 +1958,70 @@ def test_the_cut_runs_once_per_prefix_with_a_point(monkeypatch, n, H, monic, cut
         return real(h0, degrees, candidates)
 
     monkeypatch.setattr(census, "_cut_columns", recording)
-    items = _h_candidates(2, n, H, monic, cut)
+    items = _h_candidates(2, n, H, monic)
     assert calls == []
-    _run_chunk((2 * n, H, monic, (2, n), list(items), (), 10**12))
-    uncut = [item[:2] + ((),) + item[3:] for item in items]
-    want = [
-        item[0] for item, bare in zip(items, uncut)
-        if item[2] and next(census._columns(bare, H, monic, {}), None)
-    ]
+    _run_chunk((2 * n, H, monic, (2, n), list(items), cut, 10**12))
+    want = [item[0] for item in items if next(census._columns(item, H, monic, (), {}), None)]
     assert calls == want and 0 < len(want) < len(items)
+
+
+@pytest.mark.parametrize(
+    "m,n,H,monic,cut",
+    [(3, 4, 6, True, (2,)), (3, 4, 3, False, (2,)), (4, 4, 12, True, (2,)), (3, 6, 4, True, (2, 3))],
+)
+def test_the_cut_runs_once_per_prefix_at_m_ge_3(monkeypatch, m, n, H, monic, cut):
+    # at m >= 3 the chunk runs _cut_columns once per prefix b_(n-1)..b_2, at
+    # the prefix's first inner, with b_1 = 0, in walk order
+    real = census._cut_columns
+    calls = []
+
+    def recording(h0, degrees, candidates):
+        calls.append(tuple(h0))
+        return real(h0, degrees, candidates)
+
+    monkeypatch.setattr(census, "_cut_columns", recording)
+    items = _h_candidates(m, n, H, monic)
+    _run_chunk((m * n, H, monic, (m, n), list(items), cut, 10**12))
+    prefixes = list(dict.fromkeys((0, 0) + h[2:] for h, _ in items))
+    assert calls == prefixes and len(prefixes) < len(items)
+
+
+@pytest.mark.parametrize("m,n,H", [(3, 4, 6), (2, 6, 6), (3, 4, 3), (4, 4, 6)])
+@pytest.mark.parametrize("monic", [True, False], ids=["monic", "non-monic"])
+def test_inner_walk_reads_no_decomposition(monkeypatch, m, n, H, monic):
+    # the walk reads the height box alone: no call into decompose and none
+    # to _cut_columns, in a split whose total excludes a cut degree
+    def refuse(*args, **kwargs):
+        pytest.fail("the inner walk decided a decomposition")
+
+    for name, fn in vars(decompose).items():
+        if inspect.isfunction(fn) and fn.__module__ == decompose.__name__:
+            monkeypatch.setattr(decompose, name, refuse)
+            if getattr(census, name, None) is fn:
+                monkeypatch.setattr(census, name, refuse)
+    monkeypatch.setattr(census, "_cut_columns", refuse)
+    assert _h_candidates(m, n, H, monic)
+
+
+@pytest.mark.parametrize("split", [(3, 4), (2, 6)])
+@pytest.mark.parametrize("monic", [True, False], ids=["monic", "non-monic"])
+def test_the_chunk_cut_does_not_depend_on_item_order(split, monic):
+    # a total's (3, 4) split cuts the degree 2 per prefix b_3..b_2, and its
+    # (2, 6) split the degrees 2 and 3 per (2, n) prefix: reversed, the
+    # inners of a prefix arrive the other way round, and shuffled, apart;
+    # each drop reads its own prefix, so the counts are the same
+    m, n = split
+    d, H = m * n, 6 if monic else 3
+    [excluded] = [e for s, e in census._plan(CountQuery(d, H, monic, "total")) if s == split]
+    items = _h_candidates(m, n, H, monic)
+    shuffled = list(items)
+    random.Random(0).shuffle(shuffled)
+    fwd = _run_chunk((d, H, monic, split, list(items), excluded, 10**12))
+    for order in (items[::-1], shuffled):
+        got = _run_chunk((d, H, monic, split, order, excluded, 10**12))
+        assert got[:4] == fwd[:4] and sorted(got[4]) == sorted(fwd[4])
+    # the cut drops pairs here
+    assert fwd[0] < _run_chunk((d, H, monic, split, list(items), (), 10**12))[0]
 
 
 def test_iter_decompositions_matches_counts():

@@ -45,6 +45,25 @@ def test_decompose_negative_lead_coefficient():
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decompose", "-1,0,2,0,1", "--split", "2,2"],
+        ["decompose", "--split", "2,2", "-1,0,2,0,1"],
+        ["decompose", "-1,0,2,0,1", "--split=2,2"],
+    ],
+    ids=repr,
+)
+def test_an_option_may_follow_a_negative_polynomial(argv):
+    # the polynomial goes behind a trailing "--", after every option
+    assert capture(argv) == (0, "g = -1,2,1 ; h = 0,0,1\n", "")
+
+
+def test_an_unknown_option_after_a_negative_polynomial_prints_the_usage():
+    code, out, err = capture(["decompose", "-1,0,2", "--zzz"])
+    assert code == 2 and out == "" and err.startswith("usage: polycensus [-h] {count,")
+
+
 def test_count_prime_degree_row():
     code, out, _ = capture(
         ["count", "--degree", "5", "--monic", "--height-max", "100", "--variant", "total"]
@@ -282,6 +301,21 @@ def test_fit_command_on_indecomp_pair_rows(tmp_path):
     _, total, _ = capture(grid)
     (tmp_path / "total.csv").write_text(total)
     assert capture(["fit", str(tmp_path / "total.csv")])[1].endswith("; predicted ~ H^4\n")
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        "8,true,bogus,4,2,3,10,forward,1,",  # no such variant
+        "8,true,split,x,2,3,10,forward,1,",  # m is no integer
+        "8,true,split,4,,3,10,forward,1,",  # n is empty
+    ],
+)
+def test_fit_refuses_a_malformed_variant_row(tmp_path, bad):
+    # a good row on line 2, the bad one on line 3
+    path = tmp_path / "rows.csv"
+    path.write_text(f"{CSV_HEADER}\n8,true,split,4,2,2,5,forward,1,\n{bad}\n")
+    assert capture(["fit", str(path)]) == (2, "", "error: malformed CSV row on line 3\n")
 
 
 def test_verify_subset():
