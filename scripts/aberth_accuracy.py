@@ -5,9 +5,12 @@
 Runs `mahler.mahler_measure` from this repository's `src/` and from
 OTHER_SRC (say, a clean copy of an earlier commit) on the same inputs: the
 dense degree 1-12 polynomials of the two MahlerJobs and the composed
-f = g(h(x)) of the InequalityJob, for each seed.  Each measure is compared
-with a 60-digit mpmath reference, taken over the distinct-root pieces
-f/gcd(f, f'), gcd/gcd(gcd, gcd'), ... so that multiple roots converge.
+f = g(h(x)) of the InequalityJob, for each seed.  A composed f is measured
+down its chain (g, h), as check_inequalities measures it, on a side whose
+`mahler.roots` takes a `chain`; a side without it measures f whole.  Each
+measure is compared with a 60-digit mpmath reference, taken over the
+distinct-root pieces f/gcd(f, f'), gcd/gcd(gcd, gcd'), ... so that
+multiple roots converge.
 Prints, per side and per kind, the median, p90 and maximum relative error
 and the count above 1e-8, once over all measures and once over those where
 the two sides differ.
@@ -34,21 +37,24 @@ from polycensus.mahler import _poly_divmod  # noqa: E402
 
 # Run inside a child interpreter whose sys.path starts with one side's src.
 _CHILD = """
-import json, random, sys
+import inspect, json, random, sys
 sys.path[:0] = [sys.argv[1], sys.argv[2]]
 from polycensus import mahler
 from perfbench.workloads import InequalityJob, MahlerJob, WORKLOADS
+chained = "chain" in inspect.signature(mahler.roots).parameters
 out = []
 for seed in json.loads(sys.argv[3]):
     for spec in WORKLOADS["measure"].specs:
         inputs = random.Random(f"{seed}/{spec.key}")
         if spec.kind == "mahler":
-            polys = [("dense", f) for f in MahlerJob(spec, inputs).polys]
+            polys = [("dense", f, None) for f in MahlerJob(spec, inputs).polys]
         elif spec.kind == "inequalities":
-            polys = [("composed", c[0]) for c in InequalityJob(spec, inputs).cases]
+            polys = [("composed", f, (g, h)) for f, g, h, _ in InequalityJob(spec, inputs).cases]
         else:
             continue
-        out += [[seed, kind, list(f), mahler.mahler_measure(f)] for kind, f in polys]
+        for kind, f, chain in polys:
+            m = mahler.roots(f, chain).measure if chain and chained else mahler.mahler_measure(f)
+            out.append([seed, kind, list(f), m])
 print(json.dumps(out))
 """
 

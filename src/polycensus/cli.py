@@ -251,7 +251,7 @@ def _cmd_mahler(args) -> int:
     f = parse_poly(args.poly)
     if degree(f) < 1:
         raise ValueError("measure needs degree >= 1")
-    res = roots(f)
+    res = roots(f, full_decomposition(f) if degree(f) >= 2 else None)
     for r in sorted(res.roots, key=lambda z: (z.real, z.imag)):
         print(f"root: {r.real:+.15e} {r.imag:+.15e}j")
     lo, hi = sandwich_bounds(f)

@@ -6,9 +6,18 @@ in plain Python complex scalars (no numpy), with Bini's Newton-polygon
 starting points and Gauss-Seidel sweeps: each root's correction uses the
 roots already moved in the same sweep.  A root whose residual is down to
 the rounding error of its Horner evaluation takes one free Newton step and
-is frozen; the sweeps go on over the others.  Zero roots are stripped exactly
+is frozen; the sweeps go on over the others.  Degrees 1 and 2 take a closed
+form instead (the stable quadratic formula).  Zero roots are stripped exactly
 beforehand, and a multiple root is found exactly: when the roots' inclusion
 disks overlap, gcd(f, f') over Q splits f into factors with simple roots.
+
+A caller that holds a checked decomposition f = g(h) passes it to roots as
+a chain.  Then f = lead(g) prod (h - beta) over the roots beta of g, so
+M(f) = |lead g| prod M(h - beta): one solve of degree deg g and one of
+degree deg h per beta, down a longer chain level by level, and the
+clusters that composition puts in the roots of f are never solved whole.
+When some h - beta has roots the float solve cannot isolate, a solve
+raises, or the roots miss f's residual contract, f is solved directly.
 Everything downstream compares the floating measure against exact integer
 heights, so the checks carry relative tolerances.
 """
@@ -48,7 +57,7 @@ class MahlerResult:
     residuals: Tuple[float, ...] = field(default=())
 
 
-def _start_points(coeffs: Sequence[float]) -> List[complex]:
+def _start_points(coeffs: Sequence[complex]) -> List[complex]:
     """Bini's Newton-polygon starting points for a nonzero constant term.
 
     Each edge k1 -> k2 of the upper convex hull of (k, log|c_k|) over the
@@ -80,8 +89,9 @@ def _start_points(coeffs: Sequence[float]) -> List[complex]:
     return z
 
 
-def _aberth(coeffs: Sequence[float]) -> List[complex]:
-    """Roots of a polynomial with nonzero constant term, ascending coeffs.
+def _aberth(coeffs: Sequence[complex]) -> List[complex]:
+    """Roots of a polynomial with nonzero constant term, ascending float or
+    complex coeffs.
 
     Gauss-Seidel Aberth-Ehrlich sweeps from the Newton-polygon start over
     the roots still active: root i's correction uses every other root as it
@@ -96,7 +106,7 @@ def _aberth(coeffs: Sequence[float]) -> List[complex]:
     MAX_ITERATIONS sweeps, the last roots that all met the contract.
     RootConvergenceError if none did.
     """
-    top, *tail = desc = [float(a) for a in reversed(coeffs)]
+    top, *tail = desc = coeffs[::-1]
     n = len(tail)
     bound = DEFAULT_TOL * max(map(abs, desc))
     noise = [max(8, 2 * n) * ROUNDING * abs(a) for a in desc]
@@ -197,6 +207,26 @@ def _poly_divmod(a: List[Fraction], b: List[Fraction]) -> Tuple[List[Fraction], 
     return q, a
 
 
+def _closed_form(c: Sequence) -> List[complex]:
+    """Roots of c_0 + c_1 x or c_0 + c_1 x + c_2 x^2 (c_0 != 0), in closed form.
+
+    The quadratic takes the stable formula: s = sqrt(c_1^2 - 4 c_2 c_0) with
+    the sign that makes |c_1 + s| the larger, q = -(c_1 + s)/2, and the
+    roots q/c_2 and c_0/q, so neither root comes from a cancellation.  Exact
+    coefficients (int, Fraction) give an exact discriminant, and a double
+    root two equal floats.
+    """
+    if len(c) == 2:
+        return [complex(-c[0] / c[1])]
+    c0, c1, c2 = c
+    s = cmath.sqrt(c1 * c1 - 4 * c2 * c0)
+    b = complex(c1)
+    if (b.conjugate() * s).real < 0:
+        s = -s
+    q = -(b + s) / 2
+    return [q / c2, c0 / q]
+
+
 def _solve(c: Sequence) -> List[complex]:
     """Roots with multiplicity of c (exact ascending coefficients, c_0 != 0).
 
@@ -207,7 +237,7 @@ def _solve(c: Sequence) -> List[complex]:
     sees simple roots only.
     """
     floats = [float(x) for x in c]
-    z = _aberth(floats)
+    z = _closed_form(c) if len(c) <= 3 else _aberth(floats)
     if _isolated(floats, z):
         return z
     exact = [Fraction(x) for x in c]
@@ -219,37 +249,93 @@ def _solve(c: Sequence) -> List[complex]:
     return _solve(_poly_divmod(exact, a)[0]) + _solve(a)
 
 
-def roots(f: Poly) -> MahlerResult:
+def _exact_roots(p: Sequence[int]) -> List[complex]:
+    """Roots with multiplicity of an integer polynomial p of degree >= 0.
+
+    Zero roots are stripped exactly; the rest go to _solve.
+    """
+    nzero = 0
+    while p[nzero] == 0:
+        nzero += 1
+    found = [0j] * nzero
+    if len(p) - nzero > 1:
+        found += _solve(p[nzero:])
+    return found
+
+
+def _chain_roots(chain: Sequence[Poly]) -> Optional[List[complex]]:
+    """Roots of f = chain[0] o chain[1] o .. o chain[-1], solved down the chain.
+
+    With g = chain[0] = a prod (y - beta) and h = chain[1] o .., f equals
+    a prod (h - beta), so the roots of f are those of every h - beta, one
+    solve of degree deg chain[1] per beta, and so on down the chain.  The
+    integer g goes through _solve.  A beta that is exactly an integer (an
+    exact zero root among them) leaves h - beta integral, and it goes
+    through _solve too; any other h - beta has complex coefficients, and
+    its float solve must pass _isolated.  None when one does not (beta is,
+    or is near, a critical value of h) or a solve raises.
+    """
+    try:
+        level = _exact_roots(chain[0])
+        for h in chain[1:]:
+            below: List[complex] = []
+            for beta in level:
+                if beta.imag == 0 and beta.real.is_integer():
+                    below += _exact_roots((h[0] - int(beta.real), *h[1:]))
+                    continue
+                c = [h[0] - beta, *h[1:]]
+                z = _closed_form(c) if len(c) <= 3 else _aberth(c)
+                if not _isolated(c, z):
+                    return None
+                below += z
+            level = below
+    except (RootConvergenceError, ArithmeticError):
+        return None
+    return level
+
+
+def _residuals(coeffs: Sequence[float], hf: float, found: Sequence[complex]):
+    """|f(r)| at each root r, and the contract's bound on them."""
+    d = len(coeffs) - 1
+    residuals = []
+    for r in found:
+        acc = 0.0 + 0.0j
+        for a in reversed(coeffs):
+            acc = acc * r + a
+        residuals.append(abs(acc))
+    return residuals, max(DEFAULT_TOL * hf * max(1.0, abs(r)) ** d for r in found)
+
+
+def roots(f: Poly, chain: Optional[Sequence[Poly]] = None) -> MahlerResult:
     """All deg(f) complex roots (with multiplicity) plus the measure.
 
     Each returned root r satisfies
     |f(r)| <= DEFAULT_TOL * H(f) * max(1, |r|)**deg f; failure to reach
     that raises RootConvergenceError with the best iterate.
     A coefficient or root beyond the float range raises ValueError.
+
+    chain is a decomposition f = chain[0] o chain[1] o .. that the caller
+    holds and has checked exactly (full_decomposition(f), or (g, h) with
+    compose(g, h) == f).  The roots are then solved down it
+    (_chain_roots), and M(g o h) = |lead g| prod M(h - beta).  When that
+    route gives up, or its roots miss the contract above, f is solved
+    directly, as without a chain.
     """
     d = degree(f)
     if d < 1:
         raise ValueError("root finding needs degree >= 1")
-    nzero = 0
-    while f[nzero] == 0:
-        nzero += 1
-    found: List[complex] = [0.0 + 0.0j] * nzero
     try:
         coeffs = [float(c) for c in f]
-        if d > nzero:
-            found.extend(_solve(f[nzero:]))
-        residuals = []
-        for r in found:
-            acc = 0.0 + 0.0j
-            for a in reversed(coeffs):
-                acc = acc * r + a
-            residuals.append(abs(acc))
         hf = float(height(f))
-        bound = max(DEFAULT_TOL * hf * max(1.0, abs(r)) ** d for r in found)
+        found = _chain_roots(chain) if chain is not None and len(chain) > 1 else None
+        if found is not None:
+            residuals, bound = _residuals(coeffs, hf, found)
+        if found is None or max(residuals) > bound:
+            found = _exact_roots(f)
+            residuals, bound = _residuals(coeffs, hf, found)
     except OverflowError:
         raise ValueError("f is beyond the float range of the root finder") from None
-    bad = [i for i, res in enumerate(residuals) if res > bound]
-    if bad:
+    if max(residuals) > bound:
         raise RootConvergenceError(
             "residual contract violated after convergence",
             tuple(found),
@@ -309,14 +395,16 @@ def check_inequalities(
 
     if degree(f) < 1 or degree(g) < 1 or degree(h) < 1:
         raise ValueError("inequality checks need degrees >= 1")
-    is_product = mul(g, h) == f
+    is_product = degree(f) == degree(g) + degree(h) and mul(g, h) == f
     is_composition = (
         degree(g) >= 2 and degree(h) >= 2 and h[0] == 0 and compose(g, h) == f
     )
     if not is_product and not is_composition:
         raise ValueError("f is neither the exact product nor the exact composition of (g, h)")
 
-    mf = mahler_measure(f)
+    # the product route measures f on its own, or M(gh) = M(g)M(h) would
+    # compare M(f) with itself
+    mf = roots(f, (g, h) if is_composition and not is_product else None).measure
     lo, hi = sandwich_bounds(f)
     checks = [
         InequalityCheck("f: H*2^-d <= M", lo, mf, mf - lo >= -EQ2_REL_TOL * mf),

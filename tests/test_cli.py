@@ -275,6 +275,16 @@ def test_mahler_command():
     assert "slack lower" in out and "slack upper" in out
 
 
+def test_mahler_command_solves_down_the_decomposition():
+    # x^12 (x+8)^4 - 1 = (y^2 - 1) o y^2 o (x^4 + 8x^3); solved whole, the
+    # cluster of four roots near -8 reads 4096.282
+    code, out, _ = capture(["mahler", "-1," + "0," * 11 + "4096,2048,384,32,1"])
+    assert code == 0
+    line = next(s for s in out.splitlines() if s.startswith("M(f) = "))
+    assert abs(float(line[len("M(f) = "):]) - 4096) <= 1e-9 * 4096
+    assert sum(s.startswith("root: ") for s in out.splitlines()) == 16
+
+
 def test_fit_command(tmp_path):
     csv_path = tmp_path / "counts.csv"
     _, body, _ = capture(["count", "--degree", "4", "--monic", "--grid", "125,250,500,1000"])

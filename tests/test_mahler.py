@@ -18,6 +18,7 @@ from polycensus.mahler import (
     roots,
     sandwich_bounds,
 )
+from polycensus.decompose import full_decomposition
 from polycensus.poly_core import compose, height, mul, poly_pow
 
 
@@ -312,3 +313,136 @@ def test_frozen_roots_match_all_roots_iteration(f):
     got = roots(f).measure
     d = len(f) - 1
     assert abs(got - ref) <= max(1e-9, 2 * d * condition * 2.0**-53) * ref
+
+
+@st.composite
+def chains(draw):
+    """A chain of two or three integer parts of degree >= 2, deg f <= 16."""
+    degrees = draw(st.sampled_from(
+        ((2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (3, 3), (2, 5), (5, 2), (2, 6), (6, 2),
+         (3, 4), (4, 3), (2, 7), (8, 2), (4, 4), (2, 2, 2), (2, 2, 3), (2, 3, 2), (3, 2, 2),
+         (2, 2, 4), (2, 4, 2), (4, 2, 2))
+    ))
+    return tuple(
+        tuple(draw(st.lists(SMALL, min_size=k, max_size=k))) + (draw(SMALL_LEAD),)
+        for k in degrees
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(chains(), st.booleans())
+@example(((-1, 0, 1), (0, 0, 1), (0, 0, 0, 8, 1)), False)  # x^12 (x+8)^4 - 1
+@example(((-32, 0, 1), (0, -6, 0, 1)), False)  # 4 sqrt 2 is a critical value of h
+@example(((-3, -2, 1), (0, 2, 1)), False)  # (x+1)^2 (x+3)(x-1)
+@example(((-1, 0, 1), (0, 0, 0, 0, 2), (2, 8, 2)), True)  # the direct route raises
+def test_chain_route_matches_direct_route(parts, found):
+    """The measure down a chain agrees with the direct solve of f.
+
+    The chain is the drawn one or, with found, full_decomposition(f).  Either
+    route determines each root to its condition number times the rounding
+    unit, so where that is below 1e-9 the two agree to max(1e-9, 2 d
+    condition u).  Past a condition of 1e7 the direct route can miss that
+    bound by far on the clusters of a composition, or raise
+    (test_chain_route_on_clusters), so there only the chain's own contract
+    is checked.
+    """
+    f = parts[-1]
+    for p in reversed(parts[:-1]):
+        f = compose(p, f)
+    via = roots(f, full_decomposition(f) if found else parts)
+    d = len(f) - 1
+    assert len(via.roots) == d and all(x <= via.residual_bound for x in via.residuals)
+    lo, hi = sandwich_bounds(f)
+    assert lo * (1 - 1e-9) <= via.measure <= hi * (1 + 1e-9)
+    nzero = next(i for i, c in enumerate(f) if c)
+    condition = _numpy_reference(f[nzero:])[1]
+    if condition > 1e7:
+        return
+    direct = roots(f).measure
+    assert abs(via.measure - direct) <= max(1e-9, 2 * d * condition * 2.0**-53) * direct
+
+
+@pytest.mark.parametrize("parts, measure", [
+    # 60-digit mpmath references (scripts/aberth_accuracy.py reference())
+    (((-1, 0, 1), (0, 0, 1), (0, 0, 0, 8, 1)), 4095.99999999337887857),  # direct: 4096.282
+    (((-1, 0, 1), (0, 0, 0, 0, 1), (3, 9, 2)), 21984128.6462538648118),  # direct: 19964800.4
+    (((-1, 0, 1), (0, 0, 0, 0, 2), (2, 8, 2)), 38537215.4779825765800),  # direct raises
+])
+def test_chain_route_on_clusters(parts, measure):
+    """Composed f whose roots come in clusters of 4 or 8 that the direct
+    solve cannot resolve in doubles: down the chain each measure is good to
+    a few units of rounding."""
+    f = parts[-1]
+    for p in reversed(parts[:-1]):
+        f = compose(p, f)
+    assert abs(roots(f, parts).measure - measure) <= 1e-14 * measure
+
+
+@pytest.mark.parametrize("g, h, measure", [
+    ((-3, -2, 1), (0, 2, 1), 3),  # (y+1)(y-3) o (x^2+2x): beta = -1 is a critical value
+    ((4, -4, 1), (0, 1, 1), 4),   # (y-2)^2 o (x^2+x): g has a double root
+])
+def test_chain_route_multiple_roots(g, h, measure):
+    f = compose(g, h)
+    res = roots(f, (g, h))
+    assert len(res.roots) == len(f) - 1
+    assert abs(res.measure - measure) <= 1e-12 * measure
+
+
+def test_uncomposed_double_root_stays_on_direct_route(monkeypatch):
+    f = mul((355,), poly_pow((5, 1), 2))  # 355 (x+5)^2
+    chain = full_decomposition(f)
+    assert chain == [f]
+    monkeypatch.setattr(mahler, "_chain_roots", lambda c: pytest.fail("took the chain"))
+    res = roots(f, chain)
+    assert len(res.roots) == 2
+    assert abs(res.measure - 8875) <= 1e-12 * 8875
+
+
+def _complex_input(c):
+    return any(isinstance(x, complex) for x in c)
+
+
+def _shift_first_root(solve):
+    def bad(c):
+        z = solve(c)
+        if _complex_input(c):
+            z[0] += 1e-3
+        return z
+    return bad
+
+
+def _raise_on_complex(solve):
+    def bad(c):
+        if _complex_input(c):
+            raise RootConvergenceError("patched", (), ())
+        return solve(c)
+    return bad
+
+
+@pytest.mark.parametrize("name, patch, g, h", [
+    ("_closed_form", _shift_first_root, (5, 2, 1), (0, 1, 1)),
+    ("_aberth", _shift_first_root, (5, 2, 1), (0, 1, 3, 1)),
+    ("_aberth", _raise_on_complex, (5, 2, 1), (0, 1, 3, 1)),
+])
+def test_failed_sub_solve_falls_back_to_direct_route(monkeypatch, name, patch, g, h):
+    f = compose(g, h)
+    direct = roots(f)
+    monkeypatch.setattr(mahler, name, patch(getattr(mahler, name)))
+    via = roots(f, (g, h))
+    assert via.roots == direct.roots and via.measure == direct.measure
+
+
+def test_only_the_composition_route_takes_the_chain(monkeypatch):
+    seen = []
+    solve = mahler.roots
+    monkeypatch.setattr(mahler, "roots", lambda f, chain=None: seen.append(chain) or solve(f, chain))
+    assert check_inequalities((-4, 0, 1), (-2, 1), (2, 1)).product_checked
+    # 3x^4 is both 3y^2 o x^2 and 3x^2 * x^2: the product route runs
+    rep = check_inequalities((0, 0, 0, 0, 3), (0, 0, 3), (0, 0, 1), (2, 2))
+    assert rep.product_checked and rep.composition_checked and rep.all_ok
+    assert seen and all(chain is None for chain in seen)
+    seen.clear()
+    rep = check_inequalities((5, 2, 3, 2, 1), (5, 2, 1), (0, 1, 1), (2, 2))
+    assert rep.composition_checked and not rep.product_checked
+    assert seen == [((5, 2, 1), (0, 1, 1))]
