@@ -8,27 +8,37 @@ roots already moved in the same sweep.  A root whose residual is down to
 the rounding error of its Horner evaluation takes one free Newton step and
 is frozen; the sweeps go on over the others.  Degrees 1 and 2 take a closed
 form instead (the stable quadratic formula).  Zero roots are stripped exactly
-beforehand, and a multiple root is found exactly: when the roots' inclusion
-disks overlap, gcd(f, f') over Q splits f into factors with simple roots.
+beforehand, and a multiple root is found exactly.
+
+Every solve returns each root with the radius of a Newton inclusion disk:
+for any z, some root of p lies within n|p(z)/p'(z)| of z.  Aberth takes the
+radius from the p and p' it already holds when it freezes a root, widened
+by the Horner rounding bound and by the Newton step itself; a closed form
+evaluates p and p' once per root.  Pairwise-disjoint disks hold one root
+each, so they certify n simple roots.  Overlapping disks send the solve to
+gcd(f, f') over Q, which splits f into factors with simple roots.
 
 A caller that holds a checked decomposition f = g(h) passes it to roots as
 a chain.  Then f = lead(g) prod (h - beta) over the roots beta of g, so
 M(f) = |lead g| prod M(h - beta): one solve of degree deg g and one of
 degree deg h per beta, down a longer chain level by level, and the
 clusters that composition puts in the roots of f are never solved whole.
-When some h - beta has roots the float solve cannot isolate, a solve
-raises, or the roots miss f's residual contract, f is solved directly.
-Everything downstream compares the floating measure against exact integer
-heights, so the checks carry relative tolerances.
+h has integer coefficients, so the roots of h - conj(beta) are the
+conjugates of those of h - beta, and each conjugate pair of betas costs one
+solve.  When some h - beta has roots the float solve cannot isolate, a
+solve raises, or the roots miss f's residual contract, f is solved
+directly.  Everything downstream compares the floating measure against
+exact integer heights, so the checks carry relative tolerances.
 """
 
 from __future__ import annotations
 
 import cmath
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import exp, log, pi, sqrt
-from typing import List, Optional, Sequence, Tuple
+from math import exp, inf, log, pi, sqrt
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .poly_core import Poly, compose, degree, height, lead, mul
 
@@ -89,9 +99,9 @@ def _start_points(coeffs: Sequence[complex]) -> List[complex]:
     return z
 
 
-def _aberth(coeffs: Sequence[complex]) -> List[complex]:
+def _aberth(coeffs: Sequence[complex]) -> Tuple[List[complex], List[float]]:
     """Roots of a polynomial with nonzero constant term, ascending float or
-    complex coeffs.
+    complex coeffs, and the radius of an inclusion disk around each.
 
     Gauss-Seidel Aberth-Ehrlich sweeps from the Newton-polygon start over
     the roots still active: root i's correction uses every other root as it
@@ -99,18 +109,22 @@ def _aberth(coeffs: Sequence[complex]) -> List[complex]:
     |p(z)| <= DEFAULT_TOL*scale*max(1,|z|)^n.  That bound grows like |z|^n,
     so far from the unit circle it accepts roots still off in their fifth
     digit; a root is therefore frozen only once its |p(z)| is also down to
-    the rounding error of its Horner evaluation, max(8, 2n)*ROUNDING*
+    the rounding error of its Horner evaluation, floor = max(8, 2n)*ROUNDING*
     sum |a_k||z|^k (that error is below gamma_2n times the sum, so the
-    floor grows with n), and it takes one Newton step z - p/p' from the
-    values in hand as it freezes.  Returns when no root is active; after
-    MAX_ITERATIONS sweeps, the last roots that all met the contract.
-    RootConvergenceError if none did.
+    floor grows with n), and it takes one Newton step w = p/p' from the
+    values in hand as it freezes.  A root of p lies within n(|p| + floor)/|p'|
+    of z, so within that plus |w| of the stepped root: that is its radius,
+    infinite when p' is zero.  Returns when no root is active; after
+    MAX_ITERATIONS sweeps, the last roots that all met the contract, with
+    _radii.  RootConvergenceError if none did.
     """
     top, *tail = desc = coeffs[::-1]
     n = len(tail)
     bound = DEFAULT_TOL * max(map(abs, desc))
-    noise = [max(8, 2 * n) * ROUNDING * abs(a) for a in desc]
+    scale = max(8, 2 * n) * ROUNDING
+    noise = [scale * abs(a) for a in desc]
     z = _start_points(coeffs)
+    radii = [inf] * n
     residuals = [0.0] * n
     active = range(n)
     met = None
@@ -123,10 +137,16 @@ def _aberth(coeffs: Sequence[complex]) -> List[complex]:
                 dp = dp * zi + p
                 p = p * zi + a
             residuals[i] = res = abs(p)
-            if res <= bound * max(1.0, abs(zi)) ** n:
-                if res <= _horner_abs(noise, abs(zi)):
+            r = abs(zi)
+            if res <= (bound if r <= 1.0 else bound * r**n):
+                floor = 0.0
+                for a in noise:
+                    floor = floor * r + a
+                if res <= floor:
                     if dp:
-                        z[i] = zi - p / dp
+                        w = p / dp
+                        z[i] = zi - w
+                        radii[i] = n * (res + floor) / abs(dp) + abs(w)
                     continue
             else:
                 contract = False
@@ -142,12 +162,12 @@ def _aberth(coeffs: Sequence[complex]) -> List[complex]:
             except ZeroDivisionError:  # dp == 0, a coincident root or a zero denominator
                 z[i] = zi * (1.0 + 1e-9) + 1e-12
         if not still:
-            return z
+            return z, radii
         if contract:
             met = entry
         active = still
     if met is not None:
-        return met
+        return met, _radii(coeffs, met)
     raise RootConvergenceError(
         f"root finding did not converge within {MAX_ITERATIONS} iterations",
         tuple(entry),
@@ -163,32 +183,45 @@ def _horner_abs(desc: Sequence[float], x: float) -> float:
     return acc
 
 
-def _isolated(coeffs: Sequence[float], z: Sequence[complex]) -> bool:
-    """Whether the disks |x - z_i| <= 2n|W_i| are pairwise disjoint.
+def _radii(coeffs: Sequence, z: Sequence[complex]) -> List[float]:
+    """n(|p(z_i)| + floor)/|p'(z_i)| for each z_i, from one Horner pass each.
 
-    W_i = p(z_i) / (c_n prod_{j != i} (z_i - z_j)) is the Weierstrass
-    correction.  The disks of radius n|W_i| hold every root (Braess and
-    Hadeler), and a connected group of m of them holds exactly m roots
-    (Carstensen), so disjoint disks mean n simple roots.  The two copies of a double root give disks
-    that just touch; the factor 2 makes them overlap despite rounding.
+    Some root of p lies within n|p/p'| of any point, and floor, _aberth's
+    bound on the rounding error of |p|, keeps that true of the computed p.
+    A zero p' gives an infinite radius.
     """
-    n = len(coeffs) - 1
-    top, *tail = reversed(coeffs)
+    top, *tail = desc = coeffs[::-1]
+    n = len(tail)
+    scale = max(8, 2 * n) * ROUNDING
+    noise = [scale * abs(a) for a in desc]
     radii = []
-    for i, zi in enumerate(z):
-        p = q = top
+    for zi in z:
+        p, dp = top, 0.0
         for a in tail:
+            dp = dp * zi + p
             p = p * zi + a
-        for zj in z[:i]:
-            q *= zi - zj
-        for zj in z[i + 1:]:
-            q *= zi - zj
-        if q == 0:
-            return False
-        radii.append(2 * n * abs(p / q))
-    for i, (zi, ri) in enumerate(zip(z, radii)):
-        for j in range(i + 1, n):
-            if abs(zi - z[j]) <= ri + radii[j]:
+        radii.append(n * (abs(p) + _horner_abs(noise, abs(zi))) / abs(dp) if dp else inf)
+    return radii
+
+
+def _disjoint(z: Sequence[complex], radii: Sequence[float]) -> bool:
+    """Whether the disks |x - z_i| <= radii[i] are pairwise disjoint.
+
+    Each disk holds a root, so n disjoint disks hold the n roots one each:
+    the roots are simple.  The disks are swept in the order of their
+    centres' real parts, and a disk is compared with the next ones until
+    their centres lie further right than its radius plus sum(radii).  An
+    infinite or NaN radius overlaps every other disk.
+    """
+    reach = sum(radii)
+    if not reach < inf:
+        return len(z) < 2
+    disks = sorted(zip(z, radii), key=lambda disk: disk[0].real)
+    for i, (zi, ri) in enumerate(disks):
+        for zj, rj in disks[i + 1:]:
+            if zj.real - zi.real > ri + reach:
+                break
+            if not abs(zi - zj) > ri + rj:
                 return False
     return True
 
@@ -207,38 +240,43 @@ def _poly_divmod(a: List[Fraction], b: List[Fraction]) -> Tuple[List[Fraction], 
     return q, a
 
 
-def _closed_form(c: Sequence) -> List[complex]:
-    """Roots of c_0 + c_1 x or c_0 + c_1 x + c_2 x^2 (c_0 != 0), in closed form.
+def _closed_form(c: Sequence) -> Tuple[List[complex], List[float]]:
+    """Roots of c_0 + c_1 x or c_0 + c_1 x + c_2 x^2 (c_0 != 0), in closed
+    form, with their _radii.
 
     The quadratic takes the stable formula: s = sqrt(c_1^2 - 4 c_2 c_0) with
     the sign that makes |c_1 + s| the larger, q = -(c_1 + s)/2, and the
     roots q/c_2 and c_0/q, so neither root comes from a cancellation.  Exact
     coefficients (int, Fraction) give an exact discriminant, and a double
-    root two equal floats.
+    root two equal floats, whose p' is zero.
     """
     if len(c) == 2:
-        return [complex(-c[0] / c[1])]
-    c0, c1, c2 = c
-    s = cmath.sqrt(c1 * c1 - 4 * c2 * c0)
-    b = complex(c1)
-    if (b.conjugate() * s).real < 0:
-        s = -s
-    q = -(b + s) / 2
-    return [q / c2, c0 / q]
+        z = [complex(-c[0] / c[1])]
+    else:
+        c0, c1, c2 = c
+        s = cmath.sqrt(c1 * c1 - 4 * c2 * c0)
+        b = complex(c1)
+        if (b.conjugate() * s).real < 0:
+            s = -s
+        q = -(b + s) / 2
+        z = [q / c2, c0 / q]
+    return z, _radii(c, z)
 
 
 def _solve(c: Sequence) -> List[complex]:
     """Roots with multiplicity of c (exact ascending coefficients, c_0 != 0).
 
-    A k-fold root leaves k float copies that no sweep separates, and their
-    inclusion disks overlap.  Only then is gcd(c, c') computed over Q; if it
-    is not constant, c/gcd(c, c') (every root once) and gcd(c, c') (the
-    multiple roots, one copy fewer) are solved apart, so every float solve
-    sees simple roots only.
+    _closed_form (degree <= 2) or _aberth gives each root an inclusion disk.
+    A k-fold root leaves k float copies that no sweep separates, and each of
+    their disks holds the root, so they overlap.  Only when some disks
+    overlap is gcd(c, c') computed over Q; if it is not constant,
+    c/gcd(c, c') (every root once) and gcd(c, c') (the multiple roots, one
+    copy fewer) are solved apart, so every float solve sees simple roots
+    only.
     """
     floats = [float(x) for x in c]
-    z = _closed_form(c) if len(c) <= 3 else _aberth(floats)
-    if _isolated(floats, z):
+    z, radii = _closed_form(c) if len(c) <= 3 else _aberth(floats)
+    if _disjoint(z, radii):
         return z
     exact = [Fraction(x) for x in c]
     a, b = exact, [k * x for k, x in enumerate(exact)][1:]
@@ -263,32 +301,78 @@ def _exact_roots(p: Sequence[int]) -> List[complex]:
     return found
 
 
+def _shifted_roots(h: Poly, beta: complex) -> Optional[List[complex]]:
+    """Roots of h - beta for an integer h, None when they are not isolated.
+
+    A beta that is exactly an integer (an exact zero root among them) leaves
+    h - beta integral, and it goes through _exact_roots; any other h - beta
+    has complex coefficients, and the disks of its float solve must be
+    disjoint.
+    """
+    if beta.imag == 0 and beta.real.is_integer():
+        return _exact_roots((h[0] - int(beta.real), *h[1:]))
+    c = [h[0] - beta, *h[1:]]
+    z, radii = _closed_form(c) if len(c) <= 3 else _aberth(c)
+    return z if _disjoint(z, radii) else None
+
+
+def _conjugate_partners(level: Sequence[complex]) -> Dict[int, int]:
+    """{i: j} pairing each level[i] with Im < 0 to a level[j] with Im > 0.
+
+    level[i] takes, among the unpaired level[j], the one whose conjugate is
+    nearest to it, and only when that conjugate is nearer to it than the
+    real axis is: a real root that its float solve left a tiny imaginary
+    part never pairs with another real root.  The unpaired level[j] are kept
+    sorted by real part, and the search walks out from the mirror image's
+    real part until the real parts alone are further off than the nearest
+    conjugate so far.
+    """
+    upper = sorted((b.real, j) for j, b in enumerate(level) if b.imag > 0)
+    partners = {}
+    for i, beta in enumerate(level):
+        if beta.imag >= 0:
+            continue
+        mirror = beta.conjugate()
+        k = bisect_left(upper, (mirror.real, -1))
+        best, pick = -beta.imag, None
+        for side in (range(k, len(upper)), range(k - 1, -1, -1)):
+            for m in side:
+                real, j = upper[m]
+                if not abs(real - mirror.real) < best:
+                    break
+                gap = abs(level[j] - mirror)
+                if gap < best:
+                    best, pick = gap, m
+        if pick is not None:
+            partners[i] = upper.pop(pick)[1]
+    return partners
+
+
 def _chain_roots(chain: Sequence[Poly]) -> Optional[List[complex]]:
     """Roots of f = chain[0] o chain[1] o .. o chain[-1], solved down the chain.
 
     With g = chain[0] = a prod (y - beta) and h = chain[1] o .., f equals
     a prod (h - beta), so the roots of f are those of every h - beta, one
-    solve of degree deg chain[1] per beta, and so on down the chain.  The
-    integer g goes through _solve.  A beta that is exactly an integer (an
-    exact zero root among them) leaves h - beta integral, and it goes
-    through _solve too; any other h - beta has complex coefficients, and
-    its float solve must pass _isolated.  None when one does not (beta is,
-    or is near, a critical value of h) or a solve raises.
+    solve of degree deg chain[1] per beta (_shifted_roots), and so on down
+    the chain.  The integer g goes through _solve.  h is real, so a beta
+    with Im < 0 that _conjugate_partners pairs with some beta' takes the
+    conjugates of the roots of h - beta' and costs no solve; they are the
+    roots of h - conj(beta'), which f's residual contract in roots checks
+    like any other.  None when some h - beta has disks that overlap (beta
+    is, or is near, a critical value of h) or a solve raises.
     """
     try:
         level = _exact_roots(chain[0])
         for h in chain[1:]:
-            below: List[complex] = []
-            for beta in level:
-                if beta.imag == 0 and beta.real.is_integer():
-                    below += _exact_roots((h[0] - int(beta.real), *h[1:]))
-                    continue
-                c = [h[0] - beta, *h[1:]]
-                z = _closed_form(c) if len(c) <= 3 else _aberth(c)
-                if not _isolated(c, z):
-                    return None
-                below += z
-            level = below
+            partners = _conjugate_partners(level)
+            parts = {i: _shifted_roots(h, b) for i, b in enumerate(level) if i not in partners}
+            if None in parts.values():
+                return None
+            level = [
+                r
+                for i in range(len(level))
+                for r in parts.get(i) or [x.conjugate() for x in parts[partners[i]]]
+            ]
     except (RootConvergenceError, ArithmeticError):
         return None
     return level
@@ -303,7 +387,7 @@ def _residuals(coeffs: Sequence[float], hf: float, found: Sequence[complex]):
         for a in reversed(coeffs):
             acc = acc * r + a
         residuals.append(abs(acc))
-    return residuals, max(DEFAULT_TOL * hf * max(1.0, abs(r)) ** d for r in found)
+    return residuals, DEFAULT_TOL * hf * max(1.0, *map(abs, found)) ** d
 
 
 def roots(f: Poly, chain: Optional[Sequence[Poly]] = None) -> MahlerResult:
@@ -313,20 +397,24 @@ def roots(f: Poly, chain: Optional[Sequence[Poly]] = None) -> MahlerResult:
     |f(r)| <= DEFAULT_TOL * H(f) * max(1, |r|)**deg f; failure to reach
     that raises RootConvergenceError with the best iterate.
     A coefficient or root beyond the float range raises ValueError.
+    Each float solve gives its roots Newton inclusion disks; disjoint disks
+    certify simple roots, and overlapping ones send f through the exact gcd
+    split (_solve).
 
     chain is a decomposition f = chain[0] o chain[1] o .. that the caller
     holds and has checked exactly (full_decomposition(f), or (g, h) with
     compose(g, h) == f).  The roots are then solved down it
-    (_chain_roots), and M(g o h) = |lead g| prod M(h - beta).  When that
-    route gives up, or its roots miss the contract above, f is solved
-    directly, as without a chain.
+    (_chain_roots), one solve of h - beta per real beta and per conjugate
+    pair of betas, and M(g o h) = |lead g| prod M(h - beta).  When that
+    route gives up (overlapping disks in some h - beta), or its roots miss
+    the contract above, f is solved directly, as without a chain.
     """
     d = degree(f)
     if d < 1:
         raise ValueError("root finding needs degree >= 1")
     try:
         coeffs = [float(c) for c in f]
-        hf = float(height(f))
+        hf = max(map(abs, coeffs))
         found = _chain_roots(chain) if chain is not None and len(chain) > 1 else None
         if found is not None:
             residuals, bound = _residuals(coeffs, hf, found)

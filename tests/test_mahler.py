@@ -233,6 +233,72 @@ def test_roots_match_numpy(f):
         assert abs(res.measure - ref) <= 1e-6 * ref
 
 
+@pytest.mark.parametrize("f, planted, solves", [
+    (mul(poly_pow((-3, 1), 2), (1, 0, 0, 5)), {3: 2}, [5, 4, 1]),  # (x - 3)^2 (5x^3 + 1)
+    # (x + 1)^2 (x - 2)^3 (x^2 + 1)
+    (mul(mul(poly_pow((1, 1), 2), poly_pow((-2, 1), 3)), (1, 0, 1)), {-1: 2, 2: 3, 1j: 1, -1j: 1},
+     [7, 4, 3, 2, 1]),
+])
+def test_planted_multiple_roots_take_the_gcd_split(monkeypatch, f, planted, solves):
+    """The disks of a multiple root's copies overlap, so f goes through the
+    exact gcd split, and each copy comes back from a solve of its own."""
+    seen = []
+    solve = mahler._solve
+    monkeypatch.setattr(mahler, "_solve", lambda c: seen.append(len(c) - 1) or solve(c))
+    res = roots(f)
+    assert seen == solves
+    assert len(res.roots) == len(f) - 1
+    for root, k in planted.items():
+        assert sum(abs(r - root) <= 1e-12 for r in res.roots) == k
+        assert not any(1e-12 < abs(r - root) <= 1e-3 for r in res.roots)
+
+
+def _matched(disks, points):
+    """Whether every disk (z, radius) holds its own point, no point twice
+    (Kuhn's augmenting paths)."""
+    owner = {}
+
+    def place(i, seen):
+        z, radius = disks[i]
+        for j, x in enumerate(points):
+            if j not in seen and abs(x - z) <= radius:
+                seen.add(j)
+                if j not in owner or place(owner[j], seen):
+                    owner[j] = i
+                    return True
+        return False
+
+    return all(place(i, set()) for i in range(len(disks)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(measure_inputs())
+@example((1,) + (0,) * 11 + (1,))  # x^12 + 1
+@example(mul(poly_pow((-3, 1), 2), (1, 0, 0, 5)))  # (x - 3)^2 (5x^3 + 1)
+@example((-8, -24, -44, -60, -2, 304, 264, -336, -350, 132, 102, 18, 1))  # condition 2.4e6
+@example((-1, 30, 0, 0, 1))  # a numpy root 1.1 radii off
+def test_every_disk_holds_its_own_numpy_root(f):
+    """Each root of a float solve lies within its radius of a numpy.roots
+    root, a distinct one per root, on every distinct-root piece of f whose
+    roots have condition number at most 1e7.
+
+    numpy.roots is backward stable only normwise, so a root can sit further
+    off than the componentwise rounding floor the radius carries (x^4 + 30x^3
+    - 1 puts one 1.1 radii away); one Newton step in doubles from each
+    brings it down to that floor.
+    """
+    nzero = next(i for i, c in enumerate(f) if c)
+    if _numpy_reference(f[nzero:])[1] > 1e7:
+        return
+    for piece in _distinct_root_pieces(f[nzero:]) if len(f) - nzero > 1 else ():
+        floats = [float(c) for c in piece]
+        z, radii = mahler._closed_form(piece) if len(piece) <= 3 else _aberth(floats)
+        assert len(z) == len(radii) == len(piece) - 1
+        p = np.array(floats[::-1])
+        ref = [x - np.polyval(p, x) / np.polyval(np.polyder(p), x) for x in np.roots(p)]
+        assert _matched(list(zip(z, radii)), ref)
+
+
 def test_convergence_failure_carries_best_roots(monkeypatch):
     monkeypatch.setattr(mahler, "MAX_ITERATIONS", 1)
     f = (3, -1, 4, 1, -5, 9, 2, -6, 5)
@@ -259,7 +325,8 @@ def test_sparse_high_degree_exits_through_noise_rule(monkeypatch):
 
 def _all_roots_aberth(coeffs):
     """The all-roots iteration: every root moves in every sweep until all n
-    residuals are at 8u times their Horner scale in the same sweep."""
+    residuals are at 8u times their Horner scale in the same sweep.  The
+    roots come with mahler._radii, as _aberth's fallback iterate does."""
     desc = [float(a) for a in reversed(coeffs)]
     top, *tail = desc
     n = len(tail)
@@ -284,10 +351,10 @@ def _all_roots_aberth(coeffs):
         if all(r <= bound * max(1.0, abs(zi)) ** n for zi, r in zip(z, residuals)):
             met = z
             if all(r <= _horner_abs(noise, abs(zi)) for zi, r in zip(z, residuals)):
-                return z
+                return z, mahler._radii(coeffs, z)
         z = moved
     assert met is not None
-    return met
+    return met, mahler._radii(coeffs, met)
 
 
 @settings(max_examples=300, deadline=None)
@@ -389,6 +456,33 @@ def test_chain_route_multiple_roots(g, h, measure):
     assert abs(res.measure - measure) <= 1e-12 * measure
 
 
+@pytest.mark.parametrize("parts, solves", [
+    (((-2, 0, 0, 1), (0, 1, 3, 1)), 1 + 1),  # y^3 - 2: one real root and one pair
+    (((1, 0, 0, 0, 1), (0, 2, 1)), 0 + 2),  # y^4 + 1: two pairs
+    (((-3, -3, -2, 1, 1), (0, 1, 1, 1)), 2 + 1),  # (y^2 + y + 1)(y^2 - 3)
+    (((5, 0, 1), (0, 3, 1), (0, 2, 0, 1)), 1 + 2),  # y^2 + 5, then (x^2 + 3x)^2 + 5: 1 + 2 pairs
+    (((-5, 0, 1), (0, 3, 1), (0, 1, 1)), 2 + 4),  # y^2 - 5, then (x^2 + 3x)^2 - 5: all real
+])
+def test_conjugate_betas_share_one_solve(monkeypatch, parts, solves):
+    """An outer part with r real roots and k conjugate pairs costs r + k
+    solves of h - beta per level, and the shared roots pass f's contract
+    and the chain-versus-direct bound of test_chain_route_matches_direct_route."""
+    f = parts[-1]
+    for p in reversed(parts[:-1]):
+        f = compose(p, f)
+    betas = []
+    shifted = mahler._shifted_roots
+    monkeypatch.setattr(mahler, "_shifted_roots", lambda h, beta: betas.append(beta) or shifted(h, beta))
+    found = mahler._chain_roots(parts)
+    assert len(betas) == solves and found is not None
+    via = roots(f, parts)
+    assert via.roots == tuple(found)
+    d = len(f) - 1
+    condition = _numpy_reference(f)[1]
+    direct = roots(f).measure
+    assert abs(via.measure - direct) <= max(1e-9, 2 * d * condition * 2.0**-53) * direct
+
+
 def test_uncomposed_double_root_stays_on_direct_route(monkeypatch):
     f = mul((355,), poly_pow((5, 1), 2))  # 355 (x+5)^2
     chain = full_decomposition(f)
@@ -405,10 +499,11 @@ def _complex_input(c):
 
 def _shift_first_root(solve):
     def bad(c):
-        z = solve(c)
+        z, radii = solve(c)
         if _complex_input(c):
             z[0] += 1e-3
-        return z
+            radii = mahler._radii(c, z)
+        return z, radii
     return bad
 
 
@@ -446,3 +541,52 @@ def test_only_the_composition_route_takes_the_chain(monkeypatch):
     rep = check_inequalities((5, 2, 3, 2, 1), (5, 2, 1), (0, 1, 1), (2, 2))
     assert rep.composition_checked and not rep.product_checked
     assert seen == [((5, 2, 1), (0, 1, 1))]
+
+
+def _graeffe(f, k):
+    """G_k f by k root-squaring steps G(f)(x^2) = +-f(x) f(-x), in integers:
+    the roots of G_k f are those of f to the power 2^k."""
+    for _ in range(k):
+        f = mul(f, tuple(-c if i % 2 else c for i, c in enumerate(f)))[::2]
+    return f
+
+
+def _assert_in_graeffe_interval(f, measure, k=6):
+    """(max_i |[G_k f]_i| / C(d, i))^(1/2^k) <= M(f) <= ||G_k f||_2^(1/2^k)
+    to 1e-12 relative, decided in exact rationals.
+
+    M(G_k f) = M(f)^(2^k); Landau's inequality M(g) <= ||g||_2 gives the
+    upper end, and |g_i| <= C(d, i) M(g) the lower one.
+    """
+    g = _graeffe(f, k)
+    d = len(f) - 1
+    m, tol = Fraction(measure), Fraction(1, 10**12)
+    lower = max(Fraction(abs(c), math.comb(d, i)) for i, c in enumerate(g))
+    assert lower <= (m * (1 + tol)) ** 2**k
+    assert (m / (1 + tol)) ** 2 ** (k + 1) <= sum(c * c for c in g)
+
+
+def test_graeffe_step_squares_the_roots():
+    # (x - 2)(x + 3)(x^2 + 1) -> (y - 4)(y - 9)(y + 1)^2
+    f = mul(mul((-2, 1), (3, 1)), (1, 0, 1))
+    assert _graeffe(f, 1) == mul(mul((-4, 1), (-9, 1)), poly_pow((1, 1), 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(measure_inputs())
+@example((1,) + (0,) * 11 + (1,))  # x^12 + 1: the lower end is tight
+@example(mul(poly_pow((-3, 1), 2), (1, 0, 0, 5)))  # (x - 3)^2 (5x^3 + 1)
+def test_measure_lies_in_graeffe_interval(f):
+    chain = full_decomposition(f) if len(f) > 2 else None
+    _assert_in_graeffe_interval(f, roots(f, chain).measure)
+
+
+@settings(max_examples=200, deadline=None)
+@given(chains())
+@example(((-1, 0, 1), (0, 0, 0, 0, 1), (3, 9, 2)))  # (2x^2+9x+3)^8 - 1
+@example(((-1, 0, 1), (0, 0, 0, 0, 2), (2, 8, 2)))  # the direct route raises
+def test_chain_measure_lies_in_graeffe_interval(parts):
+    f = parts[-1]
+    for p in reversed(parts[:-1]):
+        f = compose(p, f)
+    _assert_in_graeffe_interval(f, roots(f, parts).measure)
