@@ -971,13 +971,14 @@ def _run_split(d, H, monic, split, workers, excluded, budget, *, pool, power_awa
     polygons, on the query's pool; merge the chunk results.
 
     power_away is the plan's rule for the inner x^n (count_forward decides
-    it): None walks x^n with the other inners, and an int counts its first
-    copy in closed form with that many pairs excluded.  A second copy of
-    x^n is walked, and so is the x^n of m = 2, the column b_1 = 0 of the
-    zero prefix, which costs no more than any other column.  Each chunk
-    refuses once its own pairs exceed the budget, and the merged pairs,
-    x^n's included, are checked against it once more, so a split is refused
-    exactly when its true total exceeds the budget.  check_budget has
+    it): None walks x^n with the other inners, and an int counts it in
+    closed form with that many pairs excluded: x^n is one item of
+    _h_candidates, since L x^n with L >= 2 is imprimitive.  The x^n of
+    m = 2, the column b_1 = 0 of the zero prefix, is walked: it costs no
+    more than any other column.  Each chunk refuses once its own pairs
+    exceed the budget, and the merged pairs, x^n's included, are checked
+    against it once more, so a split is refused exactly when its true total
+    exceeds the budget.  check_budget has
     already refused x^n's pairs alone past the budget: every split that
     counts x^n in closed form has the query's largest outer degree.
 
@@ -1008,7 +1009,7 @@ def _run_split(d, H, monic, split, workers, excluded, budget, *, pool, power_awa
     tops: list = []
     power = ((0,) * n + (1,), (0,) * (2 * n) + (1,))  # (x^n, x^2n)
     if power_away is not None and m > 2 and power in items:
-        items.remove(power)  # the first copy only: a second is walked
+        items.remove(power)  # x^n's one item, counted in closed form
         leads = [1] if monic else [a for a in range(-H, H + 1) if a]
         pairs, away = _box_size(m - 1, H, monic), power_away
         tops = [(0,) * (n - 1) + (a,) for a in leads]

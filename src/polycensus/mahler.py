@@ -23,22 +23,19 @@ a chain.  Then f = lead(g) prod (h - beta) over the roots beta of g, so
 M(f) = |lead g| prod M(h - beta): one solve of degree deg g and one of
 degree deg h per beta, down a longer chain level by level, and the
 clusters that composition puts in the roots of f are never solved whole.
-h has integer coefficients, so the roots of h - conj(beta) are the
-conjugates of those of h - beta, and each conjugate pair of betas costs one
-solve.  When some h - beta has roots the float solve cannot isolate, a
-solve raises, or the roots miss f's residual contract, f is solved
-directly.  Everything downstream compares the floating measure against
-exact integer heights, so the checks carry relative tolerances.
+When some h - beta has roots the float solve cannot isolate, a solve
+raises, or the roots miss f's residual contract, f is solved directly.
+Everything downstream compares the floating measure against exact integer
+heights, so the checks carry relative tolerances.
 """
 
 from __future__ import annotations
 
 import cmath
-from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import exp, inf, log, pi, sqrt
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .poly_core import Poly, compose, degree, height, lead, mul
 
@@ -64,7 +61,7 @@ class MahlerResult:
     roots: Tuple[complex, ...]
     measure: float
     residual_bound: float
-    residuals: Tuple[float, ...] = field(default=())
+    residuals: Tuple[float, ...]
 
 
 def _start_points(coeffs: Sequence[complex]) -> List[complex]:
@@ -208,22 +205,14 @@ def _disjoint(z: Sequence[complex], radii: Sequence[float]) -> bool:
     """Whether the disks |x - z_i| <= radii[i] are pairwise disjoint.
 
     Each disk holds a root, so n disjoint disks hold the n roots one each:
-    the roots are simple.  The disks are swept in the order of their
-    centres' real parts, and a disk is compared with the next ones until
-    their centres lie further right than its radius plus sum(radii).  An
-    infinite or NaN radius overlaps every other disk.
+    the roots are simple.  An infinite or NaN radius overlaps every other
+    disk.
     """
-    reach = sum(radii)
-    if not reach < inf:
-        return len(z) < 2
-    disks = sorted(zip(z, radii), key=lambda disk: disk[0].real)
-    for i, (zi, ri) in enumerate(disks):
-        for zj, rj in disks[i + 1:]:
-            if zj.real - zi.real > ri + reach:
-                break
-            if not abs(zi - zj) > ri + rj:
-                return False
-    return True
+    return all(
+        abs(z[i] - z[j]) > radii[i] + radii[j]
+        for i in range(len(z))
+        for j in range(i + 1, len(z))
+    )
 
 
 def _poly_divmod(a: List[Fraction], b: List[Fraction]) -> Tuple[List[Fraction], List[Fraction]]:
@@ -316,63 +305,23 @@ def _shifted_roots(h: Poly, beta: complex) -> Optional[List[complex]]:
     return z if _disjoint(z, radii) else None
 
 
-def _conjugate_partners(level: Sequence[complex]) -> Dict[int, int]:
-    """{i: j} pairing each level[i] with Im < 0 to a level[j] with Im > 0.
-
-    level[i] takes, among the unpaired level[j], the one whose conjugate is
-    nearest to it, and only when that conjugate is nearer to it than the
-    real axis is: a real root that its float solve left a tiny imaginary
-    part never pairs with another real root.  The unpaired level[j] are kept
-    sorted by real part, and the search walks out from the mirror image's
-    real part until the real parts alone are further off than the nearest
-    conjugate so far.
-    """
-    upper = sorted((b.real, j) for j, b in enumerate(level) if b.imag > 0)
-    partners = {}
-    for i, beta in enumerate(level):
-        if beta.imag >= 0:
-            continue
-        mirror = beta.conjugate()
-        k = bisect_left(upper, (mirror.real, -1))
-        best, pick = -beta.imag, None
-        for side in (range(k, len(upper)), range(k - 1, -1, -1)):
-            for m in side:
-                real, j = upper[m]
-                if not abs(real - mirror.real) < best:
-                    break
-                gap = abs(level[j] - mirror)
-                if gap < best:
-                    best, pick = gap, m
-        if pick is not None:
-            partners[i] = upper.pop(pick)[1]
-    return partners
-
-
 def _chain_roots(chain: Sequence[Poly]) -> Optional[List[complex]]:
     """Roots of f = chain[0] o chain[1] o .. o chain[-1], solved down the chain.
 
     With g = chain[0] = a prod (y - beta) and h = chain[1] o .., f equals
     a prod (h - beta), so the roots of f are those of every h - beta, one
     solve of degree deg chain[1] per beta (_shifted_roots), and so on down
-    the chain.  The integer g goes through _solve.  h is real, so a beta
-    with Im < 0 that _conjugate_partners pairs with some beta' takes the
-    conjugates of the roots of h - beta' and costs no solve; they are the
-    roots of h - conj(beta'), which f's residual contract in roots checks
-    like any other.  None when some h - beta has disks that overlap (beta
-    is, or is near, a critical value of h) or a solve raises.
+    the chain.  The integer g goes through _solve.  None when some h - beta
+    has disks that overlap (beta is, or is near, a critical value of h) or a
+    solve raises.
     """
     try:
         level = _exact_roots(chain[0])
         for h in chain[1:]:
-            partners = _conjugate_partners(level)
-            parts = {i: _shifted_roots(h, b) for i, b in enumerate(level) if i not in partners}
-            if None in parts.values():
+            parts = [_shifted_roots(h, b) for b in level]
+            if None in parts:
                 return None
-            level = [
-                r
-                for i in range(len(level))
-                for r in parts.get(i) or [x.conjugate() for x in parts[partners[i]]]
-            ]
+            level = [r for part in parts for r in part]
     except (RootConvergenceError, ArithmeticError):
         return None
     return level
@@ -404,10 +353,10 @@ def roots(f: Poly, chain: Optional[Sequence[Poly]] = None) -> MahlerResult:
     chain is a decomposition f = chain[0] o chain[1] o .. that the caller
     holds and has checked exactly (full_decomposition(f), or (g, h) with
     compose(g, h) == f).  The roots are then solved down it
-    (_chain_roots), one solve of h - beta per real beta and per conjugate
-    pair of betas, and M(g o h) = |lead g| prod M(h - beta).  When that
-    route gives up (overlapping disks in some h - beta), or its roots miss
-    the contract above, f is solved directly, as without a chain.
+    (_chain_roots), one solve of h - beta per root beta of g, and
+    M(g o h) = |lead g| prod M(h - beta).  When that route gives up
+    (overlapping disks in some h - beta), or its roots miss the contract
+    above, f is solved directly, as without a chain.
     """
     d = degree(f)
     if d < 1:
@@ -437,8 +386,6 @@ def roots(f: Poly, chain: Optional[Sequence[Poly]] = None) -> MahlerResult:
 
 def mahler_measure(f: Poly) -> float:
     """|lead(f)| times the product of max(1, |root|) over all roots."""
-    if degree(f) < 1:
-        raise ValueError("measure needs degree >= 1")
     return roots(f).measure
 
 

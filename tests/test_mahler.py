@@ -457,16 +457,16 @@ def test_chain_route_multiple_roots(g, h, measure):
 
 
 @pytest.mark.parametrize("parts, solves", [
-    (((-2, 0, 0, 1), (0, 1, 3, 1)), 1 + 1),  # y^3 - 2: one real root and one pair
-    (((1, 0, 0, 0, 1), (0, 2, 1)), 0 + 2),  # y^4 + 1: two pairs
-    (((-3, -3, -2, 1, 1), (0, 1, 1, 1)), 2 + 1),  # (y^2 + y + 1)(y^2 - 3)
-    (((5, 0, 1), (0, 3, 1), (0, 2, 0, 1)), 1 + 2),  # y^2 + 5, then (x^2 + 3x)^2 + 5: 1 + 2 pairs
+    (((-2, 0, 0, 1), (0, 1, 3, 1)), 3),  # y^3 - 2: one real root and one pair
+    (((1, 0, 0, 0, 1), (0, 2, 1)), 4),  # y^4 + 1: two pairs
+    (((-3, -3, -2, 1, 1), (0, 1, 1, 1)), 4),  # (y^2 + y + 1)(y^2 - 3)
+    (((5, 0, 1), (0, 3, 1), (0, 2, 0, 1)), 2 + 4),  # y^2 + 5, then (x^2 + 3x)^2 + 5
     (((-5, 0, 1), (0, 3, 1), (0, 1, 1)), 2 + 4),  # y^2 - 5, then (x^2 + 3x)^2 - 5: all real
 ])
-def test_conjugate_betas_share_one_solve(monkeypatch, parts, solves):
-    """An outer part with r real roots and k conjugate pairs costs r + k
-    solves of h - beta per level, and the shared roots pass f's contract
-    and the chain-versus-direct bound of test_chain_route_matches_direct_route."""
+def test_chain_solves_h_minus_beta_once_per_root(monkeypatch, parts, solves):
+    """Each level solves h - beta once for every root beta of the level
+    above, conjugate or real, and the roots pass f's contract and the
+    chain-versus-direct bound of test_chain_route_matches_direct_route."""
     f = parts[-1]
     for p in reversed(parts[:-1]):
         f = compose(p, f)
@@ -481,6 +481,22 @@ def test_conjugate_betas_share_one_solve(monkeypatch, parts, solves):
     condition = _numpy_reference(f)[1]
     direct = roots(f).measure
     assert abs(via.measure - direct) <= max(1e-9, 2 * d * condition * 2.0**-53) * direct
+
+
+@pytest.mark.parametrize("z, radii, disjoint", [
+    ([1j], [math.inf], True),  # one disk overlaps nothing, whatever its radius
+    ([0j, 5 + 0j], [math.inf, 0.1], False),
+    ([0j, 5 + 0j], [0.1, math.nan], False),
+    ([0j, 3 + 4j], [2.0, 3.0], False),  # tangent: |z_0 - z_1| = 5 = 2 + 3
+    ([0j, 3 + 4j, -4 + 0j], [2.0, 2.5, 0.5], True),
+])
+def test_disjoint(z, radii, disjoint):
+    assert mahler._disjoint(z, radii) is disjoint
+
+
+def test_measure_needs_degree_one():
+    with pytest.raises(ValueError):
+        mahler_measure((7,))
 
 
 def test_uncomposed_double_root_stays_on_direct_route(monkeypatch):
