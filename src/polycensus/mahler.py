@@ -2,8 +2,9 @@
 
 The measure of f = a_d x^d + .. + a_0 with roots r_1..r_d is
 |a_d| * prod max(1, |r_i|).  Roots come from an Aberth-Ehrlich iteration
-in plain Python complex scalars (no numpy), with Bini's Newton-polygon
-starting points and Gauss-Seidel sweeps: each root's correction uses the
+in plain Python complex scalars, started from the eigenvalues of the
+companion matrix (numpy's LAPACK, imported on the first solve of degree
+3 or more), with Gauss-Seidel sweeps: each root's correction uses the
 roots already moved in the same sweep.  A root whose residual is down to
 the rounding error of its Horner evaluation takes one free Newton step and
 is frozen; the sweeps go on over the others.  Degrees 1 and 2 take a closed
@@ -34,7 +35,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from math import exp, inf, log, pi, sqrt
+from math import inf, sqrt
 from typing import List, Optional, Sequence, Tuple
 
 from .poly_core import Poly, compose, degree, height, lead, mul
@@ -64,45 +65,16 @@ class MahlerResult:
     residuals: Tuple[float, ...]
 
 
-def _start_points(coeffs: Sequence[complex]) -> List[complex]:
-    """Bini's Newton-polygon starting points for a nonzero constant term.
-
-    Each edge k1 -> k2 of the upper convex hull of (k, log|c_k|) over the
-    nonzero coefficients puts k2 - k1 points on the circle of radius
-    (|c_k1|/|c_k2|)^(1/(k2-k1)); together they are exactly n points.  The
-    angular offset 2*pi*k1/n + 0.7 keeps the set from being symmetric
-    under conjugation, which would stall the iteration on real polynomials.
-    """
-    n = len(coeffs) - 1
-    hull: List[Tuple[int, float]] = []
-    for k, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        y = log(abs(c))
-        while len(hull) >= 2:
-            (k0, y0), (k1, y1) = hull[-2], hull[-1]
-            if (k1 - k0) * (y - y0) - (y1 - y0) * (k - k0) < 0:
-                break
-            hull.pop()
-        hull.append((k, y))
-    z: List[complex] = []
-    for (k1, y1), (k2, y2) in zip(hull, hull[1:]):
-        m = k2 - k1
-        point = cmath.rect(exp((y1 - y2) / m), 2.0 * pi * k1 / n + 0.7)
-        step = cmath.rect(1.0, 2.0 * pi / m)
-        for _ in range(m):
-            z.append(point)
-            point *= step
-    return z
-
-
 def _aberth(coeffs: Sequence[complex]) -> Tuple[List[complex], List[float]]:
     """Roots of a polynomial with nonzero constant term, ascending float or
     complex coeffs, and the radius of an inclusion disk around each.
 
-    Gauss-Seidel Aberth-Ehrlich sweeps from the Newton-polygon start over
-    the roots still active: root i's correction uses every other root as it
-    stands, moved in this sweep or frozen.  The contract is
+    The start is the eigenvalues of the companion matrix (LAPACK, through
+    numpy imported on the first call): backward-stable roots, most of which
+    pass the freeze test below on the first sweep.  A LAPACK failure raises
+    RootConvergenceError with no roots.  Gauss-Seidel Aberth-Ehrlich sweeps
+    then run over the roots still active: root i's correction uses every
+    other root as it stands, moved in this sweep or frozen.  The contract is
     |p(z)| <= DEFAULT_TOL*scale*max(1,|z|)^n.  That bound grows like |z|^n,
     so far from the unit circle it accepts roots still off in their fifth
     digit; a root is therefore frozen only once its |p(z)| is also down to
@@ -115,12 +87,21 @@ def _aberth(coeffs: Sequence[complex]) -> Tuple[List[complex], List[float]]:
     MAX_ITERATIONS sweeps, the last roots that all met the contract, with
     _radii.  RootConvergenceError if none did.
     """
+    import numpy
+
     top, *tail = desc = coeffs[::-1]
     n = len(tail)
     bound = DEFAULT_TOL * max(map(abs, desc))
     scale = max(8, 2 * n) * ROUNDING
     noise = [scale * abs(a) for a in desc]
-    z = _start_points(coeffs)
+    row = numpy.array([-a / top for a in tail])  # complex for h - beta
+    companion = numpy.eye(n, k=-1, dtype=row.dtype)
+    companion[0] = row
+    try:
+        # all-real eigenvalues come back as floats, which never leave the axis
+        z = list(map(complex, numpy.linalg.eigvals(companion).tolist()))
+    except numpy.linalg.LinAlgError as err:
+        raise RootConvergenceError(f"no companion eigenvalues: {err}", (), ()) from None
     radii = [inf] * n
     residuals = [0.0] * n
     active = range(n)
@@ -328,13 +309,27 @@ def _chain_roots(chain: Sequence[Poly]) -> Optional[List[complex]]:
 
 
 def _residuals(coeffs: Sequence[float], hf: float, found: Sequence[complex]):
-    """|f(r)| at each root r, and the contract's bound on them."""
+    """|f(r)| at each root r, and the contract's bound on them.
+
+    An f with a zero coefficient takes Horner over its nonzero terms only,
+    acc * r**gap + a, so 3x^400 + 1 costs a power per term at each root,
+    not 400 steps.
+    """
     d = len(coeffs) - 1
+    terms = None if all(coeffs) else [(k, a) for k, a in enumerate(coeffs) if a][::-1]
     residuals = []
     for r in found:
         acc = 0.0 + 0.0j
-        for a in reversed(coeffs):
-            acc = acc * r + a
+        if terms is None:
+            for a in reversed(coeffs):
+                acc = acc * r + a
+        else:
+            last = d
+            for k, a in terms:
+                acc = acc * r ** (last - k) + a
+                last = k
+            if last:
+                acc *= r**last
         residuals.append(abs(acc))
     return residuals, DEFAULT_TOL * hf * max(1.0, *map(abs, found)) ** d
 

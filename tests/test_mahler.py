@@ -12,7 +12,6 @@ from polycensus.mahler import (
     RootConvergenceError,
     _aberth,
     _horner_abs,
-    _start_points,
     check_inequalities,
     mahler_measure,
     roots,
@@ -217,8 +216,14 @@ def measure_inputs(draw):
 def test_roots_match_numpy(f):
     d = len(f) - 1
     nzero = next(i for i, c in enumerate(f) if c)
-    assert len(_start_points([float(c) for c in f[nzero:]])) == d - nzero
-    res = roots(f)
+    starts = []
+    eigvals = np.linalg.eigvals
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "eigvals", lambda a: starts.append(eigvals(a)) or starts[-1])
+        res = roots(f)
+    # the first solve is f without its zero roots, started from one
+    # companion eigenvalue per root; degrees 1 and 2 take no start
+    assert len(starts[0]) == d - nzero if d - nzero >= 3 else not starts
     assert len(res.roots) == len(res.residuals) == d
     assert all(x <= res.residual_bound for x in res.residuals)
     lo, hi = sandwich_bounds(f)
@@ -300,13 +305,64 @@ def test_every_disk_holds_its_own_numpy_root(f):
 
 
 def test_convergence_failure_carries_best_roots(monkeypatch):
+    # the companion eigenvalues meet the contract in one sweep, so the start
+    # is a far circle instead
     monkeypatch.setattr(mahler, "MAX_ITERATIONS", 1)
+    monkeypatch.setattr(
+        np.linalg, "eigvals", lambda a: 100 * np.exp(2j * np.pi * (np.arange(len(a)) + 0.3) / len(a))
+    )
     f = (3, -1, 4, 1, -5, 9, 2, -6, 5)
     with pytest.raises(RootConvergenceError) as info:
         roots(f)
     assert len(info.value.best_roots) == 8
     assert len(info.value.residuals) == 8
     assert all(math.isfinite(r) for r in info.value.residuals)
+
+
+def test_real_eigenvalues_start_complex_iterates():
+    # (x - 1)(x - 2)(x - 3): every companion eigenvalue is real, and eigvals
+    # hands back floats, which the sweeps could never move off the axis
+    z, radii = _aberth([-6.0, 11.0, -6.0, 1.0])
+    assert all(type(r) is complex for r in z)
+    assert mahler._disjoint(z, radii)
+    assert sorted(r.real for r in z) == pytest.approx([1, 2, 3], abs=1e-12)
+
+
+def test_complex_coefficients_are_certified(monkeypatch):
+    # h - beta for h = x^3 + x^2 and beta = 2i, as the chain route solves it;
+    # the eigenvalues of its complex companion matrix meet the contract in
+    # one sweep
+    monkeypatch.setattr(mahler, "MAX_ITERATIONS", 1)
+    c = [0 - 2j, 0, 1, 1]
+    z, radii = _aberth(c)
+    assert all(type(r) is complex for r in z)
+    assert mahler._disjoint(z, radii)
+    p = np.array(c[::-1], dtype=complex)
+    ref = [x - np.polyval(p, x) / np.polyval(np.polyder(p), x) for x in np.roots(p)]
+    assert _matched(list(zip(z, radii)), ref)
+    assert mahler._shifted_roots((0, 0, 1, 1), 2j) == z
+
+
+def test_lapack_failure_raises_convergence_error(monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("patched")
+
+    monkeypatch.setattr(np.linalg, "eigvals", fail)
+    with pytest.raises(RootConvergenceError):
+        roots((3, -1, 4, 1, -5, 9, 2, -6, 5))
+    # on the chain route the failure gives up the chain, not the solve
+    assert mahler._chain_roots(((5, 2, 1), (0, 1, 3, 1))) is None
+    assert len(roots((5, 2, 1)).roots) == 2  # closed forms take no start
+
+
+@pytest.mark.parametrize("d", [400, 399])
+def test_sparse_residuals_stay_far_below_the_bound(d):
+    """3x^d + 1 down its chain: the residual pass runs over two terms, and
+    r**d still leaves every residual at a tenth of the bound or less."""
+    f = (1,) + (0,) * (d - 1) + (3,)
+    res = roots(f, full_decomposition(f))
+    assert len(res.roots) == d
+    assert max(res.residuals) <= res.residual_bound / 10
 
 
 def test_sparse_high_degree_exits_through_noise_rule(monkeypatch):
@@ -325,14 +381,15 @@ def test_sparse_high_degree_exits_through_noise_rule(monkeypatch):
 
 def _all_roots_aberth(coeffs):
     """The all-roots iteration: every root moves in every sweep until all n
-    residuals are at 8u times their Horner scale in the same sweep.  The
+    residuals are at 8u times their Horner scale in the same sweep, from
+    _aberth's start (numpy.roots takes the same companion eigenvalues).  The
     roots come with mahler._radii, as _aberth's fallback iterate does."""
     desc = [float(a) for a in reversed(coeffs)]
     top, *tail = desc
     n = len(tail)
     bound = mahler.DEFAULT_TOL * max(map(abs, desc))
     noise = [8 * 2.0**-53 * abs(a) for a in desc]
-    z = _start_points(coeffs)
+    z = [complex(x) for x in np.roots(desc)]
     met = None
     for _ in range(200):
         moved, residuals = [], []
@@ -401,7 +458,7 @@ def chains(draw):
 @example(((-1, 0, 1), (0, 0, 1), (0, 0, 0, 8, 1)), False)  # x^12 (x+8)^4 - 1
 @example(((-32, 0, 1), (0, -6, 0, 1)), False)  # 4 sqrt 2 is a critical value of h
 @example(((-3, -2, 1), (0, 2, 1)), False)  # (x+1)^2 (x+3)(x-1)
-@example(((-1, 0, 1), (0, 0, 0, 0, 2), (2, 8, 2)), True)  # the direct route raises
+@example(((-1, 0, 1), (0, 0, 0, 0, 2), (2, 8, 2)), True)  # 4(2x^2+8x+2)^8 - 1
 def test_chain_route_matches_direct_route(parts, found):
     """The measure down a chain agrees with the direct solve of f.
 
@@ -409,7 +466,7 @@ def test_chain_route_matches_direct_route(parts, found):
     route determines each root to its condition number times the rounding
     unit, so where that is below 1e-9 the two agree to max(1e-9, 2 d
     condition u).  Past a condition of 1e7 the direct route can miss that
-    bound by far on the clusters of a composition, or raise
+    bound by far on the clusters of a composition
     (test_chain_route_on_clusters), so there only the chain's own contract
     is checked.
     """
@@ -431,9 +488,9 @@ def test_chain_route_matches_direct_route(parts, found):
 
 @pytest.mark.parametrize("parts, measure", [
     # 60-digit mpmath references (scripts/aberth_accuracy.py reference())
-    (((-1, 0, 1), (0, 0, 1), (0, 0, 0, 8, 1)), 4095.99999999337887857),  # direct: 4096.282
-    (((-1, 0, 1), (0, 0, 0, 0, 1), (3, 9, 2)), 21984128.6462538648118),  # direct: 19964800.4
-    (((-1, 0, 1), (0, 0, 0, 0, 2), (2, 8, 2)), 38537215.4779825765800),  # direct raises
+    (((-1, 0, 1), (0, 0, 1), (0, 0, 0, 8, 1)), 4095.99999999337887857),  # direct: 4096.016
+    (((-1, 0, 1), (0, 0, 0, 0, 1), (3, 9, 2)), 21984128.6462538648118),  # direct: 21984723.0
+    (((-1, 0, 1), (0, 0, 0, 0, 2), (2, 8, 2)), 38537215.4779825765800),  # direct: 38530705.7
 ])
 def test_chain_route_on_clusters(parts, measure):
     """Composed f whose roots come in clusters of 4 or 8 that the direct
@@ -600,7 +657,7 @@ def test_measure_lies_in_graeffe_interval(f):
 @settings(max_examples=200, deadline=None)
 @given(chains())
 @example(((-1, 0, 1), (0, 0, 0, 0, 1), (3, 9, 2)))  # (2x^2+9x+3)^8 - 1
-@example(((-1, 0, 1), (0, 0, 0, 0, 2), (2, 8, 2)))  # the direct route raises
+@example(((-1, 0, 1), (0, 0, 0, 0, 2), (2, 8, 2)))  # 4(2x^2+8x+2)^8 - 1
 def test_chain_measure_lies_in_graeffe_interval(parts):
     f = parts[-1]
     for p in reversed(parts[:-1]):
